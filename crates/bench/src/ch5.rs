@@ -452,26 +452,17 @@ pub fn fig5_9(cfg: &ExpCfg) {
         Report::new("fig5_9_feature_comparison", &["benchmark", "features", "speedup", "sd"]);
     let platform = Platform::tx2();
     use citroen_core::FeatureKind::*;
-    // The fourth variant ablates `oracle_features`: compilation statistics
-    // with the precondition oracle's per-pass verdict bits appended to the
-    // feature vector (an extension beyond the paper's three feature kinds).
     for name in cbench_subset() {
-        for (label, kind, oracle_bits) in [
-            ("compilation-stats", CompilationStats, false),
-            ("stats+oracle-bits", CompilationStats, true),
-            ("autophase", Autophase, false),
-            ("raw-seq", RawSequence, false),
+        for (label, kind) in [
+            ("compilation-stats", CompilationStats),
+            ("autophase", Autophase),
+            ("raw-seq", RawSequence),
         ] {
             let speedups: Vec<f64> = (0..cfg.reps)
                 .into_par_iter()
                 .map(|seed| {
                     let mut task = make_task(name, &platform, cfg, seed);
-                    let c = CitroenConfig {
-                        features: kind,
-                        oracle_features: oracle_bits,
-                        seed,
-                        ..Default::default()
-                    };
+                    let c = CitroenConfig { features: kind, seed, ..Default::default() };
                     let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
                     task.speedup(trace.best())
                 })
@@ -629,8 +620,8 @@ pub fn fig5_12(cfg: &ExpCfg) {
 // ---------------------------------------------------------------------------
 
 /// Batch-size ablation: wall time, best speedup and the Fig 5.12 time
-/// proportions as the per-iteration batch size q grows. q=1 is the
-/// sequential loop; q>1 selects with greedy qUCB and runs the compile and
+/// proportions as the per-iteration batch size q grows. q=1 refits the
+/// model before every pick (the paper's sequential loop); q>1 selects with greedy qUCB and runs the compile and
 /// measurement sweeps on the `rt::par` worker pool, overlapping the GP fit
 /// with the measurements. Quality (best-found speedup) should hold roughly
 /// flat while wall time drops — compile time amortises over the batch even

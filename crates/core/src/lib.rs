@@ -13,7 +13,7 @@ pub mod multimodule;
 pub mod service;
 pub mod task;
 
-pub use cache::{BoundedCache, EvictionPolicy};
+pub use cache::BoundedCache;
 pub use citroen::{
     run_citroen, run_citroen_session, CitroenConfig, FeatureKind, GeneratorKind, ImpactReport,
 };

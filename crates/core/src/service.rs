@@ -13,7 +13,7 @@
 //! serve smoke gate (`citroen-serve bench`) and
 //! `crates/core/tests` assert this with [`trace_digest`].
 
-use crate::cache::{BoundedCache, EvictionPolicy};
+use crate::cache::BoundedCache;
 use crate::citroen::ImpactReport;
 use crate::task::TuneTrace;
 use citroen_ir::module::Module;
@@ -47,9 +47,9 @@ pub struct SharedCacheStats {
 }
 
 /// The cross-tenant compile cache: (source-module fingerprint, canonical
-/// genome) → (owner tenant, compile result). LRU-evicting ([`BoundedCache`]
-/// with [`EvictionPolicy::Lru`]): a popular module's canonical genomes keep
-/// getting hit by new tenants and must not age out on insertion order.
+/// genome) → (owner tenant, compile result). LRU-evicting ([`BoundedCache`]):
+/// a popular module's canonical genomes keep getting hit by new tenants and
+/// must not age out on insertion order.
 ///
 /// Entries hold a full optimised [`Module`] clone, so the capacity bound is
 /// load-bearing — size it like the per-session cache (~thousands), not like
@@ -76,7 +76,7 @@ impl SharedCompileCache {
     pub fn new(cap: usize) -> SharedCompileCache {
         SharedCompileCache {
             inner: Mutex::new(SharedCacheInner {
-                cache: BoundedCache::with_policy(cap, EvictionPolicy::Lru),
+                cache: BoundedCache::new(cap),
                 cross_hits: 0,
                 insertions: 0,
             }),
@@ -211,8 +211,8 @@ pub struct SessionEnv {
     /// artifact), loaded once by the daemon; takes precedence over the
     /// per-session `CitroenConfig::oracle_graph` file path.
     pub graph: Option<Arc<InteractionGraph>>,
-    /// A shared worker pool for the batched (`batch > 1`) loop. `None` =
-    /// the session spawns its own, as standalone runs always did.
+    /// A shared worker pool for `batch > 1` sessions (q = 1 sessions map on
+    /// their own thread). `None` = a batched session spawns its own.
     pub pool: Option<Arc<WorkerPool>>,
     /// Cancel / deadline / tenant identity.
     pub ctl: SessionCtl,

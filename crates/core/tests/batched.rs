@@ -1,5 +1,5 @@
 //! Properties of the batched (q > 1) tuning loop: fixed-seed determinism,
-//! 10-seed quality parity with the sequential loop, budget accounting, and
+//! 10-seed quality parity with q = 1, budget accounting, and
 //! the bounded compile cache.
 
 use citroen_core::{run_citroen, CitroenConfig, Task, TaskConfig};
@@ -88,7 +88,7 @@ static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn compile_cache_cap_evicts_and_counts() {
-    // A tiny cap forces FIFO evictions mid-run; the run must still complete
+    // A tiny cap forces evictions mid-run; the run must still complete
     // its budget (evicted entries recompile) and the eviction counter must
     // fire. Uses oracle pruning, the only mode that populates the cache.
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -32,12 +32,6 @@ pub fn dead_mask(verdicts: &[Verdict]) -> Vec<bool> {
     verdicts.iter().map(Verdict::is_cannot_fire).collect()
 }
 
-/// Verdicts packed as 0/1 features, in registry id order — the optional
-/// oracle augmentation of the GP feature vector (`MayFire` → 1.0).
-pub fn verdict_bits(verdicts: &[Verdict]) -> Vec<f64> {
-    verdicts.iter().map(|v| if v.is_cannot_fire() { 0.0 } else { 1.0 }).collect()
-}
-
 /// For each pass `A` in `reg`: run `A` once on a clone of `m` and diff the
 /// verdict vector before/after. Returns `(enables, disables)` edge lists with
 /// `count == 1`, suitable for accumulation by [`derive_graph`].
@@ -253,21 +247,6 @@ mod tests {
         // of the registry; require a strong majority so regressions that
         // weaken preconditions to always-MayFire are caught.
         assert!(dead >= reg.len() * 3 / 4, "only {dead}/{} passes cannot-fire", reg.len());
-    }
-
-    #[test]
-    fn verdict_bits_are_complement_of_dead_mask() {
-        let reg = Registry::full();
-        let v = verdicts(&reg, &crate::testing::victim_module());
-        let bits = verdict_bits(&v);
-        let dead = dead_mask(&v);
-        assert_eq!(bits.len(), dead.len());
-        for (bit, d) in bits.iter().zip(&dead) {
-            assert_eq!(*bit == 0.0, *d);
-        }
-        // The victim module has a real loop and memory traffic: something
-        // must be alive.
-        assert!(bits.iter().any(|&b| b == 1.0));
     }
 
     #[test]

@@ -50,6 +50,11 @@ pub mod codes {
     pub const METRICS_DISABLED: &str = "metrics-disabled";
 }
 
+/// The longest pass sequence a job may request: about twice the paper's
+/// 120. Every candidate of every iteration is a genome this long, so the
+/// bound caps a session's memory and compile work.
+pub const MAX_SEQ_LEN: usize = 256;
+
 /// Job lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
@@ -97,7 +102,7 @@ pub struct JobSpec {
     pub budget: usize,
     /// Session RNG seed (also the task's measurement-noise seed).
     pub seed: u64,
-    /// Pass-sequence length (default 16).
+    /// Pass-sequence length (default 16; `1..=`[`MAX_SEQ_LEN`]).
     pub seq_len: usize,
     /// Measurements per model-guided iteration (default 1).
     pub batch: usize,

@@ -225,6 +225,12 @@ impl Server {
                 &format!("budget must be in 1..={}", self.state.cfg.max_budget),
             );
         }
+        if spec.seq_len == 0 || spec.seq_len > proto::MAX_SEQ_LEN {
+            return reject(
+                codes::BAD_FIELD,
+                &format!("seq_len must be in 1..={}", proto::MAX_SEQ_LEN),
+            );
+        }
         if !citroen_suite::all_benchmarks().iter().any(|b| b.name == spec.bench) {
             return reject(codes::UNKNOWN_BENCH, &format!("no benchmark '{}'", spec.bench));
         }

@@ -88,6 +88,37 @@ fn hostile_input_yields_structured_errors_and_spares_the_tenant() {
 }
 
 #[test]
+fn out_of_range_seq_len_is_rejected_at_submit() {
+    // `seq_len: 0` used to panic the session (an empty `gen_range`), and a
+    // huge one made it build that-long genomes for every candidate. Both
+    // ends of the range are now refused with `bad-field`, naming the job.
+    let max = citroen_serve::protocol::MAX_SEQ_LEN;
+    let script = format!(
+        concat!(
+            "{{\"type\":\"submit\",\"job\":{{\"id\":\"zero\",\"bench\":\"telecom_gsm\",\"budget\":4,\"seq_len\":0}}}}\n",
+            "{{\"type\":\"submit\",\"job\":{{\"id\":\"over\",\"bench\":\"telecom_gsm\",\"budget\":4,\"seq_len\":{}}}}}\n",
+            "{{\"type\":\"submit\",\"job\":{{\"id\":\"huge\",\"bench\":\"telecom_gsm\",\"budget\":4,\"seq_len\":18446744073709551615}}}}\n",
+            "{{\"type\":\"submit\",\"job\":{{\"id\":\"ok\",\"bench\":\"telecom_gsm\",\"budget\":4,\"seq_len\":8}}}}\n",
+            "{{\"type\":\"shutdown\"}}\n",
+        ),
+        max + 1
+    );
+    let (replies, summary) = run_script(ServeConfig::default(), &script);
+
+    let rejected: Vec<&str> = of_type(&replies, "error")
+        .iter()
+        .filter(|r| r.get("code").and_then(Value::as_str) == Some(codes::BAD_FIELD))
+        .filter_map(|r| r.get("id").and_then(Value::as_str))
+        .collect();
+    assert_eq!(rejected, ["zero", "over", "huge"]);
+    let results = of_type(&replies, "result");
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].get("id").and_then(Value::as_str), Some("ok"));
+    assert_eq!(results[0].get("state").and_then(Value::as_str), Some("done"));
+    assert_eq!((summary.submitted, summary.rejected, summary.done), (1, 3, 1));
+}
+
+#[test]
 fn queued_jobs_cancel_and_timeouts_fire() {
     // One worker: "slow" occupies it, "victim" waits in the queue and is
     // cancelled there; "expired" carries a 1 ms timeout and stops at its
