@@ -16,7 +16,7 @@ use citroen_bo::heuristics::DiscreteOneLambda;
 use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition, SeqCanonicalizer};
 use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
 use citroen_ir::module::Module;
-use citroen_passes::oracle::{self, InteractionGraph};
+use citroen_passes::oracle;
 use citroen_passes::{PassId, Stats};
 use citroen_rt::par::WorkerPool;
 use citroen_rt::rng::StdRng;
@@ -25,6 +25,10 @@ use citroen_telemetry as telemetry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Monte-Carlo samples per acquisition evaluation during greedy batch
+/// construction (only drawn from when `batch > 1`).
+const MC_SAMPLES: usize = 32;
 
 /// Which features the cost model is fitted on (Fig. 5.8/5.9 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,10 +99,6 @@ pub struct CitroenConfig {
     /// Module-independent (every drop is a theorem on any input), and usable
     /// with or without `oracle_prune`. Off by default (paper-faithful).
     pub subsume_collapse: bool,
-    /// Warm-start canonicalisation from a persisted `citroen-analyze oracle
-    /// --json` interaction graph instead of deriving the enables edges and
-    /// work model per task. Ignored (with a warning) when unreadable.
-    pub oracle_graph: Option<String>,
     /// Measurements selected and profiled per model-guided iteration (q).
     /// Every q runs the same loop. At `1` the GP is refitted before each
     /// selection (the paper's sequential loop, model staleness 0) and the
@@ -108,9 +108,6 @@ pub struct CitroenConfig {
     /// measurements (a one-batch-stale model). Deterministic for a fixed
     /// seed at any q.
     pub batch: usize,
-    /// Monte-Carlo samples per acquisition evaluation during greedy batch
-    /// construction (only used when `batch > 1`).
-    pub mc_samples: usize,
     /// Canonical-genome compile-cache capacity (entries; `0` = unbounded).
     /// Evicts the least recently used entry; evictions are counted on
     /// `citroen.compile_cache_evictions`.
@@ -135,9 +132,7 @@ impl Default for CitroenConfig {
             init_seeds: Vec::new(),
             oracle_prune: false,
             subsume_collapse: false,
-            oracle_graph: None,
             batch: 1,
-            mc_samples: 32,
             compile_cache_cap: 1024,
             seed: 0,
         }
@@ -586,7 +581,7 @@ impl<'a> Session<'a> {
             .map(|c| featurise(&c.genome, &c.stats, &c.autophase, &self.key_union, scale, features))
             .collect();
         let q = self.cfg.batch.min(self.budget - self.task.measurements).min(cands.len()).max(1);
-        let eps = draw_mc_eps(&mut self.batch_rng, self.cfg.mc_samples, q);
+        let eps = draw_mc_eps(&mut self.batch_rng, MC_SAMPLES, q);
         greedy_batch(gp, Acquisition::Ucb { beta: self.cfg.beta }, best_z, &xs, q, &eps)
     }
 
@@ -709,29 +704,16 @@ fn genome_to_seq(g: &[u16]) -> Vec<PassId> {
 /// The sequence canonicaliser, when `oracle_prune` or `subsume_collapse` is
 /// on. Oracle verdicts on the source hot module give the dead mask; running
 /// each pass once gives the module-local enables edges that keep a dead pass
-/// when an earlier kept pass may wake it. An interaction graph — attached by
-/// the daemon, or persisted at `oracle_graph` — replaces the per-task enables
-/// derivation and supplies the work model; `subsume_collapse` adds the
-/// module-independent work-class dataflow.
+/// when an earlier kept pass may wake it. An interaction graph attached
+/// through [`SessionEnv::graph`] replaces the per-task enables derivation and
+/// supplies the work model; `subsume_collapse` adds the module-independent
+/// work-class dataflow.
 fn canonicalizer(task: &Task, cfg: &CitroenConfig, env: &SessionEnv) -> Option<SeqCanonicalizer> {
     if !cfg.oracle_prune && !cfg.subsume_collapse {
         return None;
     }
-    let graph_inputs = match env.graph.as_deref() {
-        Some(g) => Some(oracle::canonicalizer_inputs(&task.registry, g)),
-        None => cfg.oracle_graph.as_deref().and_then(|path| {
-            let load = std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| InteractionGraph::from_json(&t));
-            match load {
-                Ok(g) => Some(oracle::canonicalizer_inputs(&task.registry, &g)),
-                Err(e) => {
-                    eprintln!("warning: ignoring oracle graph '{path}': {e}");
-                    None
-                }
-            }
-        }),
-    };
+    let graph_inputs =
+        env.graph.as_deref().map(|g| oracle::canonicalizer_inputs(&task.registry, g));
     let n = task.registry.len();
     let mut c = if cfg.oracle_prune {
         let src = &task.benchmark().modules[task.hot()];
@@ -854,8 +836,14 @@ fn featurise(
 mod tests {
     use super::*;
     use crate::task::TaskConfig;
+    use citroen_passes::oracle::InteractionGraph;
     use citroen_passes::Registry;
     use citroen_sim::Platform;
+
+    /// `g` after a round trip through its persisted JSON form.
+    fn persisted(g: &InteractionGraph) -> Arc<InteractionGraph> {
+        Arc::new(InteractionGraph::from_json(&g.to_json()).expect("graph JSON round-trips"))
+    }
 
     fn gsm_task(seed: u64) -> Task {
         Task::new(
@@ -1240,15 +1228,11 @@ mod tests {
                 *p &= OLD;
             }
         }
-        let dir = std::env::temp_dir();
-        let p16 = dir.join(format!("citroen_g16_{}.json", std::process::id()));
-        let p12 = dir.join(format!("citroen_g12_{}.json", std::process::id()));
-        std::fs::write(&p16, g16.to_json()).unwrap();
-        std::fs::write(&p12, g12.to_json()).unwrap();
+        let (g16, g12) = (persisted(&g16), persisted(&g12));
 
         let seeds: Vec<u64> = (1..=10).collect();
         let runs = citroen_rt::par::par_map(seeds, |seed| {
-            let run = |graph: &std::path::Path| {
+            let run = |graph: &Arc<InteractionGraph>| {
                 let mut task = Task::new(
                     citroen_suite::kernels::telecom_gsm(),
                     loop_registry(),
@@ -1259,17 +1243,15 @@ mod tests {
                     candidates: 24,
                     init_random: 6,
                     subsume_collapse: true,
-                    oracle_graph: Some(graph.to_string_lossy().into_owned()),
                     seed,
                     ..Default::default()
                 };
-                let (trace, _) = run_citroen(&mut task, 40, &cfg);
+                let env = SessionEnv { graph: Some(graph.clone()), ..Default::default() };
+                let trace = run_citroen_session(&mut task, 40, &cfg, &env).trace;
                 (trace.best() / task.o3_seconds, task.passes_executed)
             };
-            (run(&p12), run(&p16))
+            (run(&g12), run(&g16))
         });
-        let _ = std::fs::remove_file(&p16);
-        let _ = std::fs::remove_file(&p12);
         let mut extra: Vec<f64> = runs
             .iter()
             .map(|((_, w12), (_, w16))| 1.0 - *w16 as f64 / *w12 as f64)
@@ -1295,24 +1277,24 @@ mod tests {
 
     #[test]
     fn oracle_graph_warm_start_matches_per_task_derivation() {
-        // Persist the interaction graph derived over the task's own hot
-        // module, then rerun with `oracle_graph` pointing at the file: the
+        // Round-trip the interaction graph derived over the task's own hot
+        // module through its JSON form and attach it to the session: the
         // canonicalizer inputs are identical, so the whole tuning trajectory
         // (best runtime and compile count) must be bit-identical to the
         // per-task derivation.
         let seed = 7;
-        let run = |graph: Option<String>| {
+        let run = |graph: Option<Arc<InteractionGraph>>| {
             let mut task = gsm_task(seed);
             let cfg = CitroenConfig {
                 candidates: 12,
                 init_random: 4,
                 oracle_prune: true,
                 subsume_collapse: true,
-                oracle_graph: graph,
                 seed,
                 ..Default::default()
             };
-            let (trace, _) = run_citroen(&mut task, 10, &cfg);
+            let env = SessionEnv { graph, ..Default::default() };
+            let trace = run_citroen_session(&mut task, 10, &cfg, &env).trace;
             (trace.best(), task.compilations)
         };
         let task = gsm_task(seed);
@@ -1321,14 +1303,8 @@ mod tests {
             &task.registry,
             &[task.benchmark().modules[hot].clone()],
         );
-        let path = std::env::temp_dir().join(format!("citroen_graph_{}.json", std::process::id()));
-        std::fs::write(&path, g.to_json()).unwrap();
         let derived = run(None);
-        let warm = run(Some(path.to_string_lossy().into_owned()));
-        let _ = std::fs::remove_file(&path);
+        let warm = run(Some(persisted(&g)));
         assert_eq!(derived, warm, "graph warm-start diverged from per-task derivation");
-        // A bogus path degrades gracefully to per-task derivation.
-        let fallback = run(Some("/nonexistent/citroen_graph.json".into()));
-        assert_eq!(derived, fallback);
     }
 }

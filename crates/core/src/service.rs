@@ -208,8 +208,8 @@ pub struct SessionEnv {
     /// genome and fed every local compile. `None` = sessions don't share.
     pub shared_cache: Option<Arc<SharedCompileCache>>,
     /// A pre-loaded interaction graph (the `citroen-analyze oracle --json`
-    /// artifact), loaded once by the daemon; takes precedence over the
-    /// per-session `CitroenConfig::oracle_graph` file path.
+    /// artifact), loaded once by the daemon. `None` = each session derives
+    /// its canonicaliser inputs from its own task.
     pub graph: Option<Arc<InteractionGraph>>,
     /// A shared worker pool for `batch > 1` sessions (q = 1 sessions map on
     /// their own thread). `None` = a batched session spawns its own.

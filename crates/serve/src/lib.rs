@@ -26,8 +26,8 @@ pub mod server;
 pub mod state;
 pub mod telemetry_route;
 
-pub use metrics::{JobSummary, ServeMetrics, SloConfig};
+pub use metrics::{JobSummary, ServeMetrics, SloConfig, SpanSample};
 pub use protocol::{codes, JobOutcome, JobSpec, JobState, ProtoError, Request};
 pub use server::{job_citroen_config, job_task, Server, ServeSummary};
 pub use state::{ServeConfig, ServeState};
-pub use telemetry_route::{RouteTable, RoutingSink};
+pub use telemetry_route::{RoutingSink, SessionTable};

@@ -3,11 +3,12 @@
 //!
 //! One [`ServeMetrics`] per daemon, shared (`Arc`) between the server's job
 //! lifecycle hooks, the installed [`crate::RoutingSink`] (which feeds span
-//! durations and counters from registered session threads), and the
-//! `metrics` protocol verb. All state lives behind one mutex; every signal
-//! recorded here is coarse (per span completion, per job transition), so
-//! contention is negligible next to the timed work — `micro --metrics-gate`
-//! bounds the per-record cost.
+//! durations and counters from session threads, naming their tenant), and
+//! the `metrics` protocol verb. The hub keeps only aggregates, behind one
+//! mutex; which thread runs which job is the [`crate::SessionTable`]'s
+//! business. Every signal recorded here is coarse (per span completion, per
+//! job transition), so contention is negligible next to the timed work —
+//! `micro --metrics-gate` bounds the per-record cost.
 //!
 //! Three layers:
 //!
@@ -15,26 +16,15 @@
 //!   daemon-global registry plus one per tenant, holding windowed counters
 //!   (job transitions, compiles, cache traffic), gauges (cache/corpus
 //!   sizes), and windowed histograms (queue wait, run wall, span latencies).
-//! - **Continuous profiling**: each registered session thread's spans are
-//!   sampled into a bounded per-job buffer; on job completion the buffer is
+//! - **Continuous profiling**: each session thread's spans are sampled into
+//!   a bounded per-job [`SpanSample`]; on job completion the sample is
 //!   folded through [`Trace::flame_stacks`] into a daemon-wide flame-stack
 //!   map, alongside a bounded ring of recent job summaries.
 //! - **SLO sentinels** ([`citroen_telemetry::metrics::Sentinel`]): EWMA
 //!   watchdogs on queue wait, run wall, compile latency, and the shared
 //!   cache hit ratio. A breach flips the daemon's `health` verdict to
 //!   `degraded` (recoverable) and emits one `slo.breach.<name>` telemetry
-//!   event per ok→breach edge.
-//!
-//! Reentrancy discipline: [`ServeMetrics::feed_span`] and
-//! [`ServeMetrics::feed_counter`] run *inside* sink dispatch — the caller
-//! ([`crate::RoutingSink`] via `citroen_telemetry`) holds the process-global
-//! `SINK` mutex, so nothing on those paths may call back into
-//! `citroen_telemetry` (`event()` re-locks the same non-reentrant mutex on
-//! the same thread: instant self-deadlock). Breaches detected there are
-//! queued in the hub and emitted by the next lifecycle hook
-//! (`job_queued` / `session_started` / `session_finished`), which the server
-//! calls from plain (non-sink) contexts. The `health` verdict itself flips
-//! immediately either way — only the event record is deferred.
+//!   event per ok→breach edge, after the hub lock is released.
 //!
 //! Determinism: nothing in here feeds back into any session — recording is
 //! strictly observational, which is what the 10-seed metrics-on identity
@@ -43,8 +33,8 @@
 use citroen_core::SharedCacheStats;
 use citroen_rt::json::Value;
 use citroen_telemetry::metrics::{MetricsRegistry, Sentinel, SloKind, WindowCfg};
-use citroen_telemetry::{current_thread_id, Histogram, SpanRecord, Trace};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use citroen_telemetry::{Histogram, SpanRecord, Trace};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -54,6 +44,9 @@ const TRACKED_SPANS: [&str; 3] = ["compile", "measure", "iteration"];
 
 /// Flame-stack entries retained daemon-wide (top by self-time).
 const FLAME_CAP: usize = 256;
+
+/// Spans sampled per job for the continuous profiler.
+const PROFILE_CAP: usize = 2048;
 
 /// SLO thresholds and EWMA smoothing. Latency thresholds are upper bounds;
 /// the hit ratio is a lower bound (0.0 disables it — a ratio never goes
@@ -107,10 +100,26 @@ pub struct JobSummary {
     pub warm_seeds: u64,
 }
 
-struct ThreadScope {
-    tenant: String,
-    spans: Vec<SpanRecord>,
-    dropped: u64,
+/// The spans one session thread recorded, sampled for the continuous
+/// profiler: the first [`PROFILE_CAP`] in completion order, and a count of
+/// the rest.
+#[derive(Debug, Default)]
+pub struct SpanSample {
+    /// Spans kept.
+    pub spans: Vec<SpanRecord>,
+    /// Spans recorded past the cap, counted but not kept.
+    pub dropped: u64,
+}
+
+impl SpanSample {
+    /// Keep a copy of `rec` while under the cap; count it otherwise.
+    pub fn push(&mut self, rec: &SpanRecord) {
+        if self.spans.len() < PROFILE_CAP {
+            self.spans.push(rec.clone());
+        } else {
+            self.dropped += 1;
+        }
+    }
 }
 
 struct TenantScope {
@@ -122,15 +131,11 @@ struct Hub {
     global: MetricsRegistry,
     tenants: BTreeMap<String, TenantScope>,
     sentinels: Vec<Sentinel>,
-    threads: HashMap<u64, ThreadScope>,
     flames: BTreeMap<String, u64>,
     spans_sampled: u64,
     spans_dropped: u64,
     recent: VecDeque<JobSummary>,
     cache_last: SharedCacheStats,
-    /// Breaches detected inside sink dispatch (`feed_span`), awaiting
-    /// emission from a non-sink context — see the module docs.
-    pending_breaches: Vec<(String, f64, f64)>,
 }
 
 /// The daemon-wide observability hub. Cheap to clone the `Arc`; all methods
@@ -139,7 +144,6 @@ pub struct ServeMetrics {
     epoch: Instant,
     window: WindowCfg,
     slo: SloConfig,
-    profile_cap: usize,
     recent_cap: usize,
     hub: Mutex<Hub>,
 }
@@ -157,19 +161,16 @@ impl ServeMetrics {
             epoch: Instant::now(),
             window,
             slo,
-            profile_cap: 2048,
             recent_cap: 32,
             hub: Mutex::new(Hub {
                 global: MetricsRegistry::new(window),
                 tenants: BTreeMap::new(),
                 sentinels,
-                threads: HashMap::new(),
                 flames: BTreeMap::new(),
                 spans_sampled: 0,
                 spans_dropped: 0,
                 recent: VecDeque::new(),
                 cache_last: SharedCacheStats::default(),
-                pending_breaches: Vec::new(),
             }),
         })
     }
@@ -191,18 +192,16 @@ impl ServeMetrics {
         })
     }
 
+    /// Apply `f` to the global registry and to `tenant`'s.
+    fn both(&self, hub: &mut Hub, tenant: &str, f: impl Fn(&mut MetricsRegistry)) {
+        f(&mut hub.global);
+        f(&mut Self::tenant_reg(hub, tenant, self.window, &self.slo).reg);
+    }
+
     /// A job was accepted into the queue.
     pub fn job_queued(&self, tenant: &str) {
         let now = self.now_ms();
-        let breached = {
-            let mut hub = self.hub.lock().unwrap();
-            hub.global.add("jobs.submitted", 1, now);
-            Self::tenant_reg(&mut hub, tenant, self.window, &self.slo)
-                .reg
-                .add("jobs.submitted", 1, now);
-            std::mem::take(&mut hub.pending_breaches)
-        };
-        Self::emit_breaches(&breached);
+        self.both(&mut self.hub.lock().unwrap(), tenant, |r| r.add("jobs.submitted", 1, now));
     }
 
     /// A queued job was cancelled before any session thread claimed it.
@@ -211,53 +210,38 @@ impl ServeMetrics {
     /// (`jobs.done + jobs.failed + jobs.cancelled`).
     pub fn job_cancelled_queued(&self, tenant: &str) {
         let now = self.now_ms();
-        let breached = {
-            let mut hub = self.hub.lock().unwrap();
-            hub.global.add("jobs.cancelled", 1, now);
-            Self::tenant_reg(&mut hub, tenant, self.window, &self.slo)
-                .reg
-                .add("jobs.cancelled", 1, now);
-            std::mem::take(&mut hub.pending_breaches)
-        };
-        Self::emit_breaches(&breached);
+        self.both(&mut self.hub.lock().unwrap(), tenant, |r| r.add("jobs.cancelled", 1, now));
     }
 
-    /// A session thread claimed a job: records the queue wait and routes the
-    /// *calling* thread's spans/counters to `tenant` until
-    /// [`ServeMetrics::session_finished`].
+    /// A session thread claimed a job of `tenant`: records the queue wait.
     pub fn session_started(&self, tenant: &str, queue_wait_ms: u64) {
         let now = self.now_ms();
-        let mut breached: Vec<(String, f64, f64)>;
+        let mut breached = Vec::new();
         {
             let mut hub = self.hub.lock().unwrap();
-            breached = std::mem::take(&mut hub.pending_breaches);
-            hub.global.observe("queue_wait_ms", queue_wait_ms, now);
-            let scope = Self::tenant_reg(&mut hub, tenant, self.window, &self.slo);
-            scope.reg.observe("queue_wait_ms", queue_wait_ms, now);
-            hub.threads.insert(
-                current_thread_id(),
-                ThreadScope { tenant: tenant.to_string(), spans: Vec::new(), dropped: 0 },
-            );
+            self.both(&mut hub, tenant, |r| r.observe("queue_wait_ms", queue_wait_ms, now));
             let q = &mut hub.sentinels[0];
             if q.observe(queue_wait_ms as f64) {
                 breached.push((q.name.clone(), q.ewma.value().unwrap_or(0.0), q.threshold));
             }
         }
-        // Emitted outside the hub lock: the event goes through the global
-        // sink, whose span path locks the hub (lock-order discipline). This
-        // is a plain (non-sink) context, so the telemetry SINK mutex is free
-        // and queued sink-path breaches can drain here too.
         Self::emit_breaches(&breached);
     }
 
-    /// The session finished (any exit, including panic): fold its profile,
-    /// account its lifecycle numbers, observe the SLOs, push the summary.
-    pub fn session_finished(&self, job: JobSummary, cache: SharedCacheStats, corpus_len: u64) {
+    /// The session finished (any exit, including panic): fold its sampled
+    /// spans into the profile, account its lifecycle numbers, observe the
+    /// SLOs, push the summary.
+    pub fn session_finished(
+        &self,
+        job: JobSummary,
+        cache: SharedCacheStats,
+        corpus_len: u64,
+        profile: SpanSample,
+    ) {
         let now = self.now_ms();
-        let mut breached: Vec<(String, f64, f64)>;
+        let mut breached = Vec::new();
         {
             let mut hub = self.hub.lock().unwrap();
-            breached = std::mem::take(&mut hub.pending_breaches);
 
             // Lifecycle counters and run-wall histograms, global + tenant.
             let outcome_key = match job.exit.as_str() {
@@ -265,26 +249,21 @@ impl ServeMetrics {
                 "panicked" => "jobs.failed",
                 _ => "jobs.cancelled",
             };
-            hub.global.add(outcome_key, 1, now);
-            hub.global.add("compiles", job.compiles, now);
-            hub.global.add("measurements", job.measurements, now);
-            hub.global.add("warm_seeds", job.warm_seeds, now);
-            hub.global.observe("run_wall_ms", job.run_ms, now);
-            {
-                let scope = Self::tenant_reg(&mut hub, &job.tenant, self.window, &self.slo);
-                scope.reg.add(outcome_key, 1, now);
-                scope.reg.add("compiles", job.compiles, now);
-                scope.reg.add("measurements", job.measurements, now);
-                scope.reg.add("warm_seeds", job.warm_seeds, now);
-                scope.reg.observe("run_wall_ms", job.run_ms, now);
-                if scope.run_sentinel.observe(job.run_ms as f64) {
-                    let s = &scope.run_sentinel;
-                    breached.push((
-                        format!("tenant.{}.{}", event_safe(&job.tenant), s.name),
-                        s.ewma.value().unwrap_or(0.0),
-                        s.threshold,
-                    ));
-                }
+            self.both(&mut hub, &job.tenant, |r| {
+                r.add(outcome_key, 1, now);
+                r.add("compiles", job.compiles, now);
+                r.add("measurements", job.measurements, now);
+                r.add("warm_seeds", job.warm_seeds, now);
+                r.observe("run_wall_ms", job.run_ms, now);
+            });
+            let scope = Self::tenant_reg(&mut hub, &job.tenant, self.window, &self.slo);
+            let s = &mut scope.run_sentinel;
+            if s.observe(job.run_ms as f64) {
+                breached.push((
+                    format!("tenant.{}.{}", event_safe(&job.tenant), s.name),
+                    s.ewma.value().unwrap_or(0.0),
+                    s.threshold,
+                ));
             }
 
             // Shared-cache deltas since the previous completion: windowed
@@ -302,23 +281,21 @@ impl ServeMetrics {
             hub.global.set_gauge("corpus.len", corpus_len);
             hub.cache_last = cache;
 
-            // Continuous profiling: fold the thread's sampled spans into the
+            // Continuous profiling: fold the session's sampled spans into the
             // daemon-wide flame stacks.
-            if let Some(scope) = hub.threads.remove(&current_thread_id()) {
-                hub.spans_sampled += scope.spans.len() as u64;
-                hub.spans_dropped += scope.dropped;
-                if !scope.spans.is_empty() {
-                    let trace = Trace { spans: scope.spans, ..Trace::default() };
-                    for (stack, ns) in trace.flame_stacks() {
-                        *hub.flames.entry(stack).or_insert(0) += ns;
-                    }
-                    if hub.flames.len() > FLAME_CAP {
-                        let mut by_ns: Vec<(String, u64)> =
-                            std::mem::take(&mut hub.flames).into_iter().collect();
-                        by_ns.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                        by_ns.truncate(FLAME_CAP);
-                        hub.flames = by_ns.into_iter().collect();
-                    }
+            hub.spans_sampled += profile.spans.len() as u64;
+            hub.spans_dropped += profile.dropped;
+            if !profile.spans.is_empty() {
+                let trace = Trace { spans: profile.spans, ..Trace::default() };
+                for (stack, ns) in trace.flame_stacks() {
+                    *hub.flames.entry(stack).or_insert(0) += ns;
+                }
+                if hub.flames.len() > FLAME_CAP {
+                    let mut by_ns: Vec<(String, u64)> =
+                        std::mem::take(&mut hub.flames).into_iter().collect();
+                    by_ns.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                    by_ns.truncate(FLAME_CAP);
+                    hub.flames = by_ns.into_iter().collect();
                 }
             }
 
@@ -345,54 +322,39 @@ impl ServeMetrics {
         Self::emit_breaches(&breached);
     }
 
-    /// Feed one completed span (called by the routing sink, synchronously on
-    /// the recording thread — but keyed by `rec.thread`, so pool-worker
-    /// spans forwarded later would still attribute correctly).
-    ///
-    /// Runs while the caller holds the process-global telemetry `SINK`
-    /// mutex, so it must NOT call back into `citroen_telemetry` (see the
-    /// module docs): a compile-latency breach is queued in the hub and
-    /// emitted by the next lifecycle hook instead.
-    pub fn feed_span(&self, rec: &SpanRecord) {
-        let now = self.now_ms();
-        let mut hub = self.hub.lock().unwrap();
-        let Some(scope) = hub.threads.get_mut(&rec.thread) else { return };
-        if scope.spans.len() < self.profile_cap {
-            scope.spans.push(rec.clone());
-        } else {
-            scope.dropped += 1;
+    /// Feed one completed span from a session of `tenant` (called by the
+    /// routing sink). Tracked spans land in the latency histograms, and a
+    /// `compile` span feeds the compile-latency sentinel.
+    pub fn feed_span(&self, tenant: &str, rec: &SpanRecord) {
+        if !TRACKED_SPANS.contains(&rec.name.as_str()) {
+            return;
         }
-        let tenant = scope.tenant.clone();
-        if TRACKED_SPANS.contains(&rec.name.as_str()) {
-            let us = rec.dur_ns / 1_000;
-            let key = format!("span.{}_us", rec.name);
-            hub.global.observe(&key, us, now);
-            Self::tenant_reg(&mut hub, &tenant, self.window, &self.slo)
-                .reg
-                .observe(&key, us, now);
-            if rec.name == "compile" {
-                let c = &mut hub.sentinels[2];
-                if c.observe(us as f64) {
-                    let rec = (c.name.clone(), c.ewma.value().unwrap_or(0.0), c.threshold);
-                    hub.pending_breaches.push(rec);
-                }
+        let now = self.now_ms();
+        let us = rec.dur_ns / 1_000;
+        let key = format!("span.{}_us", rec.name);
+        let mut breached = Vec::new();
+        {
+            let mut hub = self.hub.lock().unwrap();
+            self.both(&mut hub, tenant, |r| r.observe(&key, us, now));
+            let c = &mut hub.sentinels[2];
+            if rec.name == "compile" && c.observe(us as f64) {
+                breached.push((c.name.clone(), c.ewma.value().unwrap_or(0.0), c.threshold));
             }
         }
+        Self::emit_breaches(&breached);
     }
 
-    /// Feed one counter increment from the calling thread (registered
-    /// session threads only; everything else is ignored).
-    pub fn feed_counter(&self, name: &str, delta: u64) {
+    /// Feed one counter increment from a session of `tenant` (called by the
+    /// routing sink).
+    pub fn feed_counter(&self, tenant: &str, name: &str, delta: u64) {
         let now = self.now_ms();
         let mut hub = self.hub.lock().unwrap();
-        let Some(scope) = hub.threads.get(&current_thread_id()) else { return };
-        let tenant = scope.tenant.clone();
-        Self::tenant_reg(&mut hub, &tenant, self.window, &self.slo).reg.add(name, delta, now);
+        Self::tenant_reg(&mut hub, tenant, self.window, &self.slo).reg.add(name, delta, now);
     }
 
-    /// Emit one `slo.breach.<name>` event per record. Only callable from
-    /// plain (non-sink) contexts: `event()` locks the global telemetry
-    /// `SINK` mutex, which sink-dispatch paths already hold.
+    /// Emit one `slo.breach.<name>` event per record. Callers release the
+    /// hub lock first: the routing sink takes it under the telemetry sink
+    /// lock, so emitting while holding it would invert that lock order.
     fn emit_breaches(breached: &[(String, f64, f64)]) {
         for (name, ewma, threshold) in breached {
             citroen_telemetry::event(
@@ -702,6 +664,11 @@ mod tests {
         ServeMetrics::new(WindowCfg::default(), SloConfig::default())
     }
 
+    /// Finish `job` with no cache traffic and no sampled spans.
+    fn finish(m: &ServeMetrics, job: JobSummary, corpus_len: u64) {
+        m.session_finished(job, Default::default(), corpus_len, SpanSample::default());
+    }
+
     fn job(id: &str, tenant: &str, exit: &str, run_ms: u64) -> JobSummary {
         JobSummary {
             id: id.to_string(),
@@ -725,6 +692,7 @@ mod tests {
             job("j1", "a", "completed", 7),
             SharedCacheStats { hits: 3, misses: 1, ..Default::default() },
             5,
+            SpanSample::default(),
         );
         let hub = m.hub.lock().unwrap();
         assert_eq!(hub.global.total("jobs.submitted"), 1);
@@ -739,8 +707,6 @@ mod tests {
         assert_eq!(t.reg.hist("run_wall_ms").unwrap().count, 1);
         assert_eq!(hub.recent.len(), 1);
         assert_eq!(hub.recent[0].id, "j1");
-        // Session thread is unregistered after completion.
-        assert!(hub.threads.is_empty());
     }
 
     #[test]
@@ -751,12 +717,14 @@ mod tests {
             job("j1", "a", "completed", 1),
             SharedCacheStats { hits: 10, misses: 10, ..Default::default() },
             0,
+            SpanSample::default(),
         );
         m.session_started("a", 0);
         m.session_finished(
             job("j2", "a", "completed", 1),
             SharedCacheStats { hits: 12, misses: 10, ..Default::default() },
             0,
+            SpanSample::default(),
         );
         let hub = m.hub.lock().unwrap();
         // Second job contributed only the delta (2 hits, 0 misses).
@@ -772,75 +740,76 @@ mod tests {
         );
         assert!(m.healthy());
         m.session_started("a", 0);
-        m.session_finished(job("j1", "a", "completed", 500), Default::default(), 0);
+        finish(&m, job("j1", "a", "completed", 500), 0);
         assert!(!m.healthy());
         assert_eq!(m.health_str(), "degraded");
         // A fast job brings the EWMA (alpha=1 → last sample) back under.
         m.session_started("a", 0);
-        m.session_finished(job("j2", "a", "completed", 5), Default::default(), 0);
+        finish(&m, job("j2", "a", "completed", 5), 0);
         assert!(m.healthy());
         let hub = m.hub.lock().unwrap();
         assert_eq!(hub.sentinels[1].breaches, 1);
     }
 
     #[test]
-    fn spans_feed_profiles_and_latency_hists_for_registered_threads_only() {
+    fn spans_feed_latency_hists_and_sampled_spans_feed_flames() {
         let m = hub();
-        let rec = |thread: u64, name: &str, dur_ns: u64| SpanRecord {
-            id: 1,
-            parent: 0,
-            name: name.to_string(),
-            thread,
-            start_ns: 0,
-            dur_ns,
-        };
-        // Not registered: ignored.
-        m.feed_span(&rec(999, "compile", 5_000));
-        m.session_started("a", 0);
-        let me = current_thread_id();
-        m.feed_span(&rec(me, "compile", 5_000));
-        m.feed_span(&rec(me, "measure", 2_000));
-        m.feed_span(&rec(me, "gp.fit", 1_000)); // profiled but not a tracked hist
+        let mut sample = SpanSample::default();
+        for (name, dur_ns) in [("compile", 5_000), ("measure", 2_000), ("gp.fit", 1_000)] {
+            let name = name.to_string();
+            let rec = SpanRecord { id: 1, parent: 0, name, thread: 1, start_ns: 0, dur_ns };
+            m.feed_span("a", &rec);
+            sample.push(&rec);
+        }
         {
             let hub = m.hub.lock().unwrap();
             assert_eq!(hub.global.hist("span.compile_us").unwrap().max, 5);
             assert_eq!(hub.global.hist("span.measure_us").unwrap().count, 1);
-            assert!(hub.global.hist("span.gp.fit_us").is_none());
-            assert_eq!(hub.threads[&me].spans.len(), 3);
+            assert!(hub.global.hist("span.gp.fit_us").is_none()); // not a tracked hist
+            assert_eq!(hub.tenants["a"].reg.hist("span.compile_us").unwrap().count, 1);
         }
-        m.session_finished(job("j1", "a", "completed", 1), Default::default(), 0);
+        m.session_finished(job("j1", "a", "completed", 1), Default::default(), 0, sample);
         let hub = m.hub.lock().unwrap();
         assert_eq!(hub.spans_sampled, 3);
         assert!(hub.flames.contains_key("compile"), "flames: {:?}", hub.flames);
     }
 
     #[test]
-    fn compile_breach_in_sink_path_is_queued_then_drained_by_lifecycle() {
-        // feed_span runs under the global telemetry SINK mutex, so a breach
-        // there must be queued, not emitted (emitting re-locks SINK on the
-        // same thread: self-deadlock). The next lifecycle hook drains it.
+    fn compile_breach_in_sink_path_is_emitted_without_a_lifecycle_hook() {
+        // The breach is detected inside sink dispatch, where the global
+        // telemetry sink lock is held; its event must still reach the job's
+        // stream, with no session_started/session_finished to carry it.
+        use crate::telemetry_route::{RoutingSink, SessionTable};
+        use citroen_telemetry as telemetry;
         let m = ServeMetrics::new(
             WindowCfg::default(),
-            SloConfig { compile_us: 0.001, alpha: 1.0, ..Default::default() },
+            SloConfig { compile_us: 1e-6, alpha: 1.0, ..Default::default() },
         );
-        m.session_started("a", 0);
-        m.feed_span(&SpanRecord {
-            id: 1,
-            parent: 0,
-            name: "compile".to_string(),
-            thread: current_thread_id(),
-            start_ns: 0,
-            dur_ns: 5_000_000,
-        });
-        assert!(!m.healthy(), "compile sentinel must flip health immediately");
+        let table = SessionTable::default();
+        let path = std::env::temp_dir()
+            .join(format!("citroen-compile-breach-{}.jsonl", std::process::id()));
+        telemetry::install(Box::new(RoutingSink::new(table.clone(), Some(m.clone()))));
+        telemetry::counter("outside.session", 1); // no session yet: dropped
+        table.enter("a", Some(&path));
+        telemetry::counter("inside.session", 1);
         {
-            let hub = m.hub.lock().unwrap();
-            assert_eq!(hub.pending_breaches.len(), 1, "breach queued, not emitted in-sink");
-            assert_eq!(hub.pending_breaches[0].0, "compile_us");
+            let _compile = telemetry::span("compile");
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        m.session_finished(job("j1", "a", "completed", 1), Default::default(), 0);
+        let profile = table.leave();
+        telemetry::disable();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        assert_eq!(m.health_str(), "degraded");
+        let streamed = Trace::parse_jsonl(&text).unwrap();
+        let events: Vec<&str> = streamed.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(events, ["slo.breach.compile_us"]);
+        assert_eq!(profile.spans.len(), 1);
         let hub = m.hub.lock().unwrap();
-        assert!(hub.pending_breaches.is_empty(), "lifecycle hook drains the queue");
+        assert_eq!(hub.tenants["a"].reg.total("inside.session"), 1);
+        assert_eq!(hub.tenants["a"].reg.total("outside.session"), 0);
+        assert_eq!(hub.sentinels[2].breaches, 1);
     }
 
     #[test]
@@ -859,7 +828,7 @@ mod tests {
         let m = hub();
         let tenant = "ev\"il\\ten{ant}";
         m.session_started(tenant, 1);
-        m.session_finished(job("j1", tenant, "completed", 3), Default::default(), 0);
+        finish(&m, job("j1", tenant, "completed", 3), 0);
         let v = Value::parse(&m.reply_text()).expect("envelope still parses");
         let body = v.get("text").and_then(Value::as_str).unwrap().to_string();
         assert!(
@@ -876,24 +845,19 @@ mod tests {
     }
 
     #[test]
-    fn feed_counter_reaches_the_registered_tenant() {
+    fn feed_counter_reaches_the_named_tenant_only() {
         let m = hub();
-        m.feed_counter("citroen.iterations", 3); // unregistered: dropped
-        m.session_started("t9", 0);
-        m.feed_counter("citroen.iterations", 3);
-        {
-            let hub = m.hub.lock().unwrap();
-            assert_eq!(hub.tenants["t9"].reg.total("citroen.iterations"), 3);
-            assert_eq!(hub.global.total("citroen.iterations"), 0);
-        }
-        m.session_finished(job("j", "t9", "completed", 1), Default::default(), 0);
+        m.feed_counter("t9", "citroen.iterations", 3);
+        let hub = m.hub.lock().unwrap();
+        assert_eq!(hub.tenants["t9"].reg.total("citroen.iterations"), 3);
+        assert_eq!(hub.global.total("citroen.iterations"), 0);
     }
 
     #[test]
     fn replies_are_single_line_parseable_json() {
         let m = hub();
         m.session_started("a", 1);
-        m.session_finished(job("j1", "a", "completed", 3), Default::default(), 2);
+        finish(&m, job("j1", "a", "completed", 3), 2);
         for line in [m.reply_json(), m.reply_text()] {
             assert!(!line.contains('\n'), "{line}");
             let v = Value::parse(&line).expect("parses");

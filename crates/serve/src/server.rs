@@ -19,7 +19,7 @@
 use crate::metrics::{JobSummary, ServeMetrics, SloConfig};
 use crate::protocol::{self as proto, codes, JobOutcome, JobSpec, JobState, ProtoError, Request};
 use crate::state::{ServeConfig, ServeState};
-use crate::telemetry_route::RouteTable;
+use crate::telemetry_route::{RoutingSink, SessionTable};
 use citroen_telemetry::metrics::WindowCfg;
 use citroen_bo::transfer::{warm_seeds, TransferEntry};
 use citroen_core::{
@@ -31,6 +31,7 @@ use citroen_sim::Platform;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -71,7 +72,7 @@ pub struct Server {
     queue: Mutex<QueueState>,
     cv: Condvar,
     next_tenant: AtomicU64,
-    router: Option<Arc<RouteTable>>,
+    sessions: SessionTable,
     metrics: Option<Arc<ServeMetrics>>,
     started: Instant,
 }
@@ -117,10 +118,10 @@ impl Server {
     ///   flame profiles stay empty; job lifecycle metrics (submitted/done/
     ///   queue wait/run wall/cache) still work, as they bypass the sink.
     pub fn new(cfg: ServeConfig) -> Server {
-        let router = cfg.trace_dir.as_deref().map(|dir| {
+        if let Some(dir) = cfg.trace_dir.as_deref() {
             let _ = std::fs::create_dir_all(dir);
-            RouteTable::new()
-        });
+        }
+        let sessions = SessionTable::default();
         let metrics = cfg.metrics.then(|| {
             ServeMetrics::new(
                 WindowCfg { width_ms: cfg.metrics_window_ms.max(1), ring: 6 },
@@ -133,13 +134,9 @@ impl Server {
                 },
             )
         });
-        if router.is_some() || (metrics.is_some() && !citroen_telemetry::is_enabled()) {
-            citroen_telemetry::install(Box::new(
-                crate::telemetry_route::RoutingSink::with_metrics(
-                    router.clone(),
-                    metrics.clone(),
-                ),
-            ));
+        if cfg.trace_dir.is_some() || (metrics.is_some() && !citroen_telemetry::is_enabled()) {
+            let sink = RoutingSink::new(sessions.clone(), metrics.clone());
+            citroen_telemetry::install(Box::new(sink));
         }
         Server {
             state: ServeState::new(cfg),
@@ -147,7 +144,7 @@ impl Server {
             queue: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             next_tenant: AtomicU64::new(1),
-            router,
+            sessions,
             metrics,
             started: Instant::now(),
         }
@@ -395,20 +392,17 @@ impl Server {
         };
         send(out, proto::job_reply(id, JobState::Running));
 
-        if let Some(router) = &self.router {
-            let dir = self.state.cfg.trace_dir.as_deref().unwrap_or(".");
-            router.register_current(std::path::Path::new(dir).join(format!("{id}.jsonl")));
-        }
+        // This thread's records belong to the job, and stream to its JSONL
+        // file under `--trace-dir`, until it leaves the session table.
+        let trace_dir = self.state.cfg.trace_dir.as_deref();
+        let stream = trace_dir.map(|dir| Path::new(dir).join(format!("{id}.jsonl")));
+        self.sessions.enter(&spec.tenant, stream.as_deref());
         if let Some(m) = &self.metrics {
-            // Registers this session thread: spans/counters recorded from
-            // here until `session_finished` flow into the tenant registry.
             m.session_started(&spec.tenant, queue_wait.as_millis() as u64);
         }
         let run_start = Instant::now();
         let ran = catch_unwind(AssertUnwindSafe(|| self.execute(&spec, ctl)));
-        if let Some(router) = &self.router {
-            router.unregister_current();
-        }
+        let profile = self.sessions.leave();
 
         let (state, outcome) = match ran {
             Ok(outcome) => {
@@ -438,6 +432,7 @@ impl Server {
                 },
                 self.state.cache.stats(),
                 self.state.corpus.lock().unwrap().len() as u64,
+                profile,
             );
         }
         {

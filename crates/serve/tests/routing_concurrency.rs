@@ -7,7 +7,7 @@
 //! One test function: the telemetry facade is process-global, so the
 //! scenario owns the whole test binary.
 
-use citroen_serve::{JobSummary, RouteTable, RoutingSink, ServeMetrics, SloConfig};
+use citroen_serve::{JobSummary, RoutingSink, ServeMetrics, SessionTable, SloConfig};
 use citroen_telemetry as telemetry;
 use citroen_telemetry::metrics::WindowCfg;
 use citroen_telemetry::Trace;
@@ -23,12 +23,9 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let table = RouteTable::new();
+    let table = SessionTable::default();
     let metrics = ServeMetrics::new(WindowCfg::default(), SloConfig::default());
-    telemetry::install(Box::new(RoutingSink::with_metrics(
-        Some(table.clone()),
-        Some(metrics.clone()),
-    )));
+    telemetry::install(Box::new(RoutingSink::new(table.clone(), Some(metrics.clone()))));
 
     // All threads start recording at the same instant and yield frequently,
     // maximising interleaving through the shared sink mutex.
@@ -40,7 +37,7 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
             let barrier = barrier.clone();
             let path = dir.join(format!("job{i}.jsonl"));
             std::thread::spawn(move || {
-                table.register_current(path);
+                table.enter(&format!("tenant{i}"), Some(&path));
                 metrics.session_started(&format!("tenant{i}"), 0);
                 barrier.wait();
                 for k in 0..RECORDS {
@@ -67,8 +64,8 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
                     },
                     Default::default(),
                     0,
+                    table.leave(),
                 );
-                table.unregister_current();
             })
         })
         .collect();

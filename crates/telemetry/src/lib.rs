@@ -32,6 +32,12 @@
 //! global mutex — spans in this codebase are coarse (per pass, per GP fit,
 //! per iteration), so lock traffic is negligible next to the timed work.
 //!
+//! Sink code may itself record: every record goes through one dispatch
+//! routine, and a record emitted while that thread is already dispatching
+//! is queued on the thread and delivered right after the record being
+//! delivered, under the same lock. Re-entering the sink mutex, and so
+//! deadlocking on it, cannot happen.
+//!
 //! Traces export as JSON through `rt::json::Value` ([`Trace::emit_pretty`] /
 //! [`Trace::parse`]); the `citroen-trace` binary renders breakdowns and
 //! diffs of exported traces. For runs too long to hold in memory, the
@@ -51,7 +57,8 @@ pub use stream::StreamSink;
 pub use trace::{EventRecord, NameAgg, SpanRecord, Trace};
 
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -135,6 +142,11 @@ thread_local! {
     static WORKER: RefCell<Option<ActiveSpan>> = const { RefCell::new(None) };
     /// Small dense id for this thread (std's ThreadId has no stable integer).
     static THREAD: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+    /// Set while this thread runs sink code inside [`dispatch`].
+    static DISPATCHING: Cell<bool> = const { Cell::new(false) };
+    /// Records emitted by sink code on this thread, awaiting delivery by the
+    /// enclosing [`dispatch`].
+    static NESTED: RefCell<VecDeque<Record<'static>>> = const { RefCell::new(VecDeque::new()) };
 }
 
 /// Whether a sink is installed. A single relaxed load — this is the whole
@@ -198,6 +210,64 @@ pub fn disable() -> Option<Box<dyn TelemetrySink>> {
 /// or when the sink does not hold an in-memory trace.
 pub fn take_trace() -> Option<Trace> {
     SINK.lock().unwrap().as_mut().and_then(|s| s.take_trace())
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch
+// ---------------------------------------------------------------------------
+
+/// One record on its way to a sink. Counter and histogram names stay
+/// borrowed unless the record has to be queued.
+pub(crate) enum Record<'a> {
+    Span(SpanRecord),
+    Event(EventRecord),
+    Counter(Cow<'a, str>, u64),
+    Value(Cow<'a, str>, u64),
+}
+
+/// Ends a [`dispatch`] on drop, unwinding included (serve jobs run under
+/// `catch_unwind`): clears the thread's mark, and on unwind the records
+/// left undelivered (a dispatch that returns has drained them).
+struct DispatchGuard;
+
+impl Drop for DispatchGuard {
+    fn drop(&mut self) {
+        DISPATCHING.with(|d| d.set(false));
+        if std::thread::panicking() {
+            NESTED.with(|q| q.borrow_mut().clear());
+        }
+    }
+}
+
+/// Deliver `rec` to the installed sink: the only path from a record to the
+/// [`SINK`] lock. A record emitted by sink code finds its thread already
+/// dispatching, so it is queued and delivered in order right after the
+/// outer record, before the lock is released.
+fn dispatch(rec: Record<'_>) {
+    if DISPATCHING.with(Cell::get) {
+        let owned = match rec {
+            Record::Span(s) => Record::Span(s),
+            Record::Event(e) => Record::Event(e),
+            Record::Counter(n, d) => Record::Counter(Cow::Owned(n.into_owned()), d),
+            Record::Value(n, v) => Record::Value(Cow::Owned(n.into_owned()), v),
+        };
+        NESTED.with(|q| q.borrow_mut().push_back(owned));
+        return;
+    }
+    DISPATCHING.with(|d| d.set(true));
+    let _end = DispatchGuard;
+    let mut sink = SINK.lock().expect("a telemetry sink panicked while recording");
+    let Some(sink) = sink.as_deref_mut() else { return };
+    let mut next = Some(rec);
+    while let Some(rec) = next {
+        match rec {
+            Record::Span(s) => sink.record_span(s),
+            Record::Event(e) => sink.record_event(e),
+            Record::Counter(n, d) => sink.add_counter(&n, d),
+            Record::Value(n, v) => sink.record_value(&n, v),
+        }
+        next = NESTED.with(|q| q.borrow_mut().pop_front());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -285,9 +355,7 @@ fn close_span(a: ActiveSpan) {
         start_ns: a.start.saturating_duration_since(epoch()).as_nanos() as u64,
         dur_ns,
     };
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
-        sink.record_span(rec);
-    }
+    dispatch(Record::Span(rec));
 }
 
 // ---------------------------------------------------------------------------
@@ -309,9 +377,7 @@ pub fn event(name: &str, fields: &[(&str, u64)]) {
         at_ns: Instant::now().saturating_duration_since(epoch()).as_nanos() as u64,
         fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
     };
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
-        sink.record_event(rec);
-    }
+    dispatch(Record::Event(rec));
 }
 
 // ---------------------------------------------------------------------------
@@ -324,9 +390,7 @@ pub fn counter(name: &str, delta: u64) {
     if !is_enabled() || delta == 0 {
         return;
     }
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
-        sink.add_counter(name, delta);
-    }
+    dispatch(Record::Counter(Cow::Borrowed(name), delta));
 }
 
 /// Record one observation into histogram `name` (no-op when disabled).
@@ -335,9 +399,7 @@ pub fn value(name: &str, v: u64) {
     if !is_enabled() {
         return;
     }
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
-        sink.record_value(name, v);
-    }
+    dispatch(Record::Value(Cow::Borrowed(name), v));
 }
 
 // ---------------------------------------------------------------------------

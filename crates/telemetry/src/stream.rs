@@ -27,7 +27,7 @@
 //! recording path has no way to surface them) and reported on stderr.
 
 use crate::trace::meta_record;
-use crate::{EventRecord, SpanRecord, TelemetrySink, Trace};
+use crate::{EventRecord, Record, SpanRecord, TelemetrySink, Trace};
 use citroen_rt::json::escape_into;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -46,15 +46,7 @@ const MAX_BATCH_DELAY: Duration = Duration::from_millis(50);
 /// batches (× [`BATCH`] records).
 const CHANNEL_BOUND: usize = 64;
 
-/// One queued telemetry record (the JSONL line vocabulary).
-enum Record {
-    Span(SpanRecord),
-    Event(EventRecord),
-    Counter(String, u64),
-    Value(String, u64),
-}
-
-impl Record {
+impl Record<'_> {
     /// Serialise as one JSONL line (newline included), byte-identical to
     /// the `Value`-tree emitter [`Trace::to_jsonl`] uses — but built by
     /// direct string pushes. The writer thread shares the host's cores with
@@ -199,10 +191,10 @@ impl RotatingFile {
 /// [`crate::enable_stream`] shorthand); finish the file by dropping the sink
 /// (`drop(citroen_telemetry::disable())`).
 pub struct StreamSink {
-    tx: Option<SyncSender<Vec<Record>>>,
+    tx: Option<SyncSender<Vec<Record<'static>>>>,
     writer: Option<JoinHandle<io::Result<u64>>>,
     /// Pending records not yet sent (fewer than a batch, recent).
-    buf: Vec<Record>,
+    buf: Vec<Record<'static>>,
     /// When the last batch was sent (drives the liveness flush).
     last_send: Instant,
     /// Records dropped because the writer died mid-run (write error).
@@ -237,7 +229,7 @@ impl StreamSink {
         })
     }
 
-    fn send(&mut self, rec: Record) {
+    fn send(&mut self, rec: Record<'static>) {
         self.buf.push(rec);
         if self.buf.len() >= BATCH || self.last_send.elapsed() >= MAX_BATCH_DELAY {
             self.send_batch();
@@ -296,10 +288,10 @@ impl TelemetrySink for StreamSink {
         self.send(Record::Span(rec));
     }
     fn add_counter(&mut self, name: &str, delta: u64) {
-        self.send(Record::Counter(name.to_string(), delta));
+        self.send(Record::Counter(name.to_owned().into(), delta));
     }
     fn record_value(&mut self, name: &str, value: u64) {
-        self.send(Record::Value(name.to_string(), value));
+        self.send(Record::Value(name.to_owned().into(), value));
     }
     fn record_event(&mut self, rec: EventRecord) {
         self.send(Record::Event(rec));
@@ -318,11 +310,11 @@ impl TelemetrySink for StreamSink {
 /// configuration — the extra write calls are an accepted cost there). Exits
 /// when every sender is gone (sink dropped) or on the first write error
 /// (which `finish` surfaces).
-fn writer_loop(rx: Receiver<Vec<Record>>, mut out: RotatingFile) -> io::Result<u64> {
+fn writer_loop(rx: Receiver<Vec<Record<'static>>>, mut out: RotatingFile) -> io::Result<u64> {
     let mut lines = 0u64;
     let mut buf = String::with_capacity(16 * 1024);
     let capped = out.cap.is_some();
-    let mut write_batch = |out: &mut RotatingFile, batch: Vec<Record>| -> io::Result<()> {
+    let mut write_batch = |out: &mut RotatingFile, batch: Vec<Record<'static>>| -> io::Result<()> {
         buf.clear();
         for rec in &batch {
             rec.write_jsonl(&mut buf);

@@ -1,5 +1,6 @@
 //! Integration tests for the global telemetry state: span nesting, `rt::par`
-//! worker attribution, enable/disable cycles, and the disabled fast path.
+//! worker attribution, enable/disable cycles, records emitted from sink
+//! code, and the disabled fast path.
 //!
 //! The sink and the span-id stack are process-global, so every test in this
 //! binary serialises on one lock (separate test binaries are separate
@@ -7,8 +8,10 @@
 
 use citroen_rt::par::par_map;
 use citroen_telemetry as telemetry;
-use citroen_telemetry::Trace;
-use std::sync::Mutex;
+use citroen_telemetry::{EventRecord, SpanRecord, TelemetrySink, Trace};
+use std::io::Write;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -201,4 +204,72 @@ fn enable_disable_cycles_produce_independent_traces() {
     telemetry::disable();
     drop(g);
     assert!(telemetry::take_trace().is_none());
+}
+
+/// Logs every record it receives. Its `record_span`, `add_counter` and
+/// `record_event` each record one span, counter, value and event of their
+/// own (named `nested.*`, which it only logs), so sink code re-enters the
+/// facade while the global sink lock is held.
+struct EchoSink(Arc<Mutex<Vec<String>>>);
+
+impl EchoSink {
+    fn log(&self, kind: &str, name: &str) {
+        self.0.lock().unwrap().push(format!("{kind} {name}"));
+        if name.starts_with("outer") && kind != "value" {
+            drop(telemetry::span("nested.span"));
+            telemetry::counter("nested.counter", 1);
+            telemetry::value("nested.value", 1);
+            telemetry::event("nested.event", &[]);
+        }
+    }
+}
+
+impl TelemetrySink for EchoSink {
+    fn record_span(&mut self, rec: SpanRecord) {
+        self.log("span", &rec.name);
+    }
+    fn add_counter(&mut self, name: &str, _delta: u64) {
+        self.log("counter", name);
+    }
+    fn record_value(&mut self, name: &str, _value: u64) {
+        self.log("value", name);
+    }
+    fn record_event(&mut self, rec: EventRecord) {
+        self.log("event", &rec.name);
+    }
+}
+
+#[test]
+fn records_emitted_by_sink_code_arrive_right_after_their_outer_record() {
+    let _g = serialised();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    telemetry::install(Box::new(EchoSink(log.clone())));
+    let (done, finished) = mpsc::channel();
+    let recorder = std::thread::spawn(move || {
+        drop(telemetry::span("outer.span"));
+        telemetry::counter("outer.counter", 1);
+        telemetry::value("outer.value", 1);
+        telemetry::event("outer.event", &[]);
+        done.send(()).unwrap();
+    });
+    if finished.recv_timeout(Duration::from_secs(30)).is_err() {
+        // The recorder is stuck holding the global sink lock, which every
+        // later test would block on too: fail the whole binary now.
+        let _ = writeln!(std::io::stderr(), "FAIL: sink code deadlocked on a nested record");
+        std::process::exit(1);
+    }
+    recorder.join().unwrap();
+    telemetry::disable();
+
+    // Each outer record but the value (whose handler records nothing) is
+    // followed at once by the four records its handler emitted.
+    const KINDS: [&str; 4] = ["span", "counter", "value", "event"];
+    let mut want = Vec::new();
+    for outer in KINDS {
+        want.push(format!("{outer} outer.{outer}"));
+        if outer != "value" {
+            want.extend(KINDS.map(|k| format!("{k} nested.{k}")));
+        }
+    }
+    assert_eq!(*log.lock().unwrap(), want);
 }

@@ -42,6 +42,12 @@
 #      to standalone runs at the same seeds, the replay must hit the shared
 #      cross-tenant compile cache, a third job is cancelled mid-run, and
 #      the daemon must drain gracefully (exit 0 only if all hold)
+#  11. the observability gate: `micro --metrics-gate` bounds the metrics
+#      plane's cost (windowed-registry hot path per op, a full snapshot
+#      read-out, and the marginal wall clock of a metrics-feeding sink over
+#      a memory sink on a real tuning run), then `citroen-serve smoke`
+#      spawns a socket daemon, runs a job, polls the `metrics` verb, and
+#      requires the `citroen-trace top --once` health gate to pass
 #
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail

@@ -3,10 +3,12 @@
 //! Each row runs one gsm session (sequence length 12, 12 candidates per
 //! iteration, 4 initial designs, budget 12) and pins what the loop's
 //! structure must never move: the `trace_digest` of the trajectory, the
-//! measurement and measurement-cache-hit counts, and the ARD impact-report
-//! feature names in rank order. Compilation is pure, so restructuring the
-//! loop may only ever *save* compiles: `compilations` is pinned as an upper
-//! bound.
+//! measurement and measurement-cache-hit counts, the compile count, and the
+//! ARD impact-report feature names in rank order. Compilation is pure, so a
+//! restructured loop with the same trajectory can differ only in how often
+//! it compiles; `compilations` is pinned exactly, so a loop that compiles a
+//! genome twice (such as a second compile of the q=1 pick) fails the gate
+//! even though every digest holds.
 //!
 //! On a mismatch the test prints the whole observed table in the source
 //! format below, so an intended trajectory change can be re-pinned by
@@ -22,51 +24,51 @@ use std::sync::Arc;
 
 const BUDGET: usize = 12;
 
-/// `(row, seed, trace_digest, measurements, cache_hits, max compilations,
+/// `(row, seed, trace_digest, measurements, cache_hits, compilations,
 /// impact-name digest)`.
 type Golden = (&'static str, u64, u64, usize, usize, usize, u64);
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
-    ("q1-des-stats-cov", 1, 0x2a81a49482aa5679, 12, 0, 108, 0x0084904cf775b940),
-    ("q1-des-stats-cov", 2, 0x5545ab6b47a5ad8b, 12, 0, 108, 0x2ae47dec9bbcb2c7),
-    ("q1-des-stats-cov", 3, 0x50ca9968f08a88d6, 12, 0, 108, 0x3072ea8734096c63),
-    ("q1-des-stats-cov", 4, 0x203c40966ffca4a0, 12, 0, 108, 0x8fcae01b438de604),
-    ("q1-des-stats-cov", 5, 0xa9a22bc17011ea45, 12, 0, 108, 0xf7ab960e5d379244),
-    ("q1-des-stats-cov", 6, 0x50f98aaa3934ee4e, 12, 0, 108, 0x0e662eb346ccf238),
-    ("q1-des-stats-cov", 7, 0x48ec97ec3446a3cd, 12, 0, 108, 0xb788259bc75fb242),
-    ("q1-des-stats-cov", 8, 0x4546931aa127e648, 12, 0, 108, 0xf40731a42bf9958d),
-    ("q1-des-stats-cov", 9, 0xc1619adfc2ba2193, 12, 1, 121, 0x3501b42c6e4b3067),
-    ("q1-des-stats-cov", 10, 0x2bbaccbb4a6aa7d6, 12, 0, 108, 0x43a844b82de03056),
-    ("q1-des-stats-nocov", 1, 0x5793cc267fda6e03, 12, 3, 147, 0x0809163757efd537),
-    ("q1-des-stats-nocov", 2, 0xfa01ae25bdff40e7, 12, 0, 108, 0x2ae47dec9bbcb2c7),
-    ("q1-des-stats-nocov", 3, 0x8f2aaad04b8f0e4d, 12, 2, 134, 0xc2751419a8f8018d),
-    ("q1-des-autophase-cov", 1, 0x2d609b40d460b7c7, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-des-autophase-cov", 2, 0xc25e4334fb9e775d, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-des-autophase-cov", 3, 0xbca270e03040aa57, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-des-autophase-nocov", 1, 0x875efbbaf0118188, 12, 2, 134, 0xcbf29ce484222325),
-    ("q1-des-autophase-nocov", 2, 0x86150cf87ce754da, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-des-autophase-nocov", 3, 0x290bddcd955f6118, 12, 1, 121, 0xcbf29ce484222325),
-    ("q1-random-stats-cov", 1, 0x7d673e35824a13fb, 12, 0, 108, 0x17448ee7c64de05a),
-    ("q1-random-stats-cov", 2, 0x2c9b7e534ac5caab, 12, 0, 108, 0xf3047ca148cb15dc),
-    ("q1-random-stats-cov", 3, 0x230155cbe603e9cc, 12, 0, 108, 0x27a59bf2da5f950a),
-    ("q1-random-stats-nocov", 1, 0xb11f5c90665324f9, 12, 2, 134, 0xdecea0505708ef2a),
-    ("q1-random-stats-nocov", 2, 0x224035ed6c0d06e8, 12, 0, 108, 0xf00f71cf369ad5d4),
-    ("q1-random-stats-nocov", 3, 0x9571a57f6d1ebd2a, 12, 1, 121, 0x8053dbd189b7f136),
-    ("q1-random-autophase-cov", 1, 0xd85be75915b1cec6, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-random-autophase-cov", 2, 0xa36557f5ccde04ca, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-random-autophase-cov", 3, 0x1cbe0a6462576ace, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-random-autophase-nocov", 1, 0xed29f1c9df74d710, 12, 1, 121, 0xcbf29ce484222325),
-    ("q1-random-autophase-nocov", 2, 0xba3657472f479ff3, 12, 0, 108, 0xcbf29ce484222325),
-    ("q1-random-autophase-nocov", 3, 0x1b11b28ecb2ff90f, 12, 0, 108, 0xcbf29ce484222325),
+    ("q1-des-stats-cov", 1, 0x2a81a49482aa5679, 12, 0, 100, 0x0084904cf775b940),
+    ("q1-des-stats-cov", 2, 0x5545ab6b47a5ad8b, 12, 0, 100, 0x2ae47dec9bbcb2c7),
+    ("q1-des-stats-cov", 3, 0x50ca9968f08a88d6, 12, 0, 100, 0x3072ea8734096c63),
+    ("q1-des-stats-cov", 4, 0x203c40966ffca4a0, 12, 0, 100, 0x8fcae01b438de604),
+    ("q1-des-stats-cov", 5, 0xa9a22bc17011ea45, 12, 0, 100, 0xf7ab960e5d379244),
+    ("q1-des-stats-cov", 6, 0x50f98aaa3934ee4e, 12, 0, 100, 0x0e662eb346ccf238),
+    ("q1-des-stats-cov", 7, 0x48ec97ec3446a3cd, 12, 0, 100, 0xb788259bc75fb242),
+    ("q1-des-stats-cov", 8, 0x4546931aa127e648, 12, 0, 100, 0xf40731a42bf9958d),
+    ("q1-des-stats-cov", 9, 0xc1619adfc2ba2193, 12, 1, 112, 0x3501b42c6e4b3067),
+    ("q1-des-stats-cov", 10, 0x2bbaccbb4a6aa7d6, 12, 0, 100, 0x43a844b82de03056),
+    ("q1-des-stats-nocov", 1, 0x5793cc267fda6e03, 12, 3, 135, 0x0809163757efd537),
+    ("q1-des-stats-nocov", 2, 0xfa01ae25bdff40e7, 12, 0, 100, 0x2ae47dec9bbcb2c7),
+    ("q1-des-stats-nocov", 3, 0x8f2aaad04b8f0e4d, 12, 2, 124, 0xc2751419a8f8018d),
+    ("q1-des-autophase-cov", 1, 0x2d609b40d460b7c7, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-des-autophase-cov", 2, 0xc25e4334fb9e775d, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-des-autophase-cov", 3, 0xbca270e03040aa57, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-des-autophase-nocov", 1, 0x875efbbaf0118188, 12, 2, 123, 0xcbf29ce484222325),
+    ("q1-des-autophase-nocov", 2, 0x86150cf87ce754da, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-des-autophase-nocov", 3, 0x290bddcd955f6118, 12, 1, 112, 0xcbf29ce484222325),
+    ("q1-random-stats-cov", 1, 0x7d673e35824a13fb, 12, 0, 100, 0x17448ee7c64de05a),
+    ("q1-random-stats-cov", 2, 0x2c9b7e534ac5caab, 12, 0, 100, 0xf3047ca148cb15dc),
+    ("q1-random-stats-cov", 3, 0x230155cbe603e9cc, 12, 0, 100, 0x27a59bf2da5f950a),
+    ("q1-random-stats-nocov", 1, 0xb11f5c90665324f9, 12, 2, 124, 0xdecea0505708ef2a),
+    ("q1-random-stats-nocov", 2, 0x224035ed6c0d06e8, 12, 0, 100, 0xf00f71cf369ad5d4),
+    ("q1-random-stats-nocov", 3, 0x9571a57f6d1ebd2a, 12, 1, 112, 0x8053dbd189b7f136),
+    ("q1-random-autophase-cov", 1, 0xd85be75915b1cec6, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-random-autophase-cov", 2, 0xa36557f5ccde04ca, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-random-autophase-cov", 3, 0x1cbe0a6462576ace, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-random-autophase-nocov", 1, 0xed29f1c9df74d710, 12, 1, 112, 0xcbf29ce484222325),
+    ("q1-random-autophase-nocov", 2, 0xba3657472f479ff3, 12, 0, 100, 0xcbf29ce484222325),
+    ("q1-random-autophase-nocov", 3, 0x1b11b28ecb2ff90f, 12, 0, 100, 0xcbf29ce484222325),
     ("q1-prune", 1, 0x4510bc8438a01101, 12, 0, 80, 0x0084904cf775b940),
     ("q1-prune", 2, 0x4218e3734b79dca3, 12, 0, 76, 0xbb4afc7bb00988c9),
     ("q1-subsume", 1, 0x47187fb0dbc2c8f0, 12, 0, 100, 0x0084904cf775b940),
     ("q1-subsume", 2, 0x0f2b541719e9444a, 12, 0, 99, 0x2ae47dec9bbcb2c7),
-    ("q1-both-cap2", 1, 0x4510bc8438a01101, 12, 0, 100, 0x0084904cf775b940),
-    ("q1-both-cap2", 2, 0x4218e3734b79dca3, 12, 0, 102, 0xbb4afc7bb00988c9),
-    ("q1-init-seeds", 1, 0x5529bc0fda515a7a, 12, 0, 108, 0x90d2290e0d3110e3),
-    ("q1-init-seeds", 2, 0xc7b6bd8a2924ae5e, 12, 0, 108, 0x4bd920dd3c7ccd2d),
+    ("q1-both-cap2", 1, 0x4510bc8438a01101, 12, 0, 90, 0x0084904cf775b940),
+    ("q1-both-cap2", 2, 0x4218e3734b79dca3, 12, 0, 91, 0xbb4afc7bb00988c9),
+    ("q1-init-seeds", 1, 0x5529bc0fda515a7a, 12, 0, 100, 0x90d2290e0d3110e3),
+    ("q1-init-seeds", 2, 0xc7b6bd8a2924ae5e, 12, 0, 100, 0x4bd920dd3c7ccd2d),
     ("q1-replay", 1, 0x2a81a49482aa5679, 12, 0, 0, 0x0084904cf775b940),
     ("q1-replay", 2, 0x5545ab6b47a5ad8b, 12, 0, 0, 0x2ae47dec9bbcb2c7),
     ("q4", 1, 0xfb8127b6309cdb56, 12, 0, 40, 0x24b77a95103c5094),
@@ -245,9 +247,9 @@ fn tuning_loop_trajectories_match_the_golden_table() {
         if (got.2, got.3, got.4, got.6) != (want.2, want.3, want.4, want.6) {
             failures.push(format!("{label} seed {seed}: trajectory moved"));
         }
-        if got.5 > want.5 {
+        if got.5 != want.5 {
             failures.push(format!(
-                "{label} seed {seed}: {} compilations, more than the pinned {}",
+                "{label} seed {seed}: {} compilations, pinned {}",
                 got.5, want.5
             ));
         }
