@@ -4,10 +4,11 @@
 //! promising to measure — instead of splitting the budget uniformly or
 //! round-robin across modules.
 
+use crate::citroen::{note_keys, scale_row, scaled_matrix, stats_features};
 use crate::task::{Task, TuneTrace};
 use citroen_bo::heuristics::DiscreteOneLambda;
 use citroen_bo::Acquisition;
-use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
+use citroen_gp::{Gp, GpConfig, GpHypers};
 use citroen_ir::module::Module;
 use citroen_passes::{PassId, Stats};
 use citroen_rt::rng::StdRng;
@@ -143,11 +144,7 @@ pub fn run_multimodule(
             for (mi, m) in mods.iter_mut().enumerate() {
                 let g: Vec<u16> = m.inc_seq.iter().map(|p| p.0).collect();
                 m.des.tell(&g, t);
-                for k in m.inc_stats.keys() {
-                    if !key_unions[mi].contains(&k) {
-                        key_unions[mi].push(k);
-                    }
-                }
+                note_keys(&mut key_unions[mi], &m.inc_stats);
             }
             obs.push(Obs { stats: mods.iter().map(|m| m.inc_stats.clone()).collect(), runtime: t });
             allocation_log.push(usize::MAX);
@@ -167,8 +164,9 @@ pub fn run_multimodule(
 
         // Fit the global model over the concatenated statistics.
         let t0 = Instant::now();
-        let dims: Vec<usize> = key_unions.iter().map(|k| k.len()).collect();
-        let (xmat, scales) = build_matrix(&obs, &key_unions);
+        let (xmat, scale) = scaled_matrix(
+            obs.iter().map(|o| joint_features(&o.stats, &key_unions)).collect(),
+        );
         let y: Vec<f64> = obs.iter().map(|o| o.runtime).collect();
         let mut gpc = cfg.gp.clone();
         gpc.init = hypers.clone();
@@ -193,8 +191,11 @@ pub fn run_multimodule(
                 let seq: Vec<PassId> = g.iter().map(|&v| PassId(v)).collect();
                 let (stats, _, module) = task.compile_hot(m.idx, &seq);
                 let tm = Instant::now();
-                let x =
-                    featurise_joint(&incumbent_stats, mi, &stats, &key_unions, &scales, &dims);
+                let row = incumbent_stats
+                    .iter()
+                    .enumerate()
+                    .map(|(i, inc)| if i == mi { &stats } else { inc });
+                let x = scale_row(joint_features(row, &key_unions), &scale);
                 let af = acq.eval(&gp, best_z, &x);
                 task.add_model_time(tm.elapsed());
                 if best.as_ref().map(|(b, ..)| af > *b).unwrap_or(true) {
@@ -218,12 +219,8 @@ pub fn run_multimodule(
         mods[chosen].inc_seq = g.iter().map(|&v| PassId(v)).collect();
         if let Some(t) = measure_joint(task, &mods, &mut trace) {
             mods[chosen].des.tell(&g, t);
-            for (mi, m) in mods.iter().enumerate() {
-                for k in m.inc_stats.keys() {
-                    if !key_unions[mi].contains(&k) {
-                        key_unions[mi].push(k);
-                    }
-                }
+            for (keys, m) in key_unions.iter_mut().zip(&mods) {
+                note_keys(keys, &m.inc_stats);
             }
             obs.push(Obs {
                 stats: mods.iter().map(|m| m.inc_stats.clone()).collect(),
@@ -249,58 +246,13 @@ pub fn run_multimodule(
     MultiModuleResult { trace, allocation_log }
 }
 
-fn build_matrix(obs: &[Obs], key_unions: &[Vec<String>]) -> (Mat, Vec<Vec<f64>>) {
-    let raw: Vec<Vec<f64>> = obs
-        .iter()
-        .map(|o| {
-            let mut row = Vec::new();
-            for (mi, keys) in key_unions.iter().enumerate() {
-                row.extend(o.stats[mi].to_vector(keys).into_iter().map(|v| (1.0 + v).ln()));
-            }
-            row
-        })
-        .collect();
-    let d = raw.first().map(|r| r.len()).unwrap_or(0);
-    let mut scale = vec![1.0f64; d];
-    for r in &raw {
-        for (i, v) in r.iter().enumerate() {
-            scale[i] = scale[i].max(v.abs());
-        }
-    }
-    let rows: Vec<Vec<f64>> = raw
-        .into_iter()
-        .map(|r| r.iter().enumerate().map(|(i, v)| v / scale[i]).collect())
-        .collect();
-    let mut scales = Vec::new();
-    let mut off = 0;
-    for keys in key_unions {
-        scales.push(scale[off..off + keys.len()].to_vec());
-        off += keys.len();
-    }
-    (Mat::from_rows(rows), scales)
-}
-
-fn featurise_joint(
-    incumbent: &[Stats],
-    cand_slot: usize,
-    cand: &Stats,
+/// The joint feature row: each module's statistics over its own key union,
+/// concatenated in hot-module order.
+fn joint_features<'s>(
+    stats: impl IntoIterator<Item = &'s Stats>,
     key_unions: &[Vec<String>],
-    scales: &[Vec<f64>],
-    dims: &[usize],
 ) -> Vec<f64> {
-    let mut row = Vec::new();
-    for (mi, keys) in key_unions.iter().enumerate() {
-        let st = if mi == cand_slot { cand } else { &incumbent[mi] };
-        let mut v: Vec<f64> = st.to_vector(keys).into_iter().map(|x| (1.0 + x).ln()).collect();
-        v.resize(dims[mi], 0.0);
-        for (i, x) in v.iter_mut().enumerate() {
-            if i < scales[mi].len() {
-                *x /= scales[mi][i];
-            }
-        }
-        row.extend(v.into_iter().take(dims[mi]));
-    }
-    row
+    key_unions.iter().zip(stats).flat_map(|(keys, st)| stats_features(st, keys)).collect()
 }
 
 #[cfg(test)]

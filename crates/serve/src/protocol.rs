@@ -55,6 +55,17 @@ pub mod codes {
 /// bound caps a session's memory and compile work.
 pub const MAX_SEQ_LEN: usize = 256;
 
+/// The longest job id a submit may carry.
+pub const MAX_JOB_ID_LEN: usize = 128;
+
+/// Whether `id` is an acceptable job id: 1..=[`MAX_JOB_ID_LEN`] characters
+/// from `[A-Za-z0-9._-]`. Under `--trace-dir` the id names the job's trace
+/// file, so it must hold no path separator.
+pub fn valid_job_id(id: &str) -> bool {
+    (1..=MAX_JOB_ID_LEN).contains(&id.len())
+        && id.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+}
+
 /// Job lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {

@@ -216,6 +216,15 @@ impl Server {
             summary.lock().unwrap().rejected += 1;
             send(out, proto::error_reply(code, msg, Some(&spec.id)));
         };
+        if !proto::valid_job_id(&spec.id) {
+            return reject(
+                codes::BAD_FIELD,
+                &format!(
+                    "job id must be 1..={} characters of [A-Za-z0-9._-]",
+                    proto::MAX_JOB_ID_LEN
+                ),
+            );
+        }
         if spec.budget == 0 || spec.budget > self.state.cfg.max_budget {
             return reject(
                 codes::OVER_BUDGET,

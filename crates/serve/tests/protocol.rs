@@ -119,6 +119,59 @@ fn out_of_range_seq_len_is_rejected_at_submit() {
 }
 
 #[test]
+fn job_ids_cannot_escape_the_trace_dir() {
+    // Under `--trace-dir` a job's id names its trace file, which is created
+    // truncating. An id with a path separator, or an absolute one (which
+    // `Path::join` lets replace the directory), must never reach the file
+    // system: every id outside `[A-Za-z0-9._-]{1,128}` is refused with
+    // `bad-field`.
+    let pid = std::process::id();
+    let root = std::env::temp_dir().join(format!("citroen-idesc-{pid}"));
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("traces");
+    let abs = std::env::temp_dir().join(format!("citroen-idesc-abs-{pid}"));
+    let long = "x".repeat(citroen_serve::protocol::MAX_JOB_ID_LEN + 1);
+    let hostile = ["../escape", abs.to_str().unwrap(), "a/b", "", long.as_str()];
+    let mut script = String::new();
+    for id in hostile.iter().chain(&["ok"]) {
+        script += &format!(
+            "{{\"type\":\"submit\",\"job\":{{\"id\":\"{id}\",\"bench\":\"telecom_gsm\",\"budget\":4,\"seed\":1}}}}\n"
+        );
+    }
+    script += "{\"type\":\"shutdown\"}\n";
+    let cfg =
+        ServeConfig { trace_dir: Some(dir.to_str().unwrap().to_string()), ..Default::default() };
+    let (replies, summary) = run_script(cfg, &script);
+
+    let rejected: Vec<&str> = of_type(&replies, "error")
+        .iter()
+        .filter(|r| r.get("code").and_then(Value::as_str) == Some(codes::BAD_FIELD))
+        .filter_map(|r| r.get("id").and_then(Value::as_str))
+        .collect();
+    assert_eq!(rejected, hostile);
+    let results = of_type(&replies, "result");
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].get("id").and_then(Value::as_str), Some("ok"));
+    assert_eq!(results[0].get("state").and_then(Value::as_str), Some("done"));
+    assert_eq!((summary.submitted, summary.rejected, summary.done), (1, 5, 1));
+
+    // Nothing was written beside or outside the trace dir; in it, only the
+    // valid job's trace.
+    let names = |d: &std::path::Path| -> Vec<String> {
+        let mut v: Vec<String> = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(names(&root), ["traces"]);
+    assert_eq!(names(&dir), ["ok.jsonl"]);
+    assert!(!abs.with_extension("jsonl").exists(), "absolute id wrote outside the dir");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn queued_jobs_cancel_and_timeouts_fire() {
     // One worker: "slow" occupies it, "victim" waits in the queue and is
     // cancelled there; "expired" carries a 1 ms timeout and stops at its

@@ -38,12 +38,11 @@
 //! delivered, under the same lock. Re-entering the sink mutex, and so
 //! deadlocking on it, cannot happen.
 //!
-//! Traces export as JSON through `rt::json::Value` ([`Trace::emit_pretty`] /
-//! [`Trace::parse`]); the `citroen-trace` binary renders breakdowns and
-//! diffs of exported traces. For runs too long to hold in memory, the
-//! [`StreamSink`] ([`enable_stream`]) writes each record as one JSONL line
-//! through a dedicated writer thread; [`Trace::parse_jsonl`] replays the
-//! file into the same in-memory form.
+//! Trace files have one format, JSONL: the [`StreamSink`] ([`enable_stream`])
+//! writes each record as one line through a dedicated writer thread, so no
+//! run is too long to trace, and [`Trace::parse_jsonl`] replays the file
+//! into the in-memory form a [`MemorySink`] drains to. The `citroen-trace`
+//! binary records such files and renders breakdowns and diffs of them.
 
 #![warn(missing_docs)]
 

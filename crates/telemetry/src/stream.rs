@@ -1,7 +1,8 @@
-//! Streaming JSONL sink: every completed record is written as one JSON line
-//! to a file, so long `experiments` runs can be traced without holding the
-//! trace in memory, and a crashed run still leaves a readable (partial)
-//! trace behind.
+//! Streaming JSONL sink, and the writer of the one trace file format: a
+//! [`HEADER`] line, then every completed record as one JSON line, so long
+//! `experiments` runs can be traced without holding the trace in memory,
+//! and a crashed run still leaves a readable (partial) trace behind.
+//! [`Trace::parse_jsonl`] reads it back.
 //!
 //! Architecture: the recording side (called under the global telemetry
 //! mutex, on whatever thread a span closes) does **no I/O and no
@@ -26,7 +27,6 @@
 //! "finish the trace file" idiom. Write errors are deferred to drop (the
 //! recording path has no way to surface them) and reported on stderr.
 
-use crate::trace::meta_record;
 use crate::{EventRecord, Record, SpanRecord, TelemetrySink, Trace};
 use citroen_rt::json::escape_into;
 use std::fs::File;
@@ -45,15 +45,17 @@ const MAX_BATCH_DELAY: Duration = Duration::from_millis(50);
 /// Queue bound between the recording side and the writer thread, in
 /// batches (× [`BATCH`] records).
 const CHANNEL_BOUND: usize = 64;
+/// The first line of every trace file (and of every rotated generation).
+pub(crate) const HEADER: &str = "{\"t\":\"meta\",\"version\":1}\n";
 
 impl Record<'_> {
-    /// Serialise as one JSONL line (newline included), byte-identical to
-    /// the `Value`-tree emitter [`Trace::to_jsonl`] uses — but built by
-    /// direct string pushes. The writer thread shares the host's cores with
-    /// the traced program (on a single-core host it *is* stolen compute
-    /// time), so skipping the per-record `Value` allocation tree measurably
-    /// lowers the streaming overhead the `micro --stream-gate` pins.
-    fn write_jsonl(&self, out: &mut String) {
+    /// Serialise as one JSONL line (newline included): the only trace
+    /// encoder. Built by direct string pushes rather than a `Value` tree:
+    /// the writer thread shares the host's cores with the traced program
+    /// (on a single-core host it *is* stolen compute time), so skipping the
+    /// per-record allocation tree measurably lowers the streaming overhead
+    /// the `micro --stream-gate` pins.
+    pub(crate) fn write_jsonl(&self, out: &mut String) {
         use std::fmt::Write as _;
         match self {
             Record::Span(s) => {
@@ -135,16 +137,13 @@ impl RotatingFile {
         Ok(RotatingFile { out, path, cap, written: header, header })
     }
 
-    /// Create/truncate `path` and write the `meta` header line, returning
-    /// the writer and the header size.
+    /// Create/truncate `path` and write the [`HEADER`] line, returning the
+    /// writer and the header size.
     fn open(path: &Path) -> io::Result<(BufWriter<File>, u64)> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        let mut header = meta_record().emit_compact();
-        header.push('\n');
-        out.write_all(header.as_bytes())?;
+        let mut out = BufWriter::new(File::create(path)?);
+        out.write_all(HEADER.as_bytes())?;
         out.flush()?;
-        Ok((out, header.len() as u64))
+        Ok((out, HEADER.len() as u64))
     }
 
     /// The sibling path `FILE.n`.
@@ -359,39 +358,48 @@ mod tests {
         p
     }
 
+    /// Every record kind survives the file unchanged, escaping-hostile
+    /// names (newline, quote, tab, control character, non-ASCII) and
+    /// `u64::MAX` fields included.
     #[test]
     fn streams_records_and_replays_to_equal_trace() {
         let path = tmp("roundtrip.jsonl");
         let mut sink = StreamSink::create(&path).unwrap();
         let span = SpanRecord {
             id: 7,
-            parent: 0,
-            name: "weird\nname \"q\" é".into(),
-            thread: 1,
+            parent: 1,
+            name: "nasty\n\"span\"\té \u{1}".into(),
+            thread: 2,
             start_ns: 5,
-            dur_ns: 10,
+            dur_ns: u64::MAX,
+        };
+        let event = EventRecord {
+            name: "progress \"x\"\t\u{1}é".into(),
+            span: 7,
+            thread: 2,
+            at_ns: 9,
+            fields: vec![("iter".into(), 0), ("best\nns é".into(), u64::MAX)],
         };
         sink.record_span(span.clone());
-        sink.add_counter("c", 2);
-        sink.add_counter("c", 3);
-        sink.record_value("h", 17);
-        sink.record_event(EventRecord {
-            name: "progress".into(),
-            span: 7,
-            thread: 1,
-            at_ns: 9,
-            fields: vec![("iter".into(), 1)],
-        });
-        assert_eq!(sink.finish().unwrap(), 5);
+        sink.add_counter("c\nx", 2);
+        sink.add_counter("c\nx", 3);
+        sink.add_counter("\"max\"", u64::MAX);
+        sink.record_value("h\té", 17);
+        sink.record_value("h\té", u64::MAX);
+        sink.record_event(event.clone());
+        assert_eq!(sink.finish().unwrap(), 7);
         drop(sink);
 
         let text = std::fs::read_to_string(&path).unwrap();
         let t = Trace::parse_jsonl(&text).unwrap();
         assert_eq!(t.spans, vec![span]);
-        assert_eq!(t.counters["c"], 5);
-        assert_eq!(t.hists["h"].count, 1);
-        assert_eq!(t.events.len(), 1);
-        assert_eq!(t.events[0].field("iter"), Some(1));
+        assert_eq!(t.events, vec![event]);
+        assert_eq!(t.counters["c\nx"], 5);
+        assert_eq!(t.counters["\"max\""], u64::MAX);
+        let mut h = crate::Histogram::new();
+        h.record(17);
+        h.record(u64::MAX);
+        assert_eq!(t.hists["h\té"], h);
         std::fs::remove_file(&path).ok();
     }
 
@@ -440,43 +448,5 @@ mod tests {
     #[test]
     fn create_fails_on_unwritable_path() {
         assert!(StreamSink::create("/nonexistent-dir-xyz/trace.jsonl").is_err());
-    }
-
-    /// The writer's direct serialisation must stay byte-identical to the
-    /// `Value`-tree emitters [`Trace::to_jsonl`] uses — `parse_jsonl` sees
-    /// both, and `check.sh` diffs streamed against replayed traces.
-    #[test]
-    fn direct_serialisation_matches_value_emitter() {
-        use crate::trace::{event_to_json, span_to_json, tagged};
-        let span = SpanRecord {
-            id: 3,
-            parent: 1,
-            name: "nasty\n\"span\"\té \u{1}".into(),
-            thread: 2,
-            start_ns: 0,
-            dur_ns: u64::MAX,
-        };
-        let event = EventRecord {
-            name: "progress \"x\"".into(),
-            span: 3,
-            thread: 2,
-            at_ns: 42,
-            fields: vec![("iter".into(), 0), ("best_ns".into(), u64::MAX)],
-        };
-        let cases = [
-            (Record::Span(span.clone()), tagged("span", span_to_json(&span))),
-            (Record::Event(event.clone()), tagged("event", event_to_json(&event))),
-        ];
-        for (rec, value) in &cases {
-            let mut direct = String::new();
-            rec.write_jsonl(&mut direct);
-            assert_eq!(direct, format!("{}\n", value.emit_compact()));
-        }
-        let mut counter = String::new();
-        Record::Counter("c\nx".into(), 7).write_jsonl(&mut counter);
-        assert_eq!(counter, "{\"t\":\"counter\",\"name\":\"c\\nx\",\"delta\":7}\n");
-        let mut val = String::new();
-        Record::Value("h".into(), 9).write_jsonl(&mut val);
-        assert_eq!(val, "{\"t\":\"value\",\"name\":\"h\",\"value\":9}\n");
     }
 }

@@ -1,12 +1,11 @@
 //! The exported trace model: completed spans, events, counters and
-//! histograms, with JSON (de)serialisation through `rt::json::Value` — both
-//! the pretty whole-trace document and the streaming JSONL record format the
-//! [`crate::StreamSink`] writes — and the aggregation queries the
+//! histograms; the reader of the one trace file format, JSONL records as
+//! [`crate::StreamSink`] writes them; and the aggregation queries the
 //! `citroen-trace` CLI is built on (per-name self/total time, parent/child
 //! coverage, flame stacks).
 
 use crate::hist::Histogram;
-use citroen_rt::json::{JsonError, Value};
+use citroen_rt::json::Value;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
@@ -195,122 +194,18 @@ impl Trace {
         stacks
     }
 
-    // -- JSON ---------------------------------------------------------------
+    // -- JSONL ---------------------------------------------------------------
 
-    /// Build the JSON value tree for this trace.
-    pub fn to_json(&self) -> Value {
-        let spans = Value::Arr(self.spans.iter().map(span_to_json).collect());
-        let events = Value::Arr(self.events.iter().map(event_to_json).collect());
-        let counters = Value::Obj(
-            self.counters.iter().map(|(k, v)| (k.clone(), Value::U64(*v))).collect(),
-        );
-        let hists = Value::Obj(
-            self.hists.iter().map(|(k, h)| (k.clone(), hist_to_json(h))).collect(),
-        );
-        Value::Obj(vec![
-            ("version".into(), Value::U64(1)),
-            ("spans".into(), spans),
-            ("events".into(), events),
-            ("counters".into(), counters),
-            ("histograms".into(), hists),
-        ])
-    }
-
-    /// Serialise as pretty-printed JSON.
-    pub fn emit_pretty(&self) -> String {
-        self.to_json().emit_pretty()
-    }
-
-    /// Serialise as streaming JSONL: a `meta` header line followed by one
-    /// line per span, event, counter total, and histogram — exactly the
-    /// record vocabulary [`Trace::parse_jsonl`] accepts, so
-    /// `parse_jsonl(to_jsonl(t)) == t`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let mut line = |v: Value| {
-            out.push_str(&v.emit_compact());
-            out.push('\n');
-        };
-        line(meta_record());
-        for s in &self.spans {
-            line(tagged("span", span_to_json(s)));
-        }
-        for e in &self.events {
-            line(tagged("event", event_to_json(e)));
-        }
-        for (k, v) in &self.counters {
-            line(Value::Obj(vec![
-                ("t".into(), Value::str("counter")),
-                ("name".into(), Value::str(k.clone())),
-                ("delta".into(), Value::U64(*v)),
-            ]));
-        }
-        for (k, h) in &self.hists {
-            let mut obj = vec![
-                ("t".into(), Value::str("hist")),
-                ("name".into(), Value::str(k.clone())),
-            ];
-            if let Value::Obj(pairs) = hist_to_json(h) {
-                obj.extend(pairs);
-            }
-            line(Value::Obj(obj));
-        }
-        out
-    }
-
-    /// Rebuild a trace from its JSON value tree.
-    pub fn from_json(v: &Value) -> Result<Trace, String> {
-        let version = v
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or("trace missing 'version'")?;
-        if version != 1 {
-            return Err(format!("unsupported trace version {version}"));
-        }
-        let mut t = Trace::new();
-        for s in v.get("spans").and_then(Value::as_arr).ok_or("trace missing 'spans'")? {
-            t.spans.push(span_from_json(s)?);
-        }
-        if let Some(events) = v.get("events").and_then(Value::as_arr) {
-            for e in events {
-                t.events.push(event_from_json(e)?);
-            }
-        }
-        if let Some(Value::Obj(pairs)) = v.get("counters") {
-            for (k, c) in pairs {
-                t.counters.insert(
-                    k.clone(),
-                    c.as_u64().ok_or(format!("counter '{k}' is not an integer"))?,
-                );
-            }
-        }
-        if let Some(Value::Obj(pairs)) = v.get("histograms") {
-            for (k, hv) in pairs {
-                t.hists.insert(k.clone(), hist_from_json(k, hv)?);
-            }
-        }
-        Ok(t)
-    }
-
-    /// Parse a trace from its pretty-printed JSON text.
-    pub fn parse(text: &str) -> Result<Trace, String> {
-        let v = Value::parse(text).map_err(|e: JsonError| e.to_string())?;
-        Trace::from_json(&v)
-    }
-
-    /// Parse a streamed JSONL trace: one record object per line, tagged by
-    /// its `"t"` field (`meta`/`span`/`event`/`counter`/`value`/`hist`).
-    /// Counter deltas sum, `value` observations accumulate into histograms,
-    /// and full `hist` records merge — replaying a stream reconstructs
-    /// exactly what an in-memory sink would have aggregated. Strict: any
-    /// malformed line is an error (use [`Trace::parse_jsonl_lossy`] for
-    /// live/truncated files).
+    /// Parse a JSONL trace: one record object per line, tagged by its `"t"`
+    /// field (`meta`/`span`/`event`/`counter`/`value`). Counter deltas sum
+    /// and `value` observations accumulate into histograms, so replaying a
+    /// stream reconstructs exactly what an in-memory sink would have
+    /// aggregated. Strict: any malformed line is an error (use
+    /// [`Trace::parse_jsonl_lossy`] for live/truncated files).
     pub fn parse_jsonl(text: &str) -> Result<Trace, String> {
         let mut t = Trace::new();
-        for (i, lineno, line) in nonempty_lines(text) {
-            apply_record_line(&mut t, line)
-                .map_err(|e| format!("line {lineno}: {e}"))?;
-            let _ = i;
+        for (lineno, line) in nonempty_lines(text) {
+            apply_record_line(&mut t, line).map_err(|e| format!("line {lineno}: {e}"))?;
         }
         Ok(t)
     }
@@ -321,55 +216,18 @@ impl Trace {
     pub fn parse_jsonl_lossy(text: &str) -> (Trace, usize) {
         let mut t = Trace::new();
         let mut skipped = 0usize;
-        for (_, _, line) in nonempty_lines(text) {
+        for (_, line) in nonempty_lines(text) {
             if apply_record_line(&mut t, line).is_err() {
                 skipped += 1;
             }
         }
         (t, skipped)
     }
-
-    /// Parse either trace format: streamed JSONL (first line is a tagged
-    /// record, `{"t":...}`) or the pretty whole-trace document. This is what
-    /// lets `show`/`check`/`diff` consume both.
-    pub fn parse_any(text: &str) -> Result<Trace, String> {
-        let head = text.trim_start();
-        if head.starts_with("{\"t\"") {
-            Trace::parse_jsonl(text)
-        } else {
-            Trace::parse(text)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Per-record (de)serialisation, shared by the document and JSONL formats
+// Record parsing
 // ---------------------------------------------------------------------------
-
-/// The JSONL stream header record.
-pub(crate) fn meta_record() -> Value {
-    Value::Obj(vec![("t".into(), Value::str("meta")), ("version".into(), Value::U64(1))])
-}
-
-/// Prefix an object with the JSONL `"t"` tag.
-pub(crate) fn tagged(tag: &str, v: Value) -> Value {
-    let mut obj = vec![("t".into(), Value::str(tag))];
-    if let Value::Obj(pairs) = v {
-        obj.extend(pairs);
-    }
-    Value::Obj(obj)
-}
-
-pub(crate) fn span_to_json(s: &SpanRecord) -> Value {
-    Value::Obj(vec![
-        ("id".into(), Value::U64(s.id)),
-        ("parent".into(), Value::U64(s.parent)),
-        ("name".into(), Value::str(s.name.clone())),
-        ("thread".into(), Value::U64(s.thread)),
-        ("start_ns".into(), Value::U64(s.start_ns)),
-        ("dur_ns".into(), Value::U64(s.dur_ns)),
-    ])
-}
 
 fn span_from_json(s: &Value) -> Result<SpanRecord, String> {
     let field = |k: &str| -> Result<u64, String> {
@@ -387,19 +245,6 @@ fn span_from_json(s: &Value) -> Result<SpanRecord, String> {
         start_ns: field("start_ns")?,
         dur_ns: field("dur_ns")?,
     })
-}
-
-pub(crate) fn event_to_json(e: &EventRecord) -> Value {
-    Value::Obj(vec![
-        ("name".into(), Value::str(e.name.clone())),
-        ("span".into(), Value::U64(e.span)),
-        ("thread".into(), Value::U64(e.thread)),
-        ("at_ns".into(), Value::U64(e.at_ns)),
-        (
-            "fields".into(),
-            Value::Obj(e.fields.iter().map(|(k, v)| (k.clone(), Value::U64(*v))).collect()),
-        ),
-    ])
 }
 
 fn event_from_json(e: &Value) -> Result<EventRecord, String> {
@@ -430,58 +275,9 @@ fn event_from_json(e: &Value) -> Result<EventRecord, String> {
     })
 }
 
-fn hist_to_json(h: &Histogram) -> Value {
-    // Buckets are sparse in practice: emit `[index, count]` pairs for the
-    // non-empty ones.
-    let buckets = Value::Arr(
-        h.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| Value::Arr(vec![Value::U64(i as u64), Value::U64(*c)]))
-            .collect(),
-    );
-    Value::Obj(vec![
-        ("count".into(), Value::U64(h.count)),
-        ("sum".into(), Value::U64(h.sum)),
-        ("min".into(), Value::U64(if h.count == 0 { 0 } else { h.min })),
-        ("max".into(), Value::U64(h.max)),
-        ("buckets".into(), buckets),
-    ])
-}
-
-fn hist_from_json(k: &str, hv: &Value) -> Result<Histogram, String> {
-    let field = |f: &str| -> Result<u64, String> {
-        hv.get(f).and_then(Value::as_u64).ok_or(format!("histogram '{k}' missing '{f}'"))
-    };
-    let mut h = Histogram::new();
-    h.count = field("count")?;
-    h.sum = field("sum")?;
-    h.max = field("max")?;
-    h.min = if h.count == 0 { u64::MAX } else { field("min")? };
-    for pair in hv
-        .get("buckets")
-        .and_then(Value::as_arr)
-        .ok_or(format!("histogram '{k}' missing 'buckets'"))?
-    {
-        let p = pair.as_arr().filter(|p| p.len() == 2);
-        let (i, c) = match p.map(|p| (p[0].as_u64(), p[1].as_u64())) {
-            Some((Some(i), Some(c))) => (i, c),
-            _ => return Err(format!("histogram '{k}': malformed bucket entry")),
-        };
-        *h.buckets
-            .get_mut(i as usize)
-            .ok_or(format!("histogram '{k}': bucket index {i} out of range"))? = c;
-    }
-    Ok(h)
-}
-
-/// Iterate `(index, 1-based line number, line)` over non-empty lines.
-fn nonempty_lines(text: &str) -> impl Iterator<Item = (usize, usize, &str)> {
-    text.lines()
-        .enumerate()
-        .map(|(i, l)| (i, i + 1, l.trim()))
-        .filter(|(_, _, l)| !l.is_empty())
+/// Iterate `(1-based line number, line)` over non-empty lines.
+fn nonempty_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())).filter(|(_, l)| !l.is_empty())
 }
 
 /// Apply one JSONL record line to an accumulating trace.
@@ -508,11 +304,6 @@ fn apply_record_line(t: &mut Trace, line: &str) -> Result<(), String> {
             let val = v.get("value").and_then(Value::as_u64).ok_or("value missing 'value'")?;
             t.hists.entry(name.to_string()).or_default().record(val);
         }
-        "hist" => {
-            let name = v.get("name").and_then(Value::as_str).ok_or("hist missing 'name'")?;
-            let h = hist_from_json(name, &v)?;
-            t.hists.entry(name.to_string()).or_default().merge(&h);
-        }
         other => return Err(format!("unknown record tag '{other}'")),
     }
     Ok(())
@@ -521,10 +312,15 @@ fn apply_record_line(t: &mut Trace, line: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::HEADER;
+    use crate::Record;
 
     fn span(id: u64, parent: u64, name: &str, start: u64, dur: u64) -> SpanRecord {
         SpanRecord { id, parent, name: name.into(), thread: 1, start_ns: start, dur_ns: dur }
     }
+
+    /// The observations behind `sample()`'s `cycles` histogram.
+    const CYCLES: [u64; 4] = [1, 2, 3, 1000];
 
     fn sample() -> Trace {
         let mut t = Trace::new();
@@ -535,7 +331,7 @@ mod tests {
         t.spans.push(span(1, 0, "root", 0, 100));
         t.counters.insert("compiles".into(), 42);
         let mut h = Histogram::new();
-        for v in [1, 2, 3, 1000] {
+        for v in CYCLES {
             h.record(v);
         }
         t.hists.insert("cycles".into(), h);
@@ -635,45 +431,42 @@ mod tests {
         assert_eq!(hot[1].name, "a");
     }
 
-    #[test]
-    fn json_roundtrip() {
+    /// `sample()` as the stream writer encodes it, its histogram as the
+    /// `value` observations that built it.
+    fn sample_jsonl() -> String {
         let t = sample();
-        let text = t.emit_pretty();
-        let back = Trace::parse(&text).unwrap();
-        assert_eq!(back, t);
-        // Empty trace round-trips too.
-        let empty = Trace::new();
-        assert_eq!(Trace::parse(&empty.emit_pretty()).unwrap(), empty);
+        let mut out = HEADER.to_string();
+        for s in &t.spans {
+            Record::Span(s.clone()).write_jsonl(&mut out);
+        }
+        for e in &t.events {
+            Record::Event(e.clone()).write_jsonl(&mut out);
+        }
+        for (k, v) in &t.counters {
+            Record::Counter(k.as_str().into(), *v).write_jsonl(&mut out);
+        }
+        for v in CYCLES {
+            Record::Value("cycles".into(), v).write_jsonl(&mut out);
+        }
+        out
     }
 
     #[test]
-    fn jsonl_roundtrip_and_format_sniffing() {
+    fn jsonl_roundtrip() {
         let t = sample();
-        let text = t.to_jsonl();
-        assert!(text.starts_with("{\"t\":\"meta\""));
-        let back = Trace::parse_jsonl(&text).unwrap();
-        assert_eq!(back, t);
-        // parse_any dispatches on the leading record tag.
-        assert_eq!(Trace::parse_any(&text).unwrap(), t);
-        assert_eq!(Trace::parse_any(&t.emit_pretty()).unwrap(), t);
+        assert_eq!(Trace::parse_jsonl(&sample_jsonl()).unwrap(), t);
+        // A header-only stream is the empty trace.
+        assert_eq!(Trace::parse_jsonl(HEADER).unwrap(), Trace::new());
         // Counter deltas accumulate across lines.
         let split = "{\"t\":\"counter\",\"name\":\"c\",\"delta\":2}\n\
                      {\"t\":\"counter\",\"name\":\"c\",\"delta\":3}\n";
         assert_eq!(Trace::parse_jsonl(split).unwrap().counters["c"], 5);
-        // `value` observations build the same histogram record() would.
-        let vals = "{\"t\":\"value\",\"name\":\"h\",\"value\":1}\n\
-                    {\"t\":\"value\",\"name\":\"h\",\"value\":1000}\n";
-        let vt = Trace::parse_jsonl(vals).unwrap();
-        let mut want = Histogram::new();
-        want.record(1);
-        want.record(1000);
-        assert_eq!(vt.hists["h"], want);
     }
 
     #[test]
     fn jsonl_lossy_skips_torn_lines() {
         let t = sample();
-        let mut text = t.to_jsonl();
+        let mut text = sample_jsonl();
         // Simulate a crash mid-write: truncate the final line.
         text.truncate(text.len() - 10);
         assert!(Trace::parse_jsonl(&text).is_err());
@@ -692,19 +485,5 @@ mod tests {
         assert!(Trace::parse_jsonl("{\"t\":\"counter\",\"name\":\"c\"}").is_err());
         let bad_event = "{\"t\":\"event\",\"name\":\"e\",\"span\":0,\"thread\":1,\"at_ns\":0}";
         assert!(Trace::parse_jsonl(bad_event).is_err());
-    }
-
-    #[test]
-    fn json_rejects_malformed() {
-        assert!(Trace::parse("not json").is_err());
-        assert!(Trace::parse("{}").is_err()); // no version
-        assert!(Trace::parse("{\"version\": 2, \"spans\": []}").is_err());
-        assert!(Trace::parse("{\"version\": 1}").is_err()); // no spans
-        let bad_span = "{\"version\": 1, \"spans\": [{\"id\": 1}]}";
-        assert!(Trace::parse(bad_span).is_err());
-        let bad_bucket = "{\"version\": 1, \"spans\": [], \"histograms\": \
-                          {\"h\": {\"count\": 1, \"sum\": 1, \"min\": 1, \"max\": 1, \
-                          \"buckets\": [[99, 1], [1, 1]]}}}";
-        assert!(Trace::parse(bad_bucket).is_err());
     }
 }

@@ -89,7 +89,7 @@ fn par_workers_attribute_to_calling_span() {
 }
 
 #[test]
-fn counters_and_histograms_accumulate_and_roundtrip() {
+fn counters_and_histograms_accumulate() {
     let _g = serialised();
     let t = capture(|| {
         telemetry::counter("c.a", 2);
@@ -103,9 +103,6 @@ fn counters_and_histograms_accumulate_and_roundtrip() {
     assert!(!t.counters.contains_key("c.zero"));
     let h = &t.hists["h.x"];
     assert_eq!((h.count, h.sum, h.min, h.max), (2, 4101, 5, 4096));
-    // Full JSON round-trip of a real capture.
-    let back = Trace::parse(&t.emit_pretty()).unwrap();
-    assert_eq!(back, t);
 }
 
 #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a change must pass before it lands.
 #
-#   1. release build of the whole workspace (binaries included)
+#   1. release build of the whole workspace (binaries included), plus a
+#      type check of the benchmark harness (`perfbench/`, its own cargo
+#      workspace), so an API change that breaks the harness fails here
 #   2. the root-package test suite (integration, fuzz-differential,
 #      property, hermeticity)
 #   3. a 30-second `citroen-analyze --smoke` fuzz campaign: random modules
@@ -10,39 +12,37 @@
 #   4. a 30-second `citroen-analyze oracle` soundness campaign: 500 module
 #      x sequence trials executing every CannotFire precondition verdict
 #      (plus the pass-interaction graph derivation over the suite)
-#   5. the telemetry gate: a traced tuning run must export a well-formed
-#      trace whose `iteration` spans are >=90% covered by their
-#      compile/measure/fit/acquire children (`citroen-trace check`), and
-#      the disabled-path overhead must stay within the pinned budget
-#      (`micro --telemetry-gate`)
-#   6. the streaming gate: the same tuning run streamed as JSONL must pass
-#      `check`, render a monotone convergence curve (`curve`), export
-#      flamegraph stacks (`flame`), match a fresh baseline of itself
-#      (`regress` exit 0), and keep the marginal streaming overhead within
-#      the pinned budget (`micro --stream-gate`)
-#   7. the batch gate: two q=4 batched tuning runs with the same seed must
+#   5. the telemetry gate: one traced tuning run streams a JSONL trace that
+#      must be well-formed with `iteration` spans >=90% covered by their
+#      compile/measure/fit/acquire children (`citroen-trace check`), render
+#      a monotone convergence curve (`curve`), export flamegraph stacks
+#      (`flame`), and match a fresh baseline of itself (`regress` exit 0);
+#      the disabled-path overhead (`micro --telemetry-gate`) and the
+#      marginal streaming overhead (`micro --stream-gate`) must stay within
+#      their pinned budgets
+#   6. the batch gate: two q=4 batched tuning runs with the same seed must
 #      be bit-identical, and the q=4 wall clock must beat q=1 by the
 #      pinned floor (3x on >=4 worker threads, 1.5x below that)
 #      (`micro --batch-gate`)
-#   8. the subsumption gate: a >=100-trial `citroen-analyze subsume` smoke
+#   7. the subsumption gate: a >=100-trial `citroen-analyze subsume` smoke
 #      campaign replaying the canonicalizer's drop decisions (every
 #      predicted drop executed and checked as a behavioural no-op, exit 1
 #      on any violation), then a q=4 batched tuning run with
 #      subsume-collapse on and the S1-S8 sanitizer armed end to end
 #      (CITROEN_SANITIZE=1)
-#   9. the alias gate: a 50-state `citroen-analyze alias-oracle --smoke`
+#   8. the alias gate: a 50-state `citroen-analyze alias-oracle --smoke`
 #      soundness campaign (every same-block No/Must alias verdict checked
 #      against concrete access addresses), a `mine-edges --smoke` mining +
 #      executed-drop promotion pass, and the shipped suite compiled at -O3
 #      with the full S1-S11 sanitizer armed (`validate`, which includes
 #      the alias-aware S9-S11 rules) — all exit 1 on any finding
-#  10. the serve gate: `citroen-serve bench` spawns the multi-tenant
+#   9. the serve gate: `citroen-serve bench` spawns the multi-tenant
 #      daemon and replays a concurrent job mix over stdio — two jobs run
 #      concurrently plus a same-seed replay; results must be bit-identical
 #      to standalone runs at the same seeds, the replay must hit the shared
 #      cross-tenant compile cache, a third job is cancelled mid-run, and
 #      the daemon must drain gracefully (exit 0 only if all hold)
-#  11. the observability gate: `micro --metrics-gate` bounds the metrics
+#  10. the observability gate: `micro --metrics-gate` bounds the metrics
 #      plane's cost (windowed-registry hot path per op, a full snapshot
 #      read-out, and the marginal wall clock of a metrics-feeding sink over
 #      a memory sink on a real tuning run), then `citroen-serve smoke`
@@ -53,8 +53,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release"
+echo "== cargo build --release (+ perfbench type check)"
 cargo build --release
+cargo check --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test -q"
 cargo test -q
@@ -65,25 +66,19 @@ timeout 30 ./target/release/citroen-analyze --smoke
 echo "== citroen-analyze oracle (500 soundness trials, 30s budget)"
 timeout 30 ./target/release/citroen-analyze oracle > /dev/null
 
-echo "== telemetry: traced run + trace structure + overhead gate"
+echo "== telemetry: traced run + check/curve/flame/regress + overhead gates"
 # micro lives in the citroen-bench member package, not the root package.
 cargo build --release -q -p citroen-bench --bin micro
 trace_file="$(mktemp)"
-trap 'rm -f "$trace_file"' EXIT
+baseline_file="$(mktemp)"
+trap 'rm -f "$trace_file" "$baseline_file"' EXIT
 timeout 60 ./target/release/citroen-trace record --budget 10 --out "$trace_file"
 timeout 30 ./target/release/citroen-trace check "$trace_file"
+timeout 30 ./target/release/citroen-trace curve "$trace_file"
+timeout 30 ./target/release/citroen-trace flame "$trace_file" > /dev/null
+timeout 30 ./target/release/citroen-trace baseline "$trace_file" --out "$baseline_file"
+timeout 30 ./target/release/citroen-trace regress "$trace_file" --baseline "$baseline_file"
 timeout 120 ./target/release/micro --telemetry-gate
-
-echo "== streaming: JSONL trace + curve/flame + regression self-check + overhead gate"
-stream_file="$(mktemp)"
-baseline_file="$(mktemp)"
-trap 'rm -f "$trace_file" "$stream_file" "$baseline_file"' EXIT
-timeout 60 ./target/release/citroen-trace record --budget 10 --stream-out "$stream_file"
-timeout 30 ./target/release/citroen-trace check "$stream_file"
-timeout 30 ./target/release/citroen-trace curve "$stream_file"
-timeout 30 ./target/release/citroen-trace flame "$stream_file" > /dev/null
-timeout 30 ./target/release/citroen-trace baseline "$stream_file" --out "$baseline_file"
-timeout 30 ./target/release/citroen-trace regress "$stream_file" --baseline "$baseline_file"
 timeout 300 ./target/release/micro --stream-gate
 
 echo "== batched loop: determinism + wall-clock speedup gate"
@@ -92,7 +87,7 @@ timeout 300 ./target/release/micro --batch-gate
 echo "== subsumption: drop-soundness campaign + sanitized collapsed run"
 timeout 60 ./target/release/citroen-analyze subsume --modules 10 --seqs 10
 CITROEN_SANITIZE=1 timeout 120 ./target/release/citroen-trace record \
-    --bench telecom_gsm --budget 6 --batch 4 --subsume --seed 9 > /dev/null
+    --bench telecom_gsm --budget 6 --batch 4 --subsume --seed 9 --out "$trace_file"
 
 echo "== alias: soundness smoke + edge mining + sanitized -O3 suite (S1-S11)"
 timeout 60 ./target/release/citroen-analyze alias-oracle --smoke

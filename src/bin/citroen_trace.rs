@@ -1,9 +1,8 @@
 //! `citroen-trace`: capture and analyse telemetry traces of the tuning stack.
 //!
-//! Capture: **record** runs a small CITROEN tuning run with a telemetry sink
-//! installed — in-memory (`--out`, pretty JSON) or streaming (`--stream-out`,
-//! JSONL through [`telemetry::StreamSink`]). Every analysis mode accepts
-//! both formats (sniffed by the leading `{"t":...}` record tag).
+//! Capture: **record** runs a small CITROEN tuning run and streams its
+//! trace to `--out` through [`telemetry::StreamSink`]. Traces have one
+//! format, JSONL (one record per line), which every analysis mode reads.
 //!
 //! Analysis: **show** (self/total breakdown, hottest spans, counters,
 //! histograms), **check** (structural assertions — the tier-1 telemetry
@@ -29,7 +28,7 @@ const USAGE: &str = "\
 citroen-trace — telemetry capture and trace analysis
 
 USAGE:
-    citroen-trace record [--out FILE | --stream-out FILE [--stream-cap N]]
+    citroen-trace record --out FILE [--stream-cap N]
                          [--bench NAME] [--budget N] [--seq-len N] [--seed S]
                          [--oracle] [--subsume] [--batch Q]
     citroen-trace show FILE [--top N] [--json]
@@ -44,8 +43,8 @@ USAGE:
     citroen-trace top --socket PATH [--once | --count N] [--interval-ms MS]
 
 MODES:
-    record           run a traced tuning run; write pretty JSON (--out /
-                     stdout) or stream JSONL records live (--stream-out)
+    record           run a traced tuning run, streaming its JSONL trace live
+                     to --out (required)
     show             breakdown table + hottest spans + counters + histograms
                      (--json: machine-readable summary, exit codes unchanged)
     check            assert expected span kinds and iteration coverage
@@ -64,6 +63,7 @@ MODES:
                      gate: one poll, exit 0 healthy / 1 degraded)
 
 RECORD OPTIONS:
+    --out FILE       the JSONL trace file to write (required)
     --bench NAME     benchmark to tune            [default: telecom_gsm]
     --budget N       runtime-measurement budget   [default: 12]
     --seq-len N      pass-sequence length         [default: 16]
@@ -71,7 +71,7 @@ RECORD OPTIONS:
     --oracle         enable oracle pruning (canonicalizer counters)
     --subsume        enable work-class subsumption collapse
     --batch Q        batched measurement lookahead        [default: 1]
-    --stream-cap N   rotate the JSONL stream at ~N bytes per file, keeping
+    --stream-cap N   rotate the trace at ~N bytes per file, keeping
                      FILE.1 and FILE.2 (disk bounded at ~3 caps)
 
 REGRESS OPTIONS:
@@ -101,7 +101,7 @@ fn parse_num(args: &mut std::env::Args, flag: &str) -> u64 {
 fn load(path: &str) -> Trace {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read '{path}': {e}")));
-    Trace::parse_any(&text).unwrap_or_else(|e| die(&format!("'{path}': {e}")))
+    Trace::parse_jsonl(&text).unwrap_or_else(|e| die(&format!("'{path}': {e}")))
 }
 
 /// Nanoseconds → fixed-width human milliseconds.
@@ -134,16 +134,12 @@ fn main() {
 
 fn record(mut args: std::env::Args) {
     let (mut out, mut bench) = (None::<String>, "telecom_gsm".to_string());
-    let mut stream_out = None::<String>;
     let mut stream_cap = None::<u64>;
     let (mut budget, mut seq_len, mut seed) = (12usize, 16usize, 1u64);
     let (mut oracle, mut subsume, mut batch) = (false, false, 1usize);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a file"))),
-            "--stream-out" => {
-                stream_out = Some(args.next().unwrap_or_else(|| die("--stream-out needs a file")))
-            }
             "--stream-cap" => stream_cap = Some(parse_num(&mut args, "--stream-cap")),
             "--bench" => bench = args.next().unwrap_or_else(|| die("--bench needs a name")),
             "--budget" => budget = parse_num(&mut args, "--budget") as usize,
@@ -155,12 +151,7 @@ fn record(mut args: std::env::Args) {
             other => die(&format!("record: unknown argument '{other}'")),
         }
     }
-    if out.is_some() && stream_out.is_some() {
-        die("record: --out and --stream-out are mutually exclusive");
-    }
-    if stream_cap.is_some() && stream_out.is_none() {
-        die("record: --stream-cap only applies with --stream-out");
-    }
+    let path = out.unwrap_or_else(|| die("record needs --out FILE"));
     let b = citroen_suite::all_benchmarks()
         .into_iter()
         .find(|b| b.name == bench)
@@ -170,15 +161,9 @@ fn record(mut args: std::env::Args) {
             die(&format!("unknown benchmark '{bench}'; have: {}", names.join(", ")))
         });
 
-    match &stream_out {
-        Some(path) => match stream_cap {
-            Some(cap) => telemetry::enable_stream_capped(path, cap)
-                .unwrap_or_else(|e| die(&format!("cannot stream to '{path}': {e}"))),
-            None => telemetry::enable_stream(path)
-                .unwrap_or_else(|e| die(&format!("cannot stream to '{path}': {e}"))),
-        },
-        None => telemetry::enable(),
-    }
+    let sink = telemetry::StreamSink::create_with_cap(&path, stream_cap)
+        .unwrap_or_else(|e| die(&format!("cannot stream to '{path}': {e}")));
+    telemetry::install(Box::new(sink));
     let mut task = Task::new(
         b,
         Registry::full(),
@@ -196,41 +181,21 @@ fn record(mut args: std::env::Args) {
     };
     let (trace, _) = run_citroen(&mut task, budget, &cfg);
 
-    if let Some(path) = &stream_out {
-        // Dropping the sink joins the writer thread and flushes the file.
-        drop(telemetry::disable());
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read back '{path}': {e}")));
-        let telem = Trace::parse_jsonl(&text)
-            .unwrap_or_else(|e| die(&format!("streamed trace '{path}': {e}")));
-        eprintln!(
-            "[record] {bench}: best {:.3e}s over {} measurements; streamed {} lines \
-             ({} spans, {} events) to {path}",
-            trace.best(),
-            task.measurements,
-            text.lines().count(),
-            telem.spans.len(),
-            telem.events.len()
-        );
-        return;
-    }
-
-    let telem = telemetry::take_trace().expect("memory sink must yield a trace");
-    telemetry::disable();
-
+    // Dropping the sink joins the writer thread and flushes the file.
+    drop(telemetry::disable());
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| die(&format!("cannot read back '{path}': {e}")));
+    let telem = Trace::parse_jsonl(&text)
+        .unwrap_or_else(|e| die(&format!("streamed trace '{path}': {e}")));
     eprintln!(
-        "[record] {bench}: best {:.3e}s over {} measurements, {} spans, {} counters",
+        "[record] {bench}: best {:.3e}s over {} measurements; streamed {} lines \
+         ({} spans, {} events) to {path}",
         trace.best(),
         task.measurements,
+        text.lines().count(),
         telem.spans.len(),
-        telem.counters.len()
+        telem.events.len()
     );
-    let text = telem.emit_pretty();
-    match out {
-        Some(path) => std::fs::write(&path, text)
-            .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}"))),
-        None => println!("{text}"),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -232,6 +232,24 @@ fn trace_usage_errors_exit_2() {
 }
 
 #[test]
+fn trace_record_writes_a_trace_that_check_accepts() {
+    let file = std::env::temp_dir()
+        .join(format!("citroen-exit-{}-record.jsonl", std::process::id()));
+    let path = file.to_str().unwrap();
+    let out = trace_bin(&["record", "--budget", "10", "--out", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = trace_bin(&["check", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("trace OK"));
+    let _ = std::fs::remove_file(file);
+
+    // The output file is required.
+    let out = trace_bin(&["record", "--budget", "10"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--out"), "usage error names --out");
+}
+
+#[test]
 fn trace_check_and_curve_accept_a_streamed_tuning_trace() {
     let good = temp_text("good.jsonl", &tuning_jsonl(1));
     let path = good.to_str().unwrap();

@@ -10,13 +10,19 @@
 //! genome twice (such as a second compile of the q=1 pick) fails the gate
 //! even though every digest holds.
 //!
-//! On a mismatch the test prints the whole observed table in the source
+//! A second table pins `run_multimodule` the same way: one spec_imgproc
+//! task with three hot modules under every allocation policy, pinning the
+//! `trace_digest`, a digest of the per-step module choices, and the
+//! measurement and compile counts.
+//!
+//! On a mismatch each test prints its whole observed table in the source
 //! format below, so an intended trajectory change can be re-pinned by
-//! pasting it over `GOLDEN`.
+//! pasting it over `GOLDEN` or `MULTI_GOLDEN`.
 
 use citroen::core::{
-    run_citroen_session, trace_digest, CitroenConfig, FeatureKind, GeneratorKind, SessionCtl,
-    SessionEnv, SharedCompileCache, Task, TaskConfig,
+    run_citroen_session, run_multimodule, trace_digest, Allocation, CitroenConfig, FeatureKind,
+    GeneratorKind, MultiModuleConfig, SessionCtl, SessionEnv, SharedCompileCache, Task,
+    TaskConfig,
 };
 use citroen::passes::Registry;
 use citroen::sim::Platform;
@@ -255,4 +261,91 @@ fn tuning_loop_trajectories_match_the_golden_table() {
         }
     }
     assert!(failures.is_empty(), "{}\nobserved table:\n{table}", failures.join("\n"));
+}
+
+/// `(policy, seed, trace_digest, allocation-log digest, measurements,
+/// compilations)`.
+type MultiGolden = (&'static str, u64, u64, u64, usize, usize);
+
+#[rustfmt::skip]
+const MULTI_GOLDEN: &[MultiGolden] = &[
+    ("adaptive", 1, 0xd2f9c68e2a90ed90, 0x12b7bf086e973f2d, 12, 282),
+    ("adaptive", 2, 0xf27c0737b7e18efb, 0xe0f0095e32c39f6d, 12, 192),
+    ("round-robin", 1, 0x13b35d5389cbc042, 0x687f62cadcadb86e, 12, 174),
+    ("round-robin", 2, 0x8b61d1e4ffcbccb2, 0x9247480e40bbf1ad, 12, 228),
+    ("uniform", 1, 0x3deda6d09884dec7, 0x57db8cca8a2af7ee, 12, 246),
+    ("uniform", 2, 0xa09990400708783c, 0xeb7a92e88d7cb10d, 12, 282),
+];
+
+/// spec_imgproc with its profiled hot modules topped up to three, so every
+/// policy has a real allocation choice to make.
+fn imgproc_task(seed: u64) -> Task {
+    let mut task = Task::new(
+        citroen::suite::speclike::spec_imgproc(),
+        Registry::full(),
+        Platform::tx2(),
+        TaskConfig { seq_len: 12, seed, ..Default::default() },
+    );
+    let nmods = task.benchmark().modules.len();
+    for i in 0..nmods {
+        if task.hot_modules.len() >= 3 {
+            break;
+        }
+        if !task.hot_modules.contains(&i) {
+            task.hot_modules.push(i);
+        }
+    }
+    assert_eq!(task.hot_modules.len(), 3, "spec_imgproc has fewer than three modules");
+    task
+}
+
+/// FNV-1a over the allocation log (`usize::MAX` marks a joint init step).
+fn allocation_digest(log: &[usize]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &m in log {
+        for byte in (m as u64).to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+#[test]
+fn multimodule_trajectories_match_the_golden_table() {
+    let mut runs = Vec::new();
+    for (label, allocation) in [
+        ("adaptive", Allocation::Adaptive),
+        ("round-robin", Allocation::RoundRobin),
+        ("uniform", Allocation::Uniform),
+    ] {
+        for seed in 1..=2u64 {
+            runs.push((label, allocation, seed));
+        }
+    }
+    let observed: Vec<MultiGolden> =
+        citroen::rt::par::par_map(runs, |(label, allocation, seed)| {
+            let mut task = imgproc_task(seed);
+            let cfg = MultiModuleConfig {
+                allocation,
+                candidates_per_module: 6,
+                init_random: 3,
+                seed,
+                ..Default::default()
+            };
+            let res = run_multimodule(&mut task, BUDGET, &cfg);
+            (
+                label,
+                seed,
+                trace_digest(&res.trace),
+                allocation_digest(&res.allocation_log),
+                task.measurements,
+                task.compilations,
+            )
+        });
+    let table: String = observed
+        .iter()
+        .map(|(l, s, d, a, m, c)| format!("    (\"{l}\", {s}, {d:#018x}, {a:#018x}, {m}, {c}),\n"))
+        .collect();
+    assert_eq!(observed, MULTI_GOLDEN, "observed table:\n{table}");
 }
