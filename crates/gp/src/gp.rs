@@ -2,7 +2,7 @@
 //! fitting — the surrogate model of both AIBO (Ch. 4) and CITROEN's cost
 //! model over compilation statistics (Ch. 5).
 
-use crate::kernel::{ArdKernel, KernelKind};
+use crate::kernel::{ArdKernel, KernelKind, ScaledKernel};
 use crate::linalg::{chol_inverse, chol_logdet, chol_solve, cholesky, Mat};
 use crate::transform::OutputTransform;
 
@@ -61,6 +61,8 @@ pub struct Gp {
     /// Transformed, standardised targets.
     z: Vec<f64>,
     kernel: ArdKernel,
+    /// `kernel` out of log space, for the posterior's pairwise loops.
+    scaled: ScaledKernel,
     log_noise: f64,
     chol: Mat,
     alpha: Vec<f64>,
@@ -120,8 +122,9 @@ impl Gp {
             }
         }
 
-        let (chol, alpha) = factorise(&x, &z, &kernel, log_noise);
-        Gp { x, z, kernel, log_noise, chol, alpha, transform, cfg }
+        let scaled = kernel.scaled();
+        let (chol, alpha) = factorise(&x, &z, &scaled, log_noise);
+        Gp { x, z, kernel, scaled, log_noise, chol, alpha, transform, cfg }
     }
 
     /// Posterior mean and variance at `q` (model/transformed space).
@@ -130,11 +133,11 @@ impl Gp {
         let n = self.x.rows;
         let mut kstar = vec![0.0; n];
         for i in 0..n {
-            kstar[i] = self.kernel.k(self.x.row(i), q);
+            kstar[i] = self.scaled.k(self.x.row(i), q);
         }
         let mean: f64 = kstar.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
         let vsolve = chol_solve(&self.chol, &kstar);
-        let kss = self.kernel.k(q, q);
+        let kss = self.scaled.k(q, q);
         let var = (kss - kstar.iter().zip(&vsolve).map(|(a, b)| a * b).sum::<f64>()).max(1e-12);
         (mean, var)
     }
@@ -200,12 +203,24 @@ impl Gp {
     }
 }
 
-fn factorise(x: &Mat, z: &[f64], kernel: &ArdKernel, log_noise: f64) -> (Mat, Vec<f64>) {
+/// `K + noise·I` over the rows of `x`. Only the lower triangle is
+/// evaluated: `k(xᵢ, xⱼ)` equals `k(xⱼ, xᵢ)` bit for bit, so mirroring it
+/// gives the matrix a full evaluation would.
+fn kernel_matrix(x: &Mat, kernel: &ScaledKernel, noise: f64) -> Mat {
     let n = x.rows;
-    let noise = log_noise.exp();
-    let kmat = Mat::from_fn(n, n, |i, j| {
-        kernel.k(x.row(i), x.row(j)) + if i == j { noise } else { 0.0 }
-    });
+    let mut kmat = Mat::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let v = kernel.k(x.row(i), x.row(j)) + if i == j { noise } else { 0.0 };
+            kmat.set(i, j, v);
+            kmat.set(j, i, v);
+        }
+    }
+    kmat
+}
+
+fn factorise(x: &Mat, z: &[f64], kernel: &ScaledKernel, log_noise: f64) -> (Mat, Vec<f64>) {
+    let kmat = kernel_matrix(x, kernel, log_noise.exp());
     let l = cholesky(&kmat).expect("kernel matrix must be PD with noise");
     let alpha = chol_solve(&l, z);
     (l, alpha)
@@ -222,9 +237,8 @@ fn log_marginal_and_grad(
     let n = x.rows;
     let d = kernel.dims();
     let noise = log_noise.exp();
-    let kmat = Mat::from_fn(n, n, |i, j| {
-        kernel.k(x.row(i), x.row(j)) + if i == j { noise } else { 0.0 }
-    });
+    let kernel = kernel.scaled();
+    let kmat = kernel_matrix(x, &kernel, noise);
     let Ok(l) = cholesky(&kmat) else {
         return (f64::NEG_INFINITY, None);
     };
@@ -233,15 +247,17 @@ fn log_marginal_and_grad(
         - 0.5 * chol_logdet(&l)
         - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
 
-    // dL/dθ = ½ tr((ααᵀ − K⁻¹) dK/dθ)
+    // dL/dθ = ½ tr((ααᵀ − K⁻¹) dK/dθ), summed pair by pair in row-major
+    // order (the order fixes every bit of the Adam trajectory).
     let kinv = chol_inverse(&l);
     let mut grad = vec![0.0; d + 2];
+    let mut gls = vec![0.0; d];
     for i in 0..n {
         for j in 0..n {
             let w = alpha[i] * alpha[j] - kinv.get(i, j);
-            let (_, gls, gsf) = kernel.k_grad(x.row(i), x.row(j));
-            for (gi, g) in gls.iter().enumerate() {
-                grad[gi] += 0.5 * w * g;
+            let (_, gsf) = kernel.k_grad(x.row(i), x.row(j), &mut gls);
+            for (acc, g) in grad.iter_mut().zip(&gls) {
+                *acc += 0.5 * w * g;
             }
             grad[d] += 0.5 * w * gsf;
             if i == j {

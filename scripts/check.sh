@@ -4,8 +4,11 @@
 #   1. release build of the whole workspace (binaries included), plus a
 #      type check of the benchmark harness (`perfbench/`, its own cargo
 #      workspace), so an API change that breaks the harness fails here
-#   2. the root-package test suite (integration, fuzz-differential,
-#      property, hermeticity)
+#   2. the test suites of the root package (integration, fuzz-differential,
+#      property, hermeticity, execution and GP goldens) and of the crates
+#      whose results those pin: citroen-ir (interpreter), citroen-sim,
+#      citroen-gp (kernel, linear algebra, regression) and citroen-suite
+#      (kernel goldens)
 #   3. a 30-second `citroen-analyze --smoke` fuzz campaign: random modules
 #      x random pass sequences through the verifier, the translation-
 #      validation sanitizer, and the interpreter differential
@@ -57,8 +60,8 @@ echo "== cargo build --release (+ perfbench type check)"
 cargo build --release
 cargo check --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo test -q"
-cargo test -q
+echo "== cargo test -q (root + ir, sim, gp, suite)"
+cargo test -q -p citroen -p citroen-ir -p citroen-sim -p citroen-gp -p citroen-suite
 
 echo "== citroen-analyze --smoke (30s budget)"
 timeout 30 ./target/release/citroen-analyze --smoke
