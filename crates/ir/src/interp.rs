@@ -6,11 +6,22 @@
 //! predictor to turn a trace into estimated seconds; differential testing
 //! compares the returned value and memory digest between the unoptimised and
 //! optimised module.
+//!
+//! [`run`] first lowers the module into a flat program of typed ops: every
+//! operand becomes a register index (immediates and global addresses sit in
+//! a per-function constant pool appended to the register file), each op's
+//! value type and [`OpClass`] are decided once, and every CFG edge carries
+//! its list of φ copies. The loop then only dispatches ops. `run` is
+//! generic over the sink, so it is monomorphised in the sink's crate; every
+//! non-generic helper the loop calls is `#[inline]` so that it can be
+//! inlined there too.
 
-use crate::inst::{BinOp, CastKind, CmpOp, FuncId, Inst, Operand, Term};
-use crate::module::{GlobalInit, Module};
+use std::collections::HashMap;
+
+use crate::inst::{BinOp, BlockId, CastKind, CmpOp, FuncId, Inst, Operand, Term, ValueId};
+use crate::module::{Function, GlobalInit, Module};
 use crate::print::Fnv64;
-use crate::types::{ScalarTy, MAX_LANES};
+use crate::types::{ScalarTy, Ty, I64, MAX_LANES};
 
 /// A runtime value. Vectors are stored inline (`MAX_LANES` slots + a length).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -322,13 +333,9 @@ impl Memory {
         Memory { data, global_addr, sp: global_end, limit: total }
     }
 
-    /// Address of global `g`.
-    fn global_addr(&self, g: usize) -> u64 {
-        self.global_addr[g]
-    }
-
     /// Bounds check `bytes` bytes at `addr`; an access whose end does not
     /// fit in 64 bits is out of bounds, not wrapped.
+    #[inline]
     fn check(&self, addr: u64, bytes: u32) -> Result<usize, Trap> {
         match addr.checked_add(bytes as u64) {
             Some(end) if addr >= GLOBAL_BASE && end <= self.limit => Ok(addr as usize),
@@ -337,6 +344,7 @@ impl Memory {
     }
 
     /// Read a scalar of type `ty` at `addr` (canonical sign-extended form for ints).
+    #[inline]
     fn read(&self, ty: ScalarTy, addr: u64) -> Result<Cell, Trap> {
         let a = self.check(addr, ty.bytes())?;
         let raw = match ty.bytes() {
@@ -353,6 +361,7 @@ impl Memory {
     }
 
     /// Write a scalar of type `ty` at `addr`.
+    #[inline]
     fn write(&mut self, ty: ScalarTy, addr: u64, v: Cell) -> Result<(), Trap> {
         let a = self.check(addr, ty.bytes())?;
         let bits = v.bits();
@@ -366,6 +375,7 @@ impl Memory {
     }
 
     /// Read `lanes` consecutive elements of type `s` at `addr`.
+    #[inline]
     fn read_vector(&self, s: ScalarTy, lanes: u8, addr: u64) -> Result<Value, Trap> {
         if s == ScalarTy::F64 {
             let mut xs = [0.0; MAX_LANES as usize];
@@ -383,6 +393,7 @@ impl Memory {
     }
 
     /// Write the first `lanes` elements of vector `v` as type `s` at `addr`.
+    #[inline]
     fn write_vector(&mut self, s: ScalarTy, lanes: u8, addr: u64, v: &Value) -> Result<(), Trap> {
         match v {
             Value::IV(xs, _) => {
@@ -400,6 +411,7 @@ impl Memory {
         Ok(())
     }
 
+    #[inline]
     fn alloca(&mut self, bytes: u32) -> Result<u64, Trap> {
         let addr = (self.sp + 7) & !7;
         if addr + bytes as u64 > self.limit {
@@ -427,6 +439,7 @@ impl Memory {
 
 /// Address of lane `i` of a vector of `s` elements at `addr`; a lane past
 /// the top of the address space is out of bounds, not wrapped.
+#[inline]
 fn lane_addr(addr: u64, i: usize, s: ScalarTy) -> Result<u64, Trap> {
     addr.checked_add(i as u64 * s.bytes() as u64).ok_or(Trap::OutOfBounds(addr))
 }
@@ -448,6 +461,7 @@ enum Cell {
 }
 
 impl Cell {
+    #[inline]
     fn as_i(self) -> i64 {
         match self {
             Cell::I(v) => v,
@@ -455,6 +469,7 @@ impl Cell {
         }
     }
 
+    #[inline]
     fn as_f(self) -> f64 {
         match self {
             Cell::F(v) => v,
@@ -463,6 +478,7 @@ impl Cell {
     }
 
     /// The scalar's bit pattern as stored to memory.
+    #[inline]
     fn bits(self) -> i64 {
         match self {
             Cell::I(x) => x,
@@ -472,21 +488,28 @@ impl Cell {
     }
 }
 
-/// The registers of one activation: a [`Cell`] per value of the function,
-/// plus a lane array holding its vector values. Only values that receive a
-/// vector (vector-typed values, in valid IR) get a lane slot; a value keeps
-/// its slot for the life of the frame.
+/// The registers of one activation: the [`FuncCode::template`] registers of
+/// its function, plus a lane array holding its vector values. Only values
+/// that receive a vector (vector-typed values, in valid IR) get a lane
+/// slot; a value keeps its slot for the life of the frame.
+#[derive(Default)]
 struct Frame {
     regs: Vec<Cell>,
     vecs: Vec<Value>,
 }
 
 impl Frame {
-    fn new(values: usize) -> Frame {
-        Frame { regs: vec![Cell::Undef; values], vecs: Vec::new() }
+    /// Start an activation of `code`: every value undefined, the constant
+    /// pool loaded.
+    #[inline]
+    fn reset(&mut self, code: &FuncCode) {
+        self.regs.clear();
+        self.regs.extend_from_slice(&code.template);
+        self.vecs.clear();
     }
 
     /// Write a value to register `d`.
+    #[inline]
     fn put(&mut self, d: usize, v: Value) {
         match v {
             Value::I(x) => self.regs[d] = Cell::I(x),
@@ -502,6 +525,7 @@ impl Frame {
     }
 
     /// Write `c`, read from this frame, to register `d`.
+    #[inline]
     fn set(&mut self, d: usize, c: Cell) {
         match c {
             Cell::V(s) => self.put(d, self.vecs[s as usize]),
@@ -510,6 +534,7 @@ impl Frame {
     }
 
     /// The value a defined register holds.
+    #[inline]
     fn value(&self, c: Cell) -> Value {
         match c {
             Cell::I(x) => Value::I(x),
@@ -518,17 +543,333 @@ impl Frame {
             Cell::Undef => unreachable!("undefined registers trap on read"),
         }
     }
+
+    /// Read register `r`; an undefined register traps.
+    #[inline]
+    fn get(&self, r: Reg) -> Result<Cell, Trap> {
+        match self.regs[r as usize] {
+            Cell::Undef => Err(Trap::UndefRead),
+            c => Ok(c),
+        }
+    }
+
+    /// Read integer register `r`.
+    #[inline]
+    fn get_i(&self, r: Reg) -> Result<i64, Trap> {
+        Ok(self.get(r)?.as_i())
+    }
 }
 
-struct Interp<'m, S: EventSink> {
-    m: &'m Module,
+/// Index of a register in a [`Frame`]: a value of the function, or a slot of
+/// its constant pool.
+type Reg = u32;
+
+/// Register index that no frame has: an operand naming a value the
+/// function does not define lowers to it, so only executing that operand
+/// panics (on the out-of-range index), not lowering it.
+const NO_REG: Reg = Reg::MAX;
+
+/// One lowered instruction or terminator. Operands are register indices
+/// (immediates and global addresses live in the constant pool), and the
+/// value type and op class of each instruction are decided once, at
+/// lowering. Memory ops keep their original `(block, instruction index)`
+/// site, counting φs, for [`EventSink::mem_site`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `add i64`, the most frequent dynamic op.
+    AddI64 { dst: Reg, a: Reg, b: Reg },
+    /// Any other integer scalar binary op.
+    BinI { op: BinOp, ty: ScalarTy, class: OpClass, dst: Reg, a: Reg, b: Reg },
+    /// Float scalar binary op.
+    BinF { op: BinOp, class: OpClass, dst: Reg, a: Reg, b: Reg },
+    /// Lane-wise vector binary op.
+    BinV { op: BinOp, s: ScalarTy, lanes: u8, class: OpClass, dst: Reg, a: Reg, b: Reg },
+    /// Comparison (integer or float, by operand).
+    Cmp { op: CmpOp, dst: Reg, a: Reg, b: Reg },
+    /// Scalar sign extension: the identity on the canonical register form.
+    SExt { dst: Reg, src: Reg },
+    /// Any other conversion, scalar or lane-wise.
+    Cast { kind: CastKind, from: ScalarTy, to: ScalarTy, lanes: u8, dst: Reg, src: Reg },
+    /// Stack allocation.
+    Alloca { bytes: u32, dst: Reg },
+    /// Scalar load.
+    Load { ty: ScalarTy, dst: Reg, addr: Reg, block: u32, inst: u32 },
+    /// Vector load.
+    LoadV { s: ScalarTy, lanes: u8, dst: Reg, addr: Reg, block: u32, inst: u32 },
+    /// Scalar store.
+    Store { ty: ScalarTy, val: Reg, addr: Reg, block: u32, inst: u32 },
+    /// Vector store.
+    StoreV { s: ScalarTy, lanes: u8, val: Reg, addr: Reg, block: u32, inst: u32 },
+    /// Call; the argument registers are `FuncCode::args[args..args + nargs]`
+    /// and `dst` is [`NO_REG`] for a call whose result is unused.
+    Call { callee: u32, dst: Reg, args: u32, nargs: u32 },
+    /// Select.
+    Select { dst: Reg, cond: Reg, t: Reg, f: Reg },
+    /// Scalar broadcast.
+    Splat { lanes: u8, dst: Reg, src: Reg },
+    /// Lane extraction.
+    ExtractLane { lane: u8, dst: Reg, src: Reg },
+    /// Horizontal reduction.
+    Reduce { op: BinOp, s: ScalarTy, dst: Reg, src: Reg },
+    /// A φ after a non-φ instruction (rejected by the verifier).
+    MisplacedPhi,
+    /// Unconditional branch along edge `edge` of [`FuncCode::edges`].
+    Br { edge: u32 },
+    /// Conditional branch; `site` is the branch predictor's static site.
+    CondBr { cond: Reg, t: u32, f: u32, site: u32 },
+    /// Return; `val` is [`NO_REG`] for `ret void`.
+    Ret { val: Reg },
+    /// `unreachable`.
+    Unreachable,
+}
+
+/// A CFG edge: where control lands and the φ copies it performs.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// First op of the target block.
+    pc: u32,
+    /// The target's φs, in order, as `FuncCode::copies[copies.0..copies.1]`.
+    copies: (u32, u32),
+}
+
+/// One function lowered for execution.
+struct FuncCode {
+    /// The ops of every block in block order, each block ending in its
+    /// terminator. Empty for a declaration.
+    ops: Vec<Op>,
+    /// Register-file template: `Undef` for each value, then one register
+    /// that stays undefined (the source of a φ copy along an edge the φ has
+    /// no incoming value for), then the constant pool.
+    template: Vec<Cell>,
+    /// Number of values; registers `0..values` are the function's values.
+    values: usize,
+    /// CFG edges; edge 0 enters the entry block from itself, which is how φs
+    /// of the entry block resolve on the first visit.
+    edges: Vec<Edge>,
+    /// `(dst, src)` φ copies of all edges.
+    copies: Vec<(Reg, Reg)>,
+    /// Argument registers of all calls.
+    args: Vec<Reg>,
+}
+
+/// Lowers one function into a [`FuncCode`].
+struct Lowering<'a> {
+    f: &'a Function,
+    global_addr: &'a [u64],
+    code: FuncCode,
+    consts: HashMap<(bool, u64), Reg>,
+    block_pc: Vec<u32>,
+}
+
+impl Lowering<'_> {
+    /// The register holding operand `o`; immediates and global addresses
+    /// get a constant-pool slot.
+    fn reg(&mut self, o: &Operand) -> Reg {
+        let c = match o {
+            Operand::Value(v) if v.idx() < self.code.values => return v.0,
+            Operand::Value(_) => return NO_REG,
+            Operand::ImmI(v, s) => Cell::I(s.sext(*v)),
+            Operand::ImmF(x) => Cell::F(*x),
+            Operand::Global(g) => match self.global_addr.get(g.idx()) {
+                Some(&a) => Cell::I(a as i64),
+                None => return NO_REG,
+            },
+        };
+        let key = match c {
+            Cell::F(x) => (true, x.to_bits()),
+            c => (false, c.as_i() as u64),
+        };
+        let template = &mut self.code.template;
+        *self.consts.entry(key).or_insert_with(|| {
+            template.push(c);
+            template.len() as Reg - 1
+        })
+    }
+
+    fn dst(&self, v: ValueId) -> Reg {
+        if v.idx() < self.code.values {
+            v.0
+        } else {
+            NO_REG
+        }
+    }
+
+    /// The type of `v`; `I64` for a value the function lacks, whose op
+    /// panics when executed.
+    fn ty(&self, v: ValueId) -> Ty {
+        self.f.value_ty.get(v.idx()).copied().unwrap_or(I64)
+    }
+
+    /// The edge from block `from` to block `to`, with its φ copies.
+    fn edge(&mut self, from: BlockId, to: BlockId) -> u32 {
+        let undef = self.code.values as Reg;
+        let start = self.code.copies.len();
+        // A branch to a block the function lacks lands past its ops, so only
+        // taking it panics.
+        let mut pc = u32::MAX;
+        if let Some(blk) = self.f.blocks.get(to.idx()) {
+            pc = self.block_pc[to.idx()];
+            for inst in blk.insts.iter().take_while(|i| i.is_phi()) {
+                let Inst::Phi { dst, incoming } = inst else { unreachable!() };
+                let src = match incoming.iter().find(|(p, _)| *p == from) {
+                    Some((_, o)) => self.reg(o),
+                    None => undef,
+                };
+                self.code.copies.push((self.dst(*dst), src));
+            }
+        }
+        let copies = (start as u32, self.code.copies.len() as u32);
+        self.code.edges.push(Edge { pc, copies });
+        self.code.edges.len() as u32 - 1
+    }
+
+    fn inst(&mut self, block: u32, ii: u32, inst: &Inst) -> Op {
+        match inst {
+            Inst::Phi { .. } => Op::MisplacedPhi,
+            Inst::Bin { dst, op, lhs, rhs } => {
+                let ty = self.ty(*dst);
+                let (a, b, dst) = (self.reg(lhs), self.reg(rhs), self.dst(*dst));
+                let class = bin_class(*op, ty.lanes);
+                if ty.lanes > 1 {
+                    Op::BinV { op: *op, s: ty.scalar, lanes: ty.lanes, class, dst, a, b }
+                } else if op.is_float() || ty.scalar == ScalarTy::F64 {
+                    Op::BinF { op: *op, class, dst, a, b }
+                } else if *op == BinOp::Add && ty.scalar == ScalarTy::I64 {
+                    Op::AddI64 { dst, a, b }
+                } else {
+                    Op::BinI { op: *op, ty: ty.scalar, class, dst, a, b }
+                }
+            }
+            Inst::Cmp { dst, op, lhs, rhs } => {
+                Op::Cmp { op: *op, a: self.reg(lhs), b: self.reg(rhs), dst: self.dst(*dst) }
+            }
+            Inst::Cast { dst, kind, src } => {
+                let from = match src {
+                    Operand::Value(v) => self.ty(*v),
+                    o => self.f.operand_ty(o),
+                };
+                let to = self.ty(*dst);
+                let (src, dst) = (self.reg(src), self.dst(*dst));
+                if *kind == CastKind::SExt && from.lanes == 1 && to.lanes == 1 {
+                    Op::SExt { dst, src }
+                } else {
+                    let (kind, lanes) = (*kind, to.lanes);
+                    Op::Cast { kind, from: from.scalar, to: to.scalar, lanes, dst, src }
+                }
+            }
+            Inst::Alloca { dst, bytes } => Op::Alloca { bytes: *bytes, dst: self.dst(*dst) },
+            Inst::Load { dst, addr } => {
+                let ty = self.ty(*dst);
+                let (addr, dst) = (self.reg(addr), self.dst(*dst));
+                if ty.lanes == 1 {
+                    Op::Load { ty: ty.scalar, dst, addr, block, inst: ii }
+                } else {
+                    Op::LoadV { s: ty.scalar, lanes: ty.lanes, dst, addr, block, inst: ii }
+                }
+            }
+            Inst::Store { ty, val, addr } => {
+                let (val, addr) = (self.reg(val), self.reg(addr));
+                if ty.lanes == 1 {
+                    Op::Store { ty: ty.scalar, val, addr, block, inst: ii }
+                } else {
+                    Op::StoreV { s: ty.scalar, lanes: ty.lanes, val, addr, block, inst: ii }
+                }
+            }
+            Inst::Call { dst, callee, args } => {
+                let start = self.code.args.len() as u32;
+                for a in args {
+                    let r = self.reg(a);
+                    self.code.args.push(r);
+                }
+                let dst = dst.map_or(NO_REG, |d| self.dst(d));
+                Op::Call { callee: callee.0, dst, args: start, nargs: args.len() as u32 }
+            }
+            Inst::Select { dst, cond, t, f } => Op::Select {
+                cond: self.reg(cond),
+                t: self.reg(t),
+                f: self.reg(f),
+                dst: self.dst(*dst),
+            },
+            Inst::Splat { dst, src } => {
+                Op::Splat { lanes: self.ty(*dst).lanes, src: self.reg(src), dst: self.dst(*dst) }
+            }
+            Inst::ExtractLane { dst, src, lane } => {
+                Op::ExtractLane { lane: *lane, src: self.reg(src), dst: self.dst(*dst) }
+            }
+            Inst::Reduce { dst, op, src } => {
+                let s = self.ty(*dst).scalar;
+                Op::Reduce { op: *op, s, src: self.reg(src), dst: self.dst(*dst) }
+            }
+        }
+    }
+
+    fn term(&mut self, fid: FuncId, b: BlockId, t: &Term) -> Op {
+        match t {
+            Term::Br(to) => Op::Br { edge: self.edge(b, *to) },
+            Term::CondBr { cond, t, f } => Op::CondBr {
+                cond: self.reg(cond),
+                t: self.edge(b, *t),
+                f: self.edge(b, *f),
+                site: (fid.0 << 16) | b.0,
+            },
+            Term::Ret(val) => Op::Ret { val: val.as_ref().map_or(NO_REG, |o| self.reg(o)) },
+            Term::Unreachable => Op::Unreachable,
+        }
+    }
+}
+
+impl FuncCode {
+    /// Lower function `fid` of a module whose globals sit at `global_addr`.
+    fn lower(fid: FuncId, f: &Function, global_addr: &[u64]) -> FuncCode {
+        let values = f.value_ty.len();
+        let mut block_pc = Vec::with_capacity(f.blocks.len());
+        let mut pc = 0;
+        for blk in &f.blocks {
+            block_pc.push(pc);
+            pc += (blk.insts.len() - blk.num_phis() + 1) as u32;
+        }
+        let code = FuncCode {
+            ops: Vec::with_capacity(pc as usize),
+            template: vec![Cell::Undef; values + 1],
+            values,
+            edges: Vec::new(),
+            copies: Vec::new(),
+            args: Vec::new(),
+        };
+        let mut l = Lowering { f, global_addr, code, consts: HashMap::new(), block_pc };
+        if f.blocks.is_empty() {
+            return l.code;
+        }
+        let entry = f.entry();
+        l.edge(entry, entry);
+        for (b, blk) in f.iter_blocks() {
+            let nphi = blk.num_phis();
+            for (ii, inst) in blk.insts.iter().enumerate().skip(nphi) {
+                let op = l.inst(b.0, ii as u32, inst);
+                l.code.ops.push(op);
+            }
+            let op = l.term(fid, b, &blk.term);
+            l.code.ops.push(op);
+        }
+        l.code
+    }
+}
+
+struct Interp<'a, S: EventSink> {
+    prog: &'a [FuncCode],
     mem: Memory,
-    sink: &'m mut S,
+    sink: &'a mut S,
     steps: u64,
     limits: Limits,
+    /// Frames of returned activations, reused by later calls.
+    pool: Vec<Frame>,
+    /// Staged φ results of the edge being taken, and the vectors they copy.
+    phi_buf: Vec<(Reg, Cell)>,
+    phi_vecs: Vec<Value>,
 }
 
-impl<'m, S: EventSink> Interp<'m, S> {
+impl<'a, S: EventSink> Interp<'a, S> {
+    #[inline]
     fn step(&mut self, class: OpClass, lanes: u8) -> Result<(), Trap> {
         self.steps += 1;
         if self.steps > self.limits.max_steps {
@@ -538,227 +879,216 @@ impl<'m, S: EventSink> Interp<'m, S> {
         Ok(())
     }
 
+    /// Take edge `e` of `f`: resolve the target's φs in order, each counting
+    /// one `Phi` step, and return the target's first op. Results are staged
+    /// so that every φ reads the values live at the end of the predecessor;
+    /// staged vectors are copied out of their slots.
     #[inline]
-    fn get(&self, fr: &Frame, op: &Operand) -> Result<Cell, Trap> {
-        match op {
-            Operand::Value(v) => match fr.regs[v.idx()] {
-                Cell::Undef => Err(Trap::UndefRead),
-                c => Ok(c),
-            },
-            Operand::ImmI(v, s) => Ok(Cell::I(s.sext(*v))),
-            Operand::ImmF(v) => Ok(Cell::F(*v)),
-            Operand::Global(g) => Ok(Cell::I(self.mem.global_addr(g.idx()) as i64)),
+    fn take_edge(&mut self, f: &FuncCode, fr: &mut Frame, e: u32) -> Result<usize, Trap> {
+        let edge = f.edges[e as usize];
+        for &(dst, src) in &f.copies[edge.copies.0 as usize..edge.copies.1 as usize] {
+            let mut c = fr.get(src)?;
+            if let Cell::V(s) = c {
+                self.phi_vecs.push(fr.vecs[s as usize]);
+                c = Cell::V(self.phi_vecs.len() as u32 - 1);
+            }
+            self.phi_buf.push((dst, c));
+            self.step(OpClass::Phi, 1)?;
         }
+        for (d, c) in self.phi_buf.drain(..) {
+            match c {
+                Cell::V(k) => fr.put(d as usize, self.phi_vecs[k as usize]),
+                c => fr.regs[d as usize] = c,
+            }
+        }
+        self.phi_vecs.clear();
+        Ok(edge.pc as usize)
     }
 
     /// Run `fid` in activation `fr`, whose parameter registers the caller
     /// has filled.
-    fn call(&mut self, fid: FuncId, mut fr: Frame, depth: u32) -> Result<Option<Value>, Trap> {
+    fn call(&mut self, fid: u32, fr: &mut Frame, depth: u32) -> Result<Option<Value>, Trap> {
         if depth > self.limits.max_depth {
             return Err(Trap::CallDepth);
         }
-        let f = &self.m.funcs[fid.idx()];
-        if f.blocks.is_empty() {
+        let prog = self.prog;
+        let f = &prog[fid as usize];
+        if f.ops.is_empty() {
             return Err(Trap::UnresolvedCall);
         }
-        self.sink.enter_function(fid);
+        self.sink.enter_function(FuncId(fid));
         let saved_sp = self.mem.sp;
-        let mut block = f.entry();
-        let mut prev = f.entry();
-        // φ results are staged so every φ of a block reads the values live
-        // at the end of `prev`; staged vectors are copied out of their slots.
-        let mut phi_buf: Vec<(u32, Cell)> = Vec::new();
-        let mut phi_vecs: Vec<Value> = Vec::new();
-
-        'outer: loop {
-            let blk = &f.blocks[block.idx()];
-            // Resolve φs atomically against the predecessor `prev`.
-            let nphi = blk.insts.iter().take_while(|i| i.is_phi()).count();
-            for inst in &blk.insts[..nphi] {
-                if let Inst::Phi { dst, incoming } = inst {
-                    let (_, op) = incoming
-                        .iter()
-                        .find(|(p, _)| *p == prev)
-                        .ok_or(Trap::UndefRead)?;
-                    let mut c = self.get(&fr, op)?;
-                    if let Cell::V(s) = c {
-                        phi_vecs.push(fr.vecs[s as usize]);
-                        c = Cell::V(phi_vecs.len() as u32 - 1);
-                    }
-                    phi_buf.push((dst.0, c));
-                    self.step(OpClass::Phi, 1)?;
+        let ops = &f.ops[..];
+        let mut pc = self.take_edge(f, fr, 0)?;
+        loop {
+            let op = ops[pc];
+            pc += 1;
+            match op {
+                Op::AddI64 { dst, a, b } => {
+                    let r = fr.get_i(a)?.wrapping_add(fr.get_i(b)?);
+                    self.step(OpClass::IntAlu, 1)?;
+                    fr.regs[dst as usize] = Cell::I(r);
                 }
-            }
-            for (d, c) in phi_buf.drain(..) {
-                match c {
-                    Cell::V(k) => fr.put(d as usize, phi_vecs[k as usize]),
-                    c => fr.regs[d as usize] = c,
+                Op::BinI { op, ty, class, dst, a, b } => {
+                    let (a, b) = (fr.get(a)?, fr.get(b)?);
+                    let r = scalar_bin(op, ty, a.as_i(), b.as_i())?;
+                    self.step(class, 1)?;
+                    fr.regs[dst as usize] = Cell::I(r);
                 }
-            }
-            phi_vecs.clear();
-
-            for (ii, inst) in blk.insts.iter().enumerate().skip(nphi) {
-                match inst {
-                    Inst::Phi { .. } => unreachable!(),
-                    Inst::Bin { dst, op, lhs, rhs } => {
-                        let ty = f.ty(*dst);
-                        let a = self.get(&fr, lhs)?;
-                        let b = self.get(&fr, rhs)?;
-                        let class = bin_class(*op, ty.lanes);
-                        if ty.lanes == 1 {
-                            let r = if op.is_float() || ty.scalar == ScalarTy::F64 {
-                                Cell::F(float_bin(*op, a.as_f(), b.as_f()))
-                            } else {
-                                Cell::I(scalar_bin(*op, ty.scalar, a.as_i(), b.as_i())?)
-                            };
-                            self.step(class, 1)?;
-                            fr.regs[dst.idx()] = r;
-                        } else {
-                            let r = vector_bin(*op, ty.scalar, &fr.value(a), &fr.value(b))?;
-                            self.step(class, ty.lanes)?;
-                            fr.put(dst.idx(), r);
-                        }
+                Op::BinF { op, class, dst, a, b } => {
+                    let (a, b) = (fr.get(a)?, fr.get(b)?);
+                    let r = float_bin(op, a.as_f(), b.as_f());
+                    self.step(class, 1)?;
+                    fr.regs[dst as usize] = Cell::F(r);
+                }
+                Op::BinV { op, s, lanes, class, dst, a, b } => {
+                    let (a, b) = (fr.get(a)?, fr.get(b)?);
+                    let r = vector_bin(op, s, &fr.value(a), &fr.value(b))?;
+                    self.step(class, lanes)?;
+                    fr.put(dst as usize, r);
+                }
+                Op::Cmp { op, dst, a, b } => {
+                    let r = exec_cmp(op, fr.get(a)?, fr.get(b)?);
+                    self.step(OpClass::IntAlu, 1)?;
+                    fr.regs[dst as usize] = Cell::I(if r { -1 } else { 0 });
+                }
+                Op::SExt { dst, src } => {
+                    let v = fr.get_i(src)?;
+                    self.step(OpClass::Cast, 1)?;
+                    fr.regs[dst as usize] = Cell::I(v);
+                }
+                Op::Cast { kind, from, to, lanes, dst, src } => {
+                    let v = fr.get(src)?;
+                    if let Cell::V(s) = v {
+                        let r = cast_vector(kind, from, to, &fr.vecs[s as usize]);
+                        self.step(OpClass::Cast, lanes)?;
+                        fr.put(dst as usize, r);
+                    } else {
+                        let r = cast_scalar(kind, from, to, v);
+                        self.step(OpClass::Cast, lanes)?;
+                        fr.regs[dst as usize] = r;
                     }
-                    Inst::Cmp { dst, op, lhs, rhs } => {
-                        let a = self.get(&fr, lhs)?;
-                        let b = self.get(&fr, rhs)?;
-                        let r = exec_cmp(*op, a, b);
-                        self.step(OpClass::IntAlu, 1)?;
-                        fr.regs[dst.idx()] = Cell::I(if r { -1 } else { 0 });
+                }
+                Op::Alloca { bytes, dst } => {
+                    let a = self.mem.alloca(bytes)?;
+                    self.step(OpClass::Alloca, 1)?;
+                    fr.regs[dst as usize] = Cell::I(a as i64);
+                }
+                Op::Load { ty, dst, addr, block, inst } => {
+                    let a = fr.get_i(addr)? as u64;
+                    let v = self.mem.read(ty, a)?;
+                    self.sink.mem(a, ty.bytes(), false);
+                    self.sink.mem_site(FuncId(fid), block, inst, a, ty.bytes(), false);
+                    self.step(OpClass::Load, 1)?;
+                    fr.regs[dst as usize] = v;
+                }
+                Op::LoadV { s, lanes, dst, addr, block, inst } => {
+                    let a = fr.get_i(addr)? as u64;
+                    let v = self.mem.read_vector(s, lanes, a)?;
+                    let bytes = s.bytes() * lanes as u32;
+                    self.sink.mem(a, bytes, false);
+                    self.sink.mem_site(FuncId(fid), block, inst, a, bytes, false);
+                    self.step(OpClass::VecLoad, lanes)?;
+                    fr.put(dst as usize, v);
+                }
+                Op::Store { ty, val, addr, block, inst } => {
+                    let v = fr.get(val)?;
+                    let a = fr.get_i(addr)? as u64;
+                    self.mem.write(ty, a, v)?;
+                    self.sink.mem(a, ty.bytes(), true);
+                    self.sink.mem_site(FuncId(fid), block, inst, a, ty.bytes(), true);
+                    self.step(OpClass::Store, 1)?;
+                }
+                Op::StoreV { s, lanes, val, addr, block, inst } => {
+                    let v = fr.get(val)?;
+                    let a = fr.get_i(addr)? as u64;
+                    self.mem.write_vector(s, lanes, a, &fr.value(v))?;
+                    let bytes = s.bytes() * lanes as u32;
+                    self.sink.mem(a, bytes, true);
+                    self.sink.mem_site(FuncId(fid), block, inst, a, bytes, true);
+                    self.step(OpClass::VecStore, lanes)?;
+                }
+                Op::Call { callee, dst, args, nargs } => {
+                    let code = &prog[callee as usize];
+                    let args = &f.args[args as usize..(args + nargs) as usize];
+                    // Arguments may fill value registers only, never the
+                    // constant pool behind them.
+                    let n = args.len();
+                    assert!(n <= code.values, "{n} arguments to {} values", code.values);
+                    let mut callee_fr = self.pool.pop().unwrap_or_default();
+                    callee_fr.reset(code);
+                    for (i, &a) in args.iter().enumerate() {
+                        let c = fr.get(a)?;
+                        callee_fr.put(i, fr.value(c));
                     }
-                    Inst::Cast { dst, kind, src } => {
-                        let to = f.ty(*dst);
-                        let v = self.get(&fr, src)?;
-                        let from = f.operand_ty(src);
-                        if let Cell::V(s) = v {
-                            let r = cast_vector(*kind, from.scalar, to.scalar, &fr.vecs[s as usize]);
-                            self.step(OpClass::Cast, to.lanes)?;
-                            fr.put(dst.idx(), r);
-                        } else {
-                            let r = cast_scalar(*kind, from.scalar, to.scalar, v);
-                            self.step(OpClass::Cast, to.lanes)?;
-                            fr.regs[dst.idx()] = r;
-                        }
+                    self.step(OpClass::Call, 1)?;
+                    let r = self.call(callee, &mut callee_fr, depth + 1);
+                    self.pool.push(callee_fr);
+                    let r = r?;
+                    if dst != NO_REG {
+                        fr.put(dst as usize, r.ok_or(Trap::UndefRead)?);
                     }
-                    Inst::Alloca { dst, bytes } => {
-                        let a = self.mem.alloca(*bytes)?;
-                        self.step(OpClass::Alloca, 1)?;
-                        fr.regs[dst.idx()] = Cell::I(a as i64);
-                    }
-                    Inst::Load { dst, addr } => {
-                        let ty = f.ty(*dst);
-                        let a = self.get(&fr, addr)?.as_i() as u64;
-                        if ty.lanes == 1 {
-                            let v = self.mem.read(ty.scalar, a)?;
-                            self.sink.mem(a, ty.scalar.bytes(), false);
-                            self.sink.mem_site(fid, block.0, ii as u32, a, ty.scalar.bytes(), false);
-                            self.step(OpClass::Load, 1)?;
-                            fr.regs[dst.idx()] = v;
-                        } else {
-                            let v = self.mem.read_vector(ty.scalar, ty.lanes, a)?;
-                            self.sink.mem(a, ty.bytes(), false);
-                            self.sink.mem_site(fid, block.0, ii as u32, a, ty.bytes(), false);
-                            self.step(OpClass::VecLoad, ty.lanes)?;
-                            fr.put(dst.idx(), v);
-                        }
-                    }
-                    Inst::Store { ty, val, addr } => {
-                        let v = self.get(&fr, val)?;
-                        let a = self.get(&fr, addr)?.as_i() as u64;
-                        if ty.lanes == 1 {
-                            self.mem.write(ty.scalar, a, v)?;
-                            self.sink.mem(a, ty.scalar.bytes(), true);
-                            self.sink.mem_site(fid, block.0, ii as u32, a, ty.scalar.bytes(), true);
-                            self.step(OpClass::Store, 1)?;
-                        } else {
-                            self.mem.write_vector(ty.scalar, ty.lanes, a, &fr.value(v))?;
-                            self.sink.mem(a, ty.bytes(), true);
-                            self.sink.mem_site(fid, block.0, ii as u32, a, ty.bytes(), true);
-                            self.step(OpClass::VecStore, ty.lanes)?;
-                        }
-                    }
-                    Inst::Call { dst, callee, args } => {
-                        let mut callee_fr = Frame::new(self.m.funcs[callee.idx()].value_ty.len());
-                        for (i, a) in args.iter().enumerate() {
-                            let c = self.get(&fr, a)?;
-                            callee_fr.put(i, fr.value(c));
-                        }
-                        self.step(OpClass::Call, 1)?;
-                        let r = self.call(*callee, callee_fr, depth + 1)?;
-                        if let Some(d) = dst {
-                            fr.put(d.idx(), r.ok_or(Trap::UndefRead)?);
-                        }
-                    }
-                    Inst::Select { dst, cond, t, f: fv } => {
-                        let c = self.get(&fr, cond)?.as_i();
-                        let r = if c != 0 { self.get(&fr, t)? } else { self.get(&fr, fv)? };
-                        self.step(OpClass::Select, 1)?;
-                        fr.set(dst.idx(), r);
-                    }
-                    Inst::Splat { dst, src } => {
-                        let ty = f.ty(*dst);
-                        let r = match self.get(&fr, src)? {
-                            Cell::I(x) => Value::IV([x; MAX_LANES as usize], ty.lanes),
-                            Cell::F(x) => Value::FV([x; MAX_LANES as usize], ty.lanes),
-                            other => fr.value(other),
-                        };
-                        self.step(OpClass::Splat, ty.lanes)?;
-                        fr.put(dst.idx(), r);
-                    }
-                    Inst::ExtractLane { dst, src, lane } => {
-                        let r = match self.get(&fr, src)? {
-                            Cell::V(s) => match &fr.vecs[s as usize] {
-                                Value::IV(xs, n) if *lane < *n => Cell::I(xs[*lane as usize]),
-                                Value::FV(xs, n) if *lane < *n => Cell::F(xs[*lane as usize]),
-                                _ => return Err(Trap::UndefRead),
-                            },
+                }
+                Op::Select { dst, cond, t, f } => {
+                    let c = fr.get_i(cond)?;
+                    let r = if c != 0 { fr.get(t)? } else { fr.get(f)? };
+                    self.step(OpClass::Select, 1)?;
+                    fr.set(dst as usize, r);
+                }
+                Op::Splat { lanes, dst, src } => {
+                    let r = match fr.get(src)? {
+                        Cell::I(x) => Value::IV([x; MAX_LANES as usize], lanes),
+                        Cell::F(x) => Value::FV([x; MAX_LANES as usize], lanes),
+                        other => fr.value(other),
+                    };
+                    self.step(OpClass::Splat, lanes)?;
+                    fr.put(dst as usize, r);
+                }
+                Op::ExtractLane { lane, dst, src } => {
+                    let r = match fr.get(src)? {
+                        Cell::V(s) => match &fr.vecs[s as usize] {
+                            Value::IV(xs, n) if lane < *n => Cell::I(xs[lane as usize]),
+                            Value::FV(xs, n) if lane < *n => Cell::F(xs[lane as usize]),
                             _ => return Err(Trap::UndefRead),
-                        };
-                        self.step(OpClass::IntAlu, 1)?;
-                        fr.regs[dst.idx()] = r;
-                    }
-                    Inst::Reduce { dst, op, src } => {
-                        let ty = f.ty(*dst);
-                        let r = match self.get(&fr, src)? {
-                            Cell::V(s) => exec_reduce(*op, ty.scalar, &fr.vecs[s as usize])?,
-                            _ => return Err(Trap::UndefRead),
-                        };
-                        self.step(OpClass::Reduce, 1)?;
-                        fr.regs[dst.idx()] = r;
-                    }
+                        },
+                        _ => return Err(Trap::UndefRead),
+                    };
+                    self.step(OpClass::IntAlu, 1)?;
+                    fr.regs[dst as usize] = r;
                 }
-            }
-
-            match &blk.term {
-                Term::Br(b) => {
+                Op::Reduce { op, s, dst, src } => {
+                    let r = match fr.get(src)? {
+                        Cell::V(v) => exec_reduce(op, s, &fr.vecs[v as usize])?,
+                        _ => return Err(Trap::UndefRead),
+                    };
+                    self.step(OpClass::Reduce, 1)?;
+                    fr.regs[dst as usize] = r;
+                }
+                Op::MisplacedPhi => unreachable!("φ after a non-φ instruction"),
+                Op::Br { edge } => {
                     self.step(OpClass::Br, 1)?;
-                    prev = block;
-                    block = *b;
+                    pc = self.take_edge(f, fr, edge)?;
                 }
-                Term::CondBr { cond, t, f: fb } => {
-                    let c = self.get(&fr, cond)?.as_i() != 0;
-                    let site = (fid.0 << 16) | block.0;
+                Op::CondBr { cond, t, f: fe, site } => {
+                    let c = fr.get_i(cond)? != 0;
                     self.sink.branch(site, c);
                     self.step(OpClass::CondBr, 1)?;
-                    prev = block;
-                    block = if c { *t } else { *fb };
+                    pc = self.take_edge(f, fr, if c { t } else { fe })?;
                 }
-                Term::Ret(op) => {
+                Op::Ret { val } => {
                     self.step(OpClass::Ret, 1)?;
-                    let r = match op {
-                        Some(o) => Some(fr.value(self.get(&fr, o)?)),
-                        None => None,
-                    };
+                    let r = if val == NO_REG { None } else { Some(fr.value(fr.get(val)?)) };
                     self.mem.sp = saved_sp;
                     self.sink.exit_function();
-                    break 'outer Ok(r);
+                    return Ok(r);
                 }
-                Term::Unreachable => break 'outer Err(Trap::Unreachable),
+                Op::Unreachable => return Err(Trap::Unreachable),
             }
         }
     }
 }
 
+#[inline]
 fn bin_class(op: BinOp, lanes: u8) -> OpClass {
     use BinOp::*;
     if lanes > 1 {
@@ -779,6 +1109,7 @@ fn bin_class(op: BinOp, lanes: u8) -> OpClass {
     }
 }
 
+#[inline]
 fn scalar_bin(op: BinOp, ty: ScalarTy, a: i64, b: i64) -> Result<i64, Trap> {
     use BinOp::*;
     let bits = ty.bits().min(64);
@@ -812,6 +1143,7 @@ fn scalar_bin(op: BinOp, ty: ScalarTy, a: i64, b: i64) -> Result<i64, Trap> {
     Ok(ty.wrap(r))
 }
 
+#[inline]
 fn float_bin(op: BinOp, a: f64, b: f64) -> f64 {
     use BinOp::*;
     match op {
@@ -826,6 +1158,7 @@ fn float_bin(op: BinOp, a: f64, b: f64) -> f64 {
 }
 
 /// Lane-wise binary op over the first operand's lanes.
+#[inline]
 fn vector_bin(op: BinOp, s: ScalarTy, a: &Value, b: &Value) -> Result<Value, Trap> {
     match (a, b) {
         (Value::IV(xs, n), Value::IV(ys, _)) => {
@@ -846,6 +1179,7 @@ fn vector_bin(op: BinOp, s: ScalarTy, a: &Value, b: &Value) -> Result<Value, Tra
     }
 }
 
+#[inline]
 fn exec_cmp(op: CmpOp, a: Cell, b: Cell) -> bool {
     use CmpOp::*;
     match (a, b) {
@@ -871,6 +1205,7 @@ fn exec_cmp(op: CmpOp, a: Cell, b: Cell) -> bool {
     }
 }
 
+#[inline]
 fn cast_scalar(kind: CastKind, from: ScalarTy, to: ScalarTy, v: Cell) -> Cell {
     match kind {
         // Registers hold canonical sign-extended values, so SExt to a wider
@@ -888,6 +1223,7 @@ fn cast_scalar(kind: CastKind, from: ScalarTy, to: ScalarTy, v: Cell) -> Cell {
 }
 
 /// Vector casts apply element-wise.
+#[inline]
 fn cast_vector(kind: CastKind, from: ScalarTy, to: ScalarTy, v: &Value) -> Value {
     match v {
         Value::IV(xs, n) => {
@@ -920,6 +1256,7 @@ fn cast_vector(kind: CastKind, from: ScalarTy, to: ScalarTy, v: &Value) -> Value
     }
 }
 
+#[inline]
 fn exec_reduce(op: BinOp, s: ScalarTy, v: &Value) -> Result<Cell, Trap> {
     match v {
         Value::IV(xs, n) => {
@@ -941,6 +1278,9 @@ fn exec_reduce(op: BinOp, s: ScalarTy, v: &Value) -> Result<Cell, Trap> {
 }
 
 /// Execute `entry(args…)` in module `m`, streaming events into `sink`.
+///
+/// The module is first lowered into a flat op program (see [`Op`]), which is
+/// then executed; the lowering is private to this run.
 pub fn run<S: EventSink>(
     m: &Module,
     entry: FuncId,
@@ -949,12 +1289,30 @@ pub fn run<S: EventSink>(
     limits: Limits,
 ) -> Result<ExecOutput, Trap> {
     let mem = Memory::new(m, limits.stack_bytes);
-    let mut interp = Interp { m, mem, sink, steps: 0, limits };
-    let mut fr = Frame::new(m.funcs[entry.idx()].value_ty.len());
+    let prog: Vec<FuncCode> = m
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| FuncCode::lower(FuncId(i as u32), f, &mem.global_addr))
+        .collect();
+    let mut interp = Interp {
+        prog: &prog,
+        mem,
+        sink,
+        steps: 0,
+        limits,
+        pool: Vec::new(),
+        phi_buf: Vec::new(),
+        phi_vecs: Vec::new(),
+    };
+    let code = &prog[entry.idx()];
+    assert!(args.len() <= code.values, "{} arguments to {} values", args.len(), code.values);
+    let mut fr = Frame::default();
+    fr.reset(code);
     for (i, a) in args.iter().enumerate() {
         fr.put(i, *a);
     }
-    let ret = interp.call(entry, fr, 0)?;
+    let ret = interp.call(entry.0, &mut fr, 0)?;
     let digest = interp.mem.digest(m);
     Ok(ExecOutput { ret, steps: interp.steps, mem_digest: digest })
 }
@@ -984,6 +1342,11 @@ mod tests {
     #[test]
     fn register_cell_is_at_most_16_bytes() {
         assert!(std::mem::size_of::<Cell>() <= 16, "{} bytes", std::mem::size_of::<Cell>());
+    }
+
+    #[test]
+    fn lowered_op_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Op>() <= 32, "{} bytes", std::mem::size_of::<Op>());
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub enum ScalarTy {
 
 impl ScalarTy {
     /// Width of the scalar in bits (64 for `F64`).
+    #[inline]
     pub fn bits(self) -> u32 {
         match self {
             ScalarTy::I1 => 1,
@@ -36,6 +37,7 @@ impl ScalarTy {
     }
 
     /// Size in bytes when stored to memory (`I1` occupies one byte).
+    #[inline]
     pub fn bytes(self) -> u32 {
         match self {
             ScalarTy::I1 | ScalarTy::I8 => 1,
@@ -51,6 +53,7 @@ impl ScalarTy {
     }
 
     /// Sign-extend `v` (assumed to occupy the low `bits()` of the i64) to i64.
+    #[inline]
     pub fn sext(self, v: i64) -> i64 {
         match self {
             ScalarTy::I1 => {
@@ -68,6 +71,7 @@ impl ScalarTy {
     }
 
     /// Zero-extend `v`'s low `bits()` to i64.
+    #[inline]
     pub fn zext(self, v: i64) -> i64 {
         match self {
             ScalarTy::I1 => v & 1,
@@ -79,6 +83,7 @@ impl ScalarTy {
     }
 
     /// Canonical in-register form: registers hold the sign-extended value.
+    #[inline]
     pub fn wrap(self, v: i64) -> i64 {
         self.sext(v)
     }

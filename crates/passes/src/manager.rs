@@ -275,7 +275,6 @@ impl<'r> PassManager<'r> {
     pub fn compile_result(&self, m: &Module, seq: &[PassId]) -> Result<CompileResult, CompileError> {
         let mut module = m.clone();
         let mut stats = Stats::new();
-        let trace = std::env::var_os("CITROEN_TRACE_PASS").is_some();
         let mut facts =
             if self.sanitize { Some(citroen_analyze::sanitize::module_facts(&module)) } else { None };
         // Sanitizer-guided scheduling: a pass that recorded zero statistics
@@ -286,17 +285,6 @@ impl<'r> PassManager<'r> {
         let mut fp_before = facts.as_ref().map(|_| citroen_ir::print::fingerprint(&module));
         for &id in seq {
             let pass = self.registry.pass(id);
-            if trace {
-                let max_blocks = module.funcs.iter().map(|f| f.blocks.len()).max().unwrap_or(0);
-                let max_vals = module.funcs.iter().map(|f| f.value_ty.len()).max().unwrap_or(0);
-                eprintln!(
-                    "[pass] {} (insts {}, max blocks {}, max vals {})",
-                    pass.name(),
-                    module.num_insts(),
-                    max_blocks,
-                    max_vals
-                );
-            }
             let stats_total_before = stats.total();
             {
                 let _pass_span = telemetry::span_dyn(|| format!("pass.{}", pass.name()));

@@ -1150,10 +1150,6 @@ fn sccp_function(f: &mut Function) -> (u64, u64) {
     if f.is_decl() {
         return (0, 0);
     }
-    let trace = std::env::var_os("CITROEN_TRACE_PASS").is_some();
-    if trace {
-        eprintln!("[sccp] fn {} blocks {}", f.name, f.blocks.len());
-    }
     let nv = f.value_ty.len();
     let mut state: Vec<Lattice> = vec![Lattice::Top; nv];
     for i in 0..f.params.len() {
@@ -1340,17 +1336,8 @@ fn sccp_function(f: &mut Function) -> (u64, u64) {
             }
         }
     }
-    if trace {
-        eprintln!("[sccp] fn {} fixpoint done", f.name);
-    }
     let nb = remove_unreachable_blocks(f) as u64;
-    if trace {
-        eprintln!("[sccp] fn {} unreachable removed", f.name);
-    }
     crate::util::simplify_single_incoming_phis(f);
-    if trace {
-        eprintln!("[sccp] fn {} phis simplified", f.name);
-    }
     let removed = dce_function(f) as u64;
     (n_inst.max(removed), nb)
 }

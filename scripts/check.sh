@@ -8,7 +8,9 @@
 #      property, hermeticity, execution and GP goldens) and of the crates
 #      whose results those pin: citroen-ir (interpreter), citroen-sim,
 #      citroen-gp (kernel, linear algebra, regression) and citroen-suite
-#      (kernel goldens)
+#      (kernel goldens), plus the two crates whose tests run the
+#      interpreter: citroen-passes (differential pass tests) and
+#      citroen-analyze (the alias oracle's mem_site sink)
 #   3. a 30-second `citroen-analyze --smoke` fuzz campaign: random modules
 #      x random pass sequences through the verifier, the translation-
 #      validation sanitizer, and the interpreter differential
@@ -60,8 +62,9 @@ echo "== cargo build --release (+ perfbench type check)"
 cargo build --release
 cargo check --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo test -q (root + ir, sim, gp, suite)"
-cargo test -q -p citroen -p citroen-ir -p citroen-sim -p citroen-gp -p citroen-suite
+echo "== cargo test -q (root + ir, sim, gp, suite, passes, analyze)"
+cargo test -q -p citroen -p citroen-ir -p citroen-sim -p citroen-gp -p citroen-suite \
+    -p citroen-passes -p citroen-analyze
 
 echo "== citroen-analyze --smoke (30s budget)"
 timeout 30 ./target/release/citroen-analyze --smoke
