@@ -98,51 +98,37 @@ pub fn work_model(reg: &Registry) -> WorkModel {
     }
 }
 
-/// One subsumption-edge theorem check: for a claimed edge `p → q`
-/// (`fires_on(q) ⊆ clears(p)`), run `p` on a clone of `m` — then `q` must
-/// leave the fingerprint unchanged and record zero statistics. Returns
-/// `Some(description)` on a contradiction, `None` when the theorem holds.
-/// The chain-level generalisation (the absent-set dataflow across whole
-/// sequences) is exercised by the `citroen-analyze subsume` fuzz campaign.
-pub fn check_subsumed(p: &dyn Pass, q: &dyn Pass, m: &Module) -> Option<String> {
-    let mut after_p = m.clone();
+/// The no-op theorem behind every pruning claim: run `pass` on `m` in place;
+/// it must leave the module fingerprint unchanged and record no statistics.
+/// Returns the breach (a changed fingerprint, or the recorded statistics'
+/// keys), or `None` when the pass was a no-op.
+pub fn noop_breach(pass: &dyn Pass, m: &mut Module) -> Option<String> {
+    let before = citroen_ir::print::fingerprint(m);
     let mut stats = Stats::new();
-    p.run(&mut after_p, &mut stats);
-    let before = citroen_ir::print::fingerprint(&after_p);
-    let mut after_q = after_p.clone();
-    let mut qstats = Stats::new();
-    q.run(&mut after_q, &mut qstats);
-    if citroen_ir::print::fingerprint(&after_q) != before {
-        Some(format!(
-            "subsumption '{}' → '{}' violated: '{}' changed the module fingerprint",
-            p.name(),
-            q.name(),
-            q.name()
-        ))
-    } else if !qstats.is_empty() {
-        Some(format!(
-            "subsumption '{}' → '{}' violated: '{}' recorded statistics: {}",
-            p.name(),
-            q.name(),
-            q.name(),
-            qstats.keys().join(", ")
-        ))
+    pass.run(m, &mut stats);
+    if citroen_ir::print::fingerprint(m) != before {
+        Some("changed the module fingerprint".to_string())
+    } else if !stats.is_empty() {
+        Some(format!("recorded statistics: {}", stats.keys().join(", ")))
     } else {
         None
     }
 }
 
-/// [`check_subsumed`] over every statically-claimed edge of the registry's
-/// work model. Returns the first contradiction, tagged with the edge.
+/// Every statically claimed subsumption edge `p → q` of the registry's work
+/// model (`fires_on(q) ⊆ clears(p)`), checked on `m`: after `p` runs, `q`
+/// must be a no-op. Returns the first contradiction, tagged with the edge.
+/// The chain-level generalisation (the absent-set dataflow across whole
+/// sequences) is exercised by the `citroen-analyze subsume` fuzz campaign.
 pub fn check_subsumption_matrix(reg: &Registry, m: &Module) -> Option<(PassId, PassId, String)> {
-    let model = work_model(reg);
-    for (p, q) in model.subsumed_pairs() {
-        let (pid, qid) = (PassId(p as u16), PassId(q as u16));
-        if let Some(d) = check_subsumed(reg.pass(pid), reg.pass(qid), m) {
-            return Some((pid, qid, d));
-        }
-    }
-    None
+    work_model(reg).subsumed_pairs().into_iter().find_map(|(p, q)| {
+        let (p, q) = (PassId(p as u16), PassId(q as u16));
+        let mut cur = m.clone();
+        reg.pass(p).run(&mut cur, &mut Stats::new());
+        let breach = noop_breach(reg.pass(q), &mut cur)?;
+        let (pn, qn) = (reg.pass(p).name(), reg.pass(q).name());
+        Some((p, q, format!("subsumption '{pn}' → '{qn}' violated: '{qn}' {breach}")))
+    })
 }
 
 /// Re-index a persisted interaction graph onto `reg` for the tuner's
@@ -193,26 +179,11 @@ pub fn canonicalizer_inputs(
 /// Returns `None` when the verdict is `MayFire` (nothing to check) or the
 /// theorem holds; `Some(description)` on a contradiction.
 pub fn check_cannot_fire(pass: &dyn Pass, m: &Module) -> Option<String> {
-    let facts = compute_facts(m);
-    if !pass.precondition(m, &facts).is_cannot_fire() {
+    if !pass.precondition(m, &compute_facts(m)).is_cannot_fire() {
         return None;
     }
-    let before = citroen_ir::print::fingerprint(m);
-    let mut mutated = m.clone();
-    let mut stats = Stats::new();
-    pass.run(&mut mutated, &mut stats);
-    let after = citroen_ir::print::fingerprint(&mutated);
-    if before != after {
-        Some(format!("pass '{}' claimed cannot-fire but changed the module fingerprint", pass.name()))
-    } else if !stats.is_empty() {
-        Some(format!(
-            "pass '{}' claimed cannot-fire but recorded statistics: {}",
-            pass.name(),
-            stats.keys().join(", ")
-        ))
-    } else {
-        None
-    }
+    let breach = noop_breach(pass, &mut m.clone())?;
+    Some(format!("pass '{}' claimed cannot-fire but {breach}", pass.name()))
 }
 
 /// [`check_cannot_fire`] across a whole registry. Returns the first

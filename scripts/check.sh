@@ -37,10 +37,12 @@
 #      (CITROEN_SANITIZE=1)
 #   8. the alias gate: a 50-state `citroen-analyze alias-oracle --smoke`
 #      soundness campaign (every same-block No/Must alias verdict checked
-#      against concrete access addresses), a `mine-edges --smoke` mining +
-#      executed-drop promotion pass, and the shipped suite compiled at -O3
-#      with the full S1-S11 sanitizer armed (`validate`, which includes
-#      the alias-aware S9-S11 rules) — all exit 1 on any finding
+#      against concrete access addresses) and the shipped suite compiled
+#      at -O3 with the full S1-S11 sanitizer armed (`validate`, which
+#      includes the alias-aware S9-S11 rules), both exit 1 on any finding;
+#      plus a `mine-edges --smoke` mining + executed-drop promotion pass
+#      (seed 7), which exits 0 whatever it refutes, so it only gates on
+#      the pass running to completion
 #   9. the serve gate: `citroen-serve bench` spawns the multi-tenant
 #      daemon and replays a concurrent job mix over stdio — two jobs run
 #      concurrently plus a same-seed replay; results must be bit-identical
@@ -97,7 +99,7 @@ CITROEN_SANITIZE=1 timeout 120 ./target/release/citroen-trace record \
 
 echo "== alias: soundness smoke + edge mining + sanitized -O3 suite (S1-S11)"
 timeout 60 ./target/release/citroen-analyze alias-oracle --smoke
-timeout 120 ./target/release/citroen-analyze mine-edges --smoke > /dev/null
+timeout 120 ./target/release/citroen-analyze mine-edges --smoke
 CITROEN_SANITIZE=1 timeout 120 ./target/release/citroen-analyze validate
 
 echo "== serve: concurrent daemon determinism + cross-tenant reuse + cancel/drain"

@@ -1,5 +1,5 @@
 //! `citroen-analyze`: the static-analysis and translation-validation front
-//! end. Three modes:
+//! end. Seven modes:
 //!
 //! * **lint** (`--lint`): run the dataflow lint suite over the shipped
 //!   benchmark suite (optionally after `-O3`), or over a single IR file with
@@ -30,15 +30,18 @@
 //!   sanitizer, and an interpreter differential, delta-debugging any failure
 //!   down to a minimal pass sequence + module reproducer.
 //!
+//! Progress, violations and summaries go to stderr; stdout carries only
+//! machine output (the oracle graph, `--json` documents, lint findings).
 //! Exits non-zero iff a failure, an oracle violation, or (in lint mode) any
 //! diagnostic was found.
 
 use citroen::fuzz::{
     run_alias_campaign, run_campaign, run_oracle_campaign, run_subsumption_campaign, FuzzConfig,
+    Report,
 };
 use citroen::mine::{run_mine_campaign, MineConfig};
 use citroen_analyze::{filter_severity, lint_module, Severity};
-use citroen_passes::manager::{o3_pipeline, PassManager, Registry};
+use citroen_passes::manager::{o3_pipeline, Pass, PassManager, Registry};
 use citroen_rt::json::Value;
 
 const USAGE: &str = "\
@@ -69,7 +72,8 @@ MODES:
                      executed-drop trials fail to refute it
     validate         run the shipped suite through -O3 with the S1-S11
                      translation-validation sanitizer armed
-    --smoke          tiny deterministic campaign (tier-1 gate, <30s)
+    --smoke          tiny deterministic campaign (tier-1 gate, <30s); explicit
+                     options still apply on top of its budget
     --lint           lint the shipped benchmark suite
     --o3             lint after the -O3 pipeline instead of the source IR
     --errors-only    only report Error-severity lints
@@ -103,21 +107,14 @@ fn main() {
     let mut args = std::env::args().peekable();
     args.next(); // argv[0]
 
-    let mut cfg = FuzzConfig::default();
+    let mut mode = String::from("fuzz");
     let (mut lint, mut o3, mut errors_only, mut smoke) = (false, false, false, false);
-    let (mut oracle, mut with_lying, mut explicit_size) = (false, false, false);
-    let (mut subsume, mut validate, mut with_broken) = (false, false, false);
-    let mut alias_oracle = false;
-    let mut mine_edges = false;
-    let mut json = false;
+    let (mut with_lying, mut with_broken, mut json) = (false, false, false);
+    let (mut modules, mut seqs, mut max_len, mut seed) = (None, None, None, None);
     let mut ir_file: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "oracle" => oracle = true,
-            "subsume" => subsume = true,
-            "validate" => validate = true,
-            "alias-oracle" => alias_oracle = true,
-            "mine-edges" => mine_edges = true,
+            "oracle" | "subsume" | "validate" | "alias-oracle" | "mine-edges" => mode = a,
             "--lint" => lint = true,
             "--o3" => o3 = true,
             "--errors-only" => errors_only = true,
@@ -132,25 +129,16 @@ fn main() {
             // Test-only: append the miscompiling unroll to the -O3 pipeline
             // so `validate` demonstrates value-level localisation.
             "--with-broken" => with_broken = true,
-            "--modules" => {
-                cfg.modules = parse_num(&mut args, "--modules") as usize;
-                explicit_size = true;
-            }
-            "--seqs" => {
-                cfg.seqs_per_module = parse_num(&mut args, "--seqs") as usize;
-                explicit_size = true;
-            }
-            "--max-len" => cfg.max_seq_len = parse_num(&mut args, "--max-len") as usize,
-            "--seed" => cfg.seed = parse_num(&mut args, "--seed"),
+            "--modules" => modules = Some(parse_num(&mut args, "--modules") as usize),
+            "--seqs" => seqs = Some(parse_num(&mut args, "--seqs") as usize),
+            "--max-len" => max_len = Some(parse_num(&mut args, "--max-len") as usize),
+            "--seed" => seed = Some(parse_num(&mut args, "--seed")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
             }
             other => die(&format!("unknown argument '{other}'")),
         }
-    }
-    if smoke {
-        cfg = FuzzConfig::smoke();
     }
 
     if lint {
@@ -159,41 +147,87 @@ fn main() {
             None => std::process::exit(lint_suite(o3, errors_only, json)),
         }
     }
-    if oracle || subsume {
-        if !smoke && !explicit_size {
-            // The tentpole's acceptance bar: ≥500 executed module × sequence
-            // soundness trials per default run.
-            cfg.modules = 25;
-            cfg.seqs_per_module = 20;
-        }
-        if subsume {
-            std::process::exit(subsume_mode(&cfg, with_lying));
-        }
-        std::process::exit(oracle_mode(&cfg, smoke, with_lying, json));
+    // `--smoke` picks the base budget; explicit flags apply on top of it.
+    let mut cfg = if smoke { FuzzConfig::smoke() } else { FuzzConfig::default() };
+    match (mode.as_str(), smoke) {
+        // ≥500 executed module × sequence soundness trials per default run.
+        ("oracle" | "subsume", false) => (cfg.modules, cfg.seqs_per_module) = (25, 20),
+        // check.sh stage 8 budget: 25 modules x (raw + 1 pipeline) = 50
+        // checked states.
+        ("alias-oracle", true) => (cfg.modules, cfg.seqs_per_module) = (25, 1),
+        ("alias-oracle", false) => (cfg.modules, cfg.seqs_per_module) = (200, 2),
+        _ => {}
     }
-    if mine_edges {
-        let mut mcfg = if smoke { MineConfig::smoke() } else { MineConfig::default() };
-        if cfg.seed != FuzzConfig::default().seed {
-            mcfg.seed = cfg.seed;
+    cfg.modules = modules.unwrap_or(cfg.modules);
+    cfg.seqs_per_module = seqs.unwrap_or(cfg.seqs_per_module);
+    cfg.max_seq_len = max_len.unwrap_or(cfg.max_seq_len);
+    cfg.seed = seed.unwrap_or(cfg.seed);
+    let code = match mode.as_str() {
+        "oracle" => oracle_mode(&cfg, smoke, with_lying, json),
+        "subsume" => subsume_mode(&cfg, with_lying),
+        "alias-oracle" => {
+            header("alias-oracle", &cfg);
+            let report = run_alias_campaign(&cfg, |line| eprintln!("{line}"));
+            let [no, must] = report.counts;
+            print_report(
+                "alias-oracle",
+                &report,
+                &format!("{no} No + {must} Must claim(s) checked"),
+            )
         }
-        std::process::exit(mine_edges_mode(&mcfg));
-    }
-    if alias_oracle {
-        if smoke {
-            // check.sh stage 9 budget: 25 modules x (raw + 1 pipeline) = 50
-            // checked states.
-            cfg.modules = 25;
-            cfg.seqs_per_module = 1;
-        } else if !explicit_size {
-            cfg.modules = 200;
-            cfg.seqs_per_module = 2;
+        "mine-edges" => {
+            let base = if smoke { MineConfig::smoke() } else { MineConfig::default() };
+            mine_edges_mode(&MineConfig { seed: seed.unwrap_or(base.seed), ..base })
         }
-        std::process::exit(alias_oracle_mode(&cfg));
+        "validate" => validate_mode(with_broken),
+        _ => {
+            header("fuzz", &cfg);
+            let report = run_campaign(&cfg, |line| eprintln!("{line}"));
+            print_report("fuzz", &report, "")
+        }
+    };
+    std::process::exit(code)
+}
+
+/// The shipped registry, plus the deliberately broken test pass `lie` when
+/// `spike` is set.
+fn spiked(spike: bool, lie: impl Pass + 'static) -> Registry {
+    let mut passes = citroen_passes::passes::all_passes();
+    if spike {
+        passes.push(Box::new(lie));
     }
-    if validate {
-        std::process::exit(validate_mode(with_broken));
+    Registry::from_passes(passes)
+}
+
+/// The header line of every campaign mode, on stderr.
+fn header(mode: &str, cfg: &FuzzConfig) {
+    eprintln!(
+        "citroen-analyze {mode}: {} modules x {} sequences (max len {}, seed {:#x})",
+        cfg.modules, cfg.seqs_per_module, cfg.max_seq_len, cfg.seed
+    );
+}
+
+/// The one campaign printer: every violation, then the summary line, all on
+/// stderr. `counts` phrases the mode's claim counters. Returns the exit
+/// code: 1 iff the campaign found a violation.
+fn print_report(mode: &str, report: &Report, counts: &str) -> i32 {
+    let shown =
+        |seq: &str| if seq.is_empty() { "<source IR>".to_string() } else { seq.to_string() };
+    for v in &report.violations {
+        eprintln!("\n=== {mode} violation: {} (module seed {:#x}) ===", v.label, v.module_seed);
+        eprintln!("detail:           {}", v.detail);
+        eprintln!("sequence:         {}", shown(&v.seq));
+        eprintln!("reduced sequence: {}", shown(&v.reduced_seq));
+        eprintln!("reduced module:\n{}", v.reduced_ir);
     }
-    std::process::exit(fuzz(&cfg));
+    let counts = if counts.is_empty() { String::new() } else { format!(", {counts}") };
+    eprintln!(
+        "citroen-analyze {mode}: {} module(s), {} trial(s){counts}, {} violation(s)",
+        report.modules,
+        report.trials,
+        report.violations.len()
+    );
+    i32::from(!report.violations.is_empty())
 }
 
 /// One lint finding as a JSON object (`--json` mode). `origin` is the
@@ -251,7 +285,7 @@ fn lint_suite(after_o3: bool, errors_only: bool, json: bool) -> i32 {
         ]);
         println!("{}", doc.emit_pretty());
     } else {
-        println!("citroen-analyze: {total} diagnostic(s) {stage}");
+        eprintln!("citroen-analyze: {total} diagnostic(s) {stage}");
     }
     i32::from(total > 0)
 }
@@ -279,7 +313,7 @@ fn lint_file(path: &str, errors_only: bool, json: bool) -> i32 {
         for d in &diags {
             println!("{path}: {d}");
         }
-        println!("citroen-analyze: {} diagnostic(s) in {path}", diags.len());
+        eprintln!("citroen-analyze: {} diagnostic(s) in {path}", diags.len());
     }
     i32::from(!diags.is_empty())
 }
@@ -289,33 +323,15 @@ fn lint_file(path: &str, errors_only: bool, json: bool) -> i32 {
 /// campaign summary go to stderr; the graph JSON is stdout, so
 /// `citroen-analyze oracle > graph.json` does the expected thing.
 fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i32 {
-    let reg = if with_lying {
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::LyingPrecondition));
-        Registry::from_passes(passes)
-    } else {
-        Registry::full()
-    };
+    let reg = spiked(with_lying, citroen_passes::testing::LyingPrecondition);
 
-    eprintln!(
-        "citroen-analyze oracle: {} modules x {} sequences (max len {}, seed {:#x})",
-        cfg.modules, cfg.seqs_per_module, cfg.max_seq_len, cfg.seed
-    );
+    header("oracle", cfg);
     let report = run_oracle_campaign(cfg, &reg, |line| eprintln!("{line}"));
-    for v in &report.violations {
-        eprintln!("\n=== oracle violation: {} (module seed {:#x}) ===", v.pass, v.module_seed);
-        eprintln!("detail:           {}", v.detail);
-        eprintln!("sequence:         {}", v.seq);
-        eprintln!("reduced sequence: {}", v.reduced_seq);
-        eprintln!("reduced module:\n{}", v.reduced_ir);
-    }
-    eprintln!(
-        "citroen-analyze oracle: {} trial(s), {} cannot-fire verdict(s) executed \
-         ({} verdicts total), {} violation(s)",
-        report.trials,
-        report.checked_cannot_fire,
-        report.verdicts,
-        report.violations.len()
+    let [checked, verdicts] = report.counts;
+    let code = print_report(
+        "oracle",
+        &report,
+        &format!("{checked} cannot-fire verdict(s) executed ({verdicts} verdicts total)"),
     );
 
     // Interaction graph over the shipped suite (linked benchmarks). The
@@ -345,7 +361,7 @@ fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i
                 .iter()
                 .map(|v| {
                     Value::Obj(vec![
-                        ("pass".into(), Value::str(&v.pass)),
+                        ("pass".into(), Value::str(&v.label)),
                         ("module_seed".into(), Value::U64(v.module_seed)),
                         ("detail".into(), Value::str(&v.detail)),
                         ("sequence".into(), Value::str(&v.seq)),
@@ -361,8 +377,8 @@ fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i
                 "campaign".into(),
                 Value::Obj(vec![
                     ("trials".into(), Value::U64(report.trials as u64)),
-                    ("verdicts".into(), Value::U64(report.verdicts)),
-                    ("checked_cannot_fire".into(), Value::U64(report.checked_cannot_fire)),
+                    ("verdicts".into(), Value::U64(verdicts)),
+                    ("checked_cannot_fire".into(), Value::U64(checked)),
                     ("violations".into(), violations),
                 ]),
             ),
@@ -372,21 +388,14 @@ fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i
     } else {
         println!("{}", graph.to_json());
     }
-
-    i32::from(!report.violations.is_empty())
+    code
 }
 
 /// Subsume mode: print every statically claimed subsumption edge, then
 /// soundness-fuzz the whole work-class model by replaying random sequences
 /// and executing every drop the canonicalizer would have taken.
 fn subsume_mode(cfg: &FuzzConfig, with_lying: bool) -> i32 {
-    let reg = if with_lying {
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::LyingSubsumption));
-        Registry::from_passes(passes)
-    } else {
-        Registry::full()
-    };
+    let reg = spiked(with_lying, citroen_passes::testing::LyingSubsumption);
 
     let model = citroen_passes::oracle::work_model(&reg);
     let names = reg.names();
@@ -395,97 +404,36 @@ fn subsume_mode(cfg: &FuzzConfig, with_lying: bool) -> i32 {
     for &(p, q) in &pairs {
         eprintln!("    {} -> {}", names[p], names[q]);
     }
-    eprintln!(
-        "citroen-analyze subsume: {} modules x {} sequences (max len {}, seed {:#x})",
-        cfg.modules, cfg.seqs_per_module, cfg.max_seq_len, cfg.seed
-    );
+    header("subsume", cfg);
     let report = run_subsumption_campaign(cfg, &reg, |line| eprintln!("{line}"));
-    for v in &report.violations {
-        eprintln!(
-            "\n=== subsumption violation: {} (module seed {:#x}) ===",
-            v.pass, v.module_seed
-        );
-        eprintln!("detail:           {}", v.detail);
-        eprintln!("sequence:         {}", v.seq);
-        eprintln!("reduced sequence: {}", v.reduced_seq);
-        eprintln!("reduced module:\n{}", v.reduced_ir);
-    }
-    eprintln!(
-        "citroen-analyze subsume: {} trial(s), {} predicted drop(s) executed \
-         ({} positions simulated), {} violation(s)",
-        report.trials,
-        report.checked_drops,
-        report.positions,
-        report.violations.len()
-    );
-    i32::from(!report.violations.is_empty())
+    let [drops, positions] = report.counts;
+    print_report(
+        "subsume",
+        &report,
+        &format!("{drops} predicted drop(s) executed ({positions} positions simulated)"),
+    )
 }
 
-/// Alias-oracle mode: every same-block `No`/`Must` answer is executed as a
-/// theorem against concrete access addresses. Progress goes to stderr;
-/// violations and the summary line to stdout.
-fn alias_oracle_mode(cfg: &FuzzConfig) -> i32 {
-    eprintln!(
-        "citroen-analyze: alias soundness over {} modules x (raw + {} pipelines), seed {:#x}",
-        cfg.modules, cfg.seqs_per_module, cfg.seed
-    );
-    let report = run_alias_campaign(cfg, |line| eprintln!("{line}"));
-    for v in &report.violations {
-        let seq = if v.seq.is_empty() { "<source IR>".to_string() } else { v.seq.clone() };
-        println!(
-            "alias violation: module seed {:#x} after [{seq}]\n  {}\n{}",
-            v.module_seed, v.detail, v.reduced_ir
-        );
-    }
-    println!(
-        "citroen-analyze alias-oracle: {} module(s), {} state(s), {} No + {} Must claim(s) \
-         checked, {} violation(s)",
-        report.modules,
-        report.trials,
-        report.no_claims,
-        report.must_claims,
-        report.violations.len()
-    );
-    i32::from(!report.violations.is_empty())
-}
-
-/// Mine-edges mode: empirical edge mining with fuzz-gated promotion.
-/// Progress goes to stderr; the edge report to stdout.
+/// Mine-edges mode: empirical edge mining with fuzz-gated promotion. The
+/// campaign's progress lines name every promoted and refuted edge; this adds
+/// the statically implied ones and the summary. Always exits 0: a refuted
+/// hypothesis is an answer, not a finding.
 fn mine_edges_mode(cfg: &MineConfig) -> i32 {
     eprintln!(
-        "citroen-analyze: mining subsumption edges ({} seqs/benchmark, {} drop trials/edge, \
-         seed {:#x})",
+        "citroen-analyze mine-edges: {} seqs/benchmark, {} drop trials/edge, seed {:#x}",
         cfg.mine_seqs, cfg.promote_trials, cfg.seed
     );
-    let reg = citroen_passes::manager::Registry::full();
+    let reg = Registry::full();
     let report = run_mine_campaign(cfg, |line| eprintln!("{line}"));
     for e in &report.statically_implied {
-        println!(
-            "implied:  {} -> {} ({} obs, already in the static matrix)",
+        eprintln!(
+            "implied {} -> {} ({} obs), already in the static matrix",
             reg.pass(e.p).name(),
             reg.pass(e.q).name(),
             e.observations
         );
     }
-    for r in &report.refuted {
-        println!(
-            "refuted:  {} -> {} ({} obs): {}",
-            reg.pass(r.edge.p).name(),
-            reg.pass(r.edge.q).name(),
-            r.edge.observations,
-            r.detail
-        );
-    }
-    for e in &report.promoted {
-        println!(
-            "promoted: {} -> {} ({} obs, survived {} executed-drop trials)",
-            reg.pass(e.p).name(),
-            reg.pass(e.q).name(),
-            e.observations,
-            cfg.promote_trials
-        );
-    }
-    println!(
+    eprintln!(
         "citroen-analyze mine-edges: {} adjacencies over {} pairs; {} implied, {} promoted, \
          {} refuted ({} drop trials)",
         report.adjacencies,
@@ -503,13 +451,7 @@ fn mine_edges_mode(cfg: &MineConfig) -> i32 {
 /// function (S1–S5) and value (S6–S8) granularity, so a structurally valid
 /// miscompile is localised to the offending pass and value.
 fn validate_mode(with_broken: bool) -> i32 {
-    let reg = if with_broken {
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::BrokenUnroll));
-        Registry::from_passes(passes)
-    } else {
-        Registry::full()
-    };
+    let reg = spiked(with_broken, citroen_passes::testing::BrokenUnroll);
     let mut pm = PassManager::new(&reg);
     pm.sanitize = true;
     let mut seq = o3_pipeline(&reg);
@@ -535,7 +477,7 @@ fn validate_mode(with_broken: bool) -> i32 {
     for (name, m) in &modules {
         let bench = name.as_str();
         match pm.compile_result(m, &seq) {
-            Ok(_) => println!("citroen-analyze validate: {bench}: ok"),
+            Ok(_) => eprintln!("citroen-analyze validate: {bench}: ok"),
             Err(citroen_passes::manager::CompileError::Sanitize { pass, violations }) => {
                 dirty += 1;
                 for v in &violations {
@@ -543,40 +485,20 @@ fn validate_mode(with_broken: bool) -> i32 {
                         .value
                         .map(|id| format!(" (value %{id})"))
                         .unwrap_or_default();
-                    println!("citroen-analyze validate: {bench}: pass '{pass}': {v}{at}");
+                    eprintln!("citroen-analyze validate: {bench}: pass '{pass}': {v}{at}");
                 }
             }
             Err(citroen_passes::manager::CompileError::Verify { pass, errors }) => {
                 dirty += 1;
                 for e in &errors {
-                    println!("citroen-analyze validate: {bench}: pass '{pass}': verifier: {e}");
+                    eprintln!("citroen-analyze validate: {bench}: pass '{pass}': verifier: {e}");
                 }
             }
         }
     }
-    println!(
+    eprintln!(
         "citroen-analyze validate: {dirty} miscompiled benchmark(s) under -O3 with the \
          sanitizer armed"
     );
     i32::from(dirty > 0)
-}
-
-fn fuzz(cfg: &FuzzConfig) -> i32 {
-    println!(
-        "citroen-analyze: fuzzing {} modules x {} sequences (max len {}, seed {:#x})",
-        cfg.modules, cfg.seqs_per_module, cfg.max_seq_len, cfg.seed
-    );
-    let report = run_campaign(cfg, |line| println!("{line}"));
-    for f in &report.failures {
-        println!("\n=== {} failure (module seed {:#x}) ===", f.kind, f.module_seed);
-        println!("sequence:         {}", f.seq);
-        println!("reduced sequence: {}", f.reduced_seq);
-        println!("reduced module:\n{}", f.reduced_ir);
-    }
-    println!(
-        "citroen-analyze: {} trial(s), {} failure(s)",
-        report.trials,
-        report.failures.len()
-    );
-    i32::from(!report.failures.is_empty())
 }

@@ -1,19 +1,32 @@
-//! Fuzzing campaign for the pass pipeline: random generated modules × random
-//! pass sequences, each trial checked three ways — the structural verifier,
-//! the translation-validation sanitizer, and an interpreter differential
-//! (return value + mutable-memory digest against the unoptimised module).
+//! Soundness campaigns for the pass pipeline and its pruning claims: random
+//! generated modules × random pass sequences, driven by one loop.
 //!
-//! Every failure is delta-debugged before being reported: the pass sequence
-//! is minimised with [`ddmin`](citroen_analyze::reduce::ddmin) and the module
-//! is shrunk with [`reduce_module`](citroen_analyze::reduce::reduce_module),
-//! so the report contains a small parseable reproducer rather than a 300-line
-//! random program.
+//! * [`run_campaign`] checks each trial three ways — the structural
+//!   verifier, the translation-validation sanitizer, and an interpreter
+//!   differential (return value + mutable-memory digest against the
+//!   unoptimised module).
+//! * [`run_oracle_campaign`] executes every `CannotFire` precondition verdict
+//!   seen along an evolving sequence.
+//! * [`run_subsumption_campaign`] executes every drop the sequence
+//!   canonicalizer's absent-work dataflow predicts.
+//! * [`run_alias_campaign`] checks every same-block `No`/`Must` alias answer
+//!   against concrete access addresses.
+//!
+//! The oracle and subsumption claims reduce to one theorem, checked by
+//! [`noop_breach`]: the pass leaves the fingerprint unchanged and records
+//! no statistics. Every finding is delta-debugged before being reported: the
+//! pass sequence is minimised with [`ddmin`](citroen_analyze::reduce::ddmin)
+//! and the module is shrunk with
+//! [`reduce_module`](citroen_analyze::reduce::reduce_module), so the report
+//! contains a small parseable reproducer rather than a 300-line random
+//! program.
 
 use citroen_analyze::reduce::{ddmin, reduce_module};
 use citroen_ir::interp::{run, CountingSink, Limits, Trap, Value};
 use citroen_ir::module::Module;
 use citroen_ir::FuncId;
-use citroen_passes::{PassId, PassManager, Registry};
+use citroen_passes::oracle::noop_breach;
+use citroen_passes::{CompileError, PassId, PassManager, Registry, Stats};
 use citroen_rt::rng::{Rng, SeedableRng, StdRng};
 use citroen_suite::generator::{generate, GenConfig};
 
@@ -43,49 +56,41 @@ impl FuzzConfig {
     }
 }
 
-/// Which oracle rejected the trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The verifier found malformed IR after a pass.
-    Verify,
-    /// The sanitizer proved a pass contradicted pre-pass facts.
-    Sanitize,
-    /// The optimised module computed a different result than the original.
-    Differential,
-}
-
-impl std::fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailureKind::Verify => write!(f, "verify"),
-            FailureKind::Sanitize => write!(f, "sanitize"),
-            FailureKind::Differential => write!(f, "differential"),
-        }
-    }
-}
-
-/// A reduced, reportable failure.
+/// A campaign finding, reduced to a small reproducer.
 #[derive(Debug, Clone)]
-pub struct Failure {
-    /// Which oracle fired.
-    pub kind: FailureKind,
-    /// Seed of the generated module that exposed the bug.
+pub struct Violation {
+    /// What broke: the failure kind (`verify`, `sanitize`, `differential`),
+    /// the pass whose no-op claim was contradicted, or the contradicted alias
+    /// answer (`no-alias`, `must-alias`).
+    pub label: String,
+    /// Seed of the generated module that exposed it.
     pub module_seed: u64,
-    /// The original failing sequence (comma-separated pass names).
+    /// The sequence it surfaced under (comma-separated pass names; empty for
+    /// a raw module).
     pub seq: String,
-    /// The ddmin-minimised sequence that still fails.
+    /// The ddmin-minimised sequence that still surfaces it. The alias
+    /// campaign reduces only the module, so there it equals `seq`.
     pub reduced_seq: String,
     /// The reduced module, printed as parseable IR.
     pub reduced_ir: String,
+    /// What the check observed.
+    pub detail: String,
 }
 
-/// Campaign outcome.
+/// Campaign outcome, one shape for every campaign.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// Trials executed (modules × sequences).
+    /// Modules generated.
+    pub modules: usize,
+    /// Trials run: module × sequence pairs (alias: module states checked).
     pub trials: usize,
-    /// Reduced failures, in discovery order.
-    pub failures: Vec<Failure>,
+    /// The campaign's two claim counters. Oracle: `[CannotFire verdicts
+    /// executed, verdicts computed]`; subsume: `[predicted drops executed,
+    /// positions simulated]`; alias: `[No claims, Must claims]`. The fuzz
+    /// campaign leaves them zero.
+    pub counts: [u64; 2],
+    /// Reduced violations, in discovery order.
+    pub violations: Vec<Violation>,
 }
 
 /// Interpreter fuel for fuzz trials — far above any generated program's step
@@ -93,37 +98,21 @@ pub struct Report {
 /// loop terminates promptly.
 const FUZZ_STEPS: u64 = 5_000_000;
 
-fn observe(m: &Module) -> Result<(Option<Value>, u64), Trap> {
-    let entry = FuncId((m.funcs.len() - 1) as u32); // generator entry is last
-    let mut sink = CountingSink::new();
-    let limits = Limits { max_steps: FUZZ_STEPS, ..Limits::default() };
-    let out = run(m, entry, &[], &mut sink, limits)?;
-    Ok((out.ret, out.mem_digest))
+/// The generator puts a module's entry function last.
+fn entry(m: &Module) -> FuncId {
+    FuncId((m.funcs.len() - 1) as u32)
 }
 
-/// The unified failure oracle: true iff `seq` breaks `m` in any observable
-/// way. This is also the predicate the reducers re-run, so a reduction step
-/// is kept only while the *same* misbehaviour class remains reachable.
-fn trial_fails(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<FailureKind> {
-    let res = match pm.compile_result(m, seq) {
-        Err(citroen_passes::CompileError::Verify { .. }) => return Some(FailureKind::Verify),
-        Err(citroen_passes::CompileError::Sanitize { .. }) => return Some(FailureKind::Sanitize),
-        Ok(res) => res,
-    };
-    match (observe(m), observe(&res.module)) {
-        (Ok(a), Ok(b)) if a != b => Some(FailureKind::Differential),
-        // A module that traps before optimisation is outside the contract
-        // (generated programs never trap); don't blame the passes for it.
-        (Err(_), _) => None,
-        // Trap introduced by optimisation is a differential failure too.
-        (Ok(_), Err(_)) => Some(FailureKind::Differential),
-        _ => None,
-    }
+fn observe(m: &Module) -> Result<(Option<Value>, u64), Trap> {
+    let mut sink = CountingSink::new();
+    let limits = Limits { max_steps: FUZZ_STEPS, ..Limits::default() };
+    let out = run(m, entry(m), &[], &mut sink, limits)?;
+    Ok((out.ret, out.mem_digest))
 }
 
 /// Vary the generator shape per module so the campaign covers helper-call,
 /// deep-nest and straight-line extremes rather than one average shape.
-pub(crate) fn varied_config(rng: &mut StdRng) -> GenConfig {
+fn varied_config(rng: &mut StdRng) -> GenConfig {
     GenConfig {
         helpers: rng.gen_range(0..=3),
         trip_range: (rng.gen_range(2..16), rng.gen_range(16..64)),
@@ -132,175 +121,72 @@ pub(crate) fn varied_config(rng: &mut StdRng) -> GenConfig {
     }
 }
 
-/// Run a campaign. `progress` receives one line per module (already
-/// rate-limited; pass `|_| {}` to silence).
-pub fn run_campaign(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> Report {
-    let reg = Registry::full();
-    let mut pm = PassManager::new(&reg);
-    pm.verify_each = true;
-    pm.sanitize = true;
+/// Draw a module seed and a generator shape from `rng`, in that order, and
+/// generate the module.
+pub(crate) fn seeded_module(rng: &mut StdRng) -> (u64, Module) {
+    let module_seed: u64 = rng.gen();
+    let module = generate(module_seed, &varied_config(rng));
+    (module_seed, module)
+}
+
+/// `len` passes drawn uniformly from `reg`.
+pub(crate) fn random_seq(reg: &Registry, rng: &mut StdRng, len: usize) -> Vec<PassId> {
+    (0..len).map(|_| reg.ids()[rng.gen_range(0..reg.len())]).collect()
+}
+
+/// The generation loop every campaign shares: `cfg.modules` seeded modules,
+/// each announced through `progress` and handed to `per_module` together
+/// with the campaign's RNG, report and progress sink.
+fn each_module<P: FnMut(&str)>(
+    cfg: &FuzzConfig,
+    what: &str,
+    mut progress: P,
+    mut per_module: impl FnMut(&mut StdRng, &mut Report, &mut P, u64, &Module),
+) -> Report {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut report = Report::default();
-
     for mi in 0..cfg.modules {
-        let module_seed: u64 = rng.gen();
-        let gen_cfg = varied_config(&mut rng);
-        let module = generate(module_seed, &gen_cfg);
+        report.modules += 1;
+        let (module_seed, module) = seeded_module(&mut rng);
         progress(&format!(
-            "module {}/{} (seed {module_seed:#x}, {} insts)",
+            "{what} module {}/{} (seed {module_seed:#x}, {} insts)",
             mi + 1,
             cfg.modules,
             module.num_insts()
         ));
-        for _ in 0..cfg.seqs_per_module {
-            report.trials += 1;
-            let len = rng.gen_range(1..=cfg.max_seq_len);
-            let seq: Vec<PassId> =
-                (0..len).map(|_| reg.ids()[rng.gen_range(0..reg.len())]).collect();
-            let Some(kind) = trial_fails(&pm, &module, &seq) else { continue };
-            progress(&format!("  FAILURE ({kind}) — reducing"));
-
-            // Reduce: first the sequence, then the module under it. The
-            // predicate pins the failure *kind* so reduction cannot wander
-            // from e.g. a miscompile to an unrelated verifier complaint.
-            let min_seq =
-                ddmin(&seq, |s| trial_fails(&pm, &module, s) == Some(kind));
-            let reduced =
-                reduce_module(&module, |m| trial_fails(&pm, m, &min_seq) == Some(kind));
-            report.failures.push(Failure {
-                kind,
-                module_seed,
-                seq: reg.seq_to_string(&seq),
-                reduced_seq: reg.seq_to_string(&min_seq),
-                reduced_ir: citroen_ir::print::print_module(&reduced),
-            });
-        }
+        per_module(&mut rng, &mut report, &mut progress, module_seed, &module);
     }
     report
 }
 
-// ---------------------------------------------------------------------------
-// Oracle soundness campaign
-// ---------------------------------------------------------------------------
-
-/// A contradicted `CannotFire` verdict, reduced to a small reproducer.
-#[derive(Debug, Clone)]
-pub struct OracleViolation {
-    /// Name of the lying pass.
-    pub pass: String,
-    /// Seed of the generated module that exposed the lie.
-    pub module_seed: u64,
-    /// The original sequence under which the lie surfaced.
-    pub seq: String,
-    /// The ddmin-minimised sequence that still surfaces it.
-    pub reduced_seq: String,
-    /// The reduced module, printed as parseable IR.
-    pub reduced_ir: String,
-    /// What the theorem check observed (fingerprint change / stats).
-    pub detail: String,
-}
-
-/// Oracle campaign outcome.
-#[derive(Debug, Clone, Default)]
-pub struct OracleReport {
-    /// Module × sequence trials executed.
-    pub trials: usize,
-    /// `CannotFire` verdicts that were executed and checked.
-    pub checked_cannot_fire: u64,
-    /// Verdicts computed in total (one per pass application).
-    pub verdicts: u64,
-    /// Reduced violations, in discovery order.
-    pub violations: Vec<OracleViolation>,
-}
-
-/// Replay `seq` on (a clone of) `m`, checking every `CannotFire` verdict
-/// against the pass's actual behaviour. Returns the first contradiction as
-/// `(pass name, detail)`; counters accumulate into `checked`/`verdicts` when
-/// provided. This is both the campaign trial and the predicate the reducers
-/// re-run (with counters off).
-fn oracle_replay(
-    reg: &Registry,
-    m: &Module,
-    seq: &[PassId],
-    mut counters: Option<(&mut u64, &mut u64)>,
-) -> Option<(String, String)> {
-    let mut cur = m.clone();
-    for &id in seq {
-        let pass = reg.pass(id);
-        let facts = citroen_analyze::oracle::compute_facts(&cur);
-        let verdict = pass.precondition(&cur, &facts);
-        if let Some((_, verdicts)) = counters.as_mut() {
-            **verdicts += 1;
-        }
-        let claimed_dead = verdict.is_cannot_fire();
-        let before = claimed_dead.then(|| citroen_ir::print::fingerprint(&cur));
-        let mut stats = citroen_passes::Stats::new();
-        pass.run(&mut cur, &mut stats);
-        if let Some(before_fp) = before {
-            if let Some((checked, _)) = counters.as_mut() {
-                **checked += 1;
-            }
-            if citroen_ir::print::fingerprint(&cur) != before_fp {
-                return Some((
-                    pass.name().to_string(),
-                    "cannot-fire pass changed the module fingerprint".to_string(),
-                ));
-            }
-            if !stats.is_empty() {
-                return Some((
-                    pass.name().to_string(),
-                    format!("cannot-fire pass recorded stats: {}", stats.keys().join(", ")),
-                ));
-            }
-        }
-    }
-    None
-}
-
-/// Soundness-fuzz the precondition oracle of every pass in `reg`: random
-/// generated modules × random sequences, stepping each sequence through an
-/// evolving module and executing every `CannotFire` verdict seen along the
-/// way. Any contradiction is delta-debugged (sequence ddmin pinned to the
-/// lying pass, then module reduction) before being reported.
-pub fn run_oracle_campaign(
+/// The campaign driver: `cfg.seqs_per_module` random sequences per generated
+/// module, each run through `trial`. A trial returns the first breach as
+/// `(label, detail)` and adds to the report's counters. A breach is reduced
+/// before it is reported — first the sequence, then the module under it —
+/// by re-running `trial` with scratch counters and keeping a step only while
+/// the *same* label still breaks, so reduction cannot drift to an unrelated
+/// failure.
+fn drive(
     cfg: &FuzzConfig,
     reg: &Registry,
-    mut progress: impl FnMut(&str),
-) -> OracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut report = OracleReport::default();
-
-    for mi in 0..cfg.modules {
-        let module_seed: u64 = rng.gen();
-        let gen_cfg = varied_config(&mut rng);
-        let module = generate(module_seed, &gen_cfg);
-        progress(&format!(
-            "oracle module {}/{} (seed {module_seed:#x}, {} insts)",
-            mi + 1,
-            cfg.modules,
-            module.num_insts()
-        ));
+    what: &str,
+    progress: impl FnMut(&str),
+    trial: impl Fn(&Module, &[PassId], &mut [u64; 2]) -> Option<(String, String)>,
+) -> Report {
+    each_module(cfg, what, progress, |rng, report, progress, module_seed, module| {
         for _ in 0..cfg.seqs_per_module {
             report.trials += 1;
             let len = rng.gen_range(1..=cfg.max_seq_len);
-            let seq: Vec<PassId> =
-                (0..len).map(|_| reg.ids()[rng.gen_range(0..reg.len())]).collect();
-            let counters = (&mut report.checked_cannot_fire, &mut report.verdicts);
-            let Some((pass, detail)) = oracle_replay(reg, &module, &seq, Some(counters)) else {
-                continue;
+            let seq = random_seq(reg, rng, len);
+            let Some((label, detail)) = trial(module, &seq, &mut report.counts) else { continue };
+            progress(&format!("  VIOLATION ({label}) — reducing"));
+            let same = |m: &Module, s: &[PassId]| {
+                trial(m, s, &mut [0; 2]).is_some_and(|(l, _)| l == label)
             };
-            progress(&format!("  ORACLE VIOLATION ({pass}) — reducing"));
-
-            // Reduce with the violation pinned to the same lying pass, so
-            // minimisation cannot drift to a different pass's (hypothetical)
-            // unrelated lie.
-            let still_lies = |reg: &Registry, m: &Module, s: &[PassId]| {
-                oracle_replay(reg, m, s, None).is_some_and(|(p, _)| p == pass)
-            };
-            let min_seq = ddmin(&seq, |s| still_lies(reg, &module, s));
-            let reduced = reduce_module(&module, |m| still_lies(reg, m, &min_seq));
-            report.violations.push(OracleViolation {
-                pass: pass.clone(),
+            let min_seq = ddmin(&seq, |s| same(module, s));
+            let reduced = reduce_module(module, |m| same(m, &min_seq));
+            report.violations.push(Violation {
+                label,
                 module_seed,
                 seq: reg.seq_to_string(&seq),
                 reduced_seq: reg.seq_to_string(&min_seq),
@@ -308,126 +194,124 @@ pub fn run_oracle_campaign(
                 detail,
             });
         }
-    }
-    report
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Subsumption soundness campaign
-// ---------------------------------------------------------------------------
-
-/// A contradicted subsumption drop, reduced to a small reproducer.
-#[derive(Debug, Clone)]
-pub struct SubsumptionViolation {
-    /// Name of the pass that was predicted subsumed but fired anyway. The
-    /// false claim lives in the *kept prefix* (an overstated `clears` or an
-    /// understated `produces`/`fires_on`); the reduced sequence exposes the
-    /// offending pair.
-    pub pass: String,
-    /// Seed of the generated module that exposed the false theorem.
-    pub module_seed: u64,
-    /// The original sequence under which the drop was predicted.
-    pub seq: String,
-    /// The ddmin-minimised sequence that still predicts a firing drop.
-    pub reduced_seq: String,
-    /// The reduced module, printed as parseable IR.
-    pub reduced_ir: String,
-    /// What the theorem check observed (fingerprint change / stats).
-    pub detail: String,
+/// Fuzz trial: does `seq` break `m` in any observable way? Labels are the
+/// failure kinds `verify`, `sanitize` and `differential`.
+fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(String, String)> {
+    let res = match pm.compile_result(m, seq) {
+        Ok(res) => res,
+        Err(e) => {
+            let kind = match e {
+                CompileError::Verify { .. } => "verify",
+                CompileError::Sanitize { .. } => "sanitize",
+            };
+            return Some((kind.to_string(), e.to_string()));
+        }
+    };
+    let detail = match (observe(m), observe(&res.module)) {
+        (Ok(a), Ok(b)) if a != b => format!("(result, memory digest) {a:?} became {b:?}"),
+        // Trap introduced by optimisation is a differential failure too.
+        (Ok(_), Err(t)) => format!("optimisation introduced a trap: {t}"),
+        // A module that traps before optimisation is outside the contract
+        // (generated programs never trap); don't blame the passes for it.
+        _ => return None,
+    };
+    Some(("differential".to_string(), detail))
 }
 
-/// Subsumption campaign outcome.
-#[derive(Debug, Clone, Default)]
-pub struct SubsumptionReport {
-    /// Module × sequence trials executed.
-    pub trials: usize,
-    /// Predicted drops that were executed and checked.
-    pub checked_drops: u64,
-    /// Pass applications simulated in total.
-    pub positions: u64,
-    /// Reduced violations, in discovery order.
-    pub violations: Vec<SubsumptionViolation>,
-}
-
-/// Replay `seq` on (a clone of) `m`, running the *same* absent-work dataflow
-/// the [`SeqCanonicalizer`](citroen_bo::SeqCanonicalizer) runs — `maybe`
-/// starts all-ones and each kept pass applies `(maybe | produces) & !clears`
-/// — and executing every pass the canonicalizer would have dropped: a
-/// predicted drop must leave the fingerprint unchanged and record zero
-/// statistics. Dropped passes do not advance the dataflow (they provably
-/// changed nothing), mirroring the canonicalizer exactly. Returns the first
-/// contradiction as `(pass name, detail)`.
-fn subsumption_replay(
+/// Oracle trial: step `seq` through an evolving clone of `m`, executing
+/// every `CannotFire` verdict as a no-op theorem. The label is the lying
+/// pass.
+fn oracle_trial(
     reg: &Registry,
     m: &Module,
     seq: &[PassId],
-    mut counters: Option<(&mut u64, &mut u64)>,
+    counts: &mut [u64; 2],
 ) -> Option<(String, String)> {
-    let fires = reg.fires_on();
-    let clears = reg.clears();
-    let produces = reg.produces();
+    let mut cur = m.clone();
+    for &id in seq {
+        let pass = reg.pass(id);
+        counts[1] += 1;
+        let facts = citroen_analyze::oracle::compute_facts(&cur);
+        if pass.precondition(&cur, &facts).is_cannot_fire() {
+            counts[0] += 1;
+            if let Some(breach) = noop_breach(pass, &mut cur) {
+                return Some((pass.name().to_string(), format!("cannot-fire pass {breach}")));
+            }
+        } else {
+            pass.run(&mut cur, &mut Stats::new());
+        }
+    }
+    None
+}
+
+/// Subsumption trial: step `seq` through an evolving clone of `m`, running
+/// the *same* absent-work dataflow the
+/// [`SeqCanonicalizer`](citroen_bo::SeqCanonicalizer) runs — `maybe` starts
+/// all-ones and each kept pass applies `(maybe | produces) & !clears` — and
+/// executing every pass it would have dropped as a no-op theorem. Dropped
+/// passes do not advance the dataflow (they provably changed nothing),
+/// mirroring the canonicalizer exactly. The label is the pass that was
+/// predicted subsumed but fired anyway; the false claim lives in the kept
+/// prefix (an overstated `clears` or an understated `produces`/`fires_on`).
+fn subsumption_trial(
+    reg: &Registry,
+    m: &Module,
+    seq: &[PassId],
+    counts: &mut [u64; 2],
+) -> Option<(String, String)> {
+    let (fires, clears, produces) = (reg.fires_on(), reg.clears(), reg.produces());
     let mut cur = m.clone();
     let mut maybe = u64::MAX;
     for &id in seq {
-        let pass = reg.pass(id);
-        let i = id.0 as usize;
-        if let Some((_, positions)) = counters.as_mut() {
-            **positions += 1;
-        }
-        let predicted = fires[i].is_some_and(|f| f & maybe == 0);
-        let before = predicted.then(|| citroen_ir::print::fingerprint(&cur));
-        let mut stats = citroen_passes::Stats::new();
-        pass.run(&mut cur, &mut stats);
-        if let Some(before_fp) = before {
-            if let Some((checked, _)) = counters.as_mut() {
-                **checked += 1;
-            }
-            if citroen_ir::print::fingerprint(&cur) != before_fp {
+        let (pass, i) = (reg.pass(id), id.0 as usize);
+        counts[1] += 1;
+        if fires[i].is_some_and(|f| f & maybe == 0) {
+            counts[0] += 1;
+            if let Some(breach) = noop_breach(pass, &mut cur) {
                 return Some((
                     pass.name().to_string(),
-                    "predicted-subsumed pass changed the module fingerprint".to_string(),
+                    format!("predicted-subsumed pass {breach}"),
                 ));
             }
-            if !stats.is_empty() {
-                return Some((
-                    pass.name().to_string(),
-                    format!("predicted-subsumed pass recorded stats: {}", stats.keys().join(", ")),
-                ));
-            }
-            // A verified no-op: like the canonicalizer, leave `maybe` as-is.
         } else {
+            pass.run(&mut cur, &mut Stats::new());
             maybe = (maybe | produces[i]) & !clears[i];
         }
     }
     None
 }
 
-/// A concretely contradicted alias claim, with a reduced module reproducer.
-#[derive(Debug, Clone)]
-pub struct AliasOracleViolation {
-    /// Seed of the generated module that exposed the unsound answer.
-    pub module_seed: u64,
-    /// Pass sequence applied before checking (empty for the raw module).
-    pub seq: String,
-    /// The contradiction, as reported by the concrete checker.
-    pub detail: String,
-    /// The reduced module, printed as parseable IR.
-    pub reduced_ir: String,
+/// Fuzz the shipped registry: random generated modules × random sequences
+/// through the verifier, the sanitizer and the interpreter differential.
+/// `progress` receives one line per module (pass `|_| {}` to silence).
+pub fn run_campaign(cfg: &FuzzConfig, progress: impl FnMut(&str)) -> Report {
+    let reg = Registry::full();
+    let mut pm = PassManager::new(&reg);
+    pm.verify_each = true;
+    pm.sanitize = true;
+    drive(cfg, &reg, "fuzz", progress, |m, seq, _| fuzz_trial(&pm, m, seq))
 }
 
-/// Alias soundness campaign outcome.
-#[derive(Debug, Clone, Default)]
-pub struct AliasOracleReport {
-    /// Modules generated.
-    pub modules: usize,
-    /// Module states checked (raw + optimised variants).
-    pub trials: usize,
-    /// `No` claims tested across all trials.
-    pub no_claims: u64,
-    /// `Must` claims tested across all trials.
-    pub must_claims: u64,
-    /// Reduced violations, in discovery order.
-    pub violations: Vec<AliasOracleViolation>,
+/// Soundness-fuzz the precondition oracle of every pass in `reg`: every
+/// `CannotFire` verdict seen along a random sequence is executed and must
+/// change nothing.
+pub fn run_oracle_campaign(cfg: &FuzzConfig, reg: &Registry, progress: impl FnMut(&str)) -> Report {
+    drive(cfg, reg, "oracle", progress, |m, seq, counts| oracle_trial(reg, m, seq, counts))
+}
+
+/// Soundness-fuzz the work-class subsumption matrix of `reg`. This exercises
+/// all three mask claims at once — `fires_on` (the no-op certificate),
+/// `clears` (the postcondition), and `produces` (the frame condition) — in
+/// exactly the composition the search uses them.
+pub fn run_subsumption_campaign(
+    cfg: &FuzzConfig,
+    reg: &Registry,
+    progress: impl FnMut(&str),
+) -> Report {
+    drive(cfg, reg, "subsume", progress, |m, seq, counts| subsumption_trial(reg, m, seq, counts))
 }
 
 /// Soundness-fuzz the alias analysis: every `No`/`Must` answer for same-block
@@ -436,126 +320,47 @@ pub struct AliasOracleReport {
 /// access's address (see [`citroen_analyze::aliasoracle`]). Each generated
 /// module is checked raw and after random pass pipelines (optimised shapes —
 /// rotated loops, forwarded loads — are where an unsound analysis would
-/// bite). Violating modules are shrunk with `reduce_module`, keeping a
+/// bite). A violating state is reduced over the module only, keeping a
 /// contradicted claim reachable.
-pub fn run_alias_campaign(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> AliasOracleReport {
+pub fn run_alias_campaign(cfg: &FuzzConfig, progress: impl FnMut(&str)) -> Report {
     use citroen_analyze::aliasoracle;
     let reg = Registry::full();
     let mut pm = PassManager::new(&reg);
     pm.verify_each = false;
     pm.sanitize = false;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut report = AliasOracleReport::default();
-
-    let check_state = |m: &Module,
-                           module_seed: u64,
-                           seq_str: String,
-                           report: &mut AliasOracleReport,
-                           progress: &mut dyn FnMut(&str)| {
+    // A trapping or runaway module is no witness either way.
+    let contradiction =
+        |m: &Module| aliasoracle::check_module(m, entry(m), FUZZ_STEPS).ok()?.into_iter().next();
+    let check = |m: &Module,
+                 module_seed,
+                 seq: String,
+                 report: &mut Report,
+                 progress: &mut dyn FnMut(&str)| {
         report.trials += 1;
         let (no, must) = aliasoracle::claim_count(m);
-        report.no_claims += no as u64;
-        report.must_claims += must as u64;
-        let entry = FuncId((m.funcs.len() - 1) as u32);
-        match aliasoracle::check_module(m, entry, FUZZ_STEPS) {
-            // A trapping or runaway module is no witness either way.
-            Err(_) => {}
-            Ok(v) if v.is_empty() => {}
-            Ok(v) => {
-                progress(&format!("  ALIAS VIOLATION ({}) — reducing", v[0]));
-                let reduced = reduce_module(m, |cand| {
-                    let e = FuncId((cand.funcs.len() - 1) as u32);
-                    matches!(aliasoracle::check_module(cand, e, FUZZ_STEPS), Ok(vs) if !vs.is_empty())
-                });
-                report.violations.push(AliasOracleViolation {
-                    module_seed,
-                    seq: seq_str,
-                    detail: v[0].to_string(),
-                    reduced_ir: citroen_ir::print::print_module(&reduced),
-                });
-            }
-        }
+        report.counts[0] += no as u64;
+        report.counts[1] += must as u64;
+        let Some(v) = contradiction(m) else { return };
+        progress(&format!("  VIOLATION ({v}) — reducing"));
+        let reduced = reduce_module(m, |cand| contradiction(cand).is_some());
+        report.violations.push(Violation {
+            label: format!("{:?}-alias", v.claim.result).to_lowercase(),
+            module_seed,
+            reduced_seq: seq.clone(),
+            seq,
+            reduced_ir: citroen_ir::print::print_module(&reduced),
+            detail: v.to_string(),
+        });
     };
-
-    for mi in 0..cfg.modules {
-        report.modules += 1;
-        let module_seed: u64 = rng.gen();
-        let gen_cfg = varied_config(&mut rng);
-        let module = generate(module_seed, &gen_cfg);
-        progress(&format!(
-            "alias module {}/{} (seed {module_seed:#x}, {} insts)",
-            mi + 1,
-            cfg.modules,
-            module.num_insts()
-        ));
-        check_state(&module, module_seed, String::new(), &mut report, &mut progress);
+    each_module(cfg, "alias", progress, |rng, report, progress, module_seed, module| {
+        check(module, module_seed, String::new(), report, progress);
         for _ in 0..cfg.seqs_per_module {
             let len = rng.gen_range(1..=cfg.max_seq_len);
-            let seq: Vec<PassId> =
-                (0..len).map(|_| reg.ids()[rng.gen_range(0..reg.len())]).collect();
-            let Ok(res) = pm.compile_result(&module, &seq) else { continue };
-            check_state(&res.module, module_seed, reg.seq_to_string(&seq), &mut report, &mut progress);
+            let seq = random_seq(&reg, rng, len);
+            let Ok(res) = pm.compile_result(module, &seq) else { continue };
+            check(&res.module, module_seed, reg.seq_to_string(&seq), report, progress);
         }
-    }
-    report
-}
-
-/// Soundness-fuzz the work-class subsumption matrix: random generated modules
-/// × random sequences, simulating the canonicalizer's absent-work dataflow on
-/// an evolving module and executing every predicted drop as a no-op theorem.
-/// This exercises all three mask claims at once — `fires_on` (the no-op
-/// certificate), `clears` (the postcondition), and `produces` (the frame
-/// condition) — in exactly the composition the search uses them. Violations
-/// are delta-debugged (sequence ddmin pinned to the same predicted-dropped
-/// pass, then module reduction) before being reported.
-pub fn run_subsumption_campaign(
-    cfg: &FuzzConfig,
-    reg: &Registry,
-    mut progress: impl FnMut(&str),
-) -> SubsumptionReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut report = SubsumptionReport::default();
-
-    for mi in 0..cfg.modules {
-        let module_seed: u64 = rng.gen();
-        let gen_cfg = varied_config(&mut rng);
-        let module = generate(module_seed, &gen_cfg);
-        progress(&format!(
-            "subsume module {}/{} (seed {module_seed:#x}, {} insts)",
-            mi + 1,
-            cfg.modules,
-            module.num_insts()
-        ));
-        for _ in 0..cfg.seqs_per_module {
-            report.trials += 1;
-            let len = rng.gen_range(1..=cfg.max_seq_len);
-            let seq: Vec<PassId> =
-                (0..len).map(|_| reg.ids()[rng.gen_range(0..reg.len())]).collect();
-            let counters = (&mut report.checked_drops, &mut report.positions);
-            let Some((pass, detail)) = subsumption_replay(reg, &module, &seq, Some(counters))
-            else {
-                continue;
-            };
-            progress(&format!("  SUBSUMPTION VIOLATION ({pass}) — reducing"));
-
-            // Pin reduction to the same predicted-dropped pass so it cannot
-            // drift to an unrelated (hypothetical) second false claim.
-            let still_fires = |reg: &Registry, m: &Module, s: &[PassId]| {
-                subsumption_replay(reg, m, s, None).is_some_and(|(p, _)| p == pass)
-            };
-            let min_seq = ddmin(&seq, |s| still_fires(reg, &module, s));
-            let reduced = reduce_module(&module, |m| still_fires(reg, m, &min_seq));
-            report.violations.push(SubsumptionViolation {
-                pass: pass.clone(),
-                module_seed,
-                seq: reg.seq_to_string(&seq),
-                reduced_seq: reg.seq_to_string(&min_seq),
-                reduced_ir: citroen_ir::print::print_module(&reduced),
-                detail,
-            });
-        }
-    }
-    report
+    })
 }
 
 #[cfg(test)]
@@ -568,10 +373,10 @@ mod tests {
         // this is the `cargo test` face of `citroen-analyze --smoke`.
         let report = run_campaign(&FuzzConfig::smoke(), |_| {});
         assert!(report.trials >= 12);
-        for f in &report.failures {
+        for f in &report.violations {
             panic!(
-                "fuzz failure ({}) seed {:#x}\n  seq: {}\n  reduced seq: {}\n{}",
-                f.kind, f.module_seed, f.seq, f.reduced_seq, f.reduced_ir
+                "fuzz failure ({}: {}) seed {:#x}\n  seq: {}\n  reduced seq: {}\n{}",
+                f.label, f.detail, f.module_seed, f.seq, f.reduced_seq, f.reduced_ir
             );
         }
     }
@@ -586,16 +391,15 @@ mod tests {
         assert_eq!(report.trials, 30);
         // The campaign only proves something if verdicts were actually
         // executed: a trivially-MayFire oracle would make this test vacuous.
+        let [checked, verdicts] = report.counts;
         assert!(
-            report.checked_cannot_fire >= report.verdicts / 10,
-            "only {}/{} verdicts were CannotFire — oracle too weak to test",
-            report.checked_cannot_fire,
-            report.verdicts
+            checked >= verdicts / 10,
+            "only {checked}/{verdicts} verdicts were CannotFire — oracle too weak to test"
         );
         for v in &report.violations {
             panic!(
                 "oracle violation: pass '{}' ({}) seed {:#x}\n  seq: {}\n  reduced: {}\n{}",
-                v.pass, v.detail, v.module_seed, v.seq, v.reduced_seq, v.reduced_ir
+                v.label, v.detail, v.module_seed, v.seq, v.reduced_seq, v.reduced_ir
             );
         }
     }
@@ -610,15 +414,15 @@ mod tests {
         assert_eq!(report.trials, 30);
         // Vacuity guard: the campaign only proves something if drops were
         // actually predicted and executed.
+        let [drops, positions] = report.counts;
         assert!(
-            report.checked_drops > 0,
-            "no drops predicted over {} positions — matrix too weak to test",
-            report.positions
+            drops > 0,
+            "no drops predicted over {positions} positions — matrix too weak to test"
         );
         for v in &report.violations {
             panic!(
                 "subsumption violation: pass '{}' ({}) seed {:#x}\n  seq: {}\n  reduced: {}\n{}",
-                v.pass, v.detail, v.module_seed, v.seq, v.reduced_seq, v.reduced_ir
+                v.label, v.detail, v.module_seed, v.seq, v.reduced_seq, v.reduced_ir
             );
         }
     }
@@ -662,8 +466,9 @@ mod tests {
         let report = run_alias_campaign(&cfg, |_| {});
         assert_eq!(report.modules, 6);
         assert!(report.trials >= 6, "raw modules always checked: {}", report.trials);
-        assert!(report.no_claims > 0, "campaign must test No claims");
-        assert!(report.must_claims > 0, "campaign must test Must claims");
+        let [no, must] = report.counts;
+        assert!(no > 0, "campaign must test No claims");
+        assert!(must > 0, "campaign must test Must claims");
         for v in &report.violations {
             panic!(
                 "alias violation: seed {:#x} seq [{}]\n  {}\n{}",
@@ -689,7 +494,10 @@ mod tests {
             report.trials
         );
         for v in &report.violations {
-            assert_eq!(v.pass, "lying-alias-precondition", "only the spiked pass may be convicted");
+            assert_eq!(
+                v.label, "lying-alias-precondition",
+                "only the spiked pass may be convicted"
+            );
             assert_eq!(
                 v.reduced_seq, "lying-alias-precondition",
                 "ddmin must shrink the sequence to the lie alone"
@@ -715,7 +523,7 @@ mod tests {
             report.trials
         );
         for v in &report.violations {
-            assert_eq!(v.pass, "lying-precondition", "only the spiked pass may be convicted");
+            assert_eq!(v.label, "lying-precondition", "only the spiked pass may be convicted");
             assert_eq!(
                 v.reduced_seq, "lying-precondition",
                 "ddmin must shrink the sequence to the lie alone"
@@ -724,4 +532,3 @@ mod tests {
         }
     }
 }
-

@@ -21,11 +21,11 @@
 //! human can decide whether to encode the underlying fact as a `fires_on`/
 //! `clears` mask, which the static matrix then proves for free.
 
+use crate::fuzz::{random_seq, seeded_module};
 use citroen_ir::module::Module;
-use citroen_passes::oracle::work_model;
+use citroen_passes::oracle::{noop_breach, work_model};
 use citroen_passes::{PassId, PassManager, Registry};
 use citroen_rt::rng::{Rng, SeedableRng, StdRng};
-use citroen_suite::generator::generate;
 
 /// Mining + promotion knobs.
 #[derive(Debug, Clone)]
@@ -100,16 +100,6 @@ pub struct MineReport {
     pub drop_trials: u64,
 }
 
-/// Did this pass provably change nothing? The same observable the subsume
-/// harness treats as the no-op theorem: unchanged print fingerprint and an
-/// empty statistics delta.
-fn runs_as_noop(reg: &Registry, m: &mut Module, id: PassId) -> bool {
-    let before = citroen_ir::print::fingerprint(m);
-    let mut stats = citroen_passes::Stats::new();
-    reg.pass(id).run(m, &mut stats);
-    citroen_ir::print::fingerprint(m) == before && stats.is_empty()
-}
-
 /// Phase 1: trace the shipped suite under random sequences and collect
 /// adjacency statistics. Returns `(supported, report)` where `supported`
 /// holds every pair whose every observation was a no-op.
@@ -131,12 +121,11 @@ fn mine_candidates(
     for (name, m) in &corpus {
         progress(&format!("mining {name} ({} seqs)", cfg.mine_seqs));
         for _ in 0..cfg.mine_seqs {
-            let seq: Vec<PassId> =
-                (0..cfg.mine_len).map(|_| reg.ids()[rng.gen_range(0..reg.len())]).collect();
+            let seq = random_seq(reg, rng, cfg.mine_len);
             let mut cur = m.clone();
             let mut prev: Option<PassId> = None;
             for &id in &seq {
-                let fired = !runs_as_noop(reg, &mut cur, id);
+                let fired = noop_breach(reg.pass(id), &mut cur).is_some();
                 if let Some(p) = prev {
                     report.adjacencies += 1;
                     let e = obs.entry((p.0, id.0)).or_insert((0, false));
@@ -170,16 +159,12 @@ fn promote(
 ) -> Result<(), RefutedEdge> {
     for _ in 0..cfg.promote_trials {
         report.drop_trials += 1;
-        let module_seed: u64 = rng.gen();
-        let gen_cfg = crate::fuzz::varied_config(rng);
-        let module = generate(module_seed, &gen_cfg);
+        let (module_seed, module) = seeded_module(rng);
         let prefix_len = rng.gen_range(0..=4);
-        let mut seq: Vec<PassId> =
-            (0..prefix_len).map(|_| reg.ids()[rng.gen_range(0..reg.len())]).collect();
+        let mut seq = random_seq(reg, rng, prefix_len);
         seq.push(edge.p);
-        let Ok(res) = pm.compile_result(&module, &seq) else { continue };
-        let mut cur = res.module;
-        if !runs_as_noop(reg, &mut cur, edge.q) {
+        let Ok(mut res) = pm.compile_result(&module, &seq) else { continue };
+        if noop_breach(reg.pass(edge.q), &mut res.module).is_some() {
             return Err(RefutedEdge {
                 edge: edge.clone(),
                 detail: format!(

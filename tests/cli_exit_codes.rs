@@ -151,6 +151,36 @@ fn oracle_with_lying_pass_exits_1() {
     assert!(err.contains("reduced sequence: lying-precondition"), "{err}");
 }
 
+#[test]
+fn subsume_with_lying_pass_exits_1() {
+    let args = "subsume --with-lying --modules 3 --seqs 8 --max-len 16 --seed 28";
+    let out = analyze(&args.split(' ').collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    // ddmin must have shrunk every reproducer to the lie plus its victim.
+    let reduced: Vec<&str> =
+        err.lines().filter_map(|l| l.strip_prefix("reduced sequence: ")).collect();
+    assert_eq!(reduced.len(), 4, "{err}");
+    for seq in reduced {
+        assert!(seq.starts_with("lying-subsumption,"), "{seq}");
+    }
+}
+
+#[test]
+fn smoke_budget_keeps_explicit_flags() {
+    // `--smoke` picks the base budget; an explicit flag applies on top.
+    let out = analyze(&["--smoke", "--seed", "5"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("4 modules x 3 sequences (max len 10, seed 0x5)"), "{err}");
+
+    // Without a --seed, mine-edges --smoke runs MineConfig::smoke()'s seed.
+    let out = analyze(&["mine-edges", "--smoke"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.lines().next().is_some_and(|l| l.ends_with("seed 0x7")), "{err}");
+}
+
 // ---------------------------------------------------------------------------
 // citroen-trace
 // ---------------------------------------------------------------------------
