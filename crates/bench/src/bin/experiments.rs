@@ -91,6 +91,6 @@ ids: fig5_1 tab5_1..tab5_5 fig5_6_7 fig5_8..fig5_12 batch_sweep multimodule head
      fig4_3..fig4_15 tab4_2 | ch4 | ch5 | all
 fig5_6_7 only: --trace-dir streams one JSONL telemetry trace per
 benchmark×tuner×seed cell (cells run sequentially; analyse with
-`citroen-trace curve/flame/tail`); --benchmarks restricts the grid."
+`citroen-trace curve/flame/show`); --benchmarks restricts the grid."
     );
 }

@@ -14,7 +14,7 @@ use citroen_sim::Platform;
 use citroen_synthetic::{functions, realworld, FlagSelection};
 use citroen_rt::rng::StdRng;
 use citroen_rt::rng::SeedableRng;
-use citroen_rt::par::IntoParIter;
+use citroen_rt::par::par_map;
 
 fn fast_gp() -> GpConfig {
     GpConfig { fit_iters: 12, yeo_johnson: true, ..Default::default() }
@@ -88,12 +88,9 @@ pub fn fig4_3(cfg: &ExpCfg) {
     let fun = functions::ackley(dim);
     for restarts in [10usize, 100] {
         for selection in ["af", "random", "oracle"] {
-            let finals: Vec<f64> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    candidate_selection_run(&fun, restarts, selection, seed, cfg.budget)
-                })
-                .collect();
+            let finals: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                candidate_selection_run(&fun, restarts, selection, seed, cfg.budget)
+            });
             rep.row(vec![
                 restarts.to_string(),
                 selection.to_string(),
@@ -176,25 +173,22 @@ pub fn fig4_4(cfg: &ExpCfg) {
         &["optimiser", "speedup_vs_O3@half", "speedup_vs_O3@full", "sd"],
     );
     for which in ["AIBO", "BO-grad", "Random"] {
-        let rows: Vec<(f64, f64)> = (0..cfg.reps)
-            .into_par_iter()
-            .map(|seed| {
-                let mut task = Task::new(
-                    citroen_suite::kernels::telecom_gsm(),
-                    Registry::full(),
-                    Platform::amd(),
-                    TaskConfig { seq_len: cfg.seq_len, seed, ..Default::default() },
-                );
-                let fs = FlagSelection::new(&task);
-                let bounds = fs.bounds.clone();
-                let o3 = task.o3_seconds;
-                let mut obj = |x: &[f64]| fs.evaluate(&mut task, x);
-                let hist = run_optimiser(which, &bounds, seed, cfg.budget, &mut obj);
-                let half = o3 / hist[hist.len() / 2];
-                let full = o3 / hist[hist.len() - 1];
-                (half, full)
-            })
-            .collect();
+        let rows: Vec<(f64, f64)> = par_map((0..cfg.reps).collect(), |seed| {
+            let mut task = Task::new(
+                citroen_suite::kernels::telecom_gsm(),
+                Registry::full(),
+                Platform::amd(),
+                TaskConfig { seq_len: cfg.seq_len, seed, ..Default::default() },
+            );
+            let fs = FlagSelection::new(&task);
+            let bounds = fs.bounds.clone();
+            let o3 = task.o3_seconds;
+            let mut obj = |x: &[f64]| fs.evaluate(&mut task, x);
+            let hist = run_optimiser(which, &bounds, seed, cfg.budget, &mut obj);
+            let half = o3 / hist[hist.len() / 2];
+            let full = o3 / hist[hist.len() - 1];
+            (half, full)
+        });
         let halves: Vec<f64> = rows.iter().map(|r| r.0).collect();
         let fulls: Vec<f64> = rows.iter().map(|r| r.1).collect();
         rep.row(vec![
@@ -224,15 +218,12 @@ pub fn fig4_5(cfg: &ExpCfg) {
     for d in dims {
         for fun in functions::standard_set(d) {
             for which in optimisers {
-                let finals: Vec<(f64, f64)> = (0..cfg.reps)
-                    .into_par_iter()
-                    .map(|seed| {
-                        let mut f = |x: &[f64]| (fun.f)(x);
-                        let hist =
-                            run_optimiser(which, &fun.bounds, seed, cfg.budget, &mut f);
-                        (hist[hist.len() / 2], hist[hist.len() - 1])
-                    })
-                    .collect();
+                let finals: Vec<(f64, f64)> = par_map((0..cfg.reps).collect(), |seed| {
+                    let mut f = |x: &[f64]| (fun.f)(x);
+                    let hist =
+                        run_optimiser(which, &fun.bounds, seed, cfg.budget, &mut f);
+                    (hist[hist.len() / 2], hist[hist.len() - 1])
+                });
                 let halves: Vec<f64> = finals.iter().map(|r| r.0).collect();
                 let fulls: Vec<f64> = finals.iter().map(|r| r.1).collect();
                 rep.row(vec![
@@ -257,14 +248,11 @@ pub fn fig4_6(cfg: &ExpCfg) {
     let optimisers = ["AIBO", "BO-grad", "TuRBO", "CMA-ES", "GA", "Random"];
     for task in realworld::all_tasks() {
         for which in optimisers {
-            let finals: Vec<(f64, f64)> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut f = |x: &[f64]| (task.f)(x);
-                    let hist = run_optimiser(which, &task.bounds, seed, cfg.budget, &mut f);
-                    (hist[hist.len() / 2], hist[hist.len() - 1])
-                })
-                .collect();
+            let finals: Vec<(f64, f64)> = par_map((0..cfg.reps).collect(), |seed| {
+                let mut f = |x: &[f64]| (task.f)(x);
+                let hist = run_optimiser(which, &task.bounds, seed, cfg.budget, &mut f);
+                (hist[hist.len() / 2], hist[hist.len() - 1])
+            });
             let halves: Vec<f64> = finals.iter().map(|r| r.0).collect();
             let fulls: Vec<f64> = finals.iter().map(|r| r.1).collect();
             rep.row(vec![
@@ -300,14 +288,11 @@ pub fn fig4_7(cfg: &ExpCfg) {
                 ("AIBO", vec![StrategyKind::CmaEs, StrategyKind::Ga, StrategyKind::Random]),
                 ("BO-grad", vec![StrategyKind::Random]),
             ] {
-                let finals: Vec<f64> = (0..cfg.reps)
-                    .into_par_iter()
-                    .map(|seed| {
-                        let c = AiboConfig { af, strategies: strategies.clone(), ..small_aibo() };
-                        let mut f = |x: &[f64]| (fun.f)(x);
-                        run_aibo(&fun.bounds, &c, seed, cfg.budget, &mut f).best()
-                    })
-                    .collect();
+                let finals: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                    let c = AiboConfig { af, strategies: strategies.clone(), ..small_aibo() };
+                    let mut f = |x: &[f64]| (fun.f)(x);
+                    run_aibo(&fun.bounds, &c, seed, cfg.budget, &mut f).best()
+                });
                 rep.row(vec![
                     fun.name.clone(),
                     af.name(),
@@ -409,13 +394,10 @@ pub fn fig4_11(cfg: &ExpCfg) {
         ),
     ];
     for (label, c) in settings {
-        let finals: Vec<f64> = (0..cfg.reps)
-            .into_par_iter()
-            .map(|seed| {
-                let mut f = |x: &[f64]| (task.f)(x);
-                run_aibo(&task.bounds, &c, seed, cfg.budget, &mut f).best()
-            })
-            .collect();
+        let finals: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+            let mut f = |x: &[f64]| (task.f)(x);
+            run_aibo(&task.bounds, &c, seed, cfg.budget, &mut f).best()
+        });
         rep.row(vec![label.to_string(), f4(mean(&finals)), f4(std_dev(&finals))]);
     }
     rep.finish(cfg);
@@ -434,14 +416,11 @@ pub fn fig4_12(cfg: &ExpCfg) {
     ];
     for fun in [functions::ackley(dim), functions::rosenbrock(dim)] {
         for (label, strategies) in &variants {
-            let finals: Vec<f64> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let c = AiboConfig { strategies: strategies.clone(), ..small_aibo() };
-                    let mut f = |x: &[f64]| (fun.f)(x);
-                    run_aibo(&fun.bounds, &c, seed, cfg.budget, &mut f).best()
-                })
-                .collect();
+            let finals: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                let c = AiboConfig { strategies: strategies.clone(), ..small_aibo() };
+                let mut f = |x: &[f64]| (fun.f)(x);
+                run_aibo(&fun.bounds, &c, seed, cfg.budget, &mut f).best()
+            });
             rep.row(vec![
                 fun.name.clone(),
                 label.to_string(),
@@ -461,14 +440,11 @@ pub fn fig4_13(cfg: &ExpCfg) {
     let methods = ["AIBO", "BO-cmaes_grad", "BO-boltzmann_grad", "BO-Gaussian_grad"];
     for fun in [functions::rastrigin(dim), functions::ackley(dim)] {
         for which in methods {
-            let finals: Vec<f64> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut f = |x: &[f64]| (fun.f)(x);
-                    let hist = run_optimiser(which, &fun.bounds, seed, cfg.budget, &mut f);
-                    hist[hist.len() - 1]
-                })
-                .collect();
+            let finals: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                let mut f = |x: &[f64]| (fun.f)(x);
+                let hist = run_optimiser(which, &fun.bounds, seed, cfg.budget, &mut f);
+                hist[hist.len() - 1]
+            });
             rep.row(vec![
                 fun.name.clone(),
                 which.to_string(),
@@ -498,13 +474,10 @@ pub fn fig4_14(cfg: &ExpCfg) {
         ("batch5", AiboConfig { batch: 5, ..small_aibo() }),
     ];
     for (label, c) in settings {
-        let finals: Vec<f64> = (0..cfg.reps)
-            .into_par_iter()
-            .map(|seed| {
-                let mut f = |x: &[f64]| (fun.f)(x);
-                run_aibo(&fun.bounds, &c, seed, cfg.budget, &mut f).best()
-            })
-            .collect();
+        let finals: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+            let mut f = |x: &[f64]| (fun.f)(x);
+            run_aibo(&fun.bounds, &c, seed, cfg.budget, &mut f).best()
+        });
         rep.row(vec![
             fun.name.clone(),
             label.to_string(),

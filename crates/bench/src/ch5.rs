@@ -11,7 +11,7 @@ use citroen_sim::Platform;
 use citroen_suite::Benchmark;
 use citroen_telemetry as telemetry;
 use citroen_tuners::{ablation, baselines, CitroenTuner, SeqTuner};
-use citroen_rt::par::IntoParIter;
+use citroen_rt::par::par_map;
 
 /// Construct a fresh benchmark by name.
 fn bench_by_name(name: &str) -> Benchmark {
@@ -143,25 +143,22 @@ pub fn tab5_2(cfg: &ExpCfg) {
     );
     let platform = Platform::tx2();
     for name in cbench_subset() {
-        let rows: Vec<(f64, f64, f64)> = (0..cfg.reps)
-            .into_par_iter()
-            .map(|seed| {
-                let mut t1 = make_task(name, &platform, cfg, seed);
-                let c1 = CitroenConfig { seed, ..Default::default() };
-                let (tr1, _) = run_citroen(&mut t1, cfg.budget, &c1);
-                let dup = tr1.coverage_dropped as f64
-                    / tr1.candidates_generated.max(1) as f64;
-                let s1 = t1.speedup(tr1.best());
-                let mut t2 = make_task(name, &platform, cfg, seed);
-                // Without coverage handling, duplicated binaries genuinely
-                // cost budget (no dedup machinery).
-                t2.charge_cached = true;
-                let c2 = CitroenConfig { seed, coverage_filter: false, ..Default::default() };
-                let (tr2, _) = run_citroen(&mut t2, cfg.budget, &c2);
-                let s2 = t2.speedup(tr2.best());
-                (dup, s1, s2)
-            })
-            .collect();
+        let rows: Vec<(f64, f64, f64)> = par_map((0..cfg.reps).collect(), |seed| {
+            let mut t1 = make_task(name, &platform, cfg, seed);
+            let c1 = CitroenConfig { seed, ..Default::default() };
+            let (tr1, _) = run_citroen(&mut t1, cfg.budget, &c1);
+            let dup = tr1.coverage_dropped as f64
+                / tr1.candidates_generated.max(1) as f64;
+            let s1 = t1.speedup(tr1.best());
+            let mut t2 = make_task(name, &platform, cfg, seed);
+            // Without coverage handling, duplicated binaries genuinely
+            // cost budget (no dedup machinery).
+            t2.charge_cached = true;
+            let c2 = CitroenConfig { seed, coverage_filter: false, ..Default::default() };
+            let (tr2, _) = run_citroen(&mut t2, cfg.budget, &c2);
+            let s2 = t2.speedup(tr2.best());
+            (dup, s1, s2)
+        });
         rep.row(vec![
             name.to_string(),
             f3(mean(&rows.iter().map(|r| r.0).collect::<Vec<_>>())),
@@ -337,7 +334,7 @@ pub fn fig5_6_7(cfg: &ExpCfg) {
                     })
                     .collect()
             }
-            None => jobs.into_par_iter().map(|job| run_job(job).0).collect(),
+            None => par_map(jobs, |job| run_job(job).0),
         };
         for (bi, name) in names.iter().enumerate() {
             for (ti, tname) in tuner_names.iter().enumerate() {
@@ -419,18 +416,15 @@ pub fn fig5_8(cfg: &ExpCfg) {
     let platform = Platform::tx2();
     for name in cbench_subset() {
         for variant in ["full", "no-stats", "no-des", "no-coverage"] {
-            let speedups: Vec<f64> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut task = make_task(name, &platform, cfg, seed);
-                    if variant == "no-coverage" {
-                        task.charge_cached = true;
-                    }
-                    let c = ablation(variant, seed);
-                    let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
-                    task.speedup(trace.best())
-                })
-                .collect();
+            let speedups: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                let mut task = make_task(name, &platform, cfg, seed);
+                if variant == "no-coverage" {
+                    task.charge_cached = true;
+                }
+                let c = ablation(variant, seed);
+                let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
+                task.speedup(trace.best())
+            });
             rep.row(vec![
                 name.to_string(),
                 variant.to_string(),
@@ -458,15 +452,12 @@ pub fn fig5_9(cfg: &ExpCfg) {
             ("autophase", Autophase),
             ("raw-seq", RawSequence),
         ] {
-            let speedups: Vec<f64> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut task = make_task(name, &platform, cfg, seed);
-                    let c = CitroenConfig { features: kind, seed, ..Default::default() };
-                    let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
-                    task.speedup(trace.best())
-                })
-                .collect();
+            let speedups: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                let mut task = make_task(name, &platform, cfg, seed);
+                let c = CitroenConfig { features: kind, seed, ..Default::default() };
+                let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
+                task.speedup(trace.best())
+            });
             rep.row(vec![
                 name.to_string(),
                 label.to_string(),
@@ -487,21 +478,18 @@ pub fn fig5_10(cfg: &ExpCfg) {
     use citroen_core::FeatureKind::*;
     for name in cbench_subset() {
         for (label, kind) in [("citroen", CompilationStats), ("autophase", Autophase)] {
-            let speedups: Vec<f64> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut task = make_task_with_registry(
-                        name,
-                        &platform,
-                        cfg,
-                        seed,
-                        Registry::llvm10(),
-                    );
-                    let c = CitroenConfig { features: kind, seed, ..Default::default() };
-                    let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
-                    task.speedup(trace.best())
-                })
-                .collect();
+            let speedups: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                let mut task = make_task_with_registry(
+                    name,
+                    &platform,
+                    cfg,
+                    seed,
+                    Registry::llvm10(),
+                );
+                let c = CitroenConfig { features: kind, seed, ..Default::default() };
+                let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
+                task.speedup(trace.best())
+            });
             rep.row(vec![
                 name.to_string(),
                 label.to_string(),
@@ -564,15 +552,12 @@ pub fn fig5_11(cfg: &ExpCfg) {
                     "mutation" => c0.mutation_rate.unwrap().to_string(),
                     _ => c0.fit_every.to_string(),
                 };
-                let speedups: Vec<f64> = (0..cfg.reps)
-                    .into_par_iter()
-                    .map(|seed| {
-                        let mut task = make_task(name, &platform, cfg, seed);
-                        let c = CitroenConfig { seed, ..c0.clone() };
-                        let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
-                        task.speedup(trace.best())
-                    })
-                    .collect();
+                let speedups: Vec<f64> = par_map((0..cfg.reps).collect(), |seed| {
+                    let mut task = make_task(name, &platform, cfg, seed);
+                    let c = CitroenConfig { seed, ..c0.clone() };
+                    let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
+                    task.speedup(trace.best())
+                });
                 rep.row(vec![
                     name.to_string(),
                     knob.to_string(),
@@ -689,34 +674,31 @@ pub fn adaptive_multimodule(cfg: &ExpCfg) {
             ("round-robin", Allocation::RoundRobin),
             ("uniform", Allocation::Uniform),
         ] {
-            let rows: Vec<(f64, f64, usize)> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut task = make_task(name, &platform, cfg, seed);
-                    if task.hot_modules.len() < 2 {
-                        // Ensure the allocation question exists.
-                        let extra = (0..task.benchmark().modules.len())
-                            .find(|i| !task.hot_modules.contains(i))
-                            .unwrap();
-                        task.hot_modules.push(extra);
-                    }
-                    let c = MultiModuleConfig { allocation: policy, seed, ..Default::default() };
-                    let res = run_multimodule(&mut task, cfg.budget, &c);
-                    let half = task.speedup(res.trace.best_at(cfg.budget / 2));
-                    let full = task.speedup(res.trace.best());
-                    // measurements to reach 95% of the final improvement
-                    let target =
-                        task.o3_seconds - 0.95 * (task.o3_seconds - res.trace.best());
-                    let reach = res
-                        .trace
-                        .best_history
-                        .iter()
-                        .position(|b| *b <= target)
-                        .map(|i| i + 1)
-                        .unwrap_or(res.trace.best_history.len());
-                    (half, full, reach)
-                })
-                .collect();
+            let rows: Vec<(f64, f64, usize)> = par_map((0..cfg.reps).collect(), |seed| {
+                let mut task = make_task(name, &platform, cfg, seed);
+                if task.hot_modules.len() < 2 {
+                    // Ensure the allocation question exists.
+                    let extra = (0..task.benchmark().modules.len())
+                        .find(|i| !task.hot_modules.contains(i))
+                        .unwrap();
+                    task.hot_modules.push(extra);
+                }
+                let c = MultiModuleConfig { allocation: policy, seed, ..Default::default() };
+                let res = run_multimodule(&mut task, cfg.budget, &c);
+                let half = task.speedup(res.trace.best_at(cfg.budget / 2));
+                let full = task.speedup(res.trace.best());
+                // measurements to reach 95% of the final improvement
+                let target =
+                    task.o3_seconds - 0.95 * (task.o3_seconds - res.trace.best());
+                let reach = res
+                    .trace
+                    .best_history
+                    .iter()
+                    .position(|b| *b <= target)
+                    .map(|i| i + 1)
+                    .unwrap_or(res.trace.best_history.len());
+                (half, full, reach)
+            });
             rep.row(vec![
                 name.to_string(),
                 label.to_string(),
@@ -753,22 +735,19 @@ pub fn transfer(cfg: &ExpCfg) {
             continue;
         }
         for (mode, warm) in [("cold", None), ("warm", Some(donor_seq.clone()))] {
-            let rows: Vec<(f64, f64)> = (0..cfg.reps)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut task = make_task(name, &platform, cfg, seed);
-                    let c = CitroenConfig {
-                        seed,
-                        warm_start: warm.clone(),
-                        ..Default::default()
-                    };
-                    let (tr, _) = run_citroen(&mut task, cfg.budget, &c);
-                    (
-                        task.speedup(tr.best_at(cfg.budget / 3)),
-                        task.speedup(tr.best()),
-                    )
-                })
-                .collect();
+            let rows: Vec<(f64, f64)> = par_map((0..cfg.reps).collect(), |seed| {
+                let mut task = make_task(name, &platform, cfg, seed);
+                let c = CitroenConfig {
+                    seed,
+                    warm_start: warm.clone(),
+                    ..Default::default()
+                };
+                let (tr, _) = run_citroen(&mut task, cfg.budget, &c);
+                (
+                    task.speedup(tr.best_at(cfg.budget / 3)),
+                    task.speedup(tr.best()),
+                )
+            });
             rep.row(vec![
                 name.to_string(),
                 mode.to_string(),

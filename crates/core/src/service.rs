@@ -10,7 +10,7 @@
 //! [`SharedCompileCache`] therefore produces a tuning trajectory (runtimes,
 //! best history, best sequences) bit-identical to a cold standalone run at
 //! the same seed; only the compile *counters* and wall-clock differ. The
-//! serve smoke gate (`citroen-serve bench`) and
+//! serve determinism gate (`citroen-serve bench`) and
 //! `crates/core/tests` assert this with [`trace_digest`].
 
 use crate::cache::BoundedCache;

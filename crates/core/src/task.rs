@@ -29,13 +29,11 @@ pub struct TaskConfig {
     pub reps: u32,
     /// Random seed for measurement noise.
     pub seed: u64,
-    /// Enforce differential testing on every measured binary.
-    pub differential_testing: bool,
 }
 
 impl Default for TaskConfig {
     fn default() -> TaskConfig {
-        TaskConfig { seq_len: 32, reps: 3, seed: 0, differential_testing: true }
+        TaskConfig { seq_len: 32, reps: 3, seed: 0 }
     }
 }
 
@@ -252,9 +250,7 @@ impl Task {
             Ok(e) => e,
             Err(t) => return Err((TuneError::Trap(t), t0.elapsed())),
         };
-        if self.cfg.differential_testing
-            && (exec.output.ret, exec.output.mem_digest) != self.reference
-        {
+        if (exec.output.ret, exec.output.mem_digest) != self.reference {
             return Err((TuneError::DifferentialMismatch { seqs: Vec::new() }, t0.elapsed()));
         }
         Ok((exec.seconds, t0.elapsed()))

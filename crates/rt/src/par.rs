@@ -353,59 +353,6 @@ impl Drop for WorkerPool {
 }
 
 // ---------------------------------------------------------------------------
-// rayon-flavoured adapter
-// ---------------------------------------------------------------------------
-
-/// Entry point mirroring `rayon::prelude::IntoParallelIterator`, so the
-/// `(0..reps).into_par_iter().map(f).collect()` call sites migrate with a
-/// one-line `use` change.
-pub trait IntoParIter: Sized {
-    /// The item type produced.
-    type Item: Send;
-    /// Wrap `self` for parallel mapping.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<I> IntoParIter for I
-where
-    I: IntoIterator,
-    I::Item: Send,
-{
-    type Item = I::Item;
-    fn into_par_iter(self) -> ParIter<I::Item> {
-        ParIter { items: self.into_iter().collect() }
-    }
-}
-
-/// A materialised batch of work awaiting a `.map(..)`.
-pub struct ParIter<T: Send> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParIter<T> {
-    /// Eagerly apply `f` in parallel; `.collect()` the result.
-    pub fn map<R, F>(self, f: F) -> ParMapped<R>
-    where
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        ParMapped { results: par_map(self.items, f) }
-    }
-}
-
-/// Results of a parallel map, ready to collect.
-pub struct ParMapped<R> {
-    results: Vec<R>,
-}
-
-impl<R> ParMapped<R> {
-    /// Gather results (input order) into any `FromIterator` collection.
-    pub fn collect<C: FromIterator<R>>(self) -> C {
-        self.results.into_iter().collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
 
@@ -422,12 +369,6 @@ mod tests {
         let xs: Vec<u64> = (0..1000).collect();
         let ys = par_map(xs.clone(), |x| x * x);
         assert_eq!(ys, xs.iter().map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn adapter_matches_sequential() {
-        let got: Vec<usize> = (0..64usize).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(got, (1..=64).collect::<Vec<_>>());
     }
 
     #[test]

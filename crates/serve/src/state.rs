@@ -22,7 +22,7 @@ pub struct ServeConfig {
     /// once and shared with every session (warm-starting canonicalisation).
     pub graph_path: Option<String>,
     /// Directory for per-job JSONL telemetry streams (`<dir>/<job id>.jsonl`,
-    /// live-tailable with `citroen-trace tail`). `None` = no telemetry.
+    /// readable while live with `citroen-trace show`). `None` = no telemetry.
     pub trace_dir: Option<String>,
     /// Maintain the observability plane (windowed metrics, continuous
     /// profiling, SLO sentinels; DESIGN.md §12). Default on — the 10-seed

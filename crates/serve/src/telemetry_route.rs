@@ -14,7 +14,7 @@
 //! spans inside a `batch` sweep) carry the pool thread's id, not the
 //! session's, and are dropped — the per-job stream covers the session
 //! thread's own spans, counters, and progress events, which is what
-//! `citroen-trace tail` renders.
+//! `citroen-trace show` renders.
 //!
 //! The sink optionally also feeds the daemon's [`ServeMetrics`] hub
 //! (DESIGN.md §12): span durations and counters from session threads flow

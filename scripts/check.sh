@@ -5,7 +5,8 @@
 #      type check of the benchmark harness (`perfbench/`, its own cargo
 #      workspace), so an API change that breaks the harness fails here
 #   2. the test suites of the root package (integration, fuzz-differential,
-#      property, hermeticity, execution and GP goldens) and of the crates
+#      property, hermeticity, execution and GP goldens, binary exit codes,
+#      the daemon's end-to-end SLO gate) and of the crates
 #      whose results those pin: citroen-ir (interpreter), citroen-sim,
 #      citroen-gp (kernel, linear algebra, regression) and citroen-suite
 #      (kernel goldens), plus the two crates whose tests run the
@@ -21,7 +22,7 @@
 #      must be well-formed with `iteration` spans >=90% covered by their
 #      compile/measure/fit/acquire children (`citroen-trace check`), render
 #      a monotone convergence curve (`curve`), export flamegraph stacks
-#      (`flame`), and match a fresh baseline of itself (`regress` exit 0);
+#      (`flame`), and compare clean against itself (`diff` exit 0);
 #      the disabled-path overhead (`micro --telemetry-gate`) and the
 #      marginal streaming overhead (`micro --stream-gate`) must stay within
 #      their pinned budgets
@@ -52,9 +53,10 @@
 #  10. the observability gate: `micro --metrics-gate` bounds the metrics
 #      plane's cost (windowed-registry hot path per op, a full snapshot
 #      read-out, and the marginal wall clock of a metrics-feeding sink over
-#      a memory sink on a real tuning run), then `citroen-serve smoke`
-#      spawns a socket daemon, runs a job, polls the `metrics` verb, and
-#      requires the `citroen-trace top --once` health gate to pass
+#      a memory sink on a real tuning run). The daemon end of the plane
+#      (spawn a socket daemon, run a job, count it in the `metrics` verb,
+#      `citroen-trace top --once` exits 0) is gated by `tests/slo_gate.rs`
+#      in stage 2
 #
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
@@ -74,18 +76,16 @@ timeout 30 ./target/release/citroen-analyze --smoke
 echo "== citroen-analyze oracle (500 soundness trials, 30s budget)"
 timeout 30 ./target/release/citroen-analyze oracle > /dev/null
 
-echo "== telemetry: traced run + check/curve/flame/regress + overhead gates"
+echo "== telemetry: traced run + check/curve/flame/diff + overhead gates"
 # micro lives in the citroen-bench member package, not the root package.
 cargo build --release -q -p citroen-bench --bin micro
 trace_file="$(mktemp)"
-baseline_file="$(mktemp)"
-trap 'rm -f "$trace_file" "$baseline_file"' EXIT
+trap 'rm -f "$trace_file"' EXIT
 timeout 60 ./target/release/citroen-trace record --budget 10 --out "$trace_file"
 timeout 30 ./target/release/citroen-trace check "$trace_file"
 timeout 30 ./target/release/citroen-trace curve "$trace_file"
 timeout 30 ./target/release/citroen-trace flame "$trace_file" > /dev/null
-timeout 30 ./target/release/citroen-trace baseline "$trace_file" --out "$baseline_file"
-timeout 30 ./target/release/citroen-trace regress "$trace_file" --baseline "$baseline_file"
+timeout 30 ./target/release/citroen-trace diff "$trace_file" "$trace_file" > /dev/null
 timeout 120 ./target/release/micro --telemetry-gate
 timeout 300 ./target/release/micro --stream-gate
 
@@ -105,8 +105,7 @@ CITROEN_SANITIZE=1 timeout 120 ./target/release/citroen-analyze validate
 echo "== serve: concurrent daemon determinism + cross-tenant reuse + cancel/drain"
 timeout 300 ./target/release/citroen-serve bench
 
-echo "== observability: metrics overhead gate + daemon smoke + SLO gate"
+echo "== observability: metrics overhead gate"
 timeout 300 ./target/release/micro --metrics-gate
-timeout 300 ./target/release/citroen-serve smoke
 
 echo "== tier-1 gate passed"

@@ -26,7 +26,6 @@ USAGE:
                   [--no-metrics] [--metrics-window-ms N] [--slo-queue-ms X]
                   [--slo-run-ms X] [--slo-compile-us X] [--slo-hit-ratio X]
     citroen-serve bench [--budget N] [--max-concurrent N]
-    citroen-serve smoke
 
 MODES:
     serve            read newline-delimited JSON requests on stdin, write
@@ -34,23 +33,19 @@ MODES:
                      Unix socket and serve connections sequentially instead.
     bench            spawn a daemon subprocess and run the determinism /
                      throughput gate against it (exit 0 iff it holds)
-    smoke            end-to-end observability check: spawn a socket daemon,
-                     submit a job, poll the `metrics` verb, and require
-                     `citroen-trace top --once` to report healthy
-                     (exit 0 iff everything held)
 
 OPTIONS:
     --socket PATH        listen on a Unix socket instead of stdio
     --max-concurrent N   concurrent tuning sessions        [default: 2]
     --max-budget N       per-job measurement budget cap    [default: 200]
     --cache-cap N        shared compile-cache entries      [default: 4096]
-    --trace-dir DIR      per-job JSONL telemetry streams (live-tailable
-                         with `citroen-trace tail DIR/<job>.jsonl`)
+    --trace-dir DIR      per-job JSONL telemetry streams (readable while
+                         live with `citroen-trace show DIR/<job>.jsonl`)
     --graph FILE         persisted `citroen-analyze oracle --json` graph,
                          loaded once and shared with every session
     --budget N           bench mode: per-job budget        [default: 8]
 
-OBSERVABILITY OPTIONS (serve / smoke):
+OBSERVABILITY OPTIONS (serve):
     --no-metrics          disable the metrics/profiling/SLO plane
                           (the `metrics` verb then returns an error)
     --metrics-window-ms N metrics window width, ms        [default: 10000]
@@ -71,9 +66,14 @@ fn parse_num(args: &mut std::iter::Peekable<std::env::Args>, flag: &str) -> u64 
     v.parse().unwrap_or_else(|_| die(&format!("{flag}: bad number '{v}'")))
 }
 
+/// An SLO flag's value: finite and non-negative, since a NaN ceiling can
+/// never breach and would silently disable its sentinel.
 fn parse_f64(args: &mut std::iter::Peekable<std::env::Args>, flag: &str) -> f64 {
     let v = args.next().unwrap_or_else(|| die(&format!("{flag} needs a value")));
-    v.parse().unwrap_or_else(|_| die(&format!("{flag}: bad number '{v}'")))
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => x,
+        _ => die(&format!("{flag}: '{v}' is not a finite non-negative number")),
+    }
 }
 
 fn main() {
@@ -83,13 +83,11 @@ fn main() {
     let mut cfg = ServeConfig::default();
     let mut socket: Option<String> = None;
     let mut bench = false;
-    let mut smoke = false;
     let mut budget = 8usize;
     while let Some(a) = args.next() {
         match a.as_str() {
             "serve" => {}
             "bench" => bench = true,
-            "smoke" => smoke = true,
             "--socket" => {
                 socket = Some(args.next().unwrap_or_else(|| die("--socket needs a path")))
             }
@@ -119,10 +117,6 @@ fn main() {
 
     if bench {
         run_bench(cfg, budget);
-        return;
-    }
-    if smoke {
-        run_smoke(cfg);
         return;
     }
     let server = Server::new(cfg);
@@ -338,157 +332,6 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
     } else {
         for f in &failures {
             eprintln!("bench FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// smoke mode: the end-to-end observability gate
-// ---------------------------------------------------------------------------
-
-/// Spawn a socket daemon, run one job through it, poll the `metrics` verb,
-/// and require the `citroen-trace top --once` SLO gate to pass — the
-/// check.sh stage that proves the observability plane is wired end to end.
-fn run_smoke(cfg: ServeConfig) {
-    let exe = std::env::current_exe().unwrap_or_else(|e| die(&format!("no current_exe: {e}")));
-    let sock = std::env::temp_dir().join(format!("citroen-smoke-{}.sock", std::process::id()));
-    let sock_s = sock.to_string_lossy().into_owned();
-    let _ = std::fs::remove_file(&sock);
-
-    let mut child = std::process::Command::new(&exe)
-        .args([
-            "serve",
-            "--socket",
-            &sock_s,
-            "--max-concurrent",
-            "2",
-            "--metrics-window-ms",
-            &cfg.metrics_window_ms.to_string(),
-            "--slo-queue-ms",
-            &cfg.slo_queue_ms.to_string(),
-            "--slo-run-ms",
-            &cfg.slo_run_ms.to_string(),
-            "--slo-compile-us",
-            &cfg.slo_compile_us.to_string(),
-            "--slo-hit-ratio",
-            &cfg.slo_hit_ratio.to_string(),
-        ])
-        .spawn()
-        .unwrap_or_else(|e| die(&format!("cannot spawn daemon: {e}")));
-    let kill_child = |child: &mut std::process::Child| {
-        let _ = child.kill();
-        let _ = child.wait();
-        let _ = std::fs::remove_file(&sock);
-    };
-
-    // The daemon binds the socket before accepting; wait for the file.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while !sock.exists() {
-        if std::time::Instant::now() > deadline {
-            kill_child(&mut child);
-            die("smoke: daemon socket never appeared");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-
-    let mut failures: Vec<String> = Vec::new();
-
-    // Connection 1: submit one small job, await its result, then poll
-    // metrics on the same connection and check the lifecycle landed.
-    {
-        let stream = std::os::unix::net::UnixStream::connect(&sock)
-            .unwrap_or_else(|e| die(&format!("smoke: cannot connect '{sock_s}': {e}")));
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(120)))
-            .expect("socket read timeout");
-        let mut writer = stream.try_clone().expect("socket clone");
-        let mut reader = BufReader::new(stream);
-        let job = spec("smoke", 3, 4);
-        writer.write_all(submit_line(&job).as_bytes()).expect("daemon socket");
-        writer.flush().expect("daemon socket");
-
-        let mut got_result = false;
-        let mut got_metrics = false;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) => {
-                    failures.push(format!("socket read failed: {e}"));
-                    break;
-                }
-            }
-            let Ok(v) = Value::parse(line.trim()) else { continue };
-            match v.get("type").and_then(Value::as_str).unwrap_or("") {
-                "result" => {
-                    got_result = true;
-                    let exit = v.get("exit").and_then(Value::as_str).unwrap_or("");
-                    if exit != "completed" {
-                        failures.push(format!("job exited '{exit}', expected 'completed'"));
-                    }
-                    writer.write_all(b"{\"type\":\"metrics\"}\n").expect("daemon socket");
-                    writer.flush().expect("daemon socket");
-                }
-                "metrics" => {
-                    got_metrics = true;
-                    let health = v.get("health").and_then(Value::as_str).unwrap_or("");
-                    if health != "ok" {
-                        failures.push(format!("daemon health '{health}', expected 'ok'"));
-                    }
-                    let done = v
-                        .get("global")
-                        .and_then(|g| g.get("counters"))
-                        .and_then(|c| c.get("jobs.done"))
-                        .and_then(|c| c.get("total"))
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0);
-                    if done < 1 {
-                        failures.push(format!("metrics report {done} jobs done, expected >= 1"));
-                    } else {
-                        println!("smoke: metrics healthy — {done} job(s) done");
-                    }
-                    break;
-                }
-                "error" => {
-                    failures.push(format!("daemon error reply: {}", line.trim()));
-                    break;
-                }
-                _ => {}
-            }
-        }
-        if !got_result {
-            failures.push("never saw a result reply".to_string());
-        }
-        if !got_metrics {
-            failures.push("never saw a metrics reply".to_string());
-        }
-    } // connection dropped: the daemon drains it and accepts the next one
-
-    // Connection 2: the CI SLO gate — `citroen-trace top --once` must
-    // render a frame and exit 0 (healthy).
-    let trace_exe = exe
-        .parent()
-        .map(|d| d.join("citroen-trace"))
-        .filter(|p| p.exists())
-        .unwrap_or_else(|| die("smoke: citroen-trace not found next to citroen-serve"));
-    match std::process::Command::new(&trace_exe)
-        .args(["top", "--once", "--socket", &sock_s])
-        .status()
-    {
-        Ok(st) if st.success() => println!("smoke: citroen-trace top --once healthy (exit 0)"),
-        Ok(st) => failures.push(format!("citroen-trace top --once exited {st}")),
-        Err(e) => failures.push(format!("cannot run citroen-trace: {e}")),
-    }
-
-    kill_child(&mut child);
-    if failures.is_empty() {
-        println!("smoke: observability gate passed");
-    } else {
-        for f in &failures {
-            eprintln!("smoke FAILURE: {f}");
         }
         std::process::exit(1);
     }

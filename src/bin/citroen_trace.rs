@@ -4,19 +4,17 @@
 //! trace to `--out` through [`telemetry::StreamSink`]. Traces have one
 //! format, JSONL (one record per line), which every analysis mode reads.
 //!
-//! Analysis: **show** (self/total breakdown, hottest spans, counters,
-//! histograms), **check** (structural assertions — the tier-1 telemetry
-//! gate), **diff** (per-name time and counter deltas between two traces),
-//! **tail** (render a live/partial JSONL stream, torn lines tolerated),
-//! **flame** (collapsed stacks for standard flamegraph tools), **curve**
-//! (per-run convergence table from the tuner's `progress` events).
+//! Analysis: **show** (a live, partial or rotated stream: self/total
+//! breakdown, hottest spans, counters, histograms; torn lines skipped),
+//! **check** (structural assertions — the tier-1 telemetry gate), **diff**
+//! (per-name time and counter deltas between two traces, exit 1 past the
+//! threshold — the repo's perf-regression gate), **flame** (collapsed stacks
+//! for standard flamegraph tools), **curve** (per-run convergence table from
+//! the tuner's `progress` events). Every mode but `show` rejects a torn line.
 //!
-//! Regression tracking: **baseline** persists a compact per-span-name/counter
-//! summary of a trace; **regress** compares a new trace against it with
-//! percentage deltas and exits 1 past the threshold — the repo's
-//! perf-regression gate.
+//! Daemon: **top** renders a `citroen-serve` socket's `metrics` verb.
 //!
-//! Exits non-zero on parse failures or failed checks.
+//! Exits 1 on failed checks, 2 on usage and parse errors.
 
 use citroen::core::{run_citroen, CitroenConfig, Task, TaskConfig};
 use citroen::telemetry::{self, Trace};
@@ -31,32 +29,27 @@ USAGE:
     citroen-trace record --out FILE [--stream-cap N]
                          [--bench NAME] [--budget N] [--seq-len N] [--seed S]
                          [--oracle] [--subsume] [--batch Q]
-    citroen-trace show FILE [--top N] [--json]
+    citroen-trace show FILE [--top N]
     citroen-trace check FILE [--min-coverage F]
-    citroen-trace diff OLD NEW
-    citroen-trace tail FILE
+    citroen-trace diff OLD NEW [--threshold PCT] [--span-floor-ms MS]
+                       [--counter-floor N]
     citroen-trace flame FILE
     citroen-trace curve FILE
-    citroen-trace baseline FILE [--out FILE]
-    citroen-trace regress FILE --baseline FILE [--threshold PCT]
-                          [--span-floor-ms MS] [--counter-floor N]
     citroen-trace top --socket PATH [--once | --count N] [--interval-ms MS]
 
 MODES:
     record           run a traced tuning run, streaming its JSONL trace live
                      to --out (required)
     show             breakdown table + hottest spans + counters + histograms
-                     (--json: machine-readable summary, exit codes unchanged)
+                     of a live/partial stream (torn lines skipped; rotated
+                     FILE.2/FILE.1 generations followed oldest-first)
     check            assert expected span kinds and iteration coverage
-    diff             per-name time deltas and counter deltas between traces
-    tail             render a live/partial JSONL stream (torn lines skipped;
-                     rotated FILE.1/FILE.2 generations followed oldest-first)
+    diff             per-name time and counter deltas between two traces;
+                     exits 1 when any tracked span total or counter grew
+                     past the threshold
     flame            collapsed flame stacks ('a;b;c <self_ns>' per line)
     curve            convergence table from the tuner's progress events;
                      exits 1 if the best-so-far column is not monotone
-    baseline         persist a per-span-name/counter summary for regress
-    regress          compare a trace against a stored baseline; exits 1 when
-                     any tracked time or counter grew past the threshold
     top              poll a citroen-serve socket's `metrics` verb and render
                      per-tenant rates/quantiles/health; exits 1 when the
                      daemon reports health degraded (--once is the CI SLO
@@ -74,11 +67,11 @@ RECORD OPTIONS:
     --stream-cap N   rotate the trace at ~N bytes per file, keeping
                      FILE.1 and FILE.2 (disk bounded at ~3 caps)
 
-REGRESS OPTIONS:
+DIFF OPTIONS:
     --threshold PCT      max tolerated increase, percent        [default: 25]
-    --span-floor-ms MS   ignore span names whose baseline total is under
+    --span-floor-ms MS   ignore span names whose OLD total is under
                          MS milliseconds (too noisy to gate on)  [default: 1]
-    --counter-floor N    ignore counters whose baseline is under N
+    --counter-floor N    ignore counters whose OLD value is under N
                                                                 [default: 10]
 
 TOP OPTIONS:
@@ -98,6 +91,17 @@ fn parse_num(args: &mut std::env::Args, flag: &str) -> u64 {
     v.parse().unwrap_or_else(|_| die(&format!("{flag}: bad number '{v}'")))
 }
 
+/// A float flag's value: finite and non-negative, since a NaN or infinite
+/// threshold or floor would silently disable the gate it sets.
+fn parse_f64(args: &mut std::env::Args, flag: &str) -> f64 {
+    let v = args.next().unwrap_or_else(|| die(&format!("{flag} needs a value")));
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => x,
+        _ => die(&format!("{flag}: '{v}' is not a finite non-negative number")),
+    }
+}
+
+/// A whole trace file, strictly: a torn or malformed line is an error.
 fn load(path: &str) -> Trace {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read '{path}': {e}")));
@@ -117,11 +121,8 @@ fn main() {
         Some("show") => show(args),
         Some("check") => check(args),
         Some("diff") => diff(args),
-        Some("tail") => tail(args),
         Some("flame") => flame(args),
         Some("curve") => curve(args),
-        Some("baseline") => baseline(args),
-        Some("regress") => regress(args),
         Some("top") => top(args),
         Some(other) => die(&format!("unknown mode '{other}'")),
         None => die("missing mode"),
@@ -202,27 +203,60 @@ fn record(mut args: std::env::Args) {
 // show
 // ---------------------------------------------------------------------------
 
+/// Render a live/partial JSONL stream: the writer may be mid-line and the
+/// run may still be going, so parse lossily and summarise what's there.
+///
+/// `--stream-cap` writers rotate the stream as `FILE.2` (oldest), `FILE.1`,
+/// `FILE` (live); show follows the whole chain oldest-first so the summary
+/// covers the full run, not just the most recent generation.
 fn show(mut args: std::env::Args) {
     let mut file = None::<String>;
     let mut top = 10usize;
-    let mut json = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--top" => top = parse_num(&mut args, "--top") as usize,
-            "--json" => json = true,
             other if file.is_none() => file = Some(other.to_string()),
             other => die(&format!("show: unexpected argument '{other}'")),
         }
     }
-    let t = load(&file.unwrap_or_else(|| die("show needs a trace file")));
-    if json {
-        println!("{}", show_json(&t, top).emit_pretty());
-        return;
+    let file = file.unwrap_or_else(|| die("show needs a trace file"));
+    let mut t = Trace::default();
+    let mut skipped = 0usize;
+    let mut generations = 0usize;
+    for gen in [format!("{file}.2"), format!("{file}.1"), file.clone()] {
+        let text = match std::fs::read_to_string(&gen) {
+            Ok(text) => text,
+            // Rotated generations are optional; only the live file must exist.
+            Err(_) if gen != file => continue,
+            Err(e) => die(&format!("cannot read '{gen}': {e}")),
+        };
+        generations += 1;
+        let (part, part_skipped) = Trace::parse_jsonl_lossy(&text);
+        skipped += part_skipped;
+        t.spans.extend(part.spans);
+        t.events.extend(part.events);
+        for (name, v) in part.counters {
+            *t.counters.entry(name).or_insert(0) += v;
+        }
+        for (name, h) in part.hists {
+            t.hists.entry(name).or_default().merge(&h);
+        }
     }
+    println!(
+        "{}{}: {} spans, {} events ({} progress), {} counters, {} histograms{}",
+        file,
+        if generations > 1 { format!(" (+{} rotated)", generations - 1) } else { String::new() },
+        t.spans.len(),
+        t.events.len(),
+        t.events.iter().filter(|e| e.name == "progress").count(),
+        t.counters.len(),
+        t.hists.len(),
+        if skipped > 0 { format!(" ({skipped} unparseable lines skipped)") } else { String::new() }
+    );
 
     let rows = t.aggregate();
     let wall: u64 = t.spans.iter().filter(|s| s.parent == 0).map(|s| s.dur_ns).sum();
-    println!("== span breakdown (self time, descending; wall = root spans) ==");
+    println!("\n== span breakdown (self time, descending; wall = root spans) ==");
     println!("{:<28} {:>7} {:>12} {:>12} {:>7}", "name", "count", "total", "self", "self%");
     for r in &rows {
         let pct = if wall > 0 { 100.0 * r.self_ns as f64 / wall as f64 } else { 0.0 };
@@ -277,82 +311,6 @@ fn show(mut args: std::env::Args) {
     }
 }
 
-/// The machine-readable `show` summary, mirroring `citroen-analyze --json`:
-/// a `mode`-tagged object with the same information as the text tables.
-/// Fractional values travel as `f64::to_bits` (`*_bits`), matching the serve
-/// protocol convention.
-fn show_json(t: &Trace, top: usize) -> Value {
-    let wall: u64 = t.spans.iter().filter(|s| s.parent == 0).map(|s| s.dur_ns).sum();
-    let spans = Value::Arr(
-        t.aggregate()
-            .into_iter()
-            .map(|r| {
-                Value::Obj(vec![
-                    ("name".into(), Value::str(r.name)),
-                    ("count".into(), Value::U64(r.count)),
-                    ("total_ns".into(), Value::U64(r.total_ns)),
-                    ("self_ns".into(), Value::U64(r.self_ns)),
-                ])
-            })
-            .collect(),
-    );
-    let hottest = Value::Arr(
-        t.hottest(top)
-            .into_iter()
-            .map(|s| {
-                Value::Obj(vec![
-                    ("name".into(), Value::str(s.name.clone())),
-                    ("dur_ns".into(), Value::U64(s.dur_ns)),
-                    ("id".into(), Value::U64(s.id)),
-                    ("thread".into(), Value::U64(s.thread)),
-                    ("start_ns".into(), Value::U64(s.start_ns)),
-                ])
-            })
-            .collect(),
-    );
-    let counters =
-        Value::Obj(t.counters.iter().map(|(k, v)| (k.clone(), Value::U64(*v))).collect());
-    let hists = Value::Obj(
-        t.hists
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Value::Obj(vec![
-                        ("count".into(), Value::U64(h.count)),
-                        ("mean_bits".into(), Value::U64(h.mean().to_bits())),
-                        ("p50".into(), Value::U64(h.quantile(0.5))),
-                        ("p99".into(), Value::U64(h.quantile(0.99))),
-                        ("max".into(), Value::U64(h.max)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    // The sanitize/subsume effectiveness table from the text output.
-    let get = |k: &str| t.counters.get(k).copied().unwrap_or(0);
-    let sanitize = Value::Obj(vec![
-        ("runs".into(), Value::U64(get("citroen.sanitize.runs"))),
-        ("skips".into(), Value::U64(get("citroen.sanitize.skips"))),
-        ("subsume_dropped".into(), Value::U64(get("canon.subsume_dropped"))),
-    ]);
-    let mut fields = vec![
-        ("mode".into(), Value::str("show")),
-        ("wall_ns".into(), Value::U64(wall)),
-        ("spans".into(), spans),
-        ("hottest".into(), hottest),
-        ("sanitize".into(), sanitize),
-        ("counters".into(), counters),
-        ("histograms".into(), hists),
-    ];
-    if let Some(cov) =
-        t.coverage("iteration", &["compile", "measure", "fit", "acquire", "batch"])
-    {
-        fields.push(("iteration_coverage_bits".into(), Value::U64(cov.to_bits())));
-    }
-    Value::Obj(fields)
-}
-
 // ---------------------------------------------------------------------------
 // check
 // ---------------------------------------------------------------------------
@@ -362,10 +320,7 @@ fn check(mut args: std::env::Args) {
     let mut min_cov = 0.9f64;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--min-coverage" => {
-                let v = args.next().unwrap_or_else(|| die("--min-coverage needs a value"));
-                min_cov = v.parse().unwrap_or_else(|_| die("--min-coverage: bad number"));
-            }
+            "--min-coverage" => min_cov = parse_f64(&mut args, "--min-coverage"),
             other if file.is_none() => file = Some(other.to_string()),
             other => die(&format!("check: unexpected argument '{other}'")),
         }
@@ -420,115 +375,87 @@ fn check(mut args: std::env::Args) {
 // diff
 // ---------------------------------------------------------------------------
 
-fn diff(mut args: std::env::Args) {
-    let old = args.next().unwrap_or_else(|| die("diff needs OLD and NEW trace files"));
-    let new = args.next().unwrap_or_else(|| die("diff needs OLD and NEW trace files"));
-    if let Some(extra) = args.next() {
-        die(&format!("diff: unexpected argument '{extra}'"));
-    }
-    let (a, b) = (load(&old), load(&new));
+/// Default time floor below which a span name is too noisy to gate on
+/// (1 ms), and the default counter floor below which relative deltas are
+/// meaningless. Overridable with `--span-floor-ms` / `--counter-floor`.
+const DIFF_MIN_NS: u64 = 1_000_000;
+const DIFF_MIN_COUNT: u64 = 10;
 
-    let into_map = |t: &Trace| -> std::collections::BTreeMap<String, (u64, u64, u64)> {
-        t.aggregate().into_iter().map(|r| (r.name, (r.count, r.total_ns, r.self_ns))).collect()
+/// Compare two traces: every span name's self and total time and every
+/// counter, old → new. The gate is on each span name's total time and each
+/// counter whose OLD value clears its floor: growth past `--threshold`
+/// percent marks the row `REGRESSION` and exits 1.
+fn diff(mut args: std::env::Args) {
+    let mut files: Vec<String> = Vec::new();
+    let mut threshold = 25.0f64;
+    let mut span_floor_ns = DIFF_MIN_NS;
+    let mut counter_floor = DIFF_MIN_COUNT;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--threshold" => threshold = parse_f64(&mut args, "--threshold"),
+            "--span-floor-ms" => {
+                span_floor_ns = (parse_f64(&mut args, "--span-floor-ms") * 1e6) as u64
+            }
+            "--counter-floor" => counter_floor = parse_num(&mut args, "--counter-floor"),
+            other if files.len() < 2 => files.push(other.to_string()),
+            other => die(&format!("diff: unexpected argument '{other}'")),
+        }
+    }
+    let [old, new] = &files[..] else { die("diff needs OLD and NEW trace files") };
+    let (a, b) = (load(old), load(new));
+
+    let into_map = |t: &Trace| -> std::collections::BTreeMap<String, (u64, u64)> {
+        t.aggregate().into_iter().map(|r| (r.name, (r.total_ns, r.self_ns))).collect()
     };
     let (ra, rb) = (into_map(&a), into_map(&b));
     let names: std::collections::BTreeSet<&String> = ra.keys().chain(rb.keys()).collect();
+    let mut breaches: Vec<String> = Vec::new();
+    // The delta column: a percentage for gated rows, `-` under the floor
+    // (or from zero, where relative growth is undefined).
+    let mut gate = |what: String, old: u64, new: u64, floor: u64| -> String {
+        if old == 0 || old < floor {
+            return format!("{:>8}", "-");
+        }
+        let delta = 100.0 * (new as f64 - old as f64) / old as f64;
+        if delta > threshold {
+            breaches.push(format!("{what} {delta:+.1}%"));
+            return format!("{delta:>+7.1}% <-- REGRESSION");
+        }
+        format!("{delta:>+7.1}%")
+    };
 
-    println!("== span time deltas (new - old, by self time) ==");
-    println!("{:<28} {:>14} {:>14} {:>14}", "name", "old self", "new self", "delta");
-    let mut rows: Vec<(&String, u64, u64)> = names
+    println!("== {old} -> {new} (gate: total time and counters, threshold +{threshold:.0}%) ==");
+    println!(
+        "{:<28} {:>14} {:>14} {:>14} {:>14} {:>8}",
+        "span name", "old self", "new self", "old total", "new total", "delta"
+    );
+    let mut rows: Vec<(&String, (u64, u64), (u64, u64))> = names
         .iter()
-        .map(|n| {
-            let sa = ra.get(*n).map(|r| r.2).unwrap_or(0);
-            let sb = rb.get(*n).map(|r| r.2).unwrap_or(0);
-            (*n, sa, sb)
-        })
+        .map(|n| (*n, ra.get(*n).copied().unwrap_or((0, 0)), rb.get(*n).copied().unwrap_or((0, 0))))
         .collect();
-    rows.sort_by_key(|(_, sa, sb)| std::cmp::Reverse(sa.abs_diff(*sb)));
-    for (n, sa, sb) in rows {
-        let delta = sb as i128 - sa as i128;
-        println!("{n:<28} {} {} {:>+13.3}ms", ms(sa), ms(sb), delta as f64 / 1e6);
+    rows.sort_by_key(|(_, (_, sa), (_, sb))| std::cmp::Reverse(sa.abs_diff(*sb)));
+    for (n, (ta, sa), (tb, sb)) in rows {
+        let delta = gate(format!("span '{n}' total time"), ta, tb, span_floor_ns);
+        println!("{n:<28} {} {} {} {} {delta}", ms(sa), ms(sb), ms(ta), ms(tb));
     }
 
-    println!("\n== counter deltas (new - old) ==");
+    println!("\n{:<32} {:>12} {:>12} {:>8}", "counter", "old", "new", "delta");
     let keys: std::collections::BTreeSet<&String> = a.counters.keys().chain(b.counters.keys()).collect();
     for k in keys {
         let va = a.counters.get(k).copied().unwrap_or(0);
         let vb = b.counters.get(k).copied().unwrap_or(0);
-        if va != vb {
-            println!("{k:<32} {va:>12} -> {vb:<12} ({:+})", vb as i128 - va as i128);
-        } else {
-            println!("{k:<32} {va:>12} (unchanged)");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// tail
-// ---------------------------------------------------------------------------
-
-/// Render a live/partial JSONL stream: the writer may be mid-line and the
-/// run may still be going, so parse lossily and summarise what's there.
-///
-/// `--stream-cap` writers rotate the stream as `FILE.2` (oldest), `FILE.1`,
-/// `FILE` (live); tail follows the whole chain oldest-first so the summary
-/// covers the full run, not just the most recent generation.
-fn tail(mut args: std::env::Args) {
-    let file = args.next().unwrap_or_else(|| die("tail needs a trace file"));
-    if let Some(extra) = args.next() {
-        die(&format!("tail: unexpected argument '{extra}'"));
-    }
-    let mut t = Trace::default();
-    let mut skipped = 0usize;
-    let mut generations = 0usize;
-    for gen in [format!("{file}.2"), format!("{file}.1"), file.clone()] {
-        let text = match std::fs::read_to_string(&gen) {
-            Ok(text) => text,
-            // Rotated generations are optional; only the live file must exist.
-            Err(_) if gen != file => continue,
-            Err(e) => die(&format!("cannot read '{gen}': {e}")),
-        };
-        generations += 1;
-        let (part, part_skipped) = Trace::parse_jsonl_lossy(&text);
-        skipped += part_skipped;
-        t.spans.extend(part.spans);
-        t.events.extend(part.events);
-        for (name, v) in part.counters {
-            *t.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in part.hists {
-            t.hists.entry(name).or_default().merge(&h);
-        }
+        let delta = gate(format!("counter '{k}'"), va, vb, counter_floor);
+        println!("{k:<32} {va:>12} {vb:>12} {delta}");
     }
 
-    println!(
-        "{}{}: {} spans, {} events, {} counters, {} histograms{}",
-        file,
-        if generations > 1 { format!(" (+{} rotated)", generations - 1) } else { String::new() },
-        t.spans.len(),
-        t.events.len(),
-        t.counters.len(),
-        t.hists.len(),
-        if skipped > 0 { format!(" ({skipped} unparseable lines skipped)") } else { String::new() }
-    );
-    println!("\n== span breakdown (self time, descending) ==");
-    println!("{:<28} {:>7} {:>12} {:>12}", "name", "count", "total", "self");
-    for r in t.aggregate() {
-        println!("{:<28} {:>7} {} {}", r.name, r.count, ms(r.total_ns), ms(r.self_ns));
-    }
-    let progress: Vec<_> = t.events.iter().filter(|e| e.name == "progress").collect();
-    if let Some(last) = progress.last() {
-        println!("\n== last {} progress events (of {}) ==", progress.len().min(5), progress.len());
-        for e in progress.iter().rev().take(5).rev() {
-            println!(
-                "iter {:>4}  meas {:>4}  compiles {:>5}  best {}",
-                e.field("iter").unwrap_or(0),
-                e.field("measurements").unwrap_or(0),
-                e.field("compilations").unwrap_or(0),
-                ms(e.field("best_ns").unwrap_or(0)),
-            );
+    if breaches.is_empty() {
+        println!("\ndiff OK: nothing grew more than {threshold:.0}%");
+    } else {
+        eprintln!("\nFAIL: {} regression(s) past +{threshold:.0}%:", breaches.len());
+        for b in &breaches {
+            eprintln!("  - {b}");
         }
-        let _ = last;
+        std::process::exit(1);
     }
 }
 
@@ -614,160 +541,6 @@ fn curve(mut args: std::env::Args) {
         std::process::exit(1);
     }
     println!("\n{} progress events; best-so-far column monotone OK", progress.len());
-}
-
-// ---------------------------------------------------------------------------
-// baseline / regress
-// ---------------------------------------------------------------------------
-
-/// Serialise the regression-tracking summary of a trace: per-span-name
-/// aggregates plus counter totals. Deliberately excludes wall-clock-free
-/// quantities only (counts *and* times are kept — `regress` decides what's
-/// stable enough to compare).
-fn summary_json(t: &Trace) -> Value {
-    let names = Value::Arr(
-        t.aggregate()
-            .into_iter()
-            .map(|r| {
-                Value::Obj(vec![
-                    ("name".into(), Value::str(r.name)),
-                    ("count".into(), Value::U64(r.count)),
-                    ("total_ns".into(), Value::U64(r.total_ns)),
-                    ("self_ns".into(), Value::U64(r.self_ns)),
-                ])
-            })
-            .collect(),
-    );
-    let counters = Value::Obj(
-        t.counters.iter().map(|(k, v)| (k.clone(), Value::U64(*v))).collect(),
-    );
-    Value::Obj(vec![
-        ("version".into(), Value::U64(1)),
-        ("names".into(), names),
-        ("counters".into(), counters),
-    ])
-}
-
-fn baseline(mut args: std::env::Args) {
-    let mut file = None::<String>;
-    let mut out = None::<String>;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a file"))),
-            other if file.is_none() => file = Some(other.to_string()),
-            other => die(&format!("baseline: unexpected argument '{other}'")),
-        }
-    }
-    let t = load(&file.unwrap_or_else(|| die("baseline needs a trace file")));
-    let text = summary_json(&t).emit_pretty();
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &text)
-                .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}")));
-            eprintln!("[baseline] wrote {} span names, {} counters to {path}",
-                t.aggregate().len(), t.counters.len());
-        }
-        None => println!("{text}"),
-    }
-}
-
-/// Default time floor below which a span name is too noisy to gate on
-/// (1 ms), and the default counter floor below which relative deltas are
-/// meaningless. Overridable with `--span-floor-ms` / `--counter-floor`.
-const REGRESS_MIN_NS: u64 = 1_000_000;
-const REGRESS_MIN_COUNT: u64 = 10;
-
-fn regress(mut args: std::env::Args) {
-    let mut file = None::<String>;
-    let mut base_path = None::<String>;
-    let mut threshold = 25.0f64;
-    let mut span_floor_ns = REGRESS_MIN_NS;
-    let mut counter_floor = REGRESS_MIN_COUNT;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--baseline" => {
-                base_path = Some(args.next().unwrap_or_else(|| die("--baseline needs a file")))
-            }
-            "--threshold" => {
-                let v = args.next().unwrap_or_else(|| die("--threshold needs a value"));
-                threshold = v.parse().unwrap_or_else(|_| die("--threshold: bad number"));
-            }
-            "--span-floor-ms" => {
-                let v = args.next().unwrap_or_else(|| die("--span-floor-ms needs a value"));
-                let ms: f64 = v.parse().unwrap_or_else(|_| die("--span-floor-ms: bad number"));
-                if !(ms >= 0.0) {
-                    die("--span-floor-ms: must be non-negative");
-                }
-                span_floor_ns = (ms * 1e6) as u64;
-            }
-            "--counter-floor" => counter_floor = parse_num(&mut args, "--counter-floor"),
-            other if file.is_none() => file = Some(other.to_string()),
-            other => die(&format!("regress: unexpected argument '{other}'")),
-        }
-    }
-    let t = load(&file.unwrap_or_else(|| die("regress needs a trace file")));
-    let base_path = base_path.unwrap_or_else(|| die("regress needs --baseline FILE"));
-    let base_text = std::fs::read_to_string(&base_path)
-        .unwrap_or_else(|e| die(&format!("cannot read '{base_path}': {e}")));
-    let base = Value::parse(&base_text)
-        .unwrap_or_else(|e| die(&format!("'{base_path}': {e}")));
-    if base.get("version").and_then(Value::as_u64) != Some(1) {
-        die(&format!("'{base_path}' is not a version-1 baseline summary"));
-    }
-
-    let new_names: std::collections::BTreeMap<String, u64> =
-        t.aggregate().into_iter().map(|r| (r.name, r.total_ns)).collect();
-    let mut breaches: Vec<String> = Vec::new();
-    let pct = |old: u64, new: u64| -> f64 { 100.0 * (new as f64 - old as f64) / old as f64 };
-
-    println!("== regress vs {base_path} (threshold +{threshold:.0}%) ==");
-    println!("{:<28} {:>14} {:>14} {:>8}", "span name (total)", "baseline", "current", "delta");
-    for entry in base.get("names").and_then(Value::as_arr).unwrap_or(&[]) {
-        let (Some(name), Some(old)) = (
-            entry.get("name").and_then(Value::as_str),
-            entry.get("total_ns").and_then(Value::as_u64),
-        ) else {
-            die(&format!("'{base_path}': malformed names entry"));
-        };
-        if old < span_floor_ns {
-            continue; // too small to gate on
-        }
-        let new = new_names.get(name).copied().unwrap_or(0);
-        let delta = pct(old, new);
-        let mark = if delta > threshold { " <-- REGRESSION" } else { "" };
-        println!("{name:<28} {} {} {delta:>+7.1}%{mark}", ms(old), ms(new));
-        if delta > threshold {
-            breaches.push(format!("span '{name}' total time {delta:+.1}%"));
-        }
-    }
-    println!("\n{:<28} {:>14} {:>14} {:>8}", "counter", "baseline", "current", "delta");
-    if let Some(Value::Obj(pairs)) = base.get("counters") {
-        for (name, v) in pairs {
-            let old = v
-                .as_u64()
-                .unwrap_or_else(|| die(&format!("'{base_path}': counter '{name}' not integer")));
-            if old < counter_floor {
-                continue;
-            }
-            let new = t.counters.get(name).copied().unwrap_or(0);
-            let delta = pct(old, new);
-            let mark = if delta > threshold { " <-- REGRESSION" } else { "" };
-            println!("{name:<28} {old:>14} {new:>14} {delta:>+7.1}%{mark}");
-            if delta > threshold {
-                breaches.push(format!("counter '{name}' {delta:+.1}%"));
-            }
-        }
-    }
-
-    if breaches.is_empty() {
-        println!("\nregress OK: nothing grew more than {threshold:.0}%");
-    } else {
-        eprintln!("\nFAIL: {} regression(s) past +{threshold:.0}%:", breaches.len());
-        for b in &breaches {
-            eprintln!("  - {b}");
-        }
-        std::process::exit(1);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 //! The CI SLO gate, end to end over real binaries: `citroen-trace top
 //! --once` against a live socket daemon must exit 0 while the daemon is
-//! healthy and 1 once an (injected) SLO breach degrades it.
+//! healthy and 1 once an (injected) SLO breach degrades it, and the
+//! daemon's `metrics` verb must count the jobs it ran.
 
+use citroen_rt::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -82,10 +84,34 @@ fn top_once(socket: &Path) -> i32 {
         .expect("top exit code")
 }
 
+/// One `metrics` request on its own connection; returns the reply.
+fn metrics(socket: &Path) -> Value {
+    let mut stream = UnixStream::connect(socket).expect("connect daemon socket");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(b"{\"type\":\"metrics\"}\n").expect("metrics request");
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    for line in BufReader::new(stream).lines() {
+        let v = Value::parse(&line.expect("daemon reply")).expect("JSON reply");
+        match v.get("type").and_then(Value::as_str) {
+            Some("metrics") => return v,
+            Some("error") => panic!("daemon error reply: {}", v.emit_compact()),
+            _ => {}
+        }
+    }
+    panic!("daemon closed the connection without a metrics reply");
+}
+
 #[test]
 fn top_exits_zero_on_healthy_daemon() {
     let daemon = spawn_daemon("ok", &[]);
     run_one_job(&daemon.socket);
+    let done = metrics(&daemon.socket)
+        .get("global")
+        .and_then(|g| g.get("counters"))
+        .and_then(|c| c.get("jobs.done"))
+        .and_then(|c| c.get("total"))
+        .and_then(Value::as_u64);
+    assert!(done >= Some(1), "metrics report {done:?} jobs done, expected >= 1");
     assert_eq!(top_once(&daemon.socket), 0, "healthy daemon must gate green");
 }
 
