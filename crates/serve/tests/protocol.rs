@@ -3,6 +3,7 @@
 
 use citroen_rt::json::Value;
 use citroen_serve::{codes, ServeConfig, ServeSummary, Server};
+use citroen_telemetry::Trace;
 use std::io::Cursor;
 
 fn run_script(cfg: ServeConfig, script: &str) -> (Vec<Value>, ServeSummary) {
@@ -133,9 +134,11 @@ fn job_ids_cannot_escape_the_trace_dir() {
     let long = "x".repeat(citroen_serve::protocol::MAX_JOB_ID_LEN + 1);
     let hostile = ["../escape", abs.to_str().unwrap(), "a/b", "", long.as_str()];
     let mut script = String::new();
-    for id in hostile.iter().chain(&["ok"]) {
+    // The valid job's budget outlasts the 6-point initial design, so its
+    // stream holds model-guided iterations as well.
+    for (id, budget) in hostile.iter().map(|id| (*id, 4)).chain([("ok", 8)]) {
         script += &format!(
-            "{{\"type\":\"submit\",\"job\":{{\"id\":\"{id}\",\"bench\":\"telecom_gsm\",\"budget\":4,\"seed\":1}}}}\n"
+            "{{\"type\":\"submit\",\"job\":{{\"id\":\"{id}\",\"bench\":\"telecom_gsm\",\"budget\":{budget},\"seed\":1}}}}\n"
         );
     }
     script += "{\"type\":\"shutdown\"}\n";
@@ -168,6 +171,19 @@ fn job_ids_cannot_escape_the_trace_dir() {
     assert_eq!(names(&root), ["traces"]);
     assert_eq!(names(&dir), ["ok.jsonl"]);
     assert!(!abs.with_extension("jsonl").exists(), "absolute id wrote outside the dir");
+
+    // The job's stream is where its wall time is read back by layer: it
+    // parses strictly, and its session-thread spans fold into flame stacks
+    // under the tuning loop's iterations.
+    let text = std::fs::read_to_string(dir.join("ok.jsonl")).unwrap();
+    let stream = Trace::parse_jsonl(&text).expect("job stream parses");
+    let stacks = stream.flame_stacks();
+    assert!(!stacks.is_empty(), "job stream holds no spans");
+    assert!(
+        stacks.keys().any(|k| k.starts_with("citroen.run;iteration")),
+        "no stack under citroen.run;iteration: {:?}",
+        stacks.keys().collect::<Vec<_>>()
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
