@@ -513,9 +513,11 @@ fn metrics_gate() -> i32 {
     }
 
     // 3. End-to-end marginal cost of feeding metrics from the sink, using a
-    //    local stand-in that does the same per-record work as the daemon's
-    //    routing-sink → hub path (bounded profile buffer, tracked-span
-    //    latency hists, windowed counters).
+    //    local stand-in for the daemon's routing-sink → hub path (tracked-
+    //    span latency hists, windowed counters). The stand-in also copies
+    //    each span into a bounded buffer, work the daemon does not do, so it
+    //    does a superset of the daemon's per-record work and the gate errs
+    //    on the strict side.
     struct GateMetricsSink {
         epoch: Instant,
         reg: MetricsRegistry,

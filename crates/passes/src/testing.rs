@@ -349,7 +349,7 @@ mod tests {
 
         // The transform itself is honest: forwarding preserves semantics.
         use citroen_ir::inst::FuncId;
-        use citroen_ir::interp::{run_counting, Value};
+        use citroen_ir::interp::run_counting;
         let mut fwd = m.clone();
         let mut stats = Stats::new();
         LyingAliasPrecondition.run(&mut fwd, &mut stats);

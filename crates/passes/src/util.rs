@@ -508,7 +508,7 @@ mod tests {
     use super::*;
     use citroen_ir::builder::FunctionBuilder;
     use citroen_ir::inst::GlobalId;
-    use citroen_ir::types::{I16, I64};
+    use citroen_ir::types::I64;
 
     #[test]
     fn fold_bin_wraps_at_width() {

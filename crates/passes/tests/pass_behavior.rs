@@ -136,7 +136,7 @@ fn licm_needs_rotate_for_loads() {
 #[test]
 fn function_attrs_enable_gvn_of_calls() {
     use citroen_ir::builder::FunctionBuilder;
-    use citroen_ir::inst::{BinOp, Operand};
+    use citroen_ir::inst::BinOp;
     use citroen_ir::module::Module;
     use citroen_ir::types::I64;
 

@@ -5,7 +5,7 @@
 mod common;
 
 use citroen_ir::builder::{counted_loop_mem, FunctionBuilder};
-use citroen_ir::inst::{BinOp, CastKind, CmpOp, Inst, Operand, Term};
+use citroen_ir::inst::{BinOp, CmpOp, Inst, Operand, Term};
 use citroen_ir::interp::{run_counting, OpClass, Value};
 use citroen_ir::module::{GlobalInit, Module};
 use citroen_ir::types::{I32, I64};

@@ -26,7 +26,7 @@ pub mod server;
 pub mod state;
 pub mod telemetry_route;
 
-pub use metrics::{JobSummary, ServeMetrics, SloConfig, SpanSample};
+pub use metrics::{JobSummary, ServeMetrics, SloConfig};
 pub use protocol::{codes, JobOutcome, JobSpec, JobState, ProtoError, Request};
 pub use server::{job_citroen_config, job_task, Server, ServeSummary};
 pub use state::{ServeConfig, ServeState};

@@ -7,13 +7,15 @@
 //! {"type":"cancel","id":"j1"}
 //! {"type":"status"}            // or {"type":"status","id":"j1"}
 //! {"type":"stats"}
-//! {"type":"metrics"}           // or {"type":"metrics","format":"text"}
+//! {"type":"metrics"}
 //! {"type":"shutdown"}
 //! ```
 //!
 //! Replies (daemon → client): `ack`, `error`, `job` (state change),
-//! `result` (terminal), `stats`, `metrics` (the observability snapshot,
-//! DESIGN.md §12), `daemon` (uptime/health line closing a full `status`),
+//! `result` (terminal), `stats`, `metrics` (the observability snapshot as
+//! one JSON object, DESIGN.md §12; a job's spans are read from its
+//! `--trace-dir` stream instead), `daemon` (uptime/health line closing a
+//! full `status`),
 //! and `bye` (sent once after the graceful drain). All numbers are unsigned
 //! integers ([`citroen_rt::json`] has no float form); fractional values
 //! travel as IEEE-754 bit patterns (`f64::to_bits`), which is also what the
@@ -46,8 +48,6 @@ pub mod codes {
     pub const UNKNOWN_JOB: &str = "unknown-job";
     /// The daemon is draining and accepts no new jobs.
     pub const SHUTTING_DOWN: &str = "shutting-down";
-    /// A `metrics` request reached a daemon running with metrics disabled.
-    pub const METRICS_DISABLED: &str = "metrics-disabled";
 }
 
 /// The longest pass sequence a job may request: about twice the paper's
@@ -64,6 +64,18 @@ pub const MAX_JOB_ID_LEN: usize = 128;
 pub fn valid_job_id(id: &str) -> bool {
     (1..=MAX_JOB_ID_LEN).contains(&id.len())
         && id.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+}
+
+/// The longest tenant name a submit may carry.
+pub const MAX_TENANT_LEN: usize = 128;
+
+/// Whether `tenant` is an acceptable tenant name: 1..=[`MAX_TENANT_LEN`]
+/// characters from `[A-Za-z0-9_-]`. The name keys a metrics registry and is
+/// spliced into `slo.breach.tenant.<name>.*` event names, so it may hold no
+/// `.` either.
+pub fn valid_tenant(tenant: &str) -> bool {
+    (1..=MAX_TENANT_LEN).contains(&tenant.len())
+        && tenant.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-'))
 }
 
 /// Job lifecycle states.
@@ -107,7 +119,8 @@ pub struct JobSpec {
     /// Benchmark name (must exist in [`citroen_suite::all_benchmarks`]).
     pub bench: String,
     /// Tenant the job is grouped under in the metrics plane (per-tenant
-    /// registries, rates, health). Defaults to the benchmark name.
+    /// registries, rates, health). Defaults to the benchmark name; must
+    /// pass [`valid_tenant`].
     pub tenant: String,
     /// Runtime-measurement budget.
     pub budget: usize,
@@ -145,13 +158,9 @@ pub enum Request {
     },
     /// Report shared-cache and job counters.
     Stats,
-    /// Report the observability snapshot (windowed metrics, profiles, SLO
-    /// sentinels). `format: Some("text")` requests Prometheus-style text
-    /// exposition instead of structured JSON.
-    Metrics {
-        /// Optional exposition format (`"json"` default, or `"text"`).
-        format: Option<String>,
-    },
+    /// Report the observability snapshot (windowed metrics, SLO
+    /// sentinels, recent jobs).
+    Metrics,
     /// Stop accepting jobs, drain, and exit.
     Shutdown,
 }
@@ -229,9 +238,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             id: v.get("id").and_then(Value::as_str).map(str::to_string),
         }),
         "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics {
-            format: v.get("format").and_then(Value::as_str).map(str::to_string),
-        }),
+        "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(err(codes::UNKNOWN_TYPE, format!("unknown request type '{other}'"))),
     }
@@ -449,15 +456,18 @@ mod tests {
     }
 
     #[test]
+    fn default_tenants_are_valid() {
+        // A submit without a tenant is grouped under its bench name, so
+        // every suite name must pass the submit-time tenant check.
+        for b in citroen_suite::all_benchmarks() {
+            assert!(valid_tenant(&b.name), "{}", b.name);
+        }
+        assert!(["alpha", "team-x", "t_9"].iter().all(|t| valid_tenant(t)));
+    }
+
+    #[test]
     fn parses_metrics_and_explicit_tenant() {
-        assert_eq!(
-            parse_request(r#"{"type":"metrics"}"#).unwrap(),
-            Request::Metrics { format: None }
-        );
-        assert_eq!(
-            parse_request(r#"{"type":"metrics","format":"text"}"#).unwrap(),
-            Request::Metrics { format: Some("text".into()) }
-        );
+        assert_eq!(parse_request(r#"{"type":"metrics"}"#).unwrap(), Request::Metrics);
         let r = parse_request(
             r#"{"type":"submit","job":{"id":"a","bench":"telecom_gsm","budget":1,"tenant":"team-x"}}"#,
         )

@@ -20,7 +20,6 @@ use crate::metrics::{JobSummary, ServeMetrics, SloConfig};
 use crate::protocol::{self as proto, codes, JobOutcome, JobSpec, JobState, ProtoError, Request};
 use crate::state::{ServeConfig, ServeState};
 use crate::telemetry_route::{RoutingSink, SessionTable};
-use citroen_telemetry::metrics::WindowCfg;
 use citroen_bo::transfer::{warm_seeds, TransferEntry};
 use citroen_core::{
     run_citroen_session, trace_digest, CitroenConfig, SessionCtl, SessionEnv, SessionExit,
@@ -73,7 +72,7 @@ pub struct Server {
     cv: Condvar,
     next_tenant: AtomicU64,
     sessions: SessionTable,
-    metrics: Option<Arc<ServeMetrics>>,
+    metrics: Arc<ServeMetrics>,
     started: Instant,
 }
 
@@ -111,30 +110,25 @@ impl Server {
     /// - `cfg.trace_dir` set: always installs, replacing any previously
     ///   installed sink — the operator explicitly asked for per-job trace
     ///   streams (the last server constructed wins, as in PR 9).
-    /// - metrics only (`cfg.metrics`, the default): installs **only when no
-    ///   telemetry sink is currently installed**, so an embedder's or
-    ///   test's own sink (e.g. `MemorySink`) is never silently rerouted.
-    ///   The cost of skipping: this server's span-latency histograms and
-    ///   flame profiles stay empty; job lifecycle metrics (submitted/done/
-    ///   queue wait/run wall/cache) still work, as they bypass the sink.
+    /// - otherwise: installs **only when no telemetry sink is currently
+    ///   installed**, so an embedder's or test's own sink (e.g.
+    ///   `MemorySink`) is never silently rerouted. The cost of skipping:
+    ///   this server's span-latency histograms stay empty; job lifecycle
+    ///   metrics (submitted/done/queue wait/run wall/cache) still work, as
+    ///   they bypass the sink.
     pub fn new(cfg: ServeConfig) -> Server {
         if let Some(dir) = cfg.trace_dir.as_deref() {
             let _ = std::fs::create_dir_all(dir);
         }
         let sessions = SessionTable::default();
-        let metrics = cfg.metrics.then(|| {
-            ServeMetrics::new(
-                WindowCfg { width_ms: cfg.metrics_window_ms.max(1), ring: 6 },
-                SloConfig {
-                    queue_ms: cfg.slo_queue_ms,
-                    run_ms: cfg.slo_run_ms,
-                    compile_us: cfg.slo_compile_us,
-                    hit_ratio_min: cfg.slo_hit_ratio,
-                    ..SloConfig::default()
-                },
-            )
+        let metrics = ServeMetrics::new(SloConfig {
+            queue_ms: cfg.slo_queue_ms,
+            run_ms: cfg.slo_run_ms,
+            compile_us: cfg.slo_compile_us,
+            hit_ratio_min: cfg.slo_hit_ratio,
+            ..SloConfig::default()
         });
-        if cfg.trace_dir.is_some() || (metrics.is_some() && !citroen_telemetry::is_enabled()) {
+        if cfg.trace_dir.is_some() || !citroen_telemetry::is_enabled() {
             let sink = RoutingSink::new(sessions.clone(), metrics.clone());
             citroen_telemetry::install(Box::new(sink));
         }
@@ -155,13 +149,9 @@ impl Server {
         &self.state
     }
 
-    /// The observability hub (`None` when the daemon runs `--no-metrics`).
-    pub fn metrics(&self) -> Option<&Arc<ServeMetrics>> {
-        self.metrics.as_ref()
-    }
-
-    fn health_str(&self) -> &'static str {
-        self.metrics.as_deref().map(|m| m.health_str()).unwrap_or("ok")
+    /// The observability hub.
+    pub fn metrics(&self) -> &ServeMetrics {
+        &self.metrics
     }
 
     /// Serve one connection: read requests until EOF or `shutdown`, drain,
@@ -193,7 +183,7 @@ impl Server {
                     Ok(Request::Cancel { id }) => self.cancel(&id, &out, &summary),
                     Ok(Request::Status { id }) => self.status(id.as_deref(), &out, &summary),
                     Ok(Request::Stats) => self.stats(&out),
-                    Ok(Request::Metrics { format }) => self.metrics_verb(format.as_deref(), &out),
+                    Ok(Request::Metrics) => send(&out, self.metrics.reply_json()),
                     Ok(Request::Shutdown) => break,
                 }
             }
@@ -222,6 +212,15 @@ impl Server {
                 &format!(
                     "job id must be 1..={} characters of [A-Za-z0-9._-]",
                     proto::MAX_JOB_ID_LEN
+                ),
+            );
+        }
+        if !proto::valid_tenant(&spec.tenant) {
+            return reject(
+                codes::BAD_FIELD,
+                &format!(
+                    "tenant must be 1..={} characters of [A-Za-z0-9_-]",
+                    proto::MAX_TENANT_LEN
                 ),
             );
         }
@@ -264,9 +263,7 @@ impl Server {
             );
             queue.q.push_back(spec.id.clone());
         }
-        if let Some(m) = &self.metrics {
-            m.job_queued(&spec.tenant);
-        }
+        self.metrics.job_queued(&spec.tenant);
         self.cv.notify_one();
         summary.lock().unwrap().submitted += 1;
         send(out, proto::ack_reply(&spec.id, JobState::Queued.as_str()));
@@ -286,9 +283,7 @@ impl Server {
                     // count the terminal state here to balance
                     // `jobs.submitted`.
                     entry.state = JobState::Cancelled;
-                    if let Some(m) = &self.metrics {
-                        m.job_cancelled_queued(&entry.spec.tenant);
-                    }
+                    self.metrics.job_cancelled_queued(&entry.spec.tenant);
                     summary.lock().unwrap().cancelled += 1;
                     send(out, proto::job_reply(id, JobState::Cancelled));
                 }
@@ -320,25 +315,8 @@ impl Server {
                     send(out, proto::job_reply(id, jobs[id].state));
                 }
                 let uptime = self.started.elapsed().as_millis() as u64;
-                send(out, proto::daemon_reply(uptime, self.health_str()));
+                send(out, proto::daemon_reply(uptime, self.metrics.health_str()));
             }
-        }
-    }
-
-    fn metrics_verb(&self, format: Option<&str>, out: &Mutex<impl Write>) {
-        match &self.metrics {
-            None => send(
-                out,
-                proto::error_reply(
-                    codes::METRICS_DISABLED,
-                    "daemon runs with metrics disabled",
-                    None,
-                ),
-            ),
-            Some(m) => match format {
-                Some("text") => send(out, m.reply_text()),
-                _ => send(out, m.reply_json()),
-            },
         }
     }
 
@@ -361,7 +339,7 @@ impl Server {
         }
         let corpus = self.state.corpus.lock().unwrap().len() as u64;
         let uptime = self.started.elapsed().as_millis() as u64;
-        send(out, proto::stats_reply(&cache, &counts, corpus, uptime, self.health_str()));
+        send(out, proto::stats_reply(&cache, &counts, corpus, uptime, self.metrics.health_str()));
     }
 
     fn worker_loop(&self, out: &Mutex<impl Write>, summary: &Mutex<ServeSummary>) {
@@ -406,12 +384,10 @@ impl Server {
         let trace_dir = self.state.cfg.trace_dir.as_deref();
         let stream = trace_dir.map(|dir| Path::new(dir).join(format!("{id}.jsonl")));
         self.sessions.enter(&spec.tenant, stream.as_deref());
-        if let Some(m) = &self.metrics {
-            m.session_started(&spec.tenant, queue_wait.as_millis() as u64);
-        }
+        self.metrics.session_started(&spec.tenant, queue_wait.as_millis() as u64);
         let run_start = Instant::now();
         let ran = catch_unwind(AssertUnwindSafe(|| self.execute(&spec, ctl)));
-        let profile = self.sessions.leave();
+        self.sessions.leave();
 
         let (state, outcome) = match ran {
             Ok(outcome) => {
@@ -426,24 +402,21 @@ impl Server {
                 JobOutcome { exit: "panicked".to_string(), ..JobOutcome::default() },
             ),
         };
-        if let Some(m) = &self.metrics {
-            m.session_finished(
-                JobSummary {
-                    id: id.to_string(),
-                    tenant: spec.tenant.clone(),
-                    bench: spec.bench.clone(),
-                    exit: outcome.exit.clone(),
-                    queue_ms: queue_wait.as_millis() as u64,
-                    run_ms: run_start.elapsed().as_millis() as u64,
-                    compiles: outcome.compiles,
-                    measurements: outcome.measurements,
-                    warm_seeds: outcome.warm_seeds,
-                },
-                self.state.cache.stats(),
-                self.state.corpus.lock().unwrap().len() as u64,
-                profile,
-            );
-        }
+        self.metrics.session_finished(
+            JobSummary {
+                id: id.to_string(),
+                tenant: spec.tenant.clone(),
+                bench: spec.bench.clone(),
+                exit: outcome.exit.clone(),
+                queue_ms: queue_wait.as_millis() as u64,
+                run_ms: run_start.elapsed().as_millis() as u64,
+                compiles: outcome.compiles,
+                measurements: outcome.measurements,
+                warm_seeds: outcome.warm_seeds,
+            },
+            self.state.cache.stats(),
+            self.state.corpus.lock().unwrap().len() as u64,
+        );
         {
             let mut jobs = self.jobs.lock().unwrap();
             jobs.get_mut(id).expect("running job exists").state = state;

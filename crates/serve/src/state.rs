@@ -24,13 +24,6 @@ pub struct ServeConfig {
     /// Directory for per-job JSONL telemetry streams (`<dir>/<job id>.jsonl`,
     /// readable while live with `citroen-trace show`). `None` = no telemetry.
     pub trace_dir: Option<String>,
-    /// Maintain the observability plane (windowed metrics, continuous
-    /// profiling, SLO sentinels; DESIGN.md §12). Default on — the 10-seed
-    /// identity gate proves it never perturbs results.
-    pub metrics: bool,
-    /// Window width of the metrics ring buffers in milliseconds. Default
-    /// 10 000 (six windows ≈ one minute of recent history).
-    pub metrics_window_ms: u64,
     /// SLO sentinel: queue-wait EWMA ceiling, milliseconds.
     pub slo_queue_ms: f64,
     /// SLO sentinel: run-wall EWMA ceiling, milliseconds.
@@ -50,8 +43,6 @@ impl Default for ServeConfig {
             cache_cap: 4096,
             graph_path: None,
             trace_dir: None,
-            metrics: true,
-            metrics_window_ms: 10_000,
             slo_queue_ms: slo.queue_ms,
             slo_run_ms: slo.run_ms,
             slo_compile_us: slo.compile_us,

@@ -7,8 +7,8 @@
 //! [`RoutingSink`] multiplexes: sink methods run synchronously on the
 //! recording thread, so the record's origin is
 //! [`citroen_telemetry::current_thread_id`] (spans and events also carry it
-//! explicitly), and one table lookup per record finds the session's tenant,
-//! stream and profile buffer.
+//! explicitly), and one table lookup per record finds the session's tenant
+//! and stream.
 //!
 //! Caveat: records emitted by *worker-pool* threads (per-candidate `compile`
 //! spans inside a `batch` sweep) carry the pool thread's id, not the
@@ -16,13 +16,13 @@
 //! thread's own spans, counters, and progress events, which is what
 //! `citroen-trace show` renders.
 //!
-//! The sink optionally also feeds the daemon's [`ServeMetrics`] hub
-//! (DESIGN.md §12): span durations and counters from session threads flow
-//! into the windowed metrics registries, and sampled spans into the
-//! session's profile buffer, *before* being routed to the per-job stream,
-//! so the `metrics` verb works with or without `--trace-dir`.
+//! The sink also feeds the daemon's [`ServeMetrics`] hub (DESIGN.md §12):
+//! span durations and counters from session threads flow into the windowed
+//! metrics registries *before* being routed to the per-job stream, so the
+//! `metrics` verb works with or without `--trace-dir`. The stream, not the
+//! hub, keeps the spans themselves.
 
-use crate::metrics::{ServeMetrics, SpanSample};
+use crate::metrics::ServeMetrics;
 use citroen_telemetry::{current_thread_id, EventRecord, SpanRecord, StreamSink, TelemetrySink};
 use std::collections::HashMap;
 use std::path::Path;
@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex};
 struct Session {
     tenant: String,
     stream: Option<StreamSink>,
-    profile: SpanSample,
 }
 
 /// Thread-id → running session. A cheap handle: clones share one table,
@@ -52,32 +51,30 @@ impl SessionTable {
                 .map_err(|e| eprintln!("warning: cannot stream to '{}': {e}", path.display()))
                 .ok()
         });
-        let profile = SpanSample::default();
-        let session = Session { tenant: tenant.to_string(), stream, profile };
+        let session = Session { tenant: tenant.to_string(), stream };
         self.0.lock().unwrap().insert(current_thread_id(), session);
     }
 
-    /// Stop attributing the calling thread, and hand back the spans sampled
-    /// for the profiler (empty when the thread never entered). The session's
-    /// stream is flushed and closed as it drops, outside the table lock.
-    pub fn leave(&self) -> SpanSample {
+    /// Stop attributing the calling thread. The session's stream is flushed
+    /// and closed as it drops, outside the table lock.
+    pub fn leave(&self) {
         let session = self.0.lock().unwrap().remove(&current_thread_id());
-        session.map(|s| s.profile).unwrap_or_default()
+        drop(session);
     }
 }
 
 /// The installed process-global sink: looks up the emitting thread's
-/// session, feeds the metrics hub (when present), then writes the record to
+/// session, feeds the metrics hub, then writes the record to
 /// the session's stream (when it has one). Records from threads outside
 /// every session are dropped.
 pub struct RoutingSink {
     table: SessionTable,
-    metrics: Option<Arc<ServeMetrics>>,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl RoutingSink {
-    /// A sink dispatching through `table`, feeding `metrics` when given.
-    pub fn new(table: SessionTable, metrics: Option<Arc<ServeMetrics>>) -> RoutingSink {
+    /// A sink dispatching through `table` and feeding `metrics`.
+    pub fn new(table: SessionTable, metrics: Arc<ServeMetrics>) -> RoutingSink {
         RoutingSink { table, metrics }
     }
 }
@@ -86,10 +83,7 @@ impl TelemetrySink for RoutingSink {
     fn record_span(&mut self, rec: SpanRecord) {
         let mut sessions = self.table.0.lock().unwrap();
         let Some(s) = sessions.get_mut(&rec.thread) else { return };
-        if let Some(m) = &self.metrics {
-            m.feed_span(&s.tenant, &rec);
-            s.profile.push(&rec);
-        }
+        self.metrics.feed_span(&s.tenant, &rec);
         if let Some(stream) = &mut s.stream {
             stream.record_span(rec);
         }
@@ -98,9 +92,7 @@ impl TelemetrySink for RoutingSink {
     fn add_counter(&mut self, name: &str, delta: u64) {
         let mut sessions = self.table.0.lock().unwrap();
         let Some(s) = sessions.get_mut(&current_thread_id()) else { return };
-        if let Some(m) = &self.metrics {
-            m.feed_counter(&s.tenant, name, delta);
-        }
+        self.metrics.feed_counter(&s.tenant, name, delta);
         if let Some(stream) = &mut s.stream {
             stream.add_counter(name, delta);
         }

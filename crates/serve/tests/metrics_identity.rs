@@ -1,5 +1,5 @@
-//! The observability-inertness gate: with the metrics plane enabled (the
-//! default), ten seeded jobs served by the daemon produce trace digests
+//! The observability-inertness gate: with the metrics plane on (it always
+//! is), ten seeded jobs served by the daemon produce trace digests
 //! bit-identical to standalone `run_citroen` runs at the same seeds —
 //! recording is strictly observational and never feeds back into a session.
 //! Also sanity-checks the drained hub's `metrics` reply content.
@@ -44,7 +44,6 @@ fn ten_seeds_with_metrics_on_match_standalone_digests() {
         .collect();
 
     let server = Server::new(ServeConfig { max_concurrent: 4, ..Default::default() });
-    assert!(server.metrics().is_some(), "metrics plane must default on");
 
     let mut script = String::new();
     for s in &specs {
@@ -88,7 +87,7 @@ fn ten_seeds_with_metrics_on_match_standalone_digests() {
     }
 
     // The hub actually recorded the work it watched.
-    let m = server.metrics().expect("metrics hub");
+    let m = server.metrics();
     assert!(m.healthy(), "default SLOs must not breach on a tiny healthy run");
     let v = Value::parse(&m.reply_json()).unwrap();
     assert_eq!(v.get("type").and_then(Value::as_str), Some("metrics"));
@@ -117,11 +116,4 @@ fn ten_seeds_with_metrics_on_match_standalone_digests() {
             "missing tenant {t}"
         );
     }
-    // Sessions profiled: spans flowed through the sink into flame stacks.
-    let sampled = v
-        .get("profile")
-        .and_then(|p| p.get("spans_sampled"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    assert!(sampled > 0, "continuous profiler saw no spans");
 }

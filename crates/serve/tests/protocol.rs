@@ -34,7 +34,7 @@ fn error_codes(replies: &[Value]) -> Vec<String> {
 
 #[test]
 fn hostile_input_yields_structured_errors_and_spares_the_tenant() {
-    let script = concat!(
+    let mut script = String::from(concat!(
         "{oops\n",
         "[1,2,3]\n",
         "{\"id\":\"no-type\"}\n",
@@ -49,10 +49,18 @@ fn hostile_input_yields_structured_errors_and_spares_the_tenant() {
         "{\"type\":\"submit\",\"job\":{\"id\":\"zb\",\"bench\":\"telecom_gsm\",\"budget\":0}}\n",
         "{\"type\":\"submit\",\"job\":{\"id\":\"mf\",\"bench\":\"telecom_gsm\"}}\n",
         "{\"type\":\"submit\",\"job\":{\"id\":\"bf\",\"bench\":\"telecom_gsm\",\"budget\":\"six\"}}\n",
-        "{\"type\":\"stats\"}\n",
-        "{\"type\":\"shutdown\"}\n",
-    );
-    let (replies, summary) = run_script(ServeConfig::default(), script);
+    ));
+    // Tenant names key a metrics registry and splice into SLO event names:
+    // anything outside `[A-Za-z0-9_-]{1,128}` is refused, naming the job.
+    let long_tenant = "t".repeat(citroen_serve::protocol::MAX_TENANT_LEN + 1);
+    let hostile_tenants = [r#"ev\"il"#, "", long_tenant.as_str(), "a.b"];
+    for (i, tenant) in hostile_tenants.iter().enumerate() {
+        script += &format!(
+            "{{\"type\":\"submit\",\"job\":{{\"id\":\"ten{i}\",\"bench\":\"telecom_gsm\",\"budget\":6,\"tenant\":\"{tenant}\"}}}}\n"
+        );
+    }
+    script += "{\"type\":\"stats\"}\n{\"type\":\"shutdown\"}\n";
+    let (replies, summary) = run_script(ServeConfig::default(), &script);
 
     // Every bad line produced exactly one structured error; the daemon
     // survived them all and the one valid job ran to completion.
@@ -68,6 +76,13 @@ fn hostile_input_yields_structured_errors_and_spares_the_tenant() {
     ] {
         assert!(codes_seen.iter().any(|c| c == want), "missing error code {want}: {codes_seen:?}");
     }
+    let tenant_rejects: Vec<&str> = of_type(&replies, "error")
+        .iter()
+        .filter(|r| r.get("code").and_then(Value::as_str) == Some(codes::BAD_FIELD))
+        .filter_map(|r| r.get("id").and_then(Value::as_str))
+        .filter(|id| id.starts_with("ten"))
+        .collect();
+    assert_eq!(tenant_rejects, ["ten0", "ten1", "ten2", "ten3"]);
 
     let results = of_type(&replies, "result");
     assert_eq!(results.len(), 1, "exactly one job should reach a terminal result");
@@ -84,8 +99,9 @@ fn hostile_input_yields_structured_errors_and_spares_the_tenant() {
     assert_eq!(summary.submitted, 1);
     assert_eq!(summary.done, 1);
     assert_eq!(summary.failed, 0);
-    // 7 malformed/unknown-target lines + 6 rejected submits.
-    assert_eq!(summary.rejected, 13);
+    // 7 malformed/unknown-target lines + 6 rejected submits + 4 hostile
+    // tenants.
+    assert_eq!(summary.rejected, 17);
 }
 
 #[test]

@@ -9,7 +9,6 @@
 
 use citroen_serve::{JobSummary, RoutingSink, ServeMetrics, SessionTable, SloConfig};
 use citroen_telemetry as telemetry;
-use citroen_telemetry::metrics::WindowCfg;
 use citroen_telemetry::Trace;
 use citroen_rt::json::Value;
 use std::sync::{Arc, Barrier};
@@ -24,8 +23,8 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let table = SessionTable::default();
-    let metrics = ServeMetrics::new(WindowCfg::default(), SloConfig::default());
-    telemetry::install(Box::new(RoutingSink::new(table.clone(), Some(metrics.clone()))));
+    let metrics = ServeMetrics::new(SloConfig::default());
+    telemetry::install(Box::new(RoutingSink::new(table.clone(), metrics.clone())));
 
     // All threads start recording at the same instant and yield frequently,
     // maximising interleaving through the shared sink mutex.
@@ -50,6 +49,7 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
                         std::thread::yield_now();
                     }
                 }
+                table.leave();
                 metrics.session_finished(
                     JobSummary {
                         id: format!("job{i}"),
@@ -64,7 +64,6 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
                     },
                     Default::default(),
                     0,
-                    table.leave(),
                 );
             })
         })

@@ -11,7 +11,11 @@
 #      citroen-gp (kernel, linear algebra, regression) and citroen-suite
 #      (kernel goldens), plus the two crates whose tests run the
 #      interpreter: citroen-passes (differential pass tests) and
-#      citroen-analyze (the alias oracle's mem_site sink)
+#      citroen-analyze (the alias oracle's mem_site sink), and the daemon's
+#      two crates: citroen-serve (protocol robustness, routing, warm start,
+#      the 10-seed metrics bit-identity gate; ~75 s in debug, most of it
+#      warm_start) and citroen-telemetry (dispatch, stream, metrics
+#      registries; a few seconds)
 #   3. a 30-second `citroen-analyze --smoke` fuzz campaign: random modules
 #      x random pass sequences through the verifier, the translation-
 #      validation sanitizer, and the interpreter differential
@@ -66,9 +70,9 @@ echo "== cargo build --release (+ perfbench type check)"
 cargo build --release
 cargo check --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo test -q (root + ir, sim, gp, suite, passes, analyze)"
+echo "== cargo test -q (root + ir, sim, gp, suite, passes, analyze, serve, telemetry)"
 cargo test -q -p citroen -p citroen-ir -p citroen-sim -p citroen-gp -p citroen-suite \
-    -p citroen-passes -p citroen-analyze
+    -p citroen-passes -p citroen-analyze -p citroen-serve -p citroen-telemetry
 
 echo "== citroen-analyze --smoke (30s budget)"
 timeout 30 ./target/release/citroen-analyze --smoke

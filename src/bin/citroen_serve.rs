@@ -23,8 +23,8 @@ citroen-serve — multi-tenant CITROEN tuning daemon
 USAGE:
     citroen-serve [serve] [--socket PATH] [--max-concurrent N] [--max-budget N]
                   [--cache-cap N] [--trace-dir DIR] [--graph FILE]
-                  [--no-metrics] [--metrics-window-ms N] [--slo-queue-ms X]
-                  [--slo-run-ms X] [--slo-compile-us X] [--slo-hit-ratio X]
+                  [--slo-queue-ms X] [--slo-run-ms X] [--slo-compile-us X]
+                  [--slo-hit-ratio X]
     citroen-serve bench [--budget N] [--max-concurrent N]
 
 MODES:
@@ -40,15 +40,16 @@ OPTIONS:
     --max-budget N       per-job measurement budget cap    [default: 200]
     --cache-cap N        shared compile-cache entries      [default: 4096]
     --trace-dir DIR      per-job JSONL telemetry streams (readable while
-                         live with `citroen-trace show DIR/<job>.jsonl`)
+                         live with `citroen-trace show DIR/<job>.jsonl`;
+                         `citroen-trace flame` folds one into stacks)
     --graph FILE         persisted `citroen-analyze oracle --json` graph,
                          loaded once and shared with every session
     --budget N           bench mode: per-job budget        [default: 8]
 
 OBSERVABILITY OPTIONS (serve):
-    --no-metrics          disable the metrics/profiling/SLO plane
-                          (the `metrics` verb then returns an error)
-    --metrics-window-ms N metrics window width, ms        [default: 10000]
+    The metrics plane is always on: the `metrics` verb replies with one JSON
+    object of windowed counters and histograms (six 10 s windows), SLO
+    sentinels and recent jobs. The sentinels' limits:
     --slo-queue-ms X      queue-wait EWMA ceiling, ms     [default: 60000]
     --slo-run-ms X        run-wall EWMA ceiling, ms      [default: 300000]
     --slo-compile-us X    compile-span EWMA ceiling, us [default: 5000000]
@@ -103,10 +104,6 @@ fn main() {
                 cfg.graph_path = Some(args.next().unwrap_or_else(|| die("--graph needs a file")))
             }
             "--budget" => budget = parse_num(&mut args, "--budget") as usize,
-            "--no-metrics" => cfg.metrics = false,
-            "--metrics-window-ms" => {
-                cfg.metrics_window_ms = parse_num(&mut args, "--metrics-window-ms").max(1)
-            }
             "--slo-queue-ms" => cfg.slo_queue_ms = parse_f64(&mut args, "--slo-queue-ms"),
             "--slo-run-ms" => cfg.slo_run_ms = parse_f64(&mut args, "--slo-run-ms"),
             "--slo-compile-us" => cfg.slo_compile_us = parse_f64(&mut args, "--slo-compile-us"),
