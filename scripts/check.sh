@@ -4,18 +4,15 @@
 #   1. release build of the whole workspace (binaries included), plus a
 #      type check of the benchmark harness (`perfbench/`, its own cargo
 #      workspace), so an API change that breaks the harness fails here
-#   2. the test suites of the root package (integration, fuzz-differential,
-#      property, hermeticity, execution and GP goldens, binary exit codes,
-#      the daemon's end-to-end SLO gate) and of the crates
-#      whose results those pin: citroen-ir (interpreter), citroen-sim,
-#      citroen-gp (kernel, linear algebra, regression) and citroen-suite
-#      (kernel goldens), plus the two crates whose tests run the
-#      interpreter: citroen-passes (differential pass tests) and
-#      citroen-analyze (the alias oracle's mem_site sink), and the daemon's
-#      two crates: citroen-serve (protocol robustness, routing, warm start,
-#      the 10-seed metrics bit-identity gate; ~75 s in debug, most of it
-#      warm_start) and citroen-telemetry (dispatch, stream, metrics
-#      registries; a few seconds)
+#   2. the test suites of every workspace member, in the dev profile
+#      (optimised, with debug assertions and overflow checks; see
+#      Cargo.toml): the root package (integration, fuzz-differential,
+#      property, hermeticity, execution, loop and GP goldens, binary exit
+#      codes, the daemon's end-to-end SLO gate), citroen-core (the tuning
+#      loop's determinism, batching and ablation gates; the longest suite),
+#      the crates whose results those pin (ir, sim, gp, suite, passes,
+#      analyze), the daemon's two crates (serve, telemetry) and the rest
+#      (rt, bo, tuners, synthetic, bench)
 #   3. a 30-second `citroen-analyze --smoke` fuzz campaign: random modules
 #      x random pass sequences through the verifier, the translation-
 #      validation sanitizer, and the interpreter differential
@@ -70,9 +67,8 @@ echo "== cargo build --release (+ perfbench type check)"
 cargo build --release
 cargo check --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo test -q (root + ir, sim, gp, suite, passes, analyze, serve, telemetry)"
-cargo test -q -p citroen -p citroen-ir -p citroen-sim -p citroen-gp -p citroen-suite \
-    -p citroen-passes -p citroen-analyze -p citroen-serve -p citroen-telemetry
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "== citroen-analyze --smoke (30s budget)"
 timeout 30 ./target/release/citroen-analyze --smoke
