@@ -2,9 +2,7 @@
 //! 5.1 and 5.6–5.12, plus the adaptive multi-module allocation study.
 
 use crate::{f3, f4, geomean, mean, std_dev, ExpCfg, Report};
-use citroen_core::{
-    run_citroen, run_multimodule, Allocation, CitroenConfig, MultiModuleConfig, Task, TaskConfig,
-};
+use citroen_core::{run_citroen, Allocation, CitroenConfig, Task, TaskConfig};
 use citroen_ir::interp::run_counting;
 use citroen_passes::{o3_pipeline, PassManager, Registry};
 use citroen_sim::Platform;
@@ -661,11 +659,13 @@ pub fn batch_sweep(cfg: &ExpCfg) {
 
 /// Thesis contribution 3: adaptive vs round-robin vs uniform budget
 /// allocation on the SPEC-like multi-module programs, reporting speedup at
-/// checkpoints and the convergence-speed ratio.
+/// checkpoints, the convergence-speed ratio, and the budget measurements
+/// each run spent. `speedup@1/2` and `meas_to_95pct` index trace steps,
+/// which include repeat binaries answered by the runtime cache.
 pub fn adaptive_multimodule(cfg: &ExpCfg) {
     let mut rep = Report::new(
         "adaptive_multimodule",
-        &["benchmark", "policy", "speedup@1/2", "speedup@full", "meas_to_95pct"],
+        &["benchmark", "policy", "speedup@1/2", "speedup@full", "meas_to_95pct", "measurements"],
     );
     let platform = Platform::tx2();
     for name in spec_names() {
@@ -674,7 +674,7 @@ pub fn adaptive_multimodule(cfg: &ExpCfg) {
             ("round-robin", Allocation::RoundRobin),
             ("uniform", Allocation::Uniform),
         ] {
-            let rows: Vec<(f64, f64, usize)> = par_map((0..cfg.reps).collect(), |seed| {
+            let rows: Vec<(f64, f64, usize, usize)> = par_map((0..cfg.reps).collect(), |seed| {
                 let mut task = make_task(name, &platform, cfg, seed);
                 if task.hot_modules.len() < 2 {
                     // Ensure the allocation question exists.
@@ -683,21 +683,27 @@ pub fn adaptive_multimodule(cfg: &ExpCfg) {
                         .unwrap();
                     task.hot_modules.push(extra);
                 }
-                let c = MultiModuleConfig { allocation: policy, seed, ..Default::default() };
-                let res = run_multimodule(&mut task, cfg.budget, &c);
-                let half = task.speedup(res.trace.best_at(cfg.budget / 2));
-                let full = task.speedup(res.trace.best());
-                // measurements to reach 95% of the final improvement
-                let target =
-                    task.o3_seconds - 0.95 * (task.o3_seconds - res.trace.best());
-                let reach = res
-                    .trace
+                // The settings this study has always run at.
+                let mut c = CitroenConfig {
+                    allocation: Some(policy),
+                    candidates: 16,
+                    init_random: 6,
+                    seed,
+                    ..Default::default()
+                };
+                c.gp.fit_iters = 20;
+                let (trace, _) = run_citroen(&mut task, cfg.budget, &c);
+                let half = task.speedup(trace.best_at(cfg.budget / 2));
+                let full = task.speedup(trace.best());
+                // trace steps to reach 95% of the final improvement
+                let target = task.o3_seconds - 0.95 * (task.o3_seconds - trace.best());
+                let reach = trace
                     .best_history
                     .iter()
                     .position(|b| *b <= target)
                     .map(|i| i + 1)
-                    .unwrap_or(res.trace.best_history.len());
-                (half, full, reach)
+                    .unwrap_or(trace.best_history.len());
+                (half, full, reach, task.measurements)
             });
             rep.row(vec![
                 name.to_string(),
@@ -705,6 +711,7 @@ pub fn adaptive_multimodule(cfg: &ExpCfg) {
                 f3(mean(&rows.iter().map(|r| r.0).collect::<Vec<_>>())),
                 f3(mean(&rows.iter().map(|r| r.1).collect::<Vec<_>>())),
                 f3(mean(&rows.iter().map(|r| r.2 as f64).collect::<Vec<_>>())),
+                f3(mean(&rows.iter().map(|r| r.3 as f64).collect::<Vec<_>>())),
             ]);
         }
     }

@@ -226,6 +226,10 @@ pub struct SessionResult {
     pub report: ImpactReport,
     /// How the session ended.
     pub exit: SessionExit,
+    /// The tuned module (index into `Task::hot_modules` under an allocation
+    /// policy, else 0) measured at each trace step; `usize::MAX` marks a
+    /// joint step that measured a fresh genome for every tuned module.
+    pub allocation_log: Vec<usize>,
 }
 
 /// A deterministic 64-bit digest of a tuning trajectory: every noisy

@@ -6,7 +6,7 @@
 //! cargo run --release --example multimodule_project
 //! ```
 
-use citroen::core::{run_multimodule, Allocation, MultiModuleConfig, Task, TaskConfig};
+use citroen::core::{run_citroen_session, Allocation, CitroenConfig, SessionEnv, Task, TaskConfig};
 use citroen::passes::Registry;
 use citroen::sim::Platform;
 
@@ -40,8 +40,8 @@ fn main() {
             TaskConfig { seq_len: 16, ..Default::default() },
         );
         t.hot_modules = task.hot_modules.clone();
-        let cfg = MultiModuleConfig { allocation: policy, ..Default::default() };
-        let res = run_multimodule(&mut t, 25, &cfg);
+        let cfg = CitroenConfig { allocation: Some(policy), ..Default::default() };
+        let res = run_citroen_session(&mut t, 25, &cfg, &SessionEnv::default());
         println!("\npolicy {policy:?}:");
         println!("  best runtime : {:.3} ms ({:.3}x over -O3)",
             res.trace.best() * 1e3, t.speedup(res.trace.best()));

@@ -3,8 +3,8 @@
 //! at miniature scale, and the public-API surface the examples rely on.
 
 use citroen::core::{
-    run_citroen, run_multimodule, Allocation, CitroenConfig, FeatureKind, MultiModuleConfig,
-    Task, TaskConfig,
+    run_citroen, run_citroen_session, Allocation, CitroenConfig, FeatureKind, SessionEnv, Task,
+    TaskConfig,
 };
 use citroen::passes::Registry;
 use citroen::sim::Platform;
@@ -117,19 +117,24 @@ fn multimodule_adaptive_runs_end_to_end() {
             .unwrap();
         task.hot_modules.push(extra);
     }
-    let res = run_multimodule(
+    let res = run_citroen_session(
         &mut task,
         10,
-        &MultiModuleConfig {
-            allocation: Allocation::Adaptive,
-            candidates_per_module: 4,
+        &CitroenConfig {
+            allocation: Some(Allocation::Adaptive),
+            candidates: 4,
             init_random: 2,
             ..Default::default()
         },
+        &SessionEnv::default(),
     );
     assert_eq!(task.measurements, 10);
     assert!(res.trace.best().is_finite());
     assert!(res.trace.best() <= task.o0_seconds);
+    // Every trace step names the module it measured, and every sequence
+    // set covers every tuned module.
+    assert_eq!(res.allocation_log.len(), res.trace.runtimes.len());
+    assert_eq!(res.trace.best_seqs.len(), task.hot_modules.len());
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //! genome twice (such as a second compile of the q=1 pick) fails the gate
 //! even though every digest holds.
 //!
-//! A second table pins `run_multimodule` the same way: one spec_imgproc
-//! task with three hot modules under every allocation policy, pinning the
+//! A second table pins the same loop tuning several modules
+//! (`CitroenConfig::allocation`) the same way: one spec_imgproc task with
+//! three hot modules under every allocation policy, pinning the
 //! `trace_digest`, a digest of the per-step module choices, and the
 //! measurement and compile counts.
 //!
@@ -20,9 +21,8 @@
 //! pasting it over `GOLDEN` or `MULTI_GOLDEN`.
 
 use citroen::core::{
-    run_citroen_session, run_multimodule, trace_digest, Allocation, CitroenConfig, FeatureKind,
-    GeneratorKind, MultiModuleConfig, SessionCtl, SessionEnv, SharedCompileCache, Task,
-    TaskConfig,
+    run_citroen_session, trace_digest, Allocation, CitroenConfig, FeatureKind, GeneratorKind,
+    SessionCtl, SessionEnv, SharedCompileCache, Task, TaskConfig,
 };
 use citroen::passes::Registry;
 use citroen::sim::Platform;
@@ -269,12 +269,12 @@ type MultiGolden = (&'static str, u64, u64, u64, usize, usize);
 
 #[rustfmt::skip]
 const MULTI_GOLDEN: &[MultiGolden] = &[
-    ("adaptive", 1, 0xd2f9c68e2a90ed90, 0x12b7bf086e973f2d, 12, 282),
-    ("adaptive", 2, 0xf27c0737b7e18efb, 0xe0f0095e32c39f6d, 12, 192),
-    ("round-robin", 1, 0x13b35d5389cbc042, 0x687f62cadcadb86e, 12, 174),
-    ("round-robin", 2, 0x8b61d1e4ffcbccb2, 0x9247480e40bbf1ad, 12, 228),
-    ("uniform", 1, 0x3deda6d09884dec7, 0x57db8cca8a2af7ee, 12, 246),
-    ("uniform", 2, 0xa09990400708783c, 0xeb7a92e88d7cb10d, 12, 282),
+    ("adaptive", 1, 0xf56ac7926aeede87, 0x815789b14497aced, 12, 171),
+    ("adaptive", 2, 0x34fc8f4e561f4e17, 0x93afe97129b790ae, 12, 171),
+    ("round-robin", 1, 0xb9df7f3f448f7846, 0x687f62cadcadb86e, 12, 63),
+    ("round-robin", 2, 0xeaa611cc19ca2513, 0x31b8017d4630aaa4, 12, 66),
+    ("uniform", 1, 0x5b4cec2a9217f1a0, 0x8f1a9d34ba8482a6, 12, 66),
+    ("uniform", 2, 0xc4e15c5603837bbd, 0xdbf19e636aeb5dcf, 12, 63),
 ];
 
 /// spec_imgproc with its profiled hot modules topped up to three, so every
@@ -326,14 +326,14 @@ fn multimodule_trajectories_match_the_golden_table() {
     let observed: Vec<MultiGolden> =
         citroen::rt::par::par_map(runs, |(label, allocation, seed)| {
             let mut task = imgproc_task(seed);
-            let cfg = MultiModuleConfig {
-                allocation,
-                candidates_per_module: 6,
+            let cfg = CitroenConfig {
+                allocation: Some(allocation),
+                candidates: 6,
                 init_random: 3,
                 seed,
                 ..Default::default()
             };
-            let res = run_multimodule(&mut task, BUDGET, &cfg);
+            let res = run_citroen_session(&mut task, BUDGET, &cfg, &SessionEnv::default());
             (
                 label,
                 seed,
