@@ -175,6 +175,21 @@ pub fn install(sink: Box<dyn TelemetrySink>) {
     ENABLED.store(true, Ordering::SeqCst);
 }
 
+/// [`install`] `sink` unless a sink is installed already; returns whether
+/// it was installed. The check and the install hold one lock, so a
+/// concurrent [`install`] is never overwritten by this one.
+pub fn install_if_absent(sink: Box<dyn TelemetrySink>) -> bool {
+    install_par_hooks();
+    epoch();
+    let mut slot = SINK.lock().unwrap();
+    if slot.is_some() {
+        return false;
+    }
+    *slot = Some(sink);
+    ENABLED.store(true, Ordering::SeqCst);
+    true
+}
+
 /// [`install`] the built-in in-memory sink.
 pub fn enable() {
     install(Box::new(MemorySink::new()));

@@ -63,6 +63,18 @@ fn spans_nest_and_record_parents() {
 }
 
 #[test]
+fn install_if_absent_keeps_an_installed_sink() {
+    let _g = serialised();
+    telemetry::disable();
+    assert!(telemetry::install_if_absent(Box::new(telemetry::MemorySink::new())));
+    telemetry::counter("kept", 1);
+    assert!(!telemetry::install_if_absent(Box::new(telemetry::MemorySink::new())));
+    let t = telemetry::take_trace().expect("the first sink is still installed");
+    assert_eq!(t.counters.get("kept"), Some(&1), "the second install replaced the first");
+    telemetry::disable();
+}
+
+#[test]
 fn par_workers_attribute_to_calling_span() {
     let _g = serialised();
     let t = capture(|| {
