@@ -17,7 +17,7 @@
 
 use crate::cache::BoundedCache;
 use crate::service::{SessionEnv, SessionExit, SessionResult};
-use crate::task::{Task, TuneError, TuneTrace};
+use crate::task::{Execution, Task, TuneTrace};
 use citroen_bo::heuristics::DiscreteOneLambda;
 use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition, SeqCanonicalizer};
 use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
@@ -30,7 +30,7 @@ use citroen_rt::rng::{Rng, SeedableRng};
 use citroen_telemetry as telemetry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Monte-Carlo samples per acquisition evaluation during greedy batch
 /// construction (only drawn from when `batch > 1`).
@@ -282,9 +282,9 @@ enum Work {
 }
 
 /// A finished [`Work`] item: the parts with their linked fingerprint and
-/// execution outcome (`None` = answered by the runtime cache), or a model.
+/// execution (`None` = answered by the runtime cache), or a model.
 enum Done {
-    Measure(Vec<Candidate>, u64, Option<Result<(f64, Duration), (TuneError, Duration)>>),
+    Measure(Vec<Candidate>, u64, Option<Execution>),
     Fit(Box<(Gp, Vec<f64>)>),
 }
 
@@ -342,10 +342,7 @@ impl<'a> Session<'a> {
         let mods: Vec<HotModule> = hot
             .into_iter()
             .map(|idx| {
-                let mut des = DiscreteOneLambda::new(len, npasses, &mut rng);
-                if let Some(mr) = cfg.mutation_rate {
-                    des.mutation_rate = mr;
-                }
+                let mut des = new_des(len, npasses, cfg, &mut rng);
                 if let Some(ws) = &cfg.warm_start {
                     let mut g: Vec<u16> = ws.iter().map(|p| p.0).collect();
                     g.resize(len, 0);
@@ -743,7 +740,7 @@ impl<'a> Session<'a> {
                 };
                 let outcome = task.cached_runtime(fp).is_none().then(|| {
                     let _m = telemetry::span("measure");
-                    task.execute_linked_pure(&linked)
+                    task.execute(&linked, fp)
                 });
                 Done::Measure(fresh, fp, outcome)
             }
@@ -811,7 +808,7 @@ impl<'a> Session<'a> {
         self.stagnant += 1;
         if self.stagnant % 20 == 19 {
             for m in &mut self.mods {
-                m.des = DiscreteOneLambda::new(self.len, self.npasses, &mut self.rng);
+                m.des = new_des(self.len, self.npasses, self.cfg, &mut self.rng);
             }
         }
         self.stagnant > 80
@@ -858,6 +855,17 @@ impl<'a> Session<'a> {
         ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         ImpactReport { ranked }
     }
+}
+
+/// A fresh DES generator for one tuned module, with the configured
+/// mutation-rate override applied — at session start and at every
+/// stagnation restart alike.
+fn new_des(len: usize, npasses: usize, cfg: &CitroenConfig, rng: &mut StdRng) -> DiscreteOneLambda {
+    let mut des = DiscreteOneLambda::new(len, npasses, rng);
+    if let Some(mr) = cfg.mutation_rate {
+        des.mutation_rate = mr;
+    }
+    des
 }
 
 /// Every tuned module's part of the configuration linking `fresh` with the
@@ -1044,6 +1052,22 @@ mod tests {
             Platform::tx2(),
             TaskConfig { seq_len: 16, seed, ..Default::default() },
         )
+    }
+
+    #[test]
+    fn stagnation_restart_keeps_the_mutation_rate_override() {
+        let mut task = gsm_task(1);
+        let cfg = CitroenConfig { mutation_rate: Some(1.0 / 32.0), seed: 1, ..Default::default() };
+        let env = SessionEnv::default();
+        let mut session = Session::new(&mut task, 10, &cfg, &env);
+        assert_eq!(session.mods[0].des.mutation_rate, 1.0 / 32.0);
+        let before = session.mods[0].des.incumbent.clone();
+        // No measurement since the last check: the 19th stagnant iteration
+        // restarts every generator.
+        session.stagnant = 18;
+        assert!(!session.stagnated());
+        assert_ne!(session.mods[0].des.incumbent, before, "generator was not restarted");
+        assert_eq!(session.mods[0].des.mutation_rate, 1.0 / 32.0);
     }
 
     /// `bench` with its profiled hot modules topped up to two, so every

@@ -23,4 +23,6 @@ pub use service::{
     trace_digest, SessionCtl, SessionEnv, SessionExit, SessionResult, SharedCacheStats,
     SharedCompileCache,
 };
-pub use task::{Task, TaskConfig, TimeBreakdown, TuneError, TuneTrace};
+pub use task::{
+    Execution, MemoStats, Task, TaskBase, TaskConfig, TimeBreakdown, TuneError, TuneTrace,
+};

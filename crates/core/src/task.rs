@@ -7,6 +7,12 @@
 //! by binary fingerprint (identical binaries reuse the cached runtime without
 //! consuming budget — the Kulkarni-style redundancy pruning CITROEN's
 //! coverage handling builds on).
+//!
+//! A task is two halves: a [`TaskBase`] holding what the program alone
+//! determines (the `-O3` build, the reference run, the hot-module profile,
+//! and a memo of every binary's execution outcome), shareable across
+//! sessions, and the per-session state (seed, budget counters, runtime
+//! cache). Sessions over one base simulate each binary at most once.
 
 use citroen_ir::interp::Value;
 use citroen_ir::module::Module;
@@ -15,8 +21,10 @@ use citroen_sim::Platform;
 use citroen_suite::Benchmark;
 use citroen_rt::rng::StdRng;
 use citroen_rt::rng::SeedableRng;
+use crate::cache::BoundedCache;
 use citroen_telemetry as telemetry;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Task configuration.
@@ -49,7 +57,7 @@ pub struct TimeBreakdown {
 }
 
 /// Error cases surfaced by the task.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TuneError {
     /// The optimised binary behaved differently from the reference.
     DifferentialMismatch {
@@ -60,17 +68,64 @@ pub enum TuneError {
     Trap(citroen_ir::interp::Trap),
 }
 
-/// A phase-ordering autotuning task over one benchmark.
-pub struct Task {
+/// Entries a program's execution memo holds. An entry is a fingerprint and
+/// an outcome (tens of bytes), and a daemon job measures at most its budget
+/// of distinct binaries, so this covers hundreds of jobs per program.
+pub const EXEC_MEMO_CAP: usize = 4096;
+
+/// The memo lock is held only for a lookup or an insert, neither of which
+/// can panic, so a poisoned lock is a bug.
+const MEMO_POISONED: &str = "execution memo lock poisoned";
+
+/// What one execution request produced: the binary's deterministic outcome
+/// (noise-free seconds, a trap, or a differential mismatch) and the
+/// simulator wall time it cost, `None` when the memo answered.
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// Noise-free seconds, or why the binary cannot be measured.
+    pub outcome: Result<f64, TuneError>,
+    /// Simulator wall time; `None` for a memo hit.
+    pub ran: Option<Duration>,
+}
+
+/// A snapshot of execution-memo counters (one memo, or a sum of several).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Executions answered from the memo.
+    pub hits: u64,
+    /// Executions the simulator ran.
+    pub misses: u64,
+    /// Entries evicted (LRU).
+    pub evictions: u64,
+    /// Current entry count.
+    pub len: u64,
+}
+
+impl std::ops::Add for MemoStats {
+    type Output = MemoStats;
+    fn add(self, o: MemoStats) -> MemoStats {
+        MemoStats {
+            hits: self.hits + o.hits,
+            misses: self.misses + o.misses,
+            evictions: self.evictions + o.evictions,
+            len: self.len + o.len,
+        }
+    }
+}
+
+/// The immutable half of a task: everything derived from the benchmark,
+/// the pass registry and the platform alone. One base can back any number
+/// of sessions (`Arc`-shared across a daemon's jobs); it also owns the
+/// program's execution memo, so a binary any of those sessions simulated is
+/// never simulated again while its entry lives.
+pub struct TaskBase {
     /// The pass registry in play.
     pub registry: Registry,
     /// Evaluation platform.
     pub platform: Platform,
     bench: Benchmark,
-    cfg: TaskConfig,
-    /// Indices of the modules being tuned (hot modules); all others are
-    /// compiled at `-O3`.
-    pub hot_modules: Vec<usize>,
+    /// Hot modules of the `-O3` profile; each task starts from a copy.
+    profiled_hot: Vec<usize>,
     /// `-O3` modules for the cold part (and the baseline).
     o3_modules: Vec<Module>,
     /// Reference output (from the unoptimised sources).
@@ -79,32 +134,16 @@ pub struct Task {
     pub o3_seconds: f64,
     /// Baseline `-O0` runtime in seconds (for sanity reporting).
     pub o0_seconds: f64,
-    /// Cache: binary fingerprint → noise-free seconds.
-    runtime_cache: HashMap<u64, f64>,
-    rng: StdRng,
-    /// Number of budget-consuming measurements so far.
-    pub measurements: usize,
-    /// Number of compilations so far.
-    pub compilations: usize,
-    /// Passes executed across all compilations so far — the compile *work*
-    /// figure. Unlike `compilations`, this credits the sequence
-    /// canonicalizer for shortening a genome even when the shortened form
-    /// still has to be compiled.
-    pub passes_executed: usize,
-    /// Number of measure requests answered from the fingerprint cache.
-    pub cache_hits: usize,
-    /// Charge cached (duplicate-binary) measurements against the budget.
-    /// Off by default (Kulkarni-style redundancy pruning); the coverage
-    /// ablation turns it on so duplicated candidates genuinely waste budget,
-    /// as they would without the dedup machinery (Table 5.2).
-    pub charge_cached: bool,
-    /// Wall-time breakdown.
-    pub times: TimeBreakdown,
+    /// [`TaskBase::stats_descriptor`], computed on first use.
+    descriptor: OnceLock<Vec<(String, f64)>>,
+    /// Linked-binary fingerprint → deterministic execution outcome.
+    memo: Mutex<BoundedCache<u64, Result<f64, TuneError>>>,
 }
 
-impl Task {
-    /// Build a task: profile hot modules on the `-O3` build, cache baselines.
-    pub fn new(bench: Benchmark, registry: Registry, platform: Platform, cfg: TaskConfig) -> Task {
+impl TaskBase {
+    /// Build a program base: compile the `-O3` modules, take the reference
+    /// and baseline runs, and profile the hot modules.
+    pub fn new(bench: Benchmark, registry: Registry, platform: Platform) -> TaskBase {
         let _span = telemetry::span("task.setup");
         let pm = PassManager::new(&registry);
         let o3 = o3_pipeline(&registry);
@@ -136,21 +175,173 @@ impl Task {
         // Hot modules: perf-style profile of the -O3 build (§5.3.1).
         let prof =
             citroen_suite::profile::profile_modules(&bench, Some(&o3_modules), &platform, 0.9);
-        let hot_modules = prof.hot.clone();
 
-        Task {
+        TaskBase {
             registry,
             platform,
             bench,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            hot_modules,
+            profiled_hot: prof.hot,
             o3_modules,
             reference,
             o3_seconds,
             o0_seconds,
+            descriptor: OnceLock::new(),
+            memo: Mutex::new(BoundedCache::new(EXEC_MEMO_CAP)),
+        }
+    }
+
+    /// The benchmark under tuning.
+    pub fn benchmark(&self) -> &Benchmark {
+        &self.bench
+    }
+
+    /// The side-effect-free half of [`Task::compile_hot`]: compiles through a
+    /// shared reference (so worker threads can run it concurrently) and emits
+    /// the `task.compilations` counter, but touches no task accounting. The
+    /// caller charges the work afterwards with [`Task::note_compilations`];
+    /// span attribution is the caller's job too (the batched tuner opens a
+    /// per-candidate `compile` span on the worker).
+    pub fn compile_hot_pure(&self, module_idx: usize, seq: &[PassId]) -> (Stats, u64, Module) {
+        let pm = PassManager::new(&self.registry);
+        let res = pm.compile(&self.bench.modules[module_idx], seq);
+        telemetry::counter("task.compilations", 1);
+        (res.stats, res.fingerprint, res.module)
+    }
+
+    /// Assemble the full program with the given per-hot-module optimised
+    /// modules (cold modules at `-O3`) and return its linked fingerprint.
+    pub fn assemble(&self, optimised_hot: &[(usize, &Module)]) -> (Module, u64) {
+        let _span = telemetry::span("link");
+        let mut mods = self.o3_modules.clone();
+        for (idx, m) in optimised_hot {
+            mods[*idx] = (*m).clone();
+        }
+        let linked = self.bench.link_with(Some(&mods));
+        let fp = citroen_ir::print::fingerprint(&linked);
+        (linked, fp)
+    }
+
+    /// Execute the assembled program `linked` (fingerprint `fp`) and
+    /// differential-test it, or answer from the memo when this binary ran
+    /// before. Safe to call from worker threads; touches no budget, RNG or
+    /// session counters — a session admits the result with
+    /// [`Task::admit_execution`]. The outcome is a pure function of the
+    /// binary, so a memo hit returns exactly what a fresh run would.
+    pub fn execute(&self, linked: &Module, fp: u64) -> Execution {
+        if let Some(outcome) = self.memo.lock().expect(MEMO_POISONED).get(&fp).cloned() {
+            return Execution { outcome, ran: None };
+        }
+        let t0 = Instant::now();
+        let entry = self.bench.entry_in(linked);
+        let outcome = match self.platform.execute(linked, entry, &self.bench.args) {
+            Err(t) => Err(TuneError::Trap(t)),
+            Ok(e) if (e.output.ret, e.output.mem_digest) != self.reference => {
+                Err(TuneError::DifferentialMismatch { seqs: Vec::new() })
+            }
+            Ok(e) => Ok(e.seconds),
+        };
+        let ran = t0.elapsed();
+        self.memo.lock().expect(MEMO_POISONED).insert(fp, outcome.clone());
+        Execution { outcome, ran: Some(ran) }
+    }
+
+    /// The execution memo's lifetime counters and occupancy.
+    pub fn memo_stats(&self) -> MemoStats {
+        let m = self.memo.lock().expect(MEMO_POISONED);
+        let len = m.len() as u64;
+        MemoStats { hits: m.hits(), misses: m.misses(), evictions: m.evictions(), len }
+    }
+
+    /// Speedup of a measured runtime relative to `-O3`.
+    pub fn speedup(&self, seconds: f64) -> f64 {
+        self.o3_seconds / seconds
+    }
+
+    /// Fingerprint of the *source* (unoptimised) module at `module_idx` —
+    /// the module-identity half of the cross-tenant compile-cache key.
+    pub fn source_fingerprint(&self, module_idx: usize) -> u64 {
+        citroen_ir::print::fingerprint(&self.bench.modules[module_idx])
+    }
+
+    /// The program's statistics-space descriptor for GRACE-style transfer:
+    /// the compilation statistics of the profiled hot module under the
+    /// canonical `-O3` pipeline, as name-sorted `(name, value)` pairs.
+    /// Deterministic and side-effect free (no budget, no compile
+    /// accounting) — it describes the *program*, not the search. Computed
+    /// once per base.
+    pub fn stats_descriptor(&self) -> Vec<(String, f64)> {
+        self.descriptor
+            .get_or_init(|| {
+                let pm = PassManager::new(&self.registry);
+                let hot = &self.bench.modules[self.profiled_hot[0]];
+                let res = pm.compile(hot, &o3_pipeline(&self.registry));
+                let mut v: Vec<(String, f64)> =
+                    res.stats.iter().map(|(p, s, n)| (format!("{p}.{s}"), n as f64)).collect();
+                v.sort_by(|a, b| a.0.cmp(&b.0));
+                v
+            })
+            .clone()
+    }
+}
+
+/// A phase-ordering autotuning task over one benchmark: a shared
+/// [`TaskBase`] (read through `Deref`) plus one session's state — its
+/// configuration, noise RNG, runtime cache and counters.
+pub struct Task {
+    base: Arc<TaskBase>,
+    cfg: TaskConfig,
+    /// Indices of the modules being tuned (hot modules); all others are
+    /// compiled at `-O3`. Starts as the base's profile.
+    pub hot_modules: Vec<usize>,
+    /// Cache: binary fingerprint → noise-free seconds.
+    runtime_cache: HashMap<u64, f64>,
+    rng: StdRng,
+    /// Number of budget-consuming measurements so far.
+    pub measurements: usize,
+    /// Simulator runs this task performed (memo hits excluded).
+    pub executions: usize,
+    /// Number of compilations so far.
+    pub compilations: usize,
+    /// Passes executed across all compilations so far — the compile *work*
+    /// figure. Unlike `compilations`, this credits the sequence
+    /// canonicalizer for shortening a genome even when the shortened form
+    /// still has to be compiled.
+    pub passes_executed: usize,
+    /// Number of measure requests answered from the fingerprint cache.
+    pub cache_hits: usize,
+    /// Charge cached (duplicate-binary) measurements against the budget.
+    /// Off by default (Kulkarni-style redundancy pruning); the coverage
+    /// ablation turns it on so duplicated candidates genuinely waste budget,
+    /// as they would without the dedup machinery (Table 5.2).
+    pub charge_cached: bool,
+    /// Wall-time breakdown.
+    pub times: TimeBreakdown,
+}
+
+impl std::ops::Deref for Task {
+    type Target = TaskBase;
+    fn deref(&self) -> &TaskBase {
+        &self.base
+    }
+}
+
+impl Task {
+    /// Build a task over a fresh base: profile hot modules on the `-O3`
+    /// build, cache baselines.
+    pub fn new(bench: Benchmark, registry: Registry, platform: Platform, cfg: TaskConfig) -> Task {
+        Task::from_base(Arc::new(TaskBase::new(bench, registry, platform)), cfg)
+    }
+
+    /// A fresh session over an existing (possibly shared) base.
+    pub fn from_base(base: Arc<TaskBase>, cfg: TaskConfig) -> Task {
+        Task {
+            hot_modules: base.profiled_hot.clone(),
+            base,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            cfg,
             runtime_cache: HashMap::new(),
             measurements: 0,
+            executions: 0,
             compilations: 0,
             passes_executed: 0,
             cache_hits: 0,
@@ -159,14 +350,14 @@ impl Task {
         }
     }
 
+    /// The shared base, for building further sessions over it.
+    pub fn base(&self) -> &Arc<TaskBase> {
+        &self.base
+    }
+
     /// Convenience: single hot module (the common cBench case).
     pub fn hot(&self) -> usize {
         self.hot_modules[0]
-    }
-
-    /// The benchmark under tuning.
-    pub fn benchmark(&self) -> &Benchmark {
-        &self.bench
     }
 
     /// The configured sequence length.
@@ -186,48 +377,19 @@ impl Task {
         out
     }
 
-    /// The side-effect-free half of [`Task::compile_hot`]: compiles through a
-    /// shared reference (so worker threads can run it concurrently) and emits
-    /// the `task.compilations` counter, but touches no task accounting. The
-    /// caller charges the work afterwards with [`Task::note_compilations`];
-    /// span attribution is the caller's job too (the batched tuner opens a
-    /// per-candidate `compile` span on the worker).
-    pub fn compile_hot_pure(&self, module_idx: usize, seq: &[PassId]) -> (Stats, u64, Module) {
-        let pm = PassManager::new(&self.registry);
-        let res = pm.compile(&self.bench.modules[module_idx], seq);
-        telemetry::counter("task.compilations", 1);
-        (res.stats, res.fingerprint, res.module)
-    }
-
     /// Charge `n` compilations totalling `elapsed` of wall time against the
-    /// task — the sequential bookkeeping half of [`Task::compile_hot_pure`].
+    /// task — the sequential bookkeeping half of [`TaskBase::compile_hot_pure`].
     pub fn note_compilations(&mut self, n: usize, elapsed: Duration) {
         self.compilations += n;
         self.times.compile += elapsed;
-    }
-
-    /// Assemble the full program with the given per-hot-module optimised
-    /// modules (cold modules at `-O3`) and return its linked fingerprint.
-    pub fn assemble(&self, optimised_hot: &[(usize, &Module)]) -> (Module, u64) {
-        let _span = telemetry::span("link");
-        let mut mods = self.o3_modules.clone();
-        for (idx, m) in optimised_hot {
-            mods[*idx] = (*m).clone();
-        }
-        let linked = self.bench.link_with(Some(&mods));
-        let fp = citroen_ir::print::fingerprint(&linked);
-        (linked, fp)
     }
 
     /// Measure a fully-assembled program. Consumes one budget unit unless
     /// the fingerprint was measured before. Returns noisy averaged seconds.
     pub fn measure_linked(&mut self, linked: &Module, fp: u64) -> Result<f64, TuneError> {
         let _span = telemetry::span("measure");
-        if self.runtime_cache.contains_key(&fp) {
-            return self.admit_execution(fp, None);
-        }
-        let outcome = self.execute_linked_pure(linked);
-        self.admit_execution(fp, Some(outcome))
+        let executed = self.cached_runtime(fp).is_none().then(|| self.base.execute(linked, fp));
+        self.admit_execution(fp, executed)
     }
 
     /// Noise-free runtime for a fingerprint measured earlier, if any.
@@ -235,38 +397,22 @@ impl Task {
         self.runtime_cache.get(&fp).copied()
     }
 
-    /// The side-effect-free half of [`Task::measure_linked`]: execute an
-    /// assembled program and differential-test it through a shared reference
-    /// (worker-thread safe). Touches no budget, cache, RNG, or counters —
-    /// admit the outcome sequentially with [`Task::admit_execution`]. Both
-    /// arms carry the execution wall time so admission can charge it.
-    pub fn execute_linked_pure(
-        &self,
-        linked: &Module,
-    ) -> Result<(f64, Duration), (TuneError, Duration)> {
-        let t0 = Instant::now();
-        let entry = self.bench.entry_in(linked);
-        let exec = match self.platform.execute(linked, entry, &self.bench.args) {
-            Ok(e) => e,
-            Err(t) => return Err((TuneError::Trap(t), t0.elapsed())),
-        };
-        if (exec.output.ret, exec.output.mem_digest) != self.reference {
-            return Err((TuneError::DifferentialMismatch { seqs: Vec::new() }, t0.elapsed()));
-        }
-        Ok((exec.seconds, t0.elapsed()))
-    }
-
-    /// Sequentially admit one execution outcome (or answer it from the
-    /// fingerprint cache when `executed` is `None` or the fingerprint raced
-    /// into the cache earlier in the same batch): updates budget accounting
-    /// and the runtime cache, then draws the measurement noise from the task
-    /// RNG. Admission order defines the noise stream, so the batched tuner
-    /// admits strictly in batch order to stay deterministic.
+    /// Sequentially admit one execution (or answer it from the fingerprint
+    /// cache when `executed` is `None` or the fingerprint raced into the
+    /// cache earlier in the same batch): updates budget accounting and the
+    /// runtime cache, then draws the measurement noise from the task RNG.
+    /// Admission order defines the noise stream, so the batched tuner admits
+    /// strictly in batch order to stay deterministic. A memo-answered
+    /// execution is admitted exactly like a fresh one; only the simulator
+    /// time it did not cost is left out of `times.measure`.
     pub fn admit_execution(
         &mut self,
         fp: u64,
-        executed: Option<Result<(f64, Duration), (TuneError, Duration)>>,
+        executed: Option<Execution>,
     ) -> Result<f64, TuneError> {
+        if let Some(Execution { ran: Some(_), .. }) = &executed {
+            self.executions += 1;
+        }
         if let Some(&base) = self.runtime_cache.get(&fp) {
             self.cache_hits += 1;
             telemetry::counter("task.cache_hits", 1);
@@ -277,23 +423,26 @@ impl Task {
             // observation of the cached ground truth.
             return Ok(self.noisy(base));
         }
-        match executed.expect("uncached fingerprint needs an execution outcome") {
-            Ok((seconds, elapsed)) => {
+        let Execution { outcome, ran } =
+            executed.expect("uncached fingerprint needs an execution outcome");
+        let ran = ran.unwrap_or_default();
+        match outcome {
+            Ok(seconds) => {
                 self.runtime_cache.insert(fp, seconds);
                 self.measurements += 1;
                 telemetry::counter("task.measurements", 1);
                 let t = self.noisy(seconds);
-                self.times.measure += elapsed;
+                self.times.measure += ran;
                 Ok(t)
             }
             // Mirror the historical accounting exactly: a differential
             // mismatch charges its execution time, a trap does not (the
             // execute bailed before producing a comparable run).
-            Err((e @ TuneError::DifferentialMismatch { .. }, elapsed)) => {
-                self.times.measure += elapsed;
+            Err(e @ TuneError::DifferentialMismatch { .. }) => {
+                self.times.measure += ran;
                 Err(e)
             }
-            Err((e, _)) => Err(e),
+            Err(e) => Err(e),
         }
     }
 
@@ -312,31 +461,6 @@ impl Task {
         let (_, _, module) = self.compile_hot(hot, seq);
         let (linked, fp) = self.assemble(&[(hot, &module)]);
         self.measure_linked(&linked, fp)
-    }
-
-    /// Speedup of a measured runtime relative to `-O3`.
-    pub fn speedup(&self, seconds: f64) -> f64 {
-        self.o3_seconds / seconds
-    }
-
-    /// Fingerprint of the *source* (unoptimised) module at `module_idx` —
-    /// the module-identity half of the cross-tenant compile-cache key.
-    pub fn source_fingerprint(&self, module_idx: usize) -> u64 {
-        citroen_ir::print::fingerprint(&self.bench.modules[module_idx])
-    }
-
-    /// The task's statistics-space descriptor for GRACE-style transfer: the
-    /// compilation statistics of the hot module under the canonical `-O3`
-    /// pipeline, as name-sorted `(name, value)` pairs. Deterministic and
-    /// side-effect free (no budget, no compile accounting) — it describes
-    /// the *program*, not the search.
-    pub fn stats_descriptor(&self) -> Vec<(String, f64)> {
-        let pm = PassManager::new(&self.registry);
-        let res = pm.compile(&self.bench.modules[self.hot()], &o3_pipeline(&self.registry));
-        let mut v: Vec<(String, f64)> =
-            res.stats.iter().map(|(p, s, n)| (format!("{p}.{s}"), n as f64)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
     }
 
     /// Account model/acquisition time (tuners call this around their own work).
@@ -445,6 +569,28 @@ mod tests {
         let seq = t.registry.parse_seq("mem2reg,instcombine,gvn,simplifycfg").unwrap();
         let r = t.measure_seq(&seq).unwrap();
         assert!(r > 0.0);
+    }
+
+    #[test]
+    fn exec_memo_is_a_bounded_lru() {
+        let mut base = TaskBase::new(
+            citroen_suite::kernels::telecom_gsm(),
+            Registry::full(),
+            Platform::tx2(),
+        );
+        base.memo = Mutex::new(BoundedCache::new(2));
+        let hot = base.profiled_hot[0];
+        let (_, _, module) = base.compile_hot_pure(hot, &o3_pipeline(&base.registry));
+        let (linked, _) = base.assemble(&[(hot, &module)]);
+        // The memo keys on the fingerprint it is given: three keys, one
+        // binary, so each key's first request runs the simulator.
+        for fp in [1, 2, 3] {
+            assert!(base.execute(&linked, fp).ran.is_some());
+        }
+        assert_eq!(base.memo_stats(), MemoStats { hits: 0, misses: 3, evictions: 1, len: 2 });
+        assert!(base.execute(&linked, 3).ran.is_none(), "resident entry answers");
+        assert!(base.execute(&linked, 1).ran.is_some(), "least recently used entry was evicted");
+        assert_eq!(base.memo_stats(), MemoStats { hits: 1, misses: 4, evictions: 2, len: 2 });
     }
 
     #[test]

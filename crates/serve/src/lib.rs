@@ -13,7 +13,11 @@
 //! 3. GRACE-style transfer warm-starts: completed sessions deposit their
 //!    best genome keyed by an O3 compilation-statistics descriptor, and new
 //!    jobs may seed their initial design from statistics-space nearest
-//!    neighbours (`warm > 0`).
+//!    neighbours (`warm > 0`);
+//! 4. one program base per suite program, built by the first job that names
+//!    it: the `-O3` build, reference run, profile and descriptor, plus a
+//!    bounded memo of every simulated binary's outcome, so no binary is
+//!    simulated twice while its memo entry lives.
 //!
 //! See `DESIGN.md` §11 for the protocol, shared-state invariants, and the
 //! determinism argument.
@@ -29,5 +33,5 @@ pub mod telemetry_route;
 pub use metrics::{JobSummary, ServeMetrics, SloConfig};
 pub use protocol::{codes, JobOutcome, JobSpec, JobState, ProtoError, Request};
 pub use server::{job_citroen_config, job_task, Server, ServeSummary};
-pub use state::{ServeConfig, ServeState};
+pub use state::{ExecStats, ServeConfig, ServeState};
 pub use telemetry_route::{RoutingSink, SessionTable};

@@ -116,7 +116,7 @@ impl JobState {
 pub struct JobSpec {
     /// Client-chosen unique id.
     pub id: String,
-    /// Benchmark name (must exist in [`citroen_suite::all_benchmarks`]).
+    /// Benchmark name (must be one of [`citroen_suite::names`]).
     pub bench: String,
     /// Tenant the job is grouped under in the metrics plane (per-tenant
     /// registries, rates, health). Defaults to the benchmark name; must
@@ -290,6 +290,10 @@ pub struct JobOutcome {
     pub digest: u64,
     /// Runtime measurements consumed.
     pub measurements: u64,
+    /// Simulator runs the job performed. A binary an earlier job already
+    /// simulated is answered by the program's execution memo and not
+    /// counted, so a same-seed replay reports 0.
+    pub executions: u64,
     /// Compilations performed by this session (shared-cache hits excluded).
     pub compiles: u64,
     /// Transfer seeds injected into this session's initial design.
@@ -312,6 +316,7 @@ pub fn result_reply(id: &str, state: JobState, o: &JobOutcome) -> String {
         ("speedup", s(&crate::metrics::fmt_f64(f64::from_bits(o.speedup_bits)))),
         ("digest", Value::U64(o.digest)),
         ("measurements", Value::U64(o.measurements)),
+        ("executions", Value::U64(o.executions)),
         ("compiles", Value::U64(o.compiles)),
         ("warm_seeds", Value::U64(o.warm_seeds)),
         ("best_seq", Value::Arr(o.best_seq.iter().map(|&p| Value::U64(p as u64)).collect())),
@@ -320,12 +325,14 @@ pub fn result_reply(id: &str, state: JobState, o: &JobOutcome) -> String {
 }
 
 /// `stats` reply: shared-cache counters (including the LRU eviction count),
-/// job-state counts, transfer-corpus size, daemon uptime, and the current
-/// health verdict. `hit_ratio` is the readable twin of `hit_ratio_bits`
-/// (see the module doc).
+/// execution-memo counters and occupancy summed over the program bases
+/// (`exec`, with `bases` built so far), job-state counts, transfer-corpus
+/// size, daemon uptime, and the current health verdict. `hit_ratio` is the
+/// readable twin of `hit_ratio_bits` (see the module doc).
 #[allow(clippy::too_many_arguments)]
 pub fn stats_reply(
     cache: &citroen_core::SharedCacheStats,
+    exec: &crate::state::ExecStats,
     jobs: &[(JobState, u64)],
     corpus: u64,
     uptime_ms: u64,
@@ -351,6 +358,16 @@ pub fn stats_reply(
                 ("len", Value::U64(cache.len)),
                 ("hit_ratio_bits", Value::U64(ratio.to_bits())),
                 ("hit_ratio", s(&crate::metrics::fmt_f64(ratio))),
+            ]),
+        ),
+        (
+            "exec",
+            obj(vec![
+                ("hits", Value::U64(exec.memo.hits)),
+                ("misses", Value::U64(exec.memo.misses)),
+                ("evictions", Value::U64(exec.memo.evictions)),
+                ("len", Value::U64(exec.memo.len)),
+                ("bases", Value::U64(exec.bases)),
             ]),
         ),
         (
@@ -459,8 +476,8 @@ mod tests {
     fn default_tenants_are_valid() {
         // A submit without a tenant is grouped under its bench name, so
         // every suite name must pass the submit-time tenant check.
-        for b in citroen_suite::all_benchmarks() {
-            assert!(valid_tenant(&b.name), "{}", b.name);
+        for name in citroen_suite::names() {
+            assert!(valid_tenant(name), "{name}");
         }
         assert!(["alpha", "team-x", "t_9"].iter().all(|t| valid_tenant(t)));
     }

@@ -9,9 +9,10 @@
 //!
 //! Determinism: a session's trajectory is a function of its own
 //! `(spec, seed)` only. The shared compile cache returns bit-identical
-//! results to a local compile, the shared pool affects scheduling but not
-//! admission order (strictly-ordered within a session), and session RNGs are
-//! private — so a cold job's `result.digest` equals the standalone
+//! results to a local compile, the program base's execution memo returns
+//! the outcome a fresh simulation would, the shared pool affects scheduling
+//! but not admission order (strictly-ordered within a session), and session
+//! RNGs are private — so a cold job's `result.digest` equals the standalone
 //! [`citroen_core::run_citroen`] digest at the same seed, regardless of what
 //! other tenants run concurrently. Warm (`warm > 0`) jobs additionally
 //! depend on the corpus contents at their start, i.e. on completion order.
@@ -23,7 +24,7 @@ use crate::telemetry_route::{RoutingSink, SessionTable};
 use citroen_bo::transfer::{warm_seeds, TransferEntry};
 use citroen_core::{
     run_citroen_session, trace_digest, CitroenConfig, SessionCtl, SessionEnv, SessionExit,
-    SessionResult, Task, TaskConfig,
+    SessionResult, Task, TaskBase, TaskConfig,
 };
 use citroen_passes::{PassId, Registry};
 use citroen_sim::Platform;
@@ -90,15 +91,22 @@ pub fn job_citroen_config(spec: &JobSpec) -> CitroenConfig {
     }
 }
 
-/// Build the tuning task a job spec describes.
+/// Build the program base of suite program `bench` (the registry and
+/// platform every job runs on); `None` for a name outside the suite.
+pub(crate) fn job_base(bench: &str) -> Option<TaskBase> {
+    Some(TaskBase::new(citroen_suite::by_name(bench)?, Registry::full(), Platform::tx2()))
+}
+
+/// The per-session half of a job's task.
+fn job_task_config(spec: &JobSpec) -> TaskConfig {
+    TaskConfig { seq_len: spec.seq_len, seed: spec.seed, ..Default::default() }
+}
+
+/// Build the tuning task a job spec describes, over a fresh base: the
+/// standalone equivalent of a daemon job.
 pub fn job_task(spec: &JobSpec) -> Option<Task> {
-    let bench = citroen_suite::all_benchmarks().into_iter().find(|b| b.name == spec.bench)?;
-    Some(Task::new(
-        bench,
-        Registry::full(),
-        Platform::tx2(),
-        TaskConfig { seq_len: spec.seq_len, seed: spec.seed, ..Default::default() },
-    ))
+    let base = Arc::new(job_base(&spec.bench)?);
+    Some(Task::from_base(base, job_task_config(spec)))
 }
 
 impl Server {
@@ -240,7 +248,7 @@ impl Server {
                 &format!("seq_len must be in 1..={}", proto::MAX_SEQ_LEN),
             );
         }
-        if !citroen_suite::all_benchmarks().iter().any(|b| b.name == spec.bench) {
+        if !citroen_suite::names().any(|name| name == spec.bench) {
             return reject(codes::UNKNOWN_BENCH, &format!("no benchmark '{}'", spec.bench));
         }
         {
@@ -343,7 +351,9 @@ impl Server {
         }
         let corpus = self.state.corpus.lock().unwrap().len() as u64;
         let uptime = self.started.elapsed().as_millis() as u64;
-        send(out, proto::stats_reply(&cache, &counts, corpus, uptime, self.metrics.health_str()));
+        let exec = self.state.exec_stats();
+        let health = self.metrics.health_str();
+        send(out, proto::stats_reply(&cache, &exec, &counts, corpus, uptime, health));
     }
 
     fn worker_loop(&self, out: &Mutex<impl Write>, summary: &Mutex<ServeSummary>) {
@@ -440,7 +450,8 @@ impl Server {
     /// Run one tuning session under the shared environment and convert its
     /// result into the wire outcome. Completed sessions feed the corpus.
     fn execute(&self, spec: &JobSpec, ctl: SessionCtl) -> JobOutcome {
-        let mut task = job_task(spec).expect("bench validated at submit");
+        let base = self.state.base(&spec.bench).expect("bench validated at submit");
+        let mut task = Task::from_base(base, job_task_config(spec));
         let mut cfg = job_citroen_config(spec);
 
         // Transfer warm-start: seed the initial design from the statistics-
@@ -484,6 +495,7 @@ impl Server {
             speedup_bits: if speedup > 0.0 { speedup.to_bits() } else { 0 },
             digest: trace_digest(&trace),
             measurements: task.measurements as u64,
+            executions: task.executions as u64,
             compiles: task.compilations as u64,
             warm_seeds: n_warm,
             best_seq: trace

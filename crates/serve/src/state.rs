@@ -1,11 +1,12 @@
 //! Cross-tenant shared state: the compile cache, the once-loaded
-//! interaction graph, the shared worker pool, and the transfer corpus.
+//! interaction graph, the shared worker pool, the transfer corpus, and one
+//! program base (with its execution memo) per suite program.
 
 use citroen_bo::transfer::TransferEntry;
-use citroen_core::SharedCompileCache;
+use citroen_core::{MemoStats, SharedCompileCache, TaskBase};
 use citroen_passes::oracle::InteractionGraph;
 use citroen_rt::par::WorkerPool;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Daemon configuration (one per process).
 #[derive(Debug, Clone)]
@@ -69,6 +70,19 @@ pub struct ServeState {
     pub pool: Arc<WorkerPool>,
     /// Completed sessions' transfer entries, in completion order.
     pub corpus: Mutex<Vec<TransferEntry>>,
+    /// One slot per suite program, filled with its [`TaskBase`] by the
+    /// first job that names it and shared by every later one. Bounded by
+    /// the suite, since submit rejects any other name.
+    bases: Vec<(&'static str, OnceLock<Arc<TaskBase>>)>,
+}
+
+/// Execution-memo counters summed over the daemon's program bases.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// The summed memo counters and occupancy.
+    pub memo: MemoStats,
+    /// Program bases built so far.
+    pub bases: u64,
 }
 
 impl ServeState {
@@ -88,6 +102,27 @@ impl ServeState {
         });
         let pool = Arc::new(WorkerPool::new(citroen_rt::par::thread_count(8)));
         let cache = Arc::new(SharedCompileCache::new(cfg.cache_cap));
-        ServeState { cfg, cache, graph, pool, corpus: Mutex::new(Vec::new()) }
+        let bases = citroen_suite::names().map(|name| (name, OnceLock::new())).collect();
+        ServeState { cfg, cache, graph, pool, corpus: Mutex::new(Vec::new()), bases }
+    }
+
+    /// The shared base of suite program `bench`, built on first use; `None`
+    /// for a name outside the suite. Concurrent first users of one program
+    /// wait for a single build.
+    pub fn base(&self, bench: &str) -> Option<Arc<TaskBase>> {
+        let (name, slot) = self.bases.iter().find(|(name, _)| *name == bench)?;
+        let base = slot.get_or_init(|| {
+            Arc::new(crate::server::job_base(name).expect("suite names build"))
+        });
+        Some(Arc::clone(base))
+    }
+
+    /// Memo counters and occupancy over every base built so far.
+    pub fn exec_stats(&self) -> ExecStats {
+        let built = self.bases.iter().filter_map(|(_, slot)| slot.get());
+        built.fold(ExecStats::default(), |acc, base| ExecStats {
+            memo: acc.memo + base.memo_stats(),
+            bases: acc.bases + 1,
+        })
     }
 }

@@ -1,6 +1,7 @@
 //! Determinism-under-concurrency gate: jobs served concurrently against the
 //! shared state are bit-identical to standalone `run_citroen` runs at the
-//! same seeds, and cross-tenant cache reuse actually happens.
+//! same seeds, cross-tenant cache reuse actually happens, and the jobs share
+//! one program base whose memo accounts for every simulator run.
 
 use citroen_core::{run_citroen, trace_digest};
 use citroen_rt::json::Value;
@@ -96,4 +97,11 @@ fn concurrent_jobs_match_standalone_digests_with_cross_tenant_reuse() {
     let stats = server.state().cache.stats();
     assert!(stats.cross_hits > 0, "no cross-tenant hits recorded: {stats:?}");
     assert!(stats.insertions > 0);
+
+    // One program, one shared base; every simulator run a job reports is
+    // one memo miss.
+    let exec = server.state().exec_stats();
+    assert_eq!(exec.bases, 1, "{exec:?}");
+    let runs: u64 = ["a", "b", "c"].iter().map(|id| field(id, "executions")).sum();
+    assert_eq!(exec.memo.misses, runs, "{exec:?}");
 }

@@ -61,25 +61,38 @@ impl Benchmark {
     }
 }
 
+/// A suite program's name and constructor.
+type Entry = (&'static str, fn() -> Benchmark);
+
+/// The cBench-like suite's constructors, by program name.
+const CBENCH: [Entry; 10] = [
+    ("telecom_gsm", kernels::telecom_gsm),
+    ("telecom_crc32", kernels::telecom_crc32),
+    ("telecom_adpcm", kernels::telecom_adpcm),
+    ("automotive_bitcount", kernels::automotive_bitcount),
+    ("automotive_susan", kernels::automotive_susan),
+    ("automotive_shellsort", kernels::automotive_shellsort),
+    ("security_sha", kernels::security_sha),
+    ("network_dijkstra", kernels::network_dijkstra),
+    ("office_stringsearch", kernels::office_stringsearch),
+    ("consumer_jpeg_dct", kernels::consumer_jpeg_dct),
+];
+
+/// The SPEC-like suite's constructors, by program name.
+const SPEC: [Entry; 3] = [
+    ("spec_compress", speclike::spec_compress),
+    ("spec_imgproc", speclike::spec_imgproc),
+    ("spec_simul", speclike::spec_simul),
+];
+
 /// The cBench-like suite.
 pub fn cbench() -> Vec<Benchmark> {
-    vec![
-        kernels::telecom_gsm(),
-        kernels::telecom_crc32(),
-        kernels::telecom_adpcm(),
-        kernels::automotive_bitcount(),
-        kernels::automotive_susan(),
-        kernels::automotive_shellsort(),
-        kernels::security_sha(),
-        kernels::network_dijkstra(),
-        kernels::office_stringsearch(),
-        kernels::consumer_jpeg_dct(),
-    ]
+    CBENCH.iter().map(|(_, build)| build()).collect()
 }
 
 /// The SPEC-like multi-module suite.
 pub fn spec() -> Vec<Benchmark> {
-    vec![speclike::spec_compress(), speclike::spec_imgproc(), speclike::spec_simul()]
+    SPEC.iter().map(|(_, build)| build()).collect()
 }
 
 /// Every benchmark.
@@ -89,10 +102,31 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
     v
 }
 
+/// Every benchmark's name, in [`all_benchmarks`] order, without building
+/// any program.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    CBENCH.iter().chain(&SPEC).map(|(name, _)| *name)
+}
+
+/// Build the one benchmark called `name`, if the suite has it.
+pub fn by_name(name: &str) -> Option<Benchmark> {
+    CBENCH.iter().chain(&SPEC).find(|(n, _)| *n == name).map(|(_, build)| build())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use citroen_ir::interp::run_counting;
+
+    #[test]
+    fn names_and_by_name_match_the_built_suite() {
+        let built: Vec<&str> = all_benchmarks().iter().map(|b| b.name).collect();
+        assert_eq!(names().collect::<Vec<_>>(), built);
+        for name in built {
+            assert_eq!(by_name(name).map(|b| b.name), Some(name));
+        }
+        assert!(by_name("no_such_program").is_none());
+    }
 
     #[test]
     fn all_benchmarks_link_verify_and_run() {

@@ -9,7 +9,8 @@
 //!   `citroen-serve serve` as a subprocess, replays a concurrent job mix
 //!   over its stdio, cancels one job mid-run, and asserts every completed
 //!   job's trace digest is bit-identical to a standalone in-process run at
-//!   the same seed, with cross-tenant cache hits observed.
+//!   the same seed, with cross-tenant cache hits observed and a same-seed
+//!   replay answered wholly by the execution memo (zero simulator runs).
 //!
 //! Protocol and shared-state invariants: DESIGN.md §11.
 
@@ -205,7 +206,8 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
 
     // Job mix: `victim` (long) starts first and is cancelled once seen
     // running; `a`/`b` run concurrently; `c` replays `a`'s spec after it, so
-    // its compiles can only be served by cross-tenant cache hits.
+    // its compiles can only be served by cross-tenant cache hits and its
+    // executions by the program's execution memo.
     let victim = spec("victim", 7, cfg.max_budget);
     let a = spec("a", 5, budget);
     let b = spec("b", 6, budget);
@@ -238,10 +240,14 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
                 stdin.flush().expect("daemon stdin");
             }
             // Once the replayed spec's original is done, submit the replay
-            // (guaranteed to run strictly after it), then start the drain.
+            // (guaranteed to run strictly after it).
             "result" if id == "a" && !submitted_c => {
                 submitted_c = true;
                 stdin.write_all(submit_line(&c).as_bytes()).expect("daemon stdin");
+                stdin.flush().expect("daemon stdin");
+            }
+            // Once the replay is done, read the counters and start the drain.
+            "result" if id == "c" => {
                 stdin.write_all(b"{\"type\":\"stats\"}\n").expect("daemon stdin");
                 stdin.write_all(b"{\"type\":\"shutdown\"}\n").expect("daemon stdin");
                 stdin.flush().expect("daemon stdin");
@@ -294,7 +300,24 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
     } else {
         println!("bench: cross-tenant reuse — replay compiled {cc} vs original {ca}");
     }
-    // 3. The cancelled job terminated early without poisoning the drain.
+    // 3. Execution memo: the replay simulated nothing, every binary it
+    //    measured having run in the original, and the daemon reports the
+    //    memo's hits and occupancy.
+    let replay_execs = result_of("c").and_then(|r| r.get("executions")).and_then(Value::as_u64);
+    let exec_of = |key: &str| -> Option<u64> {
+        let stats = replies.iter().find(|r| r.get("type").and_then(Value::as_str) == Some("stats"));
+        stats.and_then(|r| r.get("exec")).and_then(|e| e.get(key)).and_then(Value::as_u64)
+    };
+    match (replay_execs, exec_of("hits"), exec_of("len")) {
+        (Some(0), Some(hits), Some(len)) if hits > 0 && len > 0 => println!(
+            "bench: replay ran 0 simulations (original {}); memo hits {hits}, entries {len}",
+            field("a", "executions")
+        ),
+        other => failures.push(format!(
+            "replay not answered by the execution memo: (executions, hits, len) = {other:?}"
+        )),
+    }
+    // 4. The cancelled job terminated early without poisoning the drain.
     match result_of("victim").map(|r| {
         (
             r.get("exit").and_then(Value::as_str).unwrap_or("").to_string(),
@@ -306,7 +329,7 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
         }
         other => failures.push(format!("victim not cancelled mid-run: {other:?}")),
     }
-    // 4. Graceful drain: exactly one bye, all four jobs reached a terminal
+    // 5. Graceful drain: exactly one bye, all four jobs reached a terminal
     //    result.
     let byes =
         replies.iter().filter(|r| r.get("type").and_then(Value::as_str) == Some("bye")).count();
