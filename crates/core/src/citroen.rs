@@ -17,7 +17,7 @@
 
 use crate::cache::BoundedCache;
 use crate::service::{SessionEnv, SessionExit, SessionResult};
-use crate::task::{Execution, Task, TuneTrace};
+use crate::task::{split_runs, Execution, Task, TuneTrace};
 use citroen_bo::heuristics::DiscreteOneLambda;
 use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition, SeqCanonicalizer};
 use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
@@ -560,15 +560,11 @@ impl<'a> Session<'a> {
             };
             slots.push((key, res));
         }
-        let (task, mods): (&Task, &[HotModule]) = (self.task, &self.mods);
-        let compiled: Vec<(Stats, u64, Module)> =
-            self.pool.map(jobs.iter().collect(), |(slot, eff)| {
-                let _c = telemetry::span("compile");
-                task.compile_hot_pure(mods[*slot].idx, &genome_to_seq(eff))
-            });
+        let (compiled, reused) = self.compile_runs(&jobs);
         // Charge the sweep's wall clock, not the sum of per-core times.
         self.task.note_compilations(jobs.len(), t0.elapsed());
         self.task.passes_executed += jobs.iter().map(|(_, eff)| eff.len()).sum::<usize>();
+        self.task.passes_reused += reused;
         // First writer wins in the shared cache; losing a race costs nothing.
         if let Some(c) = shared {
             for ((slot, eff), (stats, fp, module)) in jobs.iter().zip(&compiled) {
@@ -602,6 +598,32 @@ impl<'a> Session<'a> {
                 Candidate { slot, part, eff: key.1, fp, module }
             })
             .collect()
+    }
+
+    /// Compile a sweep's unique misses in sorted (module, canonical genome)
+    /// order, cut into one contiguous run of about equal work per pool
+    /// worker, so each genome resumes from the prefix state a neighbour of
+    /// its run reached ([`crate::TaskBase::compile_run`]). Returns the
+    /// results in `jobs` order and the pass runs the resumption skipped.
+    fn compile_runs(&self, jobs: &[(usize, Vec<u16>)]) -> (Vec<(Stats, u64, Module)>, usize) {
+        let seqs: Vec<(usize, Vec<PassId>)> =
+            jobs.iter().map(|(slot, eff)| (self.mods[*slot].idx, genome_to_seq(eff))).collect();
+        let mut order: Vec<usize> = (0..seqs.len()).collect();
+        order.sort_by(|&a, &b| seqs[a].cmp(&seqs[b]));
+        let sorted: Vec<(usize, &[PassId])> =
+            order.iter().map(|&j| (seqs[j].0, &seqs[j].1[..])).collect();
+        let runs = split_runs(&sorted, self.pool.workers());
+        let task = &*self.task;
+        let done = self.pool.map(runs.clone(), |run| task.compile_run(&sorted[run]));
+        let mut compiled: Vec<Option<(Stats, u64, Module)>> = jobs.iter().map(|_| None).collect();
+        let mut reused = 0;
+        for (run, (results, r)) in runs.into_iter().zip(done) {
+            reused += r;
+            for (pos, res) in run.zip(results) {
+                compiled[order[pos]] = Some(res);
+            }
+        }
+        (compiled.into_iter().map(|c| c.expect("every job is in one run")).collect(), reused)
     }
 
     fn note_cache_hit(&mut self) {

@@ -16,7 +16,7 @@
 
 use citroen_ir::interp::Value;
 use citroen_ir::module::Module;
-use citroen_passes::{o3_pipeline, PassId, PassManager, Registry, Stats};
+use citroen_passes::{o3_pipeline, PassId, PassManager, Prefix, Registry, Stats};
 use citroen_sim::Platform;
 use citroen_suite::Benchmark;
 use citroen_rt::rng::StdRng;
@@ -199,13 +199,78 @@ impl TaskBase {
     /// shared reference (so worker threads can run it concurrently) and emits
     /// the `task.compilations` counter, but touches no task accounting. The
     /// caller charges the work afterwards with [`Task::note_compilations`];
-    /// span attribution is the caller's job too (the batched tuner opens a
-    /// per-candidate `compile` span on the worker).
+    /// span attribution is the caller's job too. The tuning loop compiles
+    /// its sweeps through [`TaskBase::compile_run`] instead.
     pub fn compile_hot_pure(&self, module_idx: usize, seq: &[PassId]) -> (Stats, u64, Module) {
         let pm = PassManager::new(&self.registry);
         let res = pm.compile(&self.bench.modules[module_idx], seq);
         telemetry::counter("task.compilations", 1);
         (res.stats, res.fingerprint, res.module)
+    }
+
+    /// Compile a run of `(module index, sequence)` jobs sorted by module
+    /// and then by sequence, each exactly as [`TaskBase::compile_hot_pure`]
+    /// would, but resuming each from the deepest prefix state an earlier
+    /// job of the run passed through. In sorted order that depth is the
+    /// longest common prefix (LCP) with the job before, and a job keeps a
+    /// copy of its state only at the depths later jobs resume from, so each
+    /// branch point costs one clone and at most `seq_len` states live at
+    /// once. Each job opens its own `compile` span. Returns the results in
+    /// job order and the number of pass runs the resumption skipped.
+    pub fn compile_run(&self, jobs: &[(usize, &[PassId])]) -> (Vec<(Stats, u64, Module)>, usize) {
+        debug_assert!(jobs.windows(2).all(|w| w[0] < w[1]), "run jobs must be sorted and unique");
+        let pm = PassManager::new(&self.registry);
+        let lcp = run_lcps(jobs);
+        // States along the current job's path, by increasing depth.
+        let mut kept: Vec<(usize, Prefix)> = Vec::new();
+        let mut reused = 0;
+        let mut out = Vec::with_capacity(jobs.len());
+        for (i, &(module_idx, seq)) in jobs.iter().enumerate() {
+            let _c = telemetry::span("compile");
+            let depth = lcp[i];
+            while kept.last().is_some_and(|(d, _)| *d > depth) {
+                kept.pop();
+            }
+            // The depths later jobs resume from that lie on this job's path
+            // beyond `depth`: the running minima of the LCPs ahead, until
+            // one falls to `depth` or below. Deepest first, so the next
+            // depth this job reaches is always the last. `again`: a later
+            // job resumes at `depth` too, so its state stays kept.
+            let mut wants = Vec::new();
+            let mut again = false;
+            for &l in &lcp[i + 1..] {
+                if l <= depth {
+                    again = l == depth;
+                    break;
+                }
+                if wants.last().is_none_or(|&w| l < w) {
+                    wants.push(l);
+                }
+            }
+            let start = match kept.last() {
+                Some((d, _)) if *d == depth && again => kept[kept.len() - 1].1.clone(),
+                Some((d, _)) if *d == depth => kept.pop().expect("just seen").1,
+                _ => {
+                    assert_eq!(depth, 0, "an earlier job of the run keeps every resumed depth");
+                    Prefix::source(&self.bench.modules[module_idx])
+                }
+            };
+            reused += depth;
+            let res = pm
+                .resume(start, &seq[depth..], |k, state| {
+                    if wants.last() == Some(&(depth + k)) {
+                        wants.pop();
+                        kept.push((depth + k, state.clone()));
+                    }
+                })
+                .unwrap_or_else(|e| panic!("{e}"));
+            telemetry::counter("task.compilations", 1);
+            out.push((res.stats, res.fingerprint, res.module));
+        }
+        if reused > 0 {
+            telemetry::counter("task.passes_reused", reused as u64);
+        }
+        (out, reused)
     }
 
     /// Assemble the full program with the given per-hot-module optimised
@@ -284,6 +349,48 @@ impl TaskBase {
     }
 }
 
+/// Each job's longest common prefix with the job before it in a sorted
+/// run: 0 for the first job and across a change of module.
+fn run_lcps(jobs: &[(usize, &[PassId])]) -> Vec<usize> {
+    (0..jobs.len())
+        .map(|i| match i.checked_sub(1).map(|p| (jobs[p], jobs[i])) {
+            Some(((ma, a), (mb, b))) if ma == mb => {
+                a.iter().zip(b).take_while(|(x, y)| x == y).count()
+            }
+            _ => 0,
+        })
+        .collect()
+}
+
+/// Cut sorted `jobs` into at most `k` contiguous runs for
+/// [`TaskBase::compile_run`] of about equal work, counting a job's work as
+/// the passes it runs once resumed: its length less its LCP with the job
+/// before. Mutants resume deep and random genomes from the source, so equal
+/// job counts would leave one worker idle.
+pub(crate) fn split_runs(jobs: &[(usize, &[PassId])], k: usize) -> Vec<std::ops::Range<usize>> {
+    let work: Vec<usize> =
+        jobs.iter().zip(run_lcps(jobs)).map(|((_, seq), lcp)| seq.len() - lcp).collect();
+    let total: usize = work.iter().sum();
+    let mut runs = Vec::with_capacity(k);
+    let (mut start, mut done) = (0, 0);
+    for (i, w) in work.iter().enumerate() {
+        // In units of 1/k of the total: the next cut's goal, and the work
+        // done before and after job i.
+        let (goal, before, after) = (total * (runs.len() + 1), done * k, (done + w) * k);
+        if runs.len() + 1 < k && after >= goal {
+            // Cut on whichever side of job i lands nearer the goal.
+            let at = if goal.saturating_sub(before) < after - goal && i > start { i } else { i + 1 };
+            runs.push(start..at);
+            start = at;
+        }
+        done += w;
+    }
+    if start < jobs.len() {
+        runs.push(start..jobs.len());
+    }
+    runs
+}
+
 /// A phase-ordering autotuning task over one benchmark: a shared
 /// [`TaskBase`] (read through `Deref`) plus one session's state — its
 /// configuration, noise RNG, runtime cache and counters.
@@ -307,6 +414,10 @@ pub struct Task {
     /// canonicalizer for shortening a genome even when the shortened form
     /// still has to be compiled.
     pub passes_executed: usize,
+    /// Pass runs a compile sweep skipped by resuming a sequence from a
+    /// prefix state an earlier sequence of its run had reached. They are
+    /// still counted in `passes_executed`, which stays the nominal work.
+    pub passes_reused: usize,
     /// Number of measure requests answered from the fingerprint cache.
     pub cache_hits: usize,
     /// Charge cached (duplicate-binary) measurements against the budget.
@@ -344,6 +455,7 @@ impl Task {
             executions: 0,
             compilations: 0,
             passes_executed: 0,
+            passes_reused: 0,
             cache_hits: 0,
             charge_cached: false,
             times: TimeBreakdown::default(),
@@ -527,6 +639,34 @@ impl TuneTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runs_cover_the_jobs_in_order_and_balance_the_passes_left_to_run() {
+        let p = |v: &[u16]| v.iter().map(|&x| PassId(x)).collect::<Vec<_>>();
+        // Four deep mutants of one genome, then four unrelated genomes.
+        let seqs: Vec<(usize, Vec<PassId>)> = vec![
+            (0, p(&[1, 1, 1, 1, 1, 1, 1, 1])),
+            (0, p(&[1, 1, 1, 1, 1, 1, 1, 2])),
+            (0, p(&[1, 1, 1, 1, 1, 1, 2, 1])),
+            (0, p(&[1, 1, 1, 1, 1, 2, 1, 1])),
+            (0, p(&[2, 1, 1, 1, 1, 1, 1, 1])),
+            (0, p(&[3, 1, 1, 1, 1, 1, 1, 1])),
+            (1, p(&[1, 1, 1, 1, 1, 1, 1, 1])),
+            (1, p(&[2, 1, 1, 1, 1, 1, 1, 1])),
+        ];
+        let jobs: Vec<(usize, &[PassId])> = seqs.iter().map(|(m, s)| (*m, &s[..])).collect();
+        let bounds = |jobs: &[(usize, &[PassId])], k| -> Vec<(usize, usize)> {
+            split_runs(jobs, k).iter().map(|r| (r.start, r.end)).collect()
+        };
+        assert_eq!(bounds(&jobs, 1), [(0, 8)]);
+        // 8 + 1 + 2 + 3 + 8 passes against 8 + 8 + 8: by work, not by count.
+        assert_eq!(bounds(&jobs, 2), [(0, 5), (5, 8)]);
+        let three = bounds(&jobs, 3);
+        assert_eq!((three[0].0, three[2].1), (0, 8));
+        assert!(three.windows(2).all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+        assert_eq!(bounds(&jobs[..1], 4), [(0, 1)]);
+        assert!(bounds(&[], 2).is_empty());
+    }
 
     fn small_task() -> Task {
         Task::new(

@@ -6,6 +6,7 @@
 
 use crate::inst::{Inst, Operand, Term};
 use crate::module::{Function, GlobalInit, Module};
+use crate::types::Ty;
 use std::fmt::Write as _;
 
 fn op_str(_f: &Function, op: &Operand) -> String {
@@ -151,17 +152,212 @@ impl Default for Fnv64 {
     }
 }
 
-/// Stable structural fingerprint of a module (the "binary hash"). Two modules
-/// print identically iff they are structurally identical, so hashing the text
-/// is a faithful structural hash while staying simple.
+/// Stable structural fingerprint of a module (the "binary hash"): equal
+/// exactly when the modules print equally ([`print_module`]) and carry the
+/// same function attributes, which affect codegen (call cost) but not the
+/// printed body.
+///
+/// The hash is taken straight from the IR, a word at a time, over exactly
+/// the fields the printer renders, in a prefix-free encoding (a tag or a
+/// length before every variable part), so no text is built. What the
+/// printer leaves out is left out here too: global contents and the
+/// `mutable`/`external` flags, and the types of values whose type the
+/// printed line does not show. Omitting global contents is sound for the
+/// uses this hash has (binary identity of pass-sequence outputs, the
+/// no-op checks): globals are fixed at build time, and no pass writes
+/// `Module::globals` (the pass suite's `no_pass_touches_globals` test
+/// holds every registered pass to that). Names are hashed by length and
+/// bytes; a name containing the printer's own delimiters is the one case
+/// where the two relations could part, and no builder makes one.
 pub fn fingerprint(m: &Module) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(print_module(m).as_bytes());
-    // Attributes affect codegen (call cost) but not the printed body; fold them in.
+    let mut h = Words::new();
+    h.bytes(m.name.as_bytes());
+    h.word(m.globals.len() as u64);
+    for g in &m.globals {
+        h.bytes(g.name.as_bytes());
+        let (kind, len) = match &g.init {
+            GlobalInit::Zero(n) => (0, *n as u64),
+            GlobalInit::I8s(v) => (1, v.len() as u64),
+            GlobalInit::I16s(v) => (2, v.len() as u64),
+            GlobalInit::I32s(v) => (3, v.len() as u64),
+            GlobalInit::I64s(v) => (4, v.len() as u64),
+            GlobalInit::F64s(v) => (5, v.len() as u64),
+        };
+        h.word(kind << 56 | len);
+    }
+    h.word(m.funcs.len() as u64);
     for f in &m.funcs {
-        h.write_u64(f.attrs.readnone as u64 | (f.attrs.readonly as u64) << 1 | (f.attrs.noinline as u64) << 2);
+        hash_function(&mut h, f);
     }
     h.finish()
+}
+
+/// A type as the printer distinguishes it: scalar kind and lane count.
+fn ty_word(t: Ty) -> u64 {
+    t.scalar as u64 | (t.lanes as u64) << 8
+}
+
+/// Stands for "no type" in a slot that may hold one (a `void` return, a
+/// line that prints no type); no [`ScalarTy`](crate::types::ScalarTy) has
+/// discriminant 255, so no [`ty_word`] equals it.
+const NO_TY: u64 = 0xff;
+
+/// An instruction's or terminator's lead word: its tag, one small operand
+/// field (an op, cast kind or lane), a [`ty_word`] or [`NO_TY`], and a
+/// 32-bit id (the destination value, or a target block).
+fn lead(tag: u64, small: u64, ty: u64, id: u32) -> u64 {
+    tag | small << 8 | ty << 16 | (id as u64) << 32
+}
+
+fn hash_function(h: &mut Words, f: &Function) {
+    h.bytes(f.name.as_bytes());
+    let attrs = f.attrs.readnone as u64
+        | (f.attrs.readonly as u64) << 1
+        | (f.attrs.noinline as u64) << 2;
+    let ret = f.ret.map_or(NO_TY, ty_word);
+    h.word(attrs | ret << 8 | (f.params.len() as u64) << 32);
+    for &t in &f.params {
+        h.word(ty_word(t));
+    }
+    h.word(f.blocks.len() as u64);
+    for blk in &f.blocks {
+        h.word(blk.insts.len() as u64);
+        for inst in &blk.insts {
+            match inst {
+                Inst::Bin { dst, op, lhs, rhs } => {
+                    h.word(lead(1, *op as u64, ty_word(f.ty(*dst)), dst.0));
+                    h.operand(lhs);
+                    h.operand(rhs);
+                }
+                Inst::Cmp { dst, op, lhs, rhs } => {
+                    h.word(lead(2, *op as u64, NO_TY, dst.0));
+                    h.operand(lhs);
+                    h.operand(rhs);
+                }
+                Inst::Cast { dst, kind, src } => {
+                    h.word(lead(3, *kind as u64, ty_word(f.ty(*dst)), dst.0));
+                    h.operand(src);
+                }
+                Inst::Alloca { dst, bytes } => {
+                    h.word(lead(4, 0, NO_TY, dst.0));
+                    h.word(*bytes as u64);
+                }
+                Inst::Load { dst, addr } => {
+                    h.word(lead(5, 0, ty_word(f.ty(*dst)), dst.0));
+                    h.operand(addr);
+                }
+                Inst::Store { ty, val, addr } => {
+                    h.word(lead(6, 0, ty_word(*ty), 0));
+                    h.operand(val);
+                    h.operand(addr);
+                }
+                Inst::Call { dst, callee, args } => {
+                    h.word(match dst {
+                        Some(d) => lead(7, 0, NO_TY, d.0),
+                        None => lead(8, 0, NO_TY, 0),
+                    });
+                    h.word(callee.0 as u64 | (args.len() as u64) << 32);
+                    for a in args {
+                        h.operand(a);
+                    }
+                }
+                Inst::Phi { dst, incoming } => {
+                    h.word(lead(9, 0, ty_word(f.ty(*dst)), dst.0));
+                    h.word(incoming.len() as u64);
+                    for (b, o) in incoming {
+                        h.word(b.0 as u64);
+                        h.operand(o);
+                    }
+                }
+                Inst::Select { dst, cond, t, f: fv } => {
+                    h.word(lead(10, 0, NO_TY, dst.0));
+                    h.operand(cond);
+                    h.operand(t);
+                    h.operand(fv);
+                }
+                Inst::Splat { dst, src } => {
+                    h.word(lead(11, 0, ty_word(f.ty(*dst)), dst.0));
+                    h.operand(src);
+                }
+                Inst::ExtractLane { dst, src, lane } => {
+                    h.word(lead(12, *lane as u64, NO_TY, dst.0));
+                    h.operand(src);
+                }
+                Inst::Reduce { dst, op, src } => {
+                    h.word(lead(13, *op as u64, NO_TY, dst.0));
+                    h.operand(src);
+                }
+            }
+        }
+        match &blk.term {
+            Term::Br(b) => h.word(lead(20, 0, NO_TY, b.0)),
+            Term::CondBr { cond, t, f: fb } => {
+                h.word(lead(21, 0, NO_TY, t.0));
+                h.word(fb.0 as u64);
+                h.operand(cond);
+            }
+            Term::Ret(Some(op)) => {
+                h.word(lead(22, 0, NO_TY, 0));
+                h.operand(op);
+            }
+            Term::Ret(None) => h.word(lead(23, 0, NO_TY, 0)),
+            Term::Unreachable => h.word(lead(24, 0, NO_TY, 0)),
+        }
+    }
+}
+
+/// The word-at-a-time hasher behind [`fingerprint`]. Each step is a
+/// bijection of the state for a fixed input word (xor, multiply by an odd
+/// constant, xor-shift), so two word streams of one length that differ in a
+/// single word never collide; [`Words::finish`] avalanches the state.
+struct Words(u64);
+
+impl Words {
+    fn new() -> Words {
+        Words(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let x = (self.0 ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ x >> 32;
+    }
+
+    /// A length, then the bytes eight at a time (the last word zero-padded).
+    fn bytes(&mut self, b: &[u8]) {
+        self.word(b.len() as u64);
+        for chunk in b.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    /// An operand as [`op_str`] distinguishes it: a tag word carrying a
+    /// value or global id or an immediate's scalar type, then the
+    /// immediate's bits. Every NaN prints as `NaN`, so NaNs hash alike.
+    #[inline]
+    fn operand(&mut self, op: &Operand) {
+        match op {
+            Operand::Value(v) => self.word(1 << 56 | v.0 as u64),
+            Operand::Global(g) => self.word(2 << 56 | g.0 as u64),
+            Operand::ImmI(v, s) => {
+                self.word(3 << 56 | *s as u64);
+                self.word(*v as u64);
+            }
+            Operand::ImmF(v) => {
+                self.word(4 << 56);
+                self.word(if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() });
+            }
+        }
+    }
+
+    fn finish(self) -> u64 {
+        let mut x = self.0;
+        x = (x ^ x >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ x >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ x >> 31
+    }
 }
 
 #[cfg(test)]
@@ -204,6 +400,31 @@ mod tests {
         let mut m4 = sample();
         m4.funcs[0].attrs.readnone = true;
         assert_ne!(fingerprint(&m1), fingerprint(&m4));
+    }
+
+    #[test]
+    fn fingerprint_follows_the_printed_text() {
+        let with_imm = |x: f64| {
+            let mut m = sample();
+            if let Inst::Bin { rhs, .. } = &mut m.funcs[0].blocks[0].insts[0] {
+                *rhs = Operand::ImmF(x);
+            }
+            m
+        };
+        // Every NaN prints as `NaN`; the two zeros print apart.
+        let nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert_eq!(print_module(&with_imm(nan)), print_module(&with_imm(-f64::NAN)));
+        assert_eq!(fingerprint(&with_imm(nan)), fingerprint(&with_imm(-f64::NAN)));
+        assert_ne!(fingerprint(&with_imm(0.0)), fingerprint(&with_imm(-0.0)));
+        // Global contents and flags are not printed, their shape is.
+        let mut a = sample();
+        a.add_global("g", GlobalInit::I32s(vec![1, 2]), false);
+        let mut b = sample();
+        b.add_global("g", GlobalInit::I32s(vec![3, 4]), true);
+        assert_eq!(print_module(&a), print_module(&b));
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        b.globals[0].init = GlobalInit::I32s(vec![3]);
+        assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]

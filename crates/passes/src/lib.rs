@@ -19,6 +19,6 @@ pub mod work;
 
 pub use manager::{
     o1_pipeline, o3_pipeline, CompileError, CompileResult, Pass, PassId, PassManager, PassSeq,
-    Registry,
+    Prefix, Registry,
 };
 pub use stats::Stats;

@@ -67,19 +67,53 @@ pub type PassSeq = Vec<PassId>;
 /// The set of passes available to the tuner.
 pub struct Registry {
     passes: Vec<Box<dyn Pass>>,
+    /// Each pass's telemetry names, in id order.
+    names: Vec<TraceNames>,
+}
+
+/// A pass's telemetry names: its span (`pass.<name>`) and its run and
+/// statistics counters (`pass.<name>.runs`, `pass.<name>.stats`).
+#[derive(Clone, Copy)]
+struct TraceNames {
+    span: &'static str,
+    runs: &'static str,
+    stats: &'static str,
+}
+
+impl TraceNames {
+    /// The names of pass `name`, built once per distinct name in the
+    /// process and shared by every registry, so a traced pass run formats
+    /// nothing and the strings leak at most once each.
+    fn of(name: &'static str) -> TraceNames {
+        static INTERNED: std::sync::Mutex<Vec<(&'static str, TraceNames)>> =
+            std::sync::Mutex::new(Vec::new());
+        let mut interned = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, t)) = interned.iter().find(|(n, _)| *n == name) {
+            return *t;
+        }
+        let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+        let t = TraceNames {
+            span: leak(format!("pass.{name}")),
+            runs: leak(format!("pass.{name}.runs")),
+            stats: leak(format!("pass.{name}.stats")),
+        };
+        interned.push((name, t));
+        t
+    }
 }
 
 impl Registry {
     /// The full registry (every pass in this crate), mirroring the paper's
     /// "76 passes of LLVM 17 -O3" universe (Table 5.3).
     pub fn full() -> Registry {
-        Registry { passes: passes::all_passes() }
+        Registry::from_passes(passes::all_passes())
     }
 
     /// A registry over an explicit pass list. Used by tests that need extra
     /// (e.g. deliberately broken) passes alongside the real ones.
     pub fn from_passes(passes: Vec<Box<dyn Pass>>) -> Registry {
-        Registry { passes }
+        let names = passes.iter().map(|p| TraceNames::of(p.name())).collect();
+        Registry { passes, names }
     }
 
     /// A reduced registry standing in for the older "LLVM 10" pass universe
@@ -116,7 +150,7 @@ impl Registry {
             .into_iter()
             .filter(|p| keep.contains(&p.name()))
             .collect();
-        Registry { passes }
+        Registry::from_passes(passes)
     }
 
     /// Number of registered passes.
@@ -199,6 +233,25 @@ pub struct CompileResult {
     pub fingerprint: u64,
 }
 
+/// A compile's state after a prefix of its sequence: the module so far and
+/// the statistics the prefix recorded. Resuming the rest of the sequence
+/// from it reaches exactly what the whole sequence reaches from the source,
+/// since a pass reads nothing but the module and `Stats` only sums.
+#[derive(Debug, Clone)]
+pub struct Prefix {
+    /// The module after the prefix.
+    pub module: Module,
+    /// Statistics the prefix recorded.
+    pub stats: Stats,
+}
+
+impl Prefix {
+    /// The empty prefix of any sequence on `m`.
+    pub fn source(m: &Module) -> Prefix {
+        Prefix { module: m.clone(), stats: Stats::new() }
+    }
+}
+
 /// Why a compilation was rejected mid-pipeline.
 #[derive(Debug, Clone)]
 pub enum CompileError {
@@ -273,46 +326,60 @@ impl<'r> PassManager<'r> {
     /// Apply `seq` to a copy of `m`; a verifier or sanitizer rejection is
     /// returned as an error naming the offending pass.
     pub fn compile_result(&self, m: &Module, seq: &[PassId]) -> Result<CompileResult, CompileError> {
-        let mut module = m.clone();
-        let mut stats = Stats::new();
-        let mut facts =
-            if self.sanitize { Some(citroen_analyze::sanitize::module_facts(&module)) } else { None };
+        self.resume(Prefix::source(m), seq, |_, _| {})
+    }
+
+    /// Continue a compile from `state` through `seq`. After the `k`-th pass
+    /// of `seq`, `at(k, &state)` sees the state so far, so a caller can
+    /// keep the states that other sequences sharing this prefix resume
+    /// from. The sanitizer's facts are computed from `state.module`, as
+    /// they are from the source in [`PassManager::compile_result`], so a
+    /// resumed compile is checked the way the straight one is.
+    pub fn resume(
+        &self,
+        mut state: Prefix,
+        seq: &[PassId],
+        mut at: impl FnMut(usize, &Prefix),
+    ) -> Result<CompileResult, CompileError> {
+        let mut facts = if self.sanitize {
+            Some(citroen_analyze::sanitize::module_facts(&state.module))
+        } else {
+            None
+        };
         // Sanitizer-guided scheduling: a pass that recorded zero statistics
         // *and* left the module fingerprint unchanged provably changed
         // nothing, so the S1–S8 re-analysis is a tautology (pre == post) and
         // is skipped. The fingerprint re-check (not the stats alone) keeps
         // the skip sound against a pass that mutates without counting.
-        let mut fp_before = facts.as_ref().map(|_| citroen_ir::print::fingerprint(&module));
-        for &id in seq {
+        let mut fp_before = facts.as_ref().map(|_| citroen_ir::print::fingerprint(&state.module));
+        for (k, &id) in seq.iter().enumerate() {
             let pass = self.registry.pass(id);
+            let names = self.registry.names[id.0 as usize];
+            let Prefix { module, stats } = &mut state;
             let stats_total_before = stats.total();
             {
-                let _pass_span = telemetry::span_dyn(|| format!("pass.{}", pass.name()));
-                let stats_before = telemetry::is_enabled().then(|| stats.total());
-                pass.run(&mut module, &mut stats);
-                if let Some(before) = stats_before {
-                    telemetry::counter(&format!("pass.{}.runs", pass.name()), 1);
-                    telemetry::counter(
-                        &format!("pass.{}.stats", pass.name()),
-                        stats.total() - before,
-                    );
+                let _pass_span = telemetry::span(names.span);
+                pass.run(module, stats);
+                if telemetry::is_enabled() {
+                    telemetry::counter(names.runs, 1);
+                    telemetry::counter(names.stats, stats.total() - stats_total_before);
                 }
             }
             if self.verify_each {
                 let _verify_span = telemetry::span("verify");
-                let errors = verify::verify_module(&module);
+                let errors = verify::verify_module(module);
                 if !errors.is_empty() {
                     return Err(CompileError::Verify { pass: pass.name(), errors });
                 }
             }
             if let Some(pre) = &facts {
                 let _sanitize_span = telemetry::span("sanitize");
-                let fp_now = citroen_ir::print::fingerprint(&module);
+                let fp_now = citroen_ir::print::fingerprint(module);
                 if stats.total() == stats_total_before && Some(fp_now) == fp_before {
                     telemetry::counter("citroen.sanitize.skips", 1);
                 } else {
                     telemetry::counter("citroen.sanitize.runs", 1);
-                    let post = citroen_analyze::sanitize::module_facts(&module);
+                    let post = citroen_analyze::sanitize::module_facts(module);
                     let violations = citroen_analyze::sanitize::check(pre, &post);
                     if !violations.is_empty() {
                         return Err(CompileError::Sanitize { pass: pass.name(), violations });
@@ -321,9 +388,10 @@ impl<'r> PassManager<'r> {
                     fp_before = Some(fp_now);
                 }
             }
+            at(k + 1, &state);
         }
-        let fingerprint = citroen_ir::print::fingerprint(&module);
-        Ok(CompileResult { module, stats, fingerprint })
+        let fingerprint = citroen_ir::print::fingerprint(&state.module);
+        Ok(CompileResult { module: state.module, stats: state.stats, fingerprint })
     }
 
     /// Apply a sequence given by pass names.

@@ -29,6 +29,7 @@
 //! Determinism: nothing in here feeds back into any session — recording is
 //! strictly observational, which is what the 10-seed identity test pins.
 
+use crate::state::ExecStats;
 use citroen_core::SharedCacheStats;
 use citroen_rt::json::Value;
 use citroen_telemetry::metrics::{MetricsRegistry, Sentinel, SloKind, WindowCfg};
@@ -90,6 +91,8 @@ pub struct JobSummary {
     pub run_ms: u64,
     /// Compilations performed.
     pub compiles: u64,
+    /// Pass runs skipped by prefix resumption.
+    pub passes_reused: u64,
     /// Runtime measurements consumed.
     pub measurements: u64,
     /// Transfer warm-start seeds injected.
@@ -196,7 +199,13 @@ impl ServeMetrics {
 
     /// The session finished (any exit, including panic): account its
     /// lifecycle numbers, observe the SLOs, push the summary.
-    pub fn session_finished(&self, job: JobSummary, cache: SharedCacheStats, corpus_len: u64) {
+    pub fn session_finished(
+        &self,
+        job: JobSummary,
+        cache: SharedCacheStats,
+        exec: ExecStats,
+        corpus_len: u64,
+    ) {
         let now = self.now_ms();
         let mut breached = Vec::new();
         {
@@ -211,6 +220,7 @@ impl ServeMetrics {
             self.both(&mut hub, &job.tenant, |r| {
                 r.add(outcome_key, 1, now);
                 r.add("compiles", job.compiles, now);
+                r.add("passes_reused", job.passes_reused, now);
                 r.add("measurements", job.measurements, now);
                 r.add("warm_seeds", job.warm_seeds, now);
                 r.observe("run_wall_ms", job.run_ms, now);
@@ -240,6 +250,22 @@ impl ServeMetrics {
             hub.global.add("cache.evictions", d_evict, now);
             hub.global.set_gauge("cache.len", cache.len);
             hub.global.set_gauge("corpus.len", corpus_len);
+            // The execution memo, summed over the program bases, as the
+            // `stats` verb reports it. Every one of these readings only
+            // grows (an LRU at capacity evicts one entry per insert), so a
+            // reading taken before a concurrent job's later one never moves
+            // a gauge back.
+            let m = exec.memo;
+            for (name, v) in [
+                ("exec.hits", m.hits),
+                ("exec.misses", m.misses),
+                ("exec.evictions", m.evictions),
+                ("exec.len", m.len),
+                ("exec.bases", exec.bases),
+            ] {
+                let v = hub.global.gauge(name).map_or(v, |old| old.max(v));
+                hub.global.set_gauge(name, v);
+            }
             hub.cache_last = cache;
 
             hub.recent.push_back(job.clone());
@@ -486,7 +512,7 @@ mod tests {
 
     /// Finish `job` with no cache traffic.
     fn finish(m: &ServeMetrics, job: JobSummary, corpus_len: u64) {
-        m.session_finished(job, Default::default(), corpus_len);
+        m.session_finished(job, Default::default(), Default::default(), corpus_len);
     }
 
     fn job(id: &str, tenant: &str, exit: &str, run_ms: u64) -> JobSummary {
@@ -498,6 +524,7 @@ mod tests {
             queue_ms: 2,
             run_ms,
             compiles: 10,
+            passes_reused: 3,
             measurements: 4,
             warm_seeds: 1,
         }
@@ -511,12 +538,17 @@ mod tests {
         m.session_finished(
             job("j1", "a", "completed", 7),
             SharedCacheStats { hits: 3, misses: 1, ..Default::default() },
+            ExecStats { memo: citroen_core::MemoStats { hits: 2, len: 6, ..Default::default() }, bases: 1 },
             5,
         );
         let hub = m.hub.lock().unwrap();
         assert_eq!(hub.global.total("jobs.submitted"), 1);
         assert_eq!(hub.global.total("jobs.done"), 1);
         assert_eq!(hub.global.total("compiles"), 10);
+        assert_eq!(hub.global.total("passes_reused"), 3);
+        assert_eq!(hub.global.gauge("exec.hits"), Some(2));
+        assert_eq!(hub.global.gauge("exec.len"), Some(6));
+        assert_eq!(hub.global.gauge("exec.bases"), Some(1));
         assert_eq!(hub.global.total("cache.hits"), 3);
         assert_eq!(hub.global.gauge("corpus.len"), Some(5));
         assert_eq!(hub.global.hist("queue_wait_ms").unwrap().count, 1);
@@ -535,12 +567,14 @@ mod tests {
         m.session_finished(
             job("j1", "a", "completed", 1),
             SharedCacheStats { hits: 10, misses: 10, ..Default::default() },
+            Default::default(),
             0,
         );
         m.session_started("a", 0);
         m.session_finished(
             job("j2", "a", "completed", 1),
             SharedCacheStats { hits: 12, misses: 10, ..Default::default() },
+            Default::default(),
             0,
         );
         let hub = m.hub.lock().unwrap();

@@ -296,6 +296,9 @@ pub struct JobOutcome {
     pub executions: u64,
     /// Compilations performed by this session (shared-cache hits excluded).
     pub compiles: u64,
+    /// Pass runs this session's compile sweeps skipped by resuming a
+    /// sequence from a prefix state another sequence of the sweep reached.
+    pub passes_reused: u64,
     /// Transfer seeds injected into this session's initial design.
     pub warm_seeds: u64,
     /// Best pass-id sequence found.
@@ -318,6 +321,7 @@ pub fn result_reply(id: &str, state: JobState, o: &JobOutcome) -> String {
         ("measurements", Value::U64(o.measurements)),
         ("executions", Value::U64(o.executions)),
         ("compiles", Value::U64(o.compiles)),
+        ("passes_reused", Value::U64(o.passes_reused)),
         ("warm_seeds", Value::U64(o.warm_seeds)),
         ("best_seq", Value::Arr(o.best_seq.iter().map(|&p| Value::U64(p as u64)).collect())),
     ])

@@ -425,10 +425,12 @@ impl Server {
                 queue_ms: queue_wait.as_millis() as u64,
                 run_ms: run_start.elapsed().as_millis() as u64,
                 compiles: outcome.compiles,
+                passes_reused: outcome.passes_reused,
                 measurements: outcome.measurements,
                 warm_seeds: outcome.warm_seeds,
             },
             self.state.cache.stats(),
+            self.state.exec_stats(),
             self.state.corpus.lock().unwrap().len() as u64,
         );
         {
@@ -497,6 +499,7 @@ impl Server {
             measurements: task.measurements as u64,
             executions: task.executions as u64,
             compiles: task.compilations as u64,
+            passes_reused: task.passes_reused as u64,
             warm_seeds: n_warm,
             best_seq: trace
                 .best_seqs

@@ -105,6 +105,30 @@ fn ten_seeds_with_metrics_on_match_standalone_digests() {
         .and_then(|h| h.get("count"))
         .and_then(Value::as_u64);
     assert_eq!(run_wall, Some(10), "one run-wall sample per completed job");
+    // The execution memo's counters and occupancy, as `stats` reports
+    // them: ten gsm jobs share one program base, whose memo answered the
+    // binaries the jobs had in common.
+    let gauge = |name: &str| global.get("gauges").and_then(|g| g.get(name)).and_then(Value::as_u64);
+    let exec = server.state().exec_stats();
+    assert_eq!(gauge("exec.bases"), Some(1));
+    assert_eq!(gauge("exec.hits"), Some(exec.memo.hits));
+    assert_eq!(gauge("exec.misses"), Some(exec.memo.misses));
+    assert_eq!(gauge("exec.evictions"), Some(exec.memo.evictions));
+    assert_eq!(gauge("exec.len"), Some(exec.memo.len));
+    assert!(exec.memo.misses > 0 && exec.memo.len > 0, "the jobs simulated binaries");
+    // Prefix resumption: the counter sums the jobs' `passes_reused` (these
+    // budgets end inside the initial design, whose steps compile one genome
+    // each, so the sum may be 0).
+    let reused: u64 = results
+        .iter()
+        .map(|r| r.get("passes_reused").and_then(Value::as_u64).expect("passes_reused on result"))
+        .sum();
+    let counter = global
+        .get("counters")
+        .and_then(|c| c.get("passes_reused"))
+        .and_then(|c| c.get("total"))
+        .and_then(Value::as_u64);
+    assert_eq!(counter.unwrap_or(0), reused);
     let recent = v.get("recent").and_then(Value::as_arr).expect("recent ring");
     assert_eq!(recent.len(), 10);
     // All three tenants got their own registries, each reporting health.

@@ -59,9 +59,11 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
                         queue_ms: 0,
                         run_ms: 1,
                         compiles: 0,
+                        passes_reused: 0,
                         measurements: 0,
                         warm_seeds: 0,
                     },
+                    Default::default(),
                     Default::default(),
                     0,
                 );

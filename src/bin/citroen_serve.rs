@@ -204,10 +204,11 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
     let mut stdin = child.stdin.take().expect("piped stdin");
     let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
 
-    // Job mix: `victim` (long) starts first and is cancelled once seen
-    // running; `a`/`b` run concurrently; `c` replays `a`'s spec after it, so
-    // its compiles can only be served by cross-tenant cache hits and its
-    // executions by the program's execution memo.
+    // Job mix: `victim` (long) starts first, runs beside `a`, and is
+    // cancelled once `a` has its result, so it stops between measurements;
+    // `b` runs after `a`; `c` replays `a`'s spec after it, so its compiles
+    // can only be served by cross-tenant cache hits and its executions by
+    // the program's execution memo.
     let victim = spec("victim", 7, cfg.max_budget);
     let a = spec("a", 5, budget);
     let b = spec("b", 6, budget);
@@ -218,7 +219,6 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
     stdin.flush().expect("daemon stdin");
 
     let mut replies: Vec<Value> = Vec::new();
-    let mut cancelled = false;
     let mut submitted_c = false;
     let mut failures: Vec<String> = Vec::new();
     for line in stdout.lines() {
@@ -227,22 +227,17 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
             .unwrap_or_else(|e| die(&format!("unparseable daemon reply '{line}': {e}")));
         let ty = v.get("type").and_then(Value::as_str).unwrap_or("").to_string();
         let id = v.get("id").and_then(Value::as_str).unwrap_or("").to_string();
-        let state = v.get("state").and_then(Value::as_str).unwrap_or("").to_string();
         replies.push(v);
         match ty.as_str() {
-            // Cancel the long job as soon as it reports running (a genuine
-            // mid-run cancel, observed at an iteration boundary).
-            "job" if id == "victim" && state == "running" && !cancelled => {
-                cancelled = true;
+            // Once the replayed spec's original is done, cancel the long job
+            // (which has been measuring beside it, so the cancel lands
+            // mid-run, at an iteration boundary) and submit the replay
+            // (guaranteed to run strictly after the original).
+            "result" if id == "a" && !submitted_c => {
+                submitted_c = true;
                 stdin
                     .write_all(b"{\"type\":\"cancel\",\"id\":\"victim\"}\n")
                     .expect("daemon stdin");
-                stdin.flush().expect("daemon stdin");
-            }
-            // Once the replayed spec's original is done, submit the replay
-            // (guaranteed to run strictly after it).
-            "result" if id == "a" && !submitted_c => {
-                submitted_c = true;
                 stdin.write_all(submit_line(&c).as_bytes()).expect("daemon stdin");
                 stdin.flush().expect("daemon stdin");
             }
@@ -317,14 +312,17 @@ fn run_bench(cfg: ServeConfig, budget: usize) {
             "replay not answered by the execution memo: (executions, hits, len) = {other:?}"
         )),
     }
-    // 4. The cancelled job terminated early without poisoning the drain.
+    // 4. The cancelled job stopped mid-run — after measuring, before its
+    //    budget — without poisoning the drain.
     match result_of("victim").map(|r| {
         (
             r.get("exit").and_then(Value::as_str).unwrap_or("").to_string(),
             r.get("measurements").and_then(Value::as_u64).unwrap_or(0),
         )
     }) {
-        Some((exit, meas)) if exit == "cancelled" && meas < cfg.max_budget as u64 => {
+        Some((exit, meas))
+            if exit == "cancelled" && 0 < meas && meas < cfg.max_budget as u64 =>
+        {
             println!("bench: victim cancelled mid-run after {meas} measurements");
         }
         other => failures.push(format!("victim not cancelled mid-run: {other:?}")),

@@ -1,10 +1,11 @@
 //! Soundness campaigns for the pass pipeline and its pruning claims: random
 //! generated modules × random pass sequences, driven by one loop.
 //!
-//! * [`run_campaign`] checks each trial three ways — the structural
-//!   verifier, the translation-validation sanitizer, and an interpreter
+//! * [`run_campaign`] checks each trial five ways — the structural
+//!   verifier, the translation-validation sanitizer, an interpreter
 //!   differential (return value + mutable-memory digest against the
-//!   unoptimised module).
+//!   unoptimised module), the structural fingerprint against the printed
+//!   text, and a compile resumed half-way against the straight one.
 //! * [`run_oracle_campaign`] executes every `CannotFire` precondition verdict
 //!   seen along an evolving sequence.
 //! * [`run_subsumption_campaign`] executes every drop the sequence
@@ -26,7 +27,8 @@ use citroen_ir::interp::{run, CountingSink, Limits, Trap, Value};
 use citroen_ir::module::Module;
 use citroen_ir::FuncId;
 use citroen_passes::oracle::noop_breach;
-use citroen_passes::{CompileError, PassId, PassManager, Registry, Stats};
+use citroen_ir::print::{fingerprint, print_module};
+use citroen_passes::{CompileError, PassId, PassManager, Prefix, Registry, Stats};
 use citroen_rt::rng::{Rng, SeedableRng, StdRng};
 use citroen_suite::generator::{generate, GenConfig};
 
@@ -190,7 +192,7 @@ fn drive(
                 module_seed,
                 seq: reg.seq_to_string(&seq),
                 reduced_seq: reg.seq_to_string(&min_seq),
-                reduced_ir: citroen_ir::print::print_module(&reduced),
+                reduced_ir: print_module(&reduced),
                 detail,
             });
         }
@@ -198,7 +200,11 @@ fn drive(
 }
 
 /// Fuzz trial: does `seq` break `m` in any observable way? Labels are the
-/// failure kinds `verify`, `sanitize` and `differential`.
+/// failure kinds `verify`, `sanitize` and `differential`, plus two checks of
+/// the compile path itself: `fingerprint` (the structural fingerprints of
+/// the source and the result are equal exactly when their printed texts and
+/// attributes are) and `resume` (the compile split at `len/2` and resumed
+/// from the first half's state equals the straight one).
 fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(String, String)> {
     let res = match pm.compile_result(m, seq) {
         Ok(res) => res,
@@ -210,6 +216,34 @@ fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(Strin
             return Some((kind.to_string(), e.to_string()));
         }
     };
+    let printed = |m: &Module| {
+        (print_module(m), m.funcs.iter().map(|f| f.attrs).collect::<Vec<_>>())
+    };
+    let (fp_src, same_text) = (fingerprint(m), printed(m) == printed(&res.module));
+    if (fp_src == res.fingerprint) != same_text {
+        let detail = format!(
+            "fingerprints {fp_src:#x} -> {:#x}, but the printed texts are {}",
+            res.fingerprint,
+            if same_text { "equal" } else { "different" }
+        );
+        return Some(("fingerprint".to_string(), detail));
+    }
+    let half = seq.len() / 2;
+    let resumed = pm.compile_result(m, &seq[..half]).and_then(|h| {
+        pm.resume(Prefix { module: h.module, stats: h.stats }, &seq[half..], |_, _| {})
+    });
+    // Debug text compares every field, as `==` does, but NaN immediates alike.
+    let same = |a: &Module, b: &Module| a == b || format!("{a:?}") == format!("{b:?}");
+    let breach = match resumed {
+        Ok(r) if same(&r.module, &res.module)
+            && r.stats == res.stats
+            && r.fingerprint == res.fingerprint => None,
+        Ok(_) => Some("a different result".to_string()),
+        Err(e) => Some(e.to_string()),
+    };
+    if let Some(b) = breach {
+        return Some(("resume".to_string(), format!("resumed at pass {half} of {}: {b}", seq.len())));
+    }
     let detail = match (observe(m), observe(&res.module)) {
         (Ok(a), Ok(b)) if a != b => format!("(result, memory digest) {a:?} became {b:?}"),
         // Trap introduced by optimisation is a differential failure too.
@@ -348,7 +382,7 @@ pub fn run_alias_campaign(cfg: &FuzzConfig, progress: impl FnMut(&str)) -> Repor
             module_seed,
             reduced_seq: seq.clone(),
             seq,
-            reduced_ir: citroen_ir::print::print_module(&reduced),
+            reduced_ir: print_module(&reduced),
             detail: v.to_string(),
         });
     };
