@@ -661,7 +661,7 @@ pub fn batch_sweep(cfg: &ExpCfg) {
 /// allocation on the SPEC-like multi-module programs, reporting speedup at
 /// checkpoints, the convergence-speed ratio, and the budget measurements
 /// each run spent. `speedup@1/2` and `meas_to_95pct` index trace steps,
-/// which include repeat binaries answered by the runtime cache.
+/// which include repeat binaries the session had already charged.
 pub fn adaptive_multimodule(cfg: &ExpCfg) {
     let mut rep = Report::new(
         "adaptive_multimodule",

@@ -1,4 +1,4 @@
-//! A bounded LRU map for the tuner's compile caches.
+//! A bounded LRU map behind the compile cache and the execution memo.
 //!
 //! The canonical-genome compile cache used to be a plain `HashMap` holding a
 //! full [`citroen_ir::module::Module`] clone per entry and growing without
@@ -90,11 +90,6 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
     /// Current number of entries.
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Lookups answered from the cache over its lifetime.

@@ -15,9 +15,8 @@
 //! the other modules' incumbents, and one cost model reads the concatenated
 //! per-module statistics.
 
-use crate::cache::BoundedCache;
-use crate::service::{SessionEnv, SessionExit, SessionResult};
-use crate::task::{split_runs, Execution, Task, TuneTrace};
+use crate::service::{SessionEnv, SessionExit, SessionResult, SharedCompileCache};
+use crate::task::{Execution, Task, TuneTrace};
 use citroen_bo::heuristics::DiscreteOneLambda;
 use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition, SeqCanonicalizer};
 use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
@@ -35,6 +34,12 @@ use std::time::Instant;
 /// Monte-Carlo samples per acquisition evaluation during greedy batch
 /// construction (only drawn from when `batch > 1`).
 const MC_SAMPLES: usize = 32;
+
+/// Capacity of the compile cache a canonicalising session keeps when no
+/// shared cache is attached. Entries hold a full `Module`, so the cap
+/// bounds a long run's memory; at 40 candidates a sweep it still spans
+/// about 25 sweeps.
+const PRIVATE_CACHE_CAP: usize = 1024;
 
 /// Which features the cost model is fitted on (Fig. 5.8/5.9 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,10 +133,6 @@ pub struct CitroenConfig {
     /// measurements (a one-batch-stale model). Deterministic for a fixed
     /// seed at any q.
     pub batch: usize,
-    /// Canonical-genome compile-cache capacity (entries; `0` = unbounded).
-    /// Evicts the least recently used entry; evictions are counted on
-    /// `citroen.compile_cache_evictions`.
-    pub compile_cache_cap: usize,
     /// `None` tunes the first hot module with the rest at `-O3`. `Some`
     /// tunes every module in `Task::hot_modules`, spending each measurement
     /// on the module the policy picks: under [`Allocation::Adaptive`] every
@@ -159,7 +160,6 @@ impl Default for CitroenConfig {
             oracle_prune: false,
             subsume_collapse: false,
             batch: 1,
-            compile_cache_cap: 1024,
             allocation: None,
             seed: 0,
         }
@@ -254,8 +254,8 @@ struct HotModule {
     idx: usize,
     des: DiscreteOneLambda,
     canon: Option<SeqCanonicalizer>,
-    /// Namespaces this module's genomes in the cross-tenant cache; unused
-    /// (0) when no shared cache is attached, skipping the module print.
+    /// The source module's fingerprint, which namespaces this module's
+    /// genomes in the compile cache.
     src_fp: u64,
     /// This module's part of the best configuration measured so far, which
     /// the other modules' candidates link against. Only kept when more than
@@ -282,9 +282,9 @@ enum Work {
 }
 
 /// A finished [`Work`] item: the parts with their linked fingerprint and
-/// execution (`None` = answered by the runtime cache), or a model.
+/// execution, or a model.
 enum Done {
-    Measure(Vec<Candidate>, u64, Option<Execution>),
+    Measure(Vec<Candidate>, u64, Execution),
     Fit(Box<(Gp, Vec<f64>)>),
 }
 
@@ -307,9 +307,11 @@ struct Session<'a> {
     /// MC noise for greedy batch construction comes from a dedicated stream
     /// so the candidate-generation RNG is the same at every q.
     batch_rng: StdRng,
-    /// (slot, canonical genome) → compile result; only consulted when a
-    /// canonicaliser is on. Bounded: entries hold a full `Module`.
-    cache: BoundedCache<(usize, Vec<u16>), (Stats, u64, Module)>,
+    /// The compile cache: the daemon's shared one, else a private one when
+    /// the session canonicalises, else none.
+    cache: Option<Arc<SharedCompileCache>>,
+    /// Genomes whose compile the session did not run: cache hits and
+    /// repeats within a sweep.
     cache_hits: u64,
     obs: Vec<Observation>,
     seen_fps: HashSet<u64>,
@@ -348,9 +350,8 @@ impl<'a> Session<'a> {
                     g.resize(len, 0);
                     des.incumbent = g;
                 }
-                let src_fp =
-                    if env.shared_cache.is_some() { task.source_fingerprint(idx) } else { 0 };
                 let canon = canonicalizer(task, idx, cfg, env);
+                let src_fp = task.source_fingerprint(idx);
                 HotModule { idx, des, canon, src_fp, inc: None, keys: Vec::new() }
             })
             .collect();
@@ -377,7 +378,10 @@ impl<'a> Session<'a> {
             pool,
             rng,
             batch_rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
-            cache: BoundedCache::new(cfg.compile_cache_cap),
+            cache: env.shared_cache.clone().or_else(|| {
+                (cfg.oracle_prune || cfg.subsume_collapse)
+                    .then(|| Arc::new(SharedCompileCache::new(PRIVATE_CACHE_CAP)))
+            }),
             cache_hits: 0,
             obs: Vec::new(),
             seen_fps: HashSet::new(),
@@ -514,121 +518,64 @@ impl<'a> Session<'a> {
 
     /// Compile `genomes` (each tagged with its slot) for their statistics.
     /// Each genome is canonicalised by its module's canonicaliser and looked
-    /// up in the session cache, then in the cross-tenant cache;
-    /// the unique misses compile on the pool and are published to both.
-    /// Lookups resolve in genome order, so hit accounting is deterministic.
+    /// up in the compile cache; the unique misses compile on the pool
+    /// ([`Task::compile_runs`]) and are published to the cache. Lookups
+    /// resolve in genome order, so hit accounting is deterministic.
     fn compile_sweep(&mut self, genomes: Vec<(usize, Vec<u16>)>) -> Vec<Candidate> {
-        let t0 = Instant::now();
         let _span = telemetry::span("batch");
-        let env = self.env;
-        let shared = env.shared_cache.as_deref();
+        let tenant = self.env.ctl.tenant;
         let mut jobs: Vec<(usize, Vec<u16>)> = Vec::new();
         let mut job_of: HashMap<(usize, Vec<u16>), usize> = HashMap::new();
-        // Per genome: its (slot, canonical form) and Ok(cached result) | Err(job).
+        // Per genome: its canonical form and Ok(cached result) | Err(job).
         let mut slots = Vec::with_capacity(genomes.len());
         for (slot, g) in &genomes {
             let m = &self.mods[*slot];
-            let key: (usize, Vec<u16>) = match &m.canon {
+            let eff: Vec<u16> = match &m.canon {
                 Some(c) => {
                     let idx: Vec<usize> = g.iter().map(|&v| v as usize).collect();
-                    (*slot, c.canonicalize(&idx).into_iter().map(|v| v as u16).collect())
+                    c.canonicalize(&idx).into_iter().map(|v| v as u16).collect()
                 }
-                None => (*slot, g.clone()),
+                None => g.clone(),
             };
-            let canon = m.canon.is_some();
-            let local = if canon { self.cache.get(&key).cloned() } else { None };
-            let res = if let Some(hit) = local {
-                self.note_cache_hit();
-                Ok(hit)
-            } else if let Some(hit) =
-                shared.and_then(|c| c.get(self.mods[*slot].src_fp, &key.1, env.ctl.tenant))
-            {
-                // Adopting another tenant's result is trajectory-neutral:
-                // it is exactly what a local compile would have produced.
-                telemetry::counter("citroen.shared_cache_hits", 1);
-                Ok(hit)
-            } else if let Some(&j) = job_of.get(&key) {
-                // Repeated canonical genome: share the first one's compile.
-                if canon {
-                    self.note_cache_hit();
-                }
-                Err(j)
-            } else {
-                job_of.insert(key.clone(), jobs.len());
-                jobs.push(key.clone());
-                Err(jobs.len() - 1)
+            // A hit, from this session or another tenant, is exactly what a
+            // local compile would have produced.
+            let res = match self.cache.as_ref().and_then(|c| c.get(m.src_fp, &eff, tenant)) {
+                Some(hit) => Ok(hit),
+                // A miss compiles once per sweep, however often it repeats.
+                None => Err(*job_of.entry((*slot, eff.clone())).or_insert_with(|| {
+                    jobs.push((*slot, eff.clone()));
+                    jobs.len() - 1
+                })),
             };
-            slots.push((key, res));
+            slots.push((eff, res));
         }
-        let (compiled, reused) = self.compile_runs(&jobs);
-        // Charge the sweep's wall clock, not the sum of per-core times.
-        self.task.note_compilations(jobs.len(), t0.elapsed());
-        self.task.passes_executed += jobs.iter().map(|(_, eff)| eff.len()).sum::<usize>();
-        self.task.passes_reused += reused;
-        // First writer wins in the shared cache; losing a race costs nothing.
-        if let Some(c) = shared {
+        let seqs: Vec<(usize, Vec<PassId>)> =
+            jobs.iter().map(|(slot, eff)| (self.mods[*slot].idx, genome_to_seq(eff))).collect();
+        let compiled = self.task.compile_runs(&self.pool, &seqs);
+        let hits = (genomes.len() - jobs.len()) as u64;
+        self.cache_hits += hits;
+        telemetry::counter("citroen.compile_cache_hits", hits);
+        // First writer wins in a shared cache; losing a race costs nothing.
+        if let Some(c) = &self.cache {
             for ((slot, eff), (stats, fp, module)) in jobs.iter().zip(&compiled) {
-                c.insert(
-                    self.mods[*slot].src_fp,
-                    eff.clone(),
-                    env.ctl.tenant,
-                    stats.clone(),
-                    *fp,
-                    module.clone(),
-                );
+                let src_fp = self.mods[*slot].src_fp;
+                c.insert(src_fp, eff.clone(), tenant, stats.clone(), *fp, module.clone());
             }
         }
         genomes
             .into_iter()
             .zip(slots)
-            .map(|((slot, genome), (key, res))| {
+            .map(|((slot, genome), (eff, res))| {
                 let (stats, fp, module) = res.unwrap_or_else(|j| compiled[j].clone());
-                if self.mods[slot].canon.is_some()
-                    && self.cache.peek(&key).is_none()
-                    && self.cache.insert(key.clone(), (stats.clone(), fp, module.clone()))
-                {
-                    telemetry::counter("citroen.compile_cache_evictions", 1);
-                }
                 let autophase = if self.cfg.features == FeatureKind::Autophase {
                     citroen_passes::autophase::autophase_features(&module)
                 } else {
                     Vec::new()
                 };
                 let part = Part { genome, stats, autophase };
-                Candidate { slot, part, eff: key.1, fp, module }
+                Candidate { slot, part, eff, fp, module }
             })
             .collect()
-    }
-
-    /// Compile a sweep's unique misses in sorted (module, canonical genome)
-    /// order, cut into one contiguous run of about equal work per pool
-    /// worker, so each genome resumes from the prefix state a neighbour of
-    /// its run reached ([`crate::TaskBase::compile_run`]). Returns the
-    /// results in `jobs` order and the pass runs the resumption skipped.
-    fn compile_runs(&self, jobs: &[(usize, Vec<u16>)]) -> (Vec<(Stats, u64, Module)>, usize) {
-        let seqs: Vec<(usize, Vec<PassId>)> =
-            jobs.iter().map(|(slot, eff)| (self.mods[*slot].idx, genome_to_seq(eff))).collect();
-        let mut order: Vec<usize> = (0..seqs.len()).collect();
-        order.sort_by(|&a, &b| seqs[a].cmp(&seqs[b]));
-        let sorted: Vec<(usize, &[PassId])> =
-            order.iter().map(|&j| (seqs[j].0, &seqs[j].1[..])).collect();
-        let runs = split_runs(&sorted, self.pool.workers());
-        let task = &*self.task;
-        let done = self.pool.map(runs.clone(), |run| task.compile_run(&sorted[run]));
-        let mut compiled: Vec<Option<(Stats, u64, Module)>> = jobs.iter().map(|_| None).collect();
-        let mut reused = 0;
-        for (run, (results, r)) in runs.into_iter().zip(done) {
-            reused += r;
-            for (pos, res) in run.zip(results) {
-                compiled[order[pos]] = Some(res);
-            }
-        }
-        (compiled.into_iter().map(|c| c.expect("every job is in one run")).collect(), reused)
-    }
-
-    fn note_cache_hit(&mut self) {
-        self.cache_hits += 1;
-        telemetry::counter("citroen.compile_cache_hits", 1);
     }
 
     /// Coverage filtering (§5.3.4): candidates whose binary or statistics
@@ -760,11 +707,8 @@ impl<'a> Session<'a> {
                             .collect::<Vec<_>>(),
                     ),
                 };
-                let outcome = task.cached_runtime(fp).is_none().then(|| {
-                    let _m = telemetry::span("measure");
-                    task.execute(&linked, fp)
-                });
-                Done::Measure(fresh, fp, outcome)
+                let _m = telemetry::span("measure");
+                Done::Measure(fresh, fp, task.execute(&linked, fp))
             }
             Work::Fit(input) => Done::Fit(Box::new(fit(input))),
         });

@@ -9,12 +9,11 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod citroen;
 pub mod service;
 pub mod task;
 
-pub use cache::BoundedCache;
 pub use citroen::{
     run_citroen, run_citroen_session, Allocation, CitroenConfig, FeatureKind, GeneratorKind,
     ImpactReport,

@@ -47,13 +47,12 @@ pub struct SharedCacheStats {
 }
 
 /// The cross-tenant compile cache: (source-module fingerprint, canonical
-/// genome) → (owner tenant, compile result). LRU-evicting ([`BoundedCache`]):
-/// a popular module's canonical genomes keep getting hit by new tenants and
-/// must not age out on insertion order.
+/// genome) → (owner tenant, compile result). LRU-evicting: a popular
+/// module's canonical genomes keep getting hit by new tenants and must not
+/// age out on insertion order.
 ///
 /// Entries hold a full optimised [`Module`] clone, so the capacity bound is
-/// load-bearing — size it like the per-session cache (~thousands), not like
-/// a string cache.
+/// load-bearing — size it in thousands of entries, not like a string cache.
 pub struct SharedCompileCache {
     inner: Mutex<SharedCacheInner>,
 }
@@ -122,8 +121,8 @@ impl SharedCompileCache {
         inner.insertions += 1;
     }
 
-    /// Lifetime counters (hits/misses come from the underlying
-    /// [`BoundedCache`]; cross-tenant hits and insertions are tracked here).
+    /// Lifetime counters (hits/misses come from the underlying LRU map;
+    /// cross-tenant hits and insertions are tracked here).
     pub fn stats(&self) -> SharedCacheStats {
         let inner = self.inner.lock().unwrap();
         SharedCacheStats {
@@ -205,7 +204,9 @@ impl SessionCtl {
 #[derive(Clone, Default)]
 pub struct SessionEnv {
     /// Cross-tenant compile cache, consulted before compiling any canonical
-    /// genome and fed every local compile. `None` = sessions don't share.
+    /// genome and fed every local compile; a session's only compile cache.
+    /// `None` = sessions don't share, and a session keeps a private cache
+    /// only when it canonicalises.
     pub shared_cache: Option<Arc<SharedCompileCache>>,
     /// A pre-loaded interaction graph (the `citroen-analyze oracle --json`
     /// artifact), loaded once by the daemon. `None` = each session derives

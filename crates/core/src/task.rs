@@ -4,15 +4,16 @@
 //! and *measure* (expensive, counts against the runtime-measurement budget).
 //!
 //! Measurements are guarded by differential testing (§5.4.1) and deduplicated
-//! by binary fingerprint (identical binaries reuse the cached runtime without
-//! consuming budget — the Kulkarni-style redundancy pruning CITROEN's
-//! coverage handling builds on).
+//! by binary fingerprint (a binary the session already measured is answered
+//! by the execution memo without consuming budget — the Kulkarni-style
+//! redundancy pruning CITROEN's coverage handling builds on).
 //!
 //! A task is two halves: a [`TaskBase`] holding what the program alone
 //! determines (the `-O3` build, the reference run, the hot-module profile,
 //! and a memo of every binary's execution outcome), shareable across
-//! sessions, and the per-session state (seed, budget counters, runtime
-//! cache). Sessions over one base simulate each binary at most once.
+//! sessions, and the per-session state (seed, budget counters, the set of
+//! binaries charged). Sessions over one base simulate each binary at most
+//! once while its memo entry lives.
 
 use citroen_ir::interp::Value;
 use citroen_ir::module::Module;
@@ -21,9 +22,10 @@ use citroen_sim::Platform;
 use citroen_suite::Benchmark;
 use citroen_rt::rng::StdRng;
 use citroen_rt::rng::SeedableRng;
+use citroen_rt::par::WorkerPool;
 use crate::cache::BoundedCache;
 use citroen_telemetry as telemetry;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -195,28 +197,16 @@ impl TaskBase {
         &self.bench
     }
 
-    /// The side-effect-free half of [`Task::compile_hot`]: compiles through a
-    /// shared reference (so worker threads can run it concurrently) and emits
-    /// the `task.compilations` counter, but touches no task accounting. The
-    /// caller charges the work afterwards with [`Task::note_compilations`];
-    /// span attribution is the caller's job too. The tuning loop compiles
-    /// its sweeps through [`TaskBase::compile_run`] instead.
-    pub fn compile_hot_pure(&self, module_idx: usize, seq: &[PassId]) -> (Stats, u64, Module) {
-        let pm = PassManager::new(&self.registry);
-        let res = pm.compile(&self.bench.modules[module_idx], seq);
-        telemetry::counter("task.compilations", 1);
-        (res.stats, res.fingerprint, res.module)
-    }
-
     /// Compile a run of `(module index, sequence)` jobs sorted by module
-    /// and then by sequence, each exactly as [`TaskBase::compile_hot_pure`]
-    /// would, but resuming each from the deepest prefix state an earlier
-    /// job of the run passed through. In sorted order that depth is the
-    /// longest common prefix (LCP) with the job before, and a job keeps a
-    /// copy of its state only at the depths later jobs resume from, so each
-    /// branch point costs one clone and at most `seq_len` states live at
-    /// once. Each job opens its own `compile` span. Returns the results in
-    /// job order and the number of pass runs the resumption skipped.
+    /// and then by sequence, each exactly as [`PassManager::compile`] would
+    /// from the source module, but resuming each from the deepest prefix
+    /// state an earlier job of the run passed through. In sorted order that
+    /// depth is the longest common prefix (LCP) with the job before, and a
+    /// job keeps a copy of its state only at the depths later jobs resume
+    /// from, so each branch point costs one clone and at most `seq_len`
+    /// states live at once. Each job opens its own `compile` span. Returns
+    /// the results in job order and the number of pass runs the resumption
+    /// skipped.
     pub fn compile_run(&self, jobs: &[(usize, &[PassId])]) -> (Vec<(Stats, u64, Module)>, usize) {
         debug_assert!(jobs.windows(2).all(|w| w[0] < w[1]), "run jobs must be sorted and unique");
         let pm = PassManager::new(&self.registry);
@@ -367,7 +357,7 @@ fn run_lcps(jobs: &[(usize, &[PassId])]) -> Vec<usize> {
 /// the passes it runs once resumed: its length less its LCP with the job
 /// before. Mutants resume deep and random genomes from the source, so equal
 /// job counts would leave one worker idle.
-pub(crate) fn split_runs(jobs: &[(usize, &[PassId])], k: usize) -> Vec<std::ops::Range<usize>> {
+fn split_runs(jobs: &[(usize, &[PassId])], k: usize) -> Vec<std::ops::Range<usize>> {
     let work: Vec<usize> =
         jobs.iter().zip(run_lcps(jobs)).map(|((_, seq), lcp)| seq.len() - lcp).collect();
     let total: usize = work.iter().sum();
@@ -393,15 +383,15 @@ pub(crate) fn split_runs(jobs: &[(usize, &[PassId])], k: usize) -> Vec<std::ops:
 
 /// A phase-ordering autotuning task over one benchmark: a shared
 /// [`TaskBase`] (read through `Deref`) plus one session's state — its
-/// configuration, noise RNG, runtime cache and counters.
+/// configuration, noise RNG, charged binaries and counters.
 pub struct Task {
     base: Arc<TaskBase>,
     cfg: TaskConfig,
     /// Indices of the modules being tuned (hot modules); all others are
     /// compiled at `-O3`. Starts as the base's profile.
     pub hot_modules: Vec<usize>,
-    /// Cache: binary fingerprint → noise-free seconds.
-    runtime_cache: HashMap<u64, f64>,
+    /// Fingerprints of the binaries this session charged a measurement for.
+    charged: HashSet<u64>,
     rng: StdRng,
     /// Number of budget-consuming measurements so far.
     pub measurements: usize,
@@ -418,7 +408,7 @@ pub struct Task {
     /// prefix state an earlier sequence of its run had reached. They are
     /// still counted in `passes_executed`, which stays the nominal work.
     pub passes_reused: usize,
-    /// Number of measure requests answered from the fingerprint cache.
+    /// Measure requests for a binary this session had already charged.
     pub cache_hits: usize,
     /// Charge cached (duplicate-binary) measurements against the budget.
     /// Off by default (Kulkarni-style redundancy pruning); the coverage
@@ -450,7 +440,7 @@ impl Task {
             base,
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
-            runtime_cache: HashMap::new(),
+            charged: HashSet::new(),
             measurements: 0,
             executions: 0,
             compilations: 0,
@@ -478,84 +468,93 @@ impl Task {
     }
 
     /// Compile one hot module with `seq` (cheap; does not consume budget).
-    /// Returns the per-module compilation statistics and the fingerprint of
-    /// the *whole linked program* with the remaining modules at `-O3`.
+    /// Returns the module's compilation statistics, its fingerprint and the
+    /// compiled module.
     pub fn compile_hot(&mut self, module_idx: usize, seq: &[PassId]) -> (Stats, u64, Module) {
-        let _span = telemetry::span("compile");
-        let t0 = Instant::now();
-        let out = self.compile_hot_pure(module_idx, seq);
-        self.note_compilations(1, t0.elapsed());
-        self.passes_executed += seq.len();
-        out
+        let mut out = self.compile_runs(&WorkerPool::new(1), &[(module_idx, seq.to_vec())]);
+        out.pop().expect("one job, one result")
     }
 
-    /// Charge `n` compilations totalling `elapsed` of wall time against the
-    /// task — the sequential bookkeeping half of [`TaskBase::compile_hot_pure`].
-    pub fn note_compilations(&mut self, n: usize, elapsed: Duration) {
-        self.compilations += n;
-        self.times.compile += elapsed;
+    /// Compile unique `(module index, sequence)` jobs on `pool` and charge
+    /// them to the session. The jobs are sorted and cut into one contiguous
+    /// run of about equal work per pool worker, so each resumes from the
+    /// prefix state a neighbour of its run reached
+    /// ([`TaskBase::compile_run`]). Returns the results in `jobs` order.
+    /// The compile time charged is the wall clock of the whole call, not
+    /// the sum of per-worker times.
+    pub(crate) fn compile_runs(
+        &mut self,
+        pool: &WorkerPool,
+        jobs: &[(usize, Vec<PassId>)],
+    ) -> Vec<(Stats, u64, Module)> {
+        let t0 = Instant::now();
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by(|&a, &b| jobs[a].cmp(&jobs[b]));
+        let sorted: Vec<(usize, &[PassId])> =
+            order.iter().map(|&j| (jobs[j].0, &jobs[j].1[..])).collect();
+        let runs = split_runs(&sorted, pool.workers());
+        let base = &*self.base;
+        let done = pool.map(runs.clone(), |run| base.compile_run(&sorted[run]));
+        let mut compiled: Vec<Option<(Stats, u64, Module)>> = jobs.iter().map(|_| None).collect();
+        for (run, (results, reused)) in runs.into_iter().zip(done) {
+            self.passes_reused += reused;
+            for (pos, res) in run.zip(results) {
+                compiled[order[pos]] = Some(res);
+            }
+        }
+        self.compilations += jobs.len();
+        self.passes_executed += jobs.iter().map(|(_, seq)| seq.len()).sum::<usize>();
+        self.times.compile += t0.elapsed();
+        compiled.into_iter().map(|c| c.expect("every job is in one run")).collect()
     }
 
     /// Measure a fully-assembled program. Consumes one budget unit unless
     /// the fingerprint was measured before. Returns noisy averaged seconds.
     pub fn measure_linked(&mut self, linked: &Module, fp: u64) -> Result<f64, TuneError> {
         let _span = telemetry::span("measure");
-        let executed = self.cached_runtime(fp).is_none().then(|| self.base.execute(linked, fp));
+        let executed = self.base.execute(linked, fp);
         self.admit_execution(fp, executed)
     }
 
-    /// Noise-free runtime for a fingerprint measured earlier, if any.
-    pub fn cached_runtime(&self, fp: u64) -> Option<f64> {
-        self.runtime_cache.get(&fp).copied()
-    }
-
-    /// Sequentially admit one execution (or answer it from the fingerprint
-    /// cache when `executed` is `None` or the fingerprint raced into the
-    /// cache earlier in the same batch): updates budget accounting and the
-    /// runtime cache, then draws the measurement noise from the task RNG.
-    /// Admission order defines the noise stream, so the batched tuner admits
-    /// strictly in batch order to stay deterministic. A memo-answered
+    /// Sequentially admit one execution of the binary with fingerprint
+    /// `fp`: updates budget accounting, then draws the measurement noise
+    /// from the task RNG. Admission order defines the noise stream, so the
+    /// batched tuner admits strictly in batch order to stay deterministic.
+    /// A binary this session already charged (earlier, or earlier in the
+    /// same batch) is a cache hit and consumes no budget. A memo-answered
     /// execution is admitted exactly like a fresh one; only the simulator
     /// time it did not cost is left out of `times.measure`.
-    pub fn admit_execution(
-        &mut self,
-        fp: u64,
-        executed: Option<Execution>,
-    ) -> Result<f64, TuneError> {
-        if let Some(Execution { ran: Some(_), .. }) = &executed {
+    pub fn admit_execution(&mut self, fp: u64, executed: Execution) -> Result<f64, TuneError> {
+        let Execution { outcome, ran } = executed;
+        if ran.is_some() {
             self.executions += 1;
         }
-        if let Some(&base) = self.runtime_cache.get(&fp) {
-            self.cache_hits += 1;
-            telemetry::counter("task.cache_hits", 1);
-            if self.charge_cached {
-                self.measurements += 1;
-            }
-            // Cached binaries are not re-run, but we still return a noisy
-            // observation of the cached ground truth.
-            return Ok(self.noisy(base));
-        }
-        let Execution { outcome, ran } =
-            executed.expect("uncached fingerprint needs an execution outcome");
         let ran = ran.unwrap_or_default();
-        match outcome {
-            Ok(seconds) => {
-                self.runtime_cache.insert(fp, seconds);
-                self.measurements += 1;
-                telemetry::counter("task.measurements", 1);
-                let t = self.noisy(seconds);
-                self.times.measure += ran;
-                Ok(t)
-            }
+        let seconds = match outcome {
+            Ok(seconds) => seconds,
             // Mirror the historical accounting exactly: a differential
             // mismatch charges its execution time, a trap does not (the
             // execute bailed before producing a comparable run).
             Err(e @ TuneError::DifferentialMismatch { .. }) => {
                 self.times.measure += ran;
-                Err(e)
+                return Err(e);
             }
-            Err(e) => Err(e),
+            Err(e) => return Err(e),
+        };
+        if !self.charged.insert(fp) {
+            self.cache_hits += 1;
+            telemetry::counter("task.cache_hits", 1);
+            if self.charge_cached {
+                self.measurements += 1;
+            }
+            // A repeat is not charged, but still returns a noisy
+            // observation of the binary's ground truth.
+            return Ok(self.noisy(seconds));
         }
+        self.measurements += 1;
+        telemetry::counter("task.measurements", 1);
+        self.times.measure += ran;
+        Ok(self.noisy(seconds))
     }
 
     fn noisy(&mut self, seconds: f64) -> f64 {
@@ -711,16 +710,24 @@ mod tests {
         assert!(r > 0.0);
     }
 
-    #[test]
-    fn exec_memo_is_a_bounded_lru() {
+    /// A gsm base whose execution memo holds at most `cap` entries.
+    fn capped_gsm_base(cap: usize) -> TaskBase {
         let mut base = TaskBase::new(
             citroen_suite::kernels::telecom_gsm(),
             Registry::full(),
             Platform::tx2(),
         );
-        base.memo = Mutex::new(BoundedCache::new(2));
+        base.memo = Mutex::new(BoundedCache::new(cap));
+        base
+    }
+
+    #[test]
+    fn exec_memo_is_a_bounded_lru() {
+        let base = capped_gsm_base(2);
         let hot = base.profiled_hot[0];
-        let (_, _, module) = base.compile_hot_pure(hot, &o3_pipeline(&base.registry));
+        let o3 = o3_pipeline(&base.registry);
+        let (mut compiled, _) = base.compile_run(&[(hot, &o3[..])]);
+        let (_, _, module) = compiled.pop().expect("one job, one result");
         let (linked, _) = base.assemble(&[(hot, &module)]);
         // The memo keys on the fingerprint it is given: three keys, one
         // binary, so each key's first request runs the simulator.
@@ -731,6 +738,28 @@ mod tests {
         assert!(base.execute(&linked, 3).ran.is_none(), "resident entry answers");
         assert!(base.execute(&linked, 1).ran.is_some(), "least recently used entry was evicted");
         assert_eq!(base.memo_stats(), MemoStats { hits: 1, misses: 4, evictions: 2, len: 2 });
+    }
+
+    #[test]
+    fn a_repeat_evicted_from_the_memo_is_still_a_free_cache_hit() {
+        let mut t = Task::from_base(Arc::new(capped_gsm_base(1)), TaskConfig::default());
+        let mut twin = small_task();
+        let a = o3_pipeline(&t.registry);
+        let b = t.registry.parse_seq("mem2reg,instcombine,gvn,simplifycfg").unwrap();
+        let mut runs = Vec::new();
+        for seq in [&a, &b, &a] {
+            runs.push((t.measure_seq(seq).unwrap(), twin.measure_seq(seq).unwrap()));
+        }
+        // B evicted A, so the repeat of A re-simulates, but the session
+        // already charged A: a cache hit that costs no budget.
+        assert_eq!(t.memo_stats().evictions, 2);
+        assert_eq!((t.measurements, t.cache_hits, t.executions), (2, 1, 3));
+        // The twin's memo answered its repeat; both drew the same noise
+        // from the same noise-free seconds.
+        assert_eq!((twin.measurements, twin.cache_hits, twin.executions), (2, 1, 2));
+        for (got, want) in runs {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

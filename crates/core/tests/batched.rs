@@ -2,9 +2,13 @@
 //! 10-seed quality parity with q = 1, budget accounting, and
 //! the bounded compile cache.
 
-use citroen_core::{run_citroen, CitroenConfig, Task, TaskConfig};
+use citroen_core::{
+    run_citroen, run_citroen_session, CitroenConfig, SessionEnv, SharedCompileCache, Task,
+    TaskConfig,
+};
 use citroen_passes::Registry;
 use citroen_sim::Platform;
+use std::sync::Arc;
 
 fn gsm_task(seed: u64) -> Task {
     Task::new(
@@ -82,58 +86,46 @@ fn batched_runs_are_deterministic_for_fixed_seed() {
     assert_eq!(a, b, "two q=4 runs with the same seed diverged");
 }
 
-/// The cache tests toggle process-global telemetry state, so they must not
-/// interleave under the parallel test harness.
-static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// An environment whose compile cache holds at most `cap` entries.
+fn capped_cache(cap: usize) -> (Arc<SharedCompileCache>, SessionEnv) {
+    let cache = Arc::new(SharedCompileCache::new(cap));
+    let env = SessionEnv { shared_cache: Some(cache.clone()), ..Default::default() };
+    (cache, env)
+}
 
 #[test]
-fn compile_cache_cap_evicts_and_counts() {
+fn a_small_compile_cache_evicts_and_counts() {
     // A tiny cap forces evictions mid-run; the run must still complete
-    // its budget (evicted entries recompile) and the eviction counter must
-    // fire. Uses oracle pruning, the only mode that populates the cache.
-    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    citroen_telemetry::enable();
+    // its budget (evicted entries recompile) and the cache must count the
+    // evictions.
+    let (cache, env) = capped_cache(4);
     let mut task = gsm_task(3);
-    let config = CitroenConfig {
-        oracle_prune: true,
-        compile_cache_cap: 4,
-        ..cfg(3, 1)
-    };
-    let (trace, _) = run_citroen(&mut task, 12, &config);
-    let t = citroen_telemetry::take_trace().expect("trace recorded");
+    let config = CitroenConfig { oracle_prune: true, ..cfg(3, 1) };
+    let trace = run_citroen_session(&mut task, 12, &config, &env).trace;
     assert_eq!(task.measurements, 12);
     assert!(trace.best().is_finite());
-    let evictions = t.counters.get("citroen.compile_cache_evictions").copied().unwrap_or(0);
+    let evictions = cache.stats().evictions;
     assert!(evictions > 0, "cap of 4 entries must evict during a 12-measurement run");
 }
 
 #[test]
-fn compile_cache_cap_interacts_with_canonicalizer_modes() {
+fn a_small_compile_cache_under_both_canonicalizer_modes_is_deterministic() {
     // `subsume_collapse` + `oracle_prune` combined canonicalize candidate
     // sequences before the cache lookup, which both shrinks the key space
     // (collapsed duplicates share entries) and changes which keys are live.
-    // The eviction counter was previously never asserted under this
-    // combination: a tiny cap must still evict, the run must still consume
-    // its budget, and canonicalization must not corrupt cache identity —
-    // pinned by re-running the same seed and demanding identical results.
-    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // A tiny cap must still evict, the run must still consume its budget,
+    // and canonicalization must not corrupt cache identity — pinned by
+    // re-running the same seed and demanding identical results.
     let run = || {
-        citroen_telemetry::enable();
+        let (cache, env) = capped_cache(2);
         let mut task = gsm_task(5);
-        let config = CitroenConfig {
-            oracle_prune: true,
-            subsume_collapse: true,
-            compile_cache_cap: 2,
-            ..cfg(5, 2)
-        };
-        let (trace, _) = run_citroen(&mut task, 12, &config);
-        let t = citroen_telemetry::take_trace().expect("trace recorded");
-        (trace, task.measurements, task.cache_hits, t)
+        let config = CitroenConfig { oracle_prune: true, subsume_collapse: true, ..cfg(5, 2) };
+        let trace = run_citroen_session(&mut task, 12, &config, &env).trace;
+        (trace, task.measurements, task.cache_hits, cache.stats().evictions)
     };
-    let (trace, measurements, cache_hits, t) = run();
+    let (trace, measurements, cache_hits, evictions) = run();
     assert_eq!(measurements, 12);
     assert!(trace.best().is_finite());
-    let evictions = t.counters.get("citroen.compile_cache_evictions").copied().unwrap_or(0);
     assert!(
         evictions > 0,
         "cap of 2 entries must evict under subsume_collapse + oracle_prune"
@@ -141,13 +133,9 @@ fn compile_cache_cap_interacts_with_canonicalizer_modes() {
 
     // Same seed, same cap, same modes: evictions and hits are part of the
     // deterministic contract, not timing accidents.
-    let (trace2, measurements2, cache_hits2, t2) = run();
+    let (trace2, measurements2, cache_hits2, evictions2) = run();
     assert_eq!(measurements2, measurements);
     assert_eq!(cache_hits2, cache_hits);
     assert_eq!(trace2.runtimes, trace.runtimes);
-    assert_eq!(
-        t2.counters.get("citroen.compile_cache_evictions"),
-        t.counters.get("citroen.compile_cache_evictions"),
-        "eviction count must be deterministic for a fixed seed"
-    );
+    assert_eq!(evictions2, evictions, "eviction count must be deterministic for a fixed seed");
 }

@@ -1,12 +1,12 @@
 //! Prefix resumption is exact: a sorted run of genomes compiled by
 //! `TaskBase::compile_run`, each resumed from the deepest prefix state an
 //! earlier genome of the run reached, gives every genome the statistics,
-//! fingerprint and module `compile_hot_pure` gives it from the source — bit
-//! for bit, however the run is cut.
+//! fingerprint and module `PassManager::compile` gives it from the source —
+//! bit for bit, however the run is cut.
 
 use citroen_core::{run_citroen, CitroenConfig, Task, TaskConfig};
 use citroen_ir::module::Module;
-use citroen_passes::{PassId, Registry, Stats};
+use citroen_passes::{PassId, PassManager, Registry, Stats};
 use citroen_rt::rng::{Rng, SeedableRng, StdRng};
 use citroen_sim::Platform;
 
@@ -77,9 +77,13 @@ fn resumed_runs_equal_straight_compiles_bit_for_bit() {
     );
     let modules: Vec<usize> = (0..task.benchmark().modules.len()).take(2).collect();
     let jobs = sweep(&task, &modules, task.seq_len(), 0x5EED);
+    let pm = PassManager::new(&task.registry);
     let want: Vec<Compiled> = jobs
         .iter()
-        .map(|(m, g)| task.compile_hot_pure(*m, g))
+        .map(|(m, g)| {
+            let res = pm.compile(&task.benchmark().modules[*m], g);
+            (res.stats, res.fingerprint, res.module)
+        })
         .collect();
 
     let (got, reused) = run(&task, &jobs);

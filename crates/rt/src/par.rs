@@ -238,11 +238,6 @@ impl WorkerPool {
         WorkerPool { inner, submit: Mutex::new(()), handles }
     }
 
-    /// A pool sized by [`thread_count`] for `n_items`-wide batches.
-    pub fn for_items(n_items: usize) -> WorkerPool {
-        WorkerPool::new(thread_count(n_items))
-    }
-
     /// Number of worker threads (1 = sequential fallback).
     pub fn workers(&self) -> usize {
         self.handles.len().max(1)

@@ -13,9 +13,10 @@
 #      the crates whose results those pin (ir, sim, gp, suite, passes,
 #      analyze), the daemon's two crates (serve, telemetry) and the rest
 #      (rt, bo, tuners, synthetic, bench)
-#   3. a 30-second `citroen-analyze --smoke` fuzz campaign: random modules
-#      x random pass sequences through the verifier, the translation-
-#      validation sanitizer, and the interpreter differential
+#   3. a 1000-trial `citroen-analyze` fuzz campaign (100 random modules x
+#      10 random pass sequences, 30-second budget) through the verifier,
+#      the translation-validation sanitizer, and the interpreter
+#      differential
 #   4. a 30-second `citroen-analyze oracle` soundness campaign: 500 module
 #      x sequence trials executing every CannotFire precondition verdict
 #      (plus the pass-interaction graph derivation over the suite)
@@ -70,8 +71,8 @@ cargo check --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "== citroen-analyze --smoke (30s budget)"
-timeout 30 ./target/release/citroen-analyze --smoke
+echo "== citroen-analyze fuzz (1000 trials, 30s budget)"
+timeout 30 ./target/release/citroen-analyze --modules 100 --seqs 10
 
 echo "== citroen-analyze oracle (500 soundness trials, 30s budget)"
 timeout 30 ./target/release/citroen-analyze oracle > /dev/null

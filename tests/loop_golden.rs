@@ -91,13 +91,23 @@ const GOLDEN: &[Golden] = &[
     ("q4-both-cap2", 3, 0xa82ab40a52064004, 12, 0, 22, 0x02ac83cc5daffe23),
 ];
 
-/// One session setup: its row label, the config, and whether it replays a
-/// second tenant through a shared compile cache.
+/// How a row's session is attached to a compile cache.
+#[derive(Clone, Copy)]
+enum Cache {
+    /// None attached: standalone.
+    Standalone,
+    /// A second tenant replaying the row through an unbounded shared cache.
+    Replay,
+    /// A shared cache of this many entries, attached to the session alone.
+    Capped(usize),
+}
+
+/// One session setup: its row label, the config, and its compile cache.
 struct Row {
     label: String,
     seed: u64,
     cfg: CitroenConfig,
-    replay: bool,
+    cache: Cache,
 }
 
 fn rows() -> Vec<Row> {
@@ -107,11 +117,11 @@ fn rows() -> Vec<Row> {
     let mut push = |label: &str,
                     seeds: std::ops::RangeInclusive<u64>,
                     f: &dyn Fn(&mut CitroenConfig),
-                    replay: bool| {
+                    cache: Cache| {
         for seed in seeds {
             let mut cfg = base(seed);
             f(&mut cfg);
-            rows.push(Row { label: label.to_string(), seed, cfg, replay });
+            rows.push(Row { label: label.to_string(), seed, cfg, cache });
         }
     };
     for (gname, generator) in [("des", GeneratorKind::Des), ("random", GeneratorKind::Random)] {
@@ -133,24 +143,28 @@ fn rows() -> Vec<Row> {
                         c.features = features;
                         c.coverage_filter = coverage_filter;
                     },
-                    false,
+                    Cache::Standalone,
                 );
             }
         }
     }
     let prune = |c: &mut CitroenConfig| c.oracle_prune = true;
     let subsume = |c: &mut CitroenConfig| c.subsume_collapse = true;
-    let both_cap2 = |c: &mut CitroenConfig| {
+    let both = |c: &mut CitroenConfig| {
         c.oracle_prune = true;
         c.subsume_collapse = true;
-        c.compile_cache_cap = 2;
     };
-    push("q1-prune", 1..=2, &prune, false);
-    push("q1-subsume", 1..=2, &subsume, false);
-    push("q1-both-cap2", 1..=2, &both_cap2, false);
-    push("q1-init-seeds", 1..=2, &|c| c.init_seeds = vec![vec![5; 12], vec![1, 2, 3]], false);
-    push("q1-replay", 1..=2, &|_| {}, true);
-    push("q4", 1..=3, &|c| c.batch = 4, false);
+    push("q1-prune", 1..=2, &prune, Cache::Standalone);
+    push("q1-subsume", 1..=2, &subsume, Cache::Standalone);
+    push("q1-both-cap2", 1..=2, &both, Cache::Capped(2));
+    push(
+        "q1-init-seeds",
+        1..=2,
+        &|c| c.init_seeds = vec![vec![5; 12], vec![1, 2, 3]],
+        Cache::Standalone,
+    );
+    push("q1-replay", 1..=2, &|_| {}, Cache::Replay);
+    push("q4", 1..=3, &|c| c.batch = 4, Cache::Standalone);
     push(
         "q4-prune",
         1..=3,
@@ -158,7 +172,7 @@ fn rows() -> Vec<Row> {
             prune(c);
             c.batch = 4;
         },
-        false,
+        Cache::Standalone,
     );
     push(
         "q4-subsume",
@@ -167,16 +181,16 @@ fn rows() -> Vec<Row> {
             subsume(c);
             c.batch = 4;
         },
-        false,
+        Cache::Standalone,
     );
     push(
         "q4-both-cap2",
         1..=3,
         &|c| {
-            both_cap2(c);
+            both(c);
             c.batch = 4;
         },
-        false,
+        Cache::Capped(2),
     );
     rows
 }
@@ -205,19 +219,29 @@ fn names_digest(names: &[String]) -> u64 {
 fn run(row: &Row) -> Golden {
     let label: &'static str = Box::leak(row.label.clone().into_boxed_str());
     let mut task = gsm_task(row.seed);
-    let result = if row.replay {
-        // A first tenant fills a shared cache; the pinned session is a
-        // second tenant replaying the same (spec, seed) against it.
-        let cache = Arc::new(SharedCompileCache::new(0));
-        let env = |tenant| SessionEnv {
-            shared_cache: Some(cache.clone()),
-            ctl: SessionCtl::new(tenant),
-            ..Default::default()
-        };
-        run_citroen_session(&mut gsm_task(row.seed), BUDGET, &row.cfg, &env(1));
-        run_citroen_session(&mut task, BUDGET, &row.cfg, &env(2))
-    } else {
-        run_citroen_session(&mut task, BUDGET, &row.cfg, &SessionEnv::default())
+    let result = match row.cache {
+        Cache::Standalone => {
+            run_citroen_session(&mut task, BUDGET, &row.cfg, &SessionEnv::default())
+        }
+        Cache::Replay => {
+            // A first tenant fills a shared cache; the pinned session is a
+            // second tenant replaying the same (spec, seed) against it.
+            let cache = Arc::new(SharedCompileCache::new(0));
+            let env = |tenant| SessionEnv {
+                shared_cache: Some(cache.clone()),
+                ctl: SessionCtl::new(tenant),
+                ..Default::default()
+            };
+            run_citroen_session(&mut gsm_task(row.seed), BUDGET, &row.cfg, &env(1));
+            run_citroen_session(&mut task, BUDGET, &row.cfg, &env(2))
+        }
+        Cache::Capped(cap) => {
+            let env = SessionEnv {
+                shared_cache: Some(Arc::new(SharedCompileCache::new(cap))),
+                ..Default::default()
+            };
+            run_citroen_session(&mut task, BUDGET, &row.cfg, &env)
+        }
     };
     let names: Vec<String> = result.report.ranked.iter().map(|(n, _)| n.clone()).collect();
     (
