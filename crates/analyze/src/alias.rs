@@ -241,64 +241,62 @@ impl<'a> AliasAnalysis<'a> {
         let ca = self.classify(a);
         let cb = self.classify(b);
         match (ca.root, cb.root) {
-            (Root::Global(ga), Root::Global(gb)) if ga != gb => {
-                // Distinct globals are laid out disjointly, but only in-bounds
-                // accesses are confined to their own global.
-                if self.global_in_bounds(&ca, sa) && self.global_in_bounds(&cb, sb) {
+            // Distinct globals are laid out disjointly, but only in-bounds
+            // accesses are confined to their own global.
+            (Root::Global(ga), Root::Global(gb))
+                if ga != gb && self.global_in_bounds(&ca, sa) && self.global_in_bounds(&cb, sb) =>
+            {
+                return AliasResult::No;
+            }
+            (Root::Global(ga), Root::Global(gb))
+                if ga == gb && self.global_in_bounds(&ca, sa) && self.global_in_bounds(&cb, sb) =>
+            {
+                // In-bounds offsets cannot wrap; disjoint intervals mean
+                // disjoint ranges, singleton equal offsets mean must.
+                if ca.offset.hi + sa as i128 <= cb.offset.lo
+                    || cb.offset.hi + sb as i128 <= ca.offset.lo
+                {
                     return AliasResult::No;
                 }
-            }
-            (Root::Global(ga), Root::Global(gb)) if ga == gb => {
-                if self.global_in_bounds(&ca, sa) && self.global_in_bounds(&cb, sb) {
-                    // In-bounds offsets cannot wrap; disjoint intervals mean
-                    // disjoint ranges, singleton equal offsets mean must.
-                    if ca.offset.hi + sa as i128 <= cb.offset.lo
-                        || cb.offset.hi + sb as i128 <= ca.offset.lo
-                    {
-                        return AliasResult::No;
-                    }
-                    if let (Some(x), Some(y)) = (ca.offset.as_const(), cb.offset.as_const()) {
-                        if x == y {
-                            return AliasResult::Must;
-                        }
+                if let (Some(x), Some(y)) = (ca.offset.as_const(), cb.offset.as_const()) {
+                    if x == y {
+                        return AliasResult::Must;
                     }
                 }
             }
             // Globals live below the alloca region; a forward-offset stack
             // access can never reach down into an in-bounds global access.
-            (Root::Global(_), Root::Stack(_)) => {
+            (Root::Global(_), Root::Stack(_))
                 if self.global_in_bounds(&ca, sa)
                     && !cb.offset.is_bottom()
-                    && cb.offset.lo >= 0
-                {
-                    return AliasResult::No;
-                }
+                    && cb.offset.lo >= 0 =>
+            {
+                return AliasResult::No;
             }
-            (Root::Stack(_), Root::Global(_)) => {
+            (Root::Stack(_), Root::Global(_))
                 if self.global_in_bounds(&cb, sb)
                     && !ca.offset.is_bottom()
-                    && ca.offset.lo >= 0
+                    && ca.offset.lo >= 0 =>
+            {
+                return AliasResult::No;
+            }
+            // Two live allocas of one invocation never share bytes.
+            (Root::Stack(va), Root::Stack(vb))
+                if va != vb && self.stack_in_bounds(&ca, sa) && self.stack_in_bounds(&cb, sb) =>
+            {
+                return AliasResult::No;
+            }
+            (Root::Stack(va), Root::Stack(vb))
+                if va == vb && self.stack_in_bounds(&ca, sa) && self.stack_in_bounds(&cb, sb) =>
+            {
+                if ca.offset.hi + sa as i128 <= cb.offset.lo
+                    || cb.offset.hi + sb as i128 <= ca.offset.lo
                 {
                     return AliasResult::No;
                 }
-            }
-            (Root::Stack(va), Root::Stack(vb)) if va != vb => {
-                // Two live allocas of one invocation never share bytes.
-                if self.stack_in_bounds(&ca, sa) && self.stack_in_bounds(&cb, sb) {
-                    return AliasResult::No;
-                }
-            }
-            (Root::Stack(va), Root::Stack(vb)) if va == vb => {
-                if self.stack_in_bounds(&ca, sa) && self.stack_in_bounds(&cb, sb) {
-                    if ca.offset.hi + sa as i128 <= cb.offset.lo
-                        || cb.offset.hi + sb as i128 <= ca.offset.lo
-                    {
-                        return AliasResult::No;
-                    }
-                    if let (Some(x), Some(y)) = (ca.offset.as_const(), cb.offset.as_const()) {
-                        if x == y {
-                            return AliasResult::Must;
-                        }
+                if let (Some(x), Some(y)) = (ca.offset.as_const(), cb.offset.as_const()) {
+                    if x == y {
+                        return AliasResult::Must;
                     }
                 }
             }

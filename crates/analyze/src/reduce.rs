@@ -22,7 +22,7 @@ use citroen_ir::verify::verify_module;
 pub fn ddmin<T: Clone>(input: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
     let mut cur: Vec<T> = input.to_vec();
     let mut n = 2usize;
-    while cur.len() >= 1 && n >= 2 {
+    while !cur.is_empty() && n >= 2 {
         let chunk = cur.len().div_ceil(n);
         let mut reduced = false;
         let mut start = 0;
@@ -357,9 +357,9 @@ fn remove_unreachable_blocks(f: &mut Function) -> bool {
     let n = f.blocks.len();
     let mut map: Vec<Option<BlockId>> = vec![None; n];
     let mut next = 0u32;
-    for i in 0..n {
+    for (i, m) in map.iter_mut().enumerate() {
         if cfg.reachable(BlockId(i as u32)) {
-            map[i] = Some(BlockId(next));
+            *m = Some(BlockId(next));
             next += 1;
         }
     }

@@ -227,10 +227,10 @@ fn alias_san_facts(
                             _ => break,
                         }
                     }
-                    Inst::Call { callee, .. } => {
-                        if call_may_write(&aa, &eff.funcs[callee.idx()], addr, lb) {
-                            break;
-                        }
+                    Inst::Call { callee, .. }
+                        if call_may_write(&aa, &eff.funcs[callee.idx()], addr, lb) =>
+                    {
+                        break;
                     }
                     _ => {}
                 }
@@ -295,7 +295,7 @@ fn alias_san_facts(
                         if s.off != a.offset.lo || s.bytes != ty.bytes() || s.block != b.idx() {
                             s.consistent = false;
                         } else {
-                            s.last = last.clone();
+                            s.last = last;
                         }
                     })
                     .or_insert(SlotAcc {

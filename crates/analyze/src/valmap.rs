@@ -271,6 +271,10 @@ pub fn value_facts(m: &Module, f: &Function, fi: &FunctionIntervals) -> ValueFac
 /// Walk the reachable instructions once, classifying every memory access, and
 /// derive the always-zero / provably-non-zero load sets plus the global-store
 /// localisation list.
+/// A reachable store to an alloca: block, instruction index, size, offset
+/// and stored range.
+type SlotStore = (u32, usize, u32, Interval, Interval);
+
 fn classify_memory(
     f: &Function,
     fi: &FunctionIntervals,
@@ -280,7 +284,7 @@ fn classify_memory(
     let slot_bytes: HashMap<u32, u32> =
         allocas(f).into_iter().map(|(v, _, _, bytes)| (v.0, bytes)).collect();
     // Per-alloca reachable stores: (block, inst index, size, offset, stored range).
-    let mut slot_stores: HashMap<u32, Vec<(u32, usize, u32, Interval, Interval)>> = HashMap::new();
+    let mut slot_stores: HashMap<u32, Vec<SlotStore>> = HashMap::new();
     // Candidate loads: (value, block, inst index, size, offset, alloca).
     let mut slot_loads: Vec<(ValueId, u32, usize, u32, Interval, u32)> = Vec::new();
     let mut stores = Vec::new();

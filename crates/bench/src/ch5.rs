@@ -310,7 +310,7 @@ pub fn fig5_6_7(cfg: &ExpCfg) {
                 jobs.into_iter()
                     .map(|job| {
                         let (bi, seed, ti) = job;
-                        let cell = cell_name(&platform.model.name, names[bi], tuner_names[ti], seed);
+                        let cell = cell_name(platform.model.name, names[bi], tuner_names[ti], seed);
                         let path = dir.join(format!("{cell}.jsonl"));
                         telemetry::install(Box::new(
                             telemetry::StreamSink::create(&path).unwrap_or_else(|e| {
@@ -361,7 +361,7 @@ pub fn fig5_6_7(cfg: &ExpCfg) {
                 let mut finals = Vec::new();
                 for name in &snames {
                     // Recompute cheaply from the CSV rows we just built.
-                    for r in rep_rows(&rep, &platform.model.name, name, tname) {
+                    for r in rep_rows(&rep, platform.model.name, name, tname) {
                         finals.push(r);
                     }
                 }

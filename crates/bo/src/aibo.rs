@@ -177,7 +177,7 @@ pub fn run_aibo(
         // 1. Fit the surrogate.
         let mut gpc = cfg.gp.clone();
         gpc.init = hypers.clone();
-        if iter % cfg.fit_every != 0 && hypers.is_some() {
+        if !iter.is_multiple_of(cfg.fit_every) && hypers.is_some() {
             gpc.fit_iters = 0;
         }
         let xmat = Mat::from_rows(xs_unit.clone());

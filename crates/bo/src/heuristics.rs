@@ -250,12 +250,12 @@ impl CmaEs {
         let z: Vec<f64> = (0..n).map(|_| standard_normal(rng)).collect();
         // x = m + σ · B · (D ∘ z)
         let mut y = vec![0.0; n];
-        for i in 0..n {
+        for (i, yi) in y.iter_mut().enumerate() {
             let mut s = 0.0;
             for (j, zj) in z.iter().enumerate() {
                 s += self.b.get(i, j) * self.d[j] * zj;
             }
-            y[i] = s;
+            *yi = s;
         }
         (0..n).map(|i| (self.mean[i] + self.sigma * y[i]).clamp(0.0, 1.0)).collect()
     }
@@ -293,26 +293,26 @@ impl CmaEs {
         let mut cinv_half_delta = vec![0.0; n];
         // C^{-1/2} = B D^{-1} Bᵀ
         let mut tmp = vec![0.0; n];
-        for j in 0..n {
+        for (j, t) in tmp.iter_mut().enumerate() {
             let mut s = 0.0;
-            for i in 0..n {
-                s += self.b.get(i, j) * delta[i];
+            for (i, di) in delta.iter().enumerate() {
+                s += self.b.get(i, j) * di;
             }
-            tmp[j] = s / self.d[j].max(1e-12);
+            *t = s / self.d[j].max(1e-12);
         }
-        for i in 0..n {
+        for (i, c) in cinv_half_delta.iter_mut().enumerate() {
             let mut s = 0.0;
             for (j, t) in tmp.iter().enumerate() {
                 s += self.b.get(i, j) * t;
             }
-            cinv_half_delta[i] = s;
+            *c = s;
         }
 
         // Evolution paths (eqs. 2.9, 2.11).
         let cs = self.cs;
         let norm_fac = (cs * (2.0 - cs) * self.mueff).sqrt();
-        for i in 0..n {
-            self.p_sigma[i] = (1.0 - cs) * self.p_sigma[i] + norm_fac * cinv_half_delta[i];
+        for (p, c) in self.p_sigma.iter_mut().zip(&cinv_half_delta) {
+            *p = (1.0 - cs) * *p + norm_fac * c;
         }
         let ps_norm: f64 = self.p_sigma.iter().map(|v| v * v).sum::<f64>().sqrt();
         let hsig = ps_norm
@@ -321,9 +321,8 @@ impl CmaEs {
             < 1.4 + 2.0 / (n as f64 + 1.0);
         let cc = self.cc;
         let ccf = (cc * (2.0 - cc) * self.mueff).sqrt();
-        for i in 0..n {
-            self.p_c[i] =
-                (1.0 - cc) * self.p_c[i] + if hsig { ccf * delta[i] } else { 0.0 };
+        for (p, d) in self.p_c.iter_mut().zip(&delta) {
+            *p = (1.0 - cc) * *p + if hsig { ccf * d } else { 0.0 };
         }
 
         // Covariance update (eq. 2.12): rank-one + rank-mu.

@@ -627,7 +627,7 @@ impl<'a> Session<'a> {
         let y: Vec<f64> = self.obs.iter().map(|o| o.runtime).collect();
         let mut gp = self.cfg.gp.clone();
         gp.init = self.hypers.clone();
-        if self.iter % self.cfg.fit_every != 0 && self.hypers.is_some() {
+        if !self.iter.is_multiple_of(self.cfg.fit_every) && self.hypers.is_some() {
             gp.fit_iters = 0;
         }
         FitInput { x, y, scale, gp }
@@ -689,13 +689,15 @@ impl<'a> Session<'a> {
     /// Measure `picks` on the pool, alongside the overlapped `fit` when
     /// given, then admit the outcomes strictly in pick order: admission
     /// draws the measurement noise from the task RNG, so this order — not
-    /// worker timing — defines the stream. Every pick links against the
-    /// incumbents as of the call; the batch's best improving pick becomes
-    /// the new incumbent afterwards.
+    /// worker timing — defines the stream. The fit is queued first, since
+    /// it is the longest item and the pool hands items out in order; its
+    /// model is installed after the admissions, which do not read it. Every
+    /// pick links against the incumbents as of the call; the batch's best
+    /// improving pick becomes the new incumbent afterwards.
     fn measure_and_admit(&mut self, picks: Vec<Vec<Candidate>>, next_fit: Option<FitInput>) {
         let _span = telemetry::span("batch");
-        let mut work: Vec<Work> = picks.into_iter().map(Work::Measure).collect();
-        work.extend(next_fit.map(Work::Fit));
+        let work: Vec<Work> =
+            next_fit.map(Work::Fit).into_iter().chain(picks.into_iter().map(Work::Measure)).collect();
         let (task, mods): (&Task, &[HotModule]) = (self.task, &self.mods);
         let done = self.pool.map(work, |w| match w {
             Work::Measure(fresh) => {
@@ -712,7 +714,7 @@ impl<'a> Session<'a> {
             }
             Work::Fit(input) => Done::Fit(Box::new(fit(input))),
         });
-        let mut improved = None;
+        let (mut improved, mut model) = (None, None);
         for d in done {
             match d {
                 // A sequence that miscompiles is discarded (differential
@@ -726,8 +728,11 @@ impl<'a> Session<'a> {
                         }
                     }
                 }
-                Done::Fit(model) => self.install(*model),
+                Done::Fit(fitted) => model = Some(*fitted),
             }
+        }
+        if let Some(model) = model {
+            self.install(model);
         }
         for c in improved.into_iter().flatten() {
             let slot = c.slot;

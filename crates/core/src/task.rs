@@ -17,7 +17,8 @@
 
 use citroen_ir::interp::Value;
 use citroen_ir::module::Module;
-use citroen_passes::{o3_pipeline, PassId, PassManager, Prefix, Registry, Stats};
+pub use citroen_passes::MemoStats;
+use citroen_passes::{o3_pipeline, NoopMemo, PassId, PassManager, Prefix, Registry, Stats};
 use citroen_sim::Platform;
 use citroen_suite::Benchmark;
 use citroen_rt::rng::StdRng;
@@ -90,36 +91,13 @@ pub struct Execution {
     pub ran: Option<Duration>,
 }
 
-/// A snapshot of execution-memo counters (one memo, or a sum of several).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Executions answered from the memo.
-    pub hits: u64,
-    /// Executions the simulator ran.
-    pub misses: u64,
-    /// Entries evicted (LRU).
-    pub evictions: u64,
-    /// Current entry count.
-    pub len: u64,
-}
-
-impl std::ops::Add for MemoStats {
-    type Output = MemoStats;
-    fn add(self, o: MemoStats) -> MemoStats {
-        MemoStats {
-            hits: self.hits + o.hits,
-            misses: self.misses + o.misses,
-            evictions: self.evictions + o.evictions,
-            len: self.len + o.len,
-        }
-    }
-}
-
 /// The immutable half of a task: everything derived from the benchmark,
 /// the pass registry and the platform alone. One base can back any number
 /// of sessions (`Arc`-shared across a daemon's jobs); it also owns the
 /// program's execution memo, so a binary any of those sessions simulated is
-/// never simulated again while its entry lives.
+/// never simulated again while its entry lives, and its no-op memo, so a
+/// pass run any of them found to change nothing is not run again on the
+/// same state while its entry lives.
 pub struct TaskBase {
     /// The pass registry in play.
     pub registry: Registry,
@@ -140,6 +118,10 @@ pub struct TaskBase {
     descriptor: OnceLock<Vec<(String, f64)>>,
     /// Linked-binary fingerprint → deterministic execution outcome.
     memo: Mutex<BoundedCache<u64, Result<f64, TuneError>>>,
+    /// `(module state, pass)` pairs whose run changed nothing, for
+    /// [`TaskBase::compile_run`]; states are keyed with their source
+    /// module's index.
+    noop: NoopMemo,
 }
 
 impl TaskBase {
@@ -189,6 +171,7 @@ impl TaskBase {
             o0_seconds,
             descriptor: OnceLock::new(),
             memo: Mutex::new(BoundedCache::new(EXEC_MEMO_CAP)),
+            noop: NoopMemo::new(),
         }
     }
 
@@ -204,16 +187,20 @@ impl TaskBase {
     /// depth is the longest common prefix (LCP) with the job before, and a
     /// job keeps a copy of its state only at the depths later jobs resume
     /// from, so each branch point costs one clone and at most `seq_len`
-    /// states live at once. Each job opens its own `compile` span. Returns
-    /// the results in job order and the number of pass runs the resumption
-    /// skipped.
-    pub fn compile_run(&self, jobs: &[(usize, &[PassId])]) -> (Vec<(Stats, u64, Module)>, usize) {
+    /// states live at once. Pass runs the base's no-op memo knows change
+    /// nothing are skipped. Each job opens its own `compile` span. Returns
+    /// the results in job order, the number of pass runs the resumption
+    /// skipped and the number the no-op memo skipped.
+    pub fn compile_run(
+        &self,
+        jobs: &[(usize, &[PassId])],
+    ) -> (Vec<(Stats, u64, Module)>, usize, usize) {
         debug_assert!(jobs.windows(2).all(|w| w[0] < w[1]), "run jobs must be sorted and unique");
         let pm = PassManager::new(&self.registry);
         let lcp = run_lcps(jobs);
         // States along the current job's path, by increasing depth.
         let mut kept: Vec<(usize, Prefix)> = Vec::new();
-        let mut reused = 0;
+        let (mut reused, mut skipped) = (0, 0);
         let mut out = Vec::with_capacity(jobs.len());
         for (i, &(module_idx, seq)) in jobs.iter().enumerate() {
             let _c = telemetry::span("compile");
@@ -246,8 +233,9 @@ impl TaskBase {
                 }
             };
             reused += depth;
+            let noop = Some((&self.noop, module_idx as u64));
             let res = pm
-                .resume(start, &seq[depth..], |k, state| {
+                .resume(start, &seq[depth..], noop, |k, state| {
                     if wants.last() == Some(&(depth + k)) {
                         wants.pop();
                         kept.push((depth + k, state.clone()));
@@ -255,12 +243,16 @@ impl TaskBase {
                 })
                 .unwrap_or_else(|e| panic!("{e}"));
             telemetry::counter("task.compilations", 1);
+            skipped += res.skipped;
             out.push((res.stats, res.fingerprint, res.module));
         }
         if reused > 0 {
             telemetry::counter("task.passes_reused", reused as u64);
         }
-        (out, reused)
+        if skipped > 0 {
+            telemetry::counter("task.passes_skipped", skipped as u64);
+        }
+        (out, reused, skipped)
     }
 
     /// Assemble the full program with the given per-hot-module optimised
@@ -305,6 +297,12 @@ impl TaskBase {
         let m = self.memo.lock().expect(MEMO_POISONED);
         let len = m.len() as u64;
         MemoStats { hits: m.hits(), misses: m.misses(), evictions: m.evictions(), len }
+    }
+
+    /// The no-op memo's lifetime counters and occupancy: a hit is a pass
+    /// run [`TaskBase::compile_run`] skipped, a miss one it ran.
+    pub fn noop_stats(&self) -> MemoStats {
+        self.noop.stats()
     }
 
     /// Speedup of a measured runtime relative to `-O3`.
@@ -408,6 +406,9 @@ pub struct Task {
     /// prefix state an earlier sequence of its run had reached. They are
     /// still counted in `passes_executed`, which stays the nominal work.
     pub passes_reused: usize,
+    /// Pass runs a compile sweep skipped because the base's no-op memo
+    /// knew they change nothing. Also still counted in `passes_executed`.
+    pub passes_skipped: usize,
     /// Measure requests for a binary this session had already charged.
     pub cache_hits: usize,
     /// Charge cached (duplicate-binary) measurements against the budget.
@@ -446,6 +447,7 @@ impl Task {
             compilations: 0,
             passes_executed: 0,
             passes_reused: 0,
+            passes_skipped: 0,
             cache_hits: 0,
             charge_cached: false,
             times: TimeBreakdown::default(),
@@ -496,8 +498,9 @@ impl Task {
         let base = &*self.base;
         let done = pool.map(runs.clone(), |run| base.compile_run(&sorted[run]));
         let mut compiled: Vec<Option<(Stats, u64, Module)>> = jobs.iter().map(|_| None).collect();
-        for (run, (results, reused)) in runs.into_iter().zip(done) {
+        for (run, (results, reused, skipped)) in runs.into_iter().zip(done) {
             self.passes_reused += reused;
+            self.passes_skipped += skipped;
             for (pos, res) in run.zip(results) {
                 compiled[order[pos]] = Some(res);
             }
@@ -726,7 +729,7 @@ mod tests {
         let base = capped_gsm_base(2);
         let hot = base.profiled_hot[0];
         let o3 = o3_pipeline(&base.registry);
-        let (mut compiled, _) = base.compile_run(&[(hot, &o3[..])]);
+        let (mut compiled, ..) = base.compile_run(&[(hot, &o3[..])]);
         let (_, _, module) = compiled.pop().expect("one job, one result");
         let (linked, _) = base.assemble(&[(hot, &module)]);
         // The memo keys on the fingerprint it is given: three keys, one

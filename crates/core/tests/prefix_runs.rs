@@ -2,7 +2,8 @@
 //! `TaskBase::compile_run`, each resumed from the deepest prefix state an
 //! earlier genome of the run reached, gives every genome the statistics,
 //! fingerprint and module `PassManager::compile` gives it from the source —
-//! bit for bit, however the run is cut.
+//! bit for bit, however the run is cut, and however warm the program base's
+//! no-op memo is.
 
 use citroen_core::{run_citroen, CitroenConfig, Task, TaskConfig};
 use citroen_ir::module::Module;
@@ -46,7 +47,9 @@ fn sweep(task: &Task, modules: &[usize], len: usize, seed: u64) -> Vec<(usize, V
     jobs
 }
 
-fn run(task: &Task, jobs: &[(usize, Vec<PassId>)]) -> (Vec<Compiled>, usize) {
+/// The run's results, the pass runs resumption skipped and the pass runs
+/// the no-op memo skipped.
+fn run(task: &Task, jobs: &[(usize, Vec<PassId>)]) -> (Vec<Compiled>, usize, usize) {
     let refs: Vec<(usize, &[PassId])> = jobs.iter().map(|(m, g)| (*m, &g[..])).collect();
     task.compile_run(&refs)
 }
@@ -86,7 +89,7 @@ fn resumed_runs_equal_straight_compiles_bit_for_bit() {
         })
         .collect();
 
-    let (got, reused) = run(&task, &jobs);
+    let (got, reused, _) = run(&task, &jobs);
     assert_same(&got, &want, "one run");
     // Each job skips exactly its longest common prefix with the job before
     // it, and none across a change of module.
@@ -109,11 +112,54 @@ fn resumed_runs_equal_straight_compiles_bit_for_bit() {
 
     // A sweep is cut into one run per worker; any cut gives the same results.
     for cut in [1, jobs.len() / 3, jobs.len() / 2, jobs.len() - 1] {
-        let (mut a, _) = run(&task, &jobs[..cut]);
-        let (b, _) = run(&task, &jobs[cut..]);
+        let (mut a, ..) = run(&task, &jobs[..cut]);
+        let (b, ..) = run(&task, &jobs[cut..]);
         a.extend(b);
         assert_same(&a, &want, &format!("cut at {cut}"));
     }
+}
+
+#[test]
+fn a_warm_no_op_memo_skips_runs_and_changes_nothing() {
+    let task = Task::new(
+        citroen_suite::speclike::spec_imgproc(),
+        Registry::full(),
+        Platform::tx2(),
+        TaskConfig {
+            seq_len: 12,
+            ..Default::default()
+        },
+    );
+    let modules: Vec<usize> = (0..task.benchmark().modules.len()).take(2).collect();
+    let pm = PassManager::new(&task.registry);
+    let (mut nominal, mut reused, mut skipped) = (0, 0, Vec::new());
+    // The same sweep cold and then warm, then a sweep of other genomes
+    // over the states the first two left in the memo.
+    for seed in [0xC01D, 0xC01D, 0x0DD] {
+        let jobs = sweep(&task, &modules, task.seq_len(), seed);
+        let want: Vec<Compiled> = jobs
+            .iter()
+            .map(|(m, g)| {
+                let res = pm.compile(&task.benchmark().modules[*m], g);
+                (res.stats, res.fingerprint, res.module)
+            })
+            .collect();
+        let (got, r, s) = run(&task, &jobs);
+        assert_same(&got, &want, &format!("sweep {seed:#x}, {s} pass runs skipped"));
+        nominal += jobs.iter().map(|(_, g)| g.len()).sum::<usize>();
+        reused += r;
+        skipped.push(s);
+    }
+    assert!(
+        skipped[1] > skipped[0] && skipped[2] > 0,
+        "the warm memo answers more: {skipped:?}"
+    );
+    // Every pass run left after resumption asked the memo once: a hit
+    // skipped it, a miss ran it.
+    let memo = task.noop_stats();
+    assert_eq!(memo.hits as usize, skipped.iter().sum::<usize>());
+    assert_eq!((memo.hits + memo.misses) as usize, nominal - reused);
+    assert!(memo.len > 0 && memo.len as usize <= citroen_passes::NOOP_MEMO_CAP);
 }
 
 #[test]
@@ -135,8 +181,8 @@ fn a_tuning_session_resumes_its_sweeps_and_keeps_the_nominal_work() {
         ..Default::default()
     };
     run_citroen(&mut task, 8, &cfg);
-    // Every compile still counts its whole sequence; the reused runs are a
-    // share of that nominal work, not a deduction from it.
+    // Every compile still counts its whole sequence; the reused and
+    // skipped runs are shares of that nominal work, not deductions from it.
     assert!(
         task.compilations > 16,
         "the session ran model-guided sweeps"
@@ -148,4 +194,12 @@ fn a_tuning_session_resumes_its_sweeps_and_keeps_the_nominal_work() {
         task.passes_reused,
         task.passes_executed
     );
+    assert!(
+        task.passes_skipped > 0
+            && task.passes_reused + task.passes_skipped < task.passes_executed,
+        "{} of {} pass runs skipped",
+        task.passes_skipped,
+        task.passes_executed
+    );
+    assert_eq!(task.noop_stats().hits as usize, task.passes_skipped, "the session owns its base");
 }

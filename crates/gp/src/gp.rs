@@ -132,8 +132,8 @@ impl Gp {
         citroen_telemetry::counter("gp.predict.calls", 1);
         let n = self.x.rows;
         let mut kstar = vec![0.0; n];
-        for i in 0..n {
-            kstar[i] = self.scaled.k(self.x.row(i), q);
+        for (i, k) in kstar.iter_mut().enumerate() {
+            *k = self.scaled.k(self.x.row(i), q);
         }
         let mean: f64 = kstar.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
         let vsolve = chol_solve(&self.chol, &kstar);

@@ -117,8 +117,8 @@ pub fn solve_lower(l: &Mat, b: &[f64]) -> Vec<f64> {
     let mut x = vec![0.0; n];
     for i in 0..n {
         let mut s = b[i];
-        for k in 0..i {
-            s -= l.get(i, k) * x[k];
+        for (k, xk) in x.iter().enumerate().take(i) {
+            s -= l.get(i, k) * xk;
         }
         x[i] = s / l.get(i, i);
     }
@@ -131,8 +131,8 @@ pub fn solve_lower_t(l: &Mat, b: &[f64]) -> Vec<f64> {
     let mut x = vec![0.0; n];
     for i in (0..n).rev() {
         let mut s = b[i];
-        for k in i + 1..n {
-            s -= l.get(k, i) * x[k];
+        for (k, xk) in x.iter().enumerate().skip(i + 1) {
+            s -= l.get(k, i) * xk;
         }
         x[i] = s / l.get(i, i);
     }

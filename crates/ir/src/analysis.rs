@@ -259,11 +259,11 @@ impl LoopInfo {
         // Sort outermost (shallowest) first, ties by header id, so passes
         // iterate loops in a deterministic order.
         loops.sort_by_key(|l| (l.depth, l.header.0));
-        let mut innermost = vec![None; n];
+        let mut innermost: Vec<Option<usize>> = vec![None; n];
         for (i, l) in loops.iter().enumerate() {
             for &b in &l.blocks {
                 match innermost[b.idx()] {
-                    Some(j) if loops[j as usize].depth >= l.depth => {}
+                    Some(j) if loops[j].depth >= l.depth => {}
                     _ => innermost[b.idx()] = Some(i),
                 }
             }
@@ -301,8 +301,8 @@ impl DefUse {
         let nv = f.value_ty.len();
         let mut def = vec![None; nv];
         let mut uses = vec![0u32; nv];
-        for i in 0..f.params.len() {
-            def[i] = Some(DefSite::Param);
+        for d in def.iter_mut().take(f.params.len()) {
+            *d = Some(DefSite::Param);
         }
         let mut count = |op: &Operand| {
             if let Operand::Value(v) = op {

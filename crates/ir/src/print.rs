@@ -192,6 +192,25 @@ pub fn fingerprint(m: &Module) -> u64 {
     h.finish()
 }
 
+/// Hash of every function's value-type table: its length and each type, in
+/// order. This is the part of a function [`fingerprint`] leaves out besides
+/// global contents: the printer shows some values' types only (a `cmp`
+/// prints none) and never the table's length, yet a pass may read both
+/// (the next fresh value's id is the length). A key over the fingerprint
+/// and this hash tells apart every two modules with the same globals, but
+/// for NaN payloads, which the printer and the fingerprint treat alike.
+pub fn value_types(m: &Module) -> u64 {
+    let mut h = Words::new();
+    h.word(m.funcs.len() as u64);
+    for f in &m.funcs {
+        h.word(f.value_ty.len() as u64);
+        for &t in &f.value_ty {
+            h.word(ty_word(t));
+        }
+    }
+    h.finish()
+}
+
 /// A type as the printer distinguishes it: scalar kind and lane count.
 fn ty_word(t: Ty) -> u64 {
     t.scalar as u64 | (t.lanes as u64) << 8

@@ -121,7 +121,7 @@ impl Ty {
 
     /// Vector type constructor. Panics if `lanes` is 0 or exceeds [`MAX_LANES`].
     pub fn vector(scalar: ScalarTy, lanes: u8) -> Ty {
-        assert!(lanes >= 1 && lanes <= MAX_LANES, "bad lane count {lanes}");
+        assert!((1..=MAX_LANES).contains(&lanes), "bad lane count {lanes}");
         Ty { scalar, lanes }
     }
 

@@ -111,10 +111,8 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
                             check_dominance(f, &dom, &du, b, idx, *v, errs);
                         }
                     }
-                    Operand::Global(g) => {
-                        if g.idx() >= m.globals.len() {
-                            err(errs, format!("b{}: reference to nonexistent global @{}", b.0, g.0));
-                        }
+                    Operand::Global(g) if g.idx() >= m.globals.len() => {
+                        err(errs, format!("b{}: reference to nonexistent global @{}", b.0, g.0));
                     }
                     _ => {}
                 }
@@ -228,27 +226,27 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
                     for (p, op) in incoming {
                         if let Operand::Value(v) = op {
                             if v.idx() < du.def.len() {
-                                if let Some(site) = &du.def[v.idx()] {
-                                    if let crate::analysis::DefSite::Inst { block, .. } = site {
-                                        if cfg.reachable(*p) && !dom.dominates(*block, *p) {
-                                            err(
-                                                errs,
-                                                format!(
-                                                    "b{}: phi %{} operand %{} (def b{}) does not dominate pred b{}",
-                                                    b.0, dst.0, v.0, block.0, p.0
-                                                ),
-                                            );
-                                        }
+                                if let Some(crate::analysis::DefSite::Inst { block, .. }) =
+                                    &du.def[v.idx()]
+                                {
+                                    if cfg.reachable(*p) && !dom.dominates(*block, *p) {
+                                        err(
+                                            errs,
+                                            format!(
+                                                "b{}: phi %{} operand %{} (def b{}) does not dominate pred b{}",
+                                                b.0, dst.0, v.0, block.0, p.0
+                                            ),
+                                        );
                                     }
                                 }
                             }
                         }
                     }
                 }
-                Inst::Reduce { op, .. } => {
-                    if !op.associative() && *op != BinOp::FAdd && *op != BinOp::FMul {
-                        err(errs, format!("b{}: reduce with non-associative {}", b.0, op.name()));
-                    }
+                Inst::Reduce { op, .. }
+                    if !op.associative() && *op != BinOp::FAdd && *op != BinOp::FMul =>
+                {
+                    err(errs, format!("b{}: reduce with non-associative {}", b.0, op.name()));
                 }
                 _ => {}
             }

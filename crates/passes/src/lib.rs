@@ -10,6 +10,7 @@
 
 pub mod autophase;
 pub mod manager;
+pub mod noop;
 pub mod oracle;
 pub mod passes;
 pub mod stats;
@@ -21,4 +22,5 @@ pub use manager::{
     o1_pipeline, o3_pipeline, CompileError, CompileResult, Pass, PassId, PassManager, PassSeq,
     Prefix, Registry,
 };
+pub use noop::{MemoStats, NoopMemo, StateKey, NOOP_MEMO_CAP};
 pub use stats::Stats;

@@ -4,6 +4,7 @@
 //! applies a sequence to a module, collecting per-pass [`Stats`]. This is the
 //! stand-in for driving `opt -stats -stats-json` (DESIGN.md §1).
 
+use crate::noop::{NoopMemo, StateKey};
 use crate::passes;
 use crate::stats::Stats;
 use citroen_analyze::oracle::{Facts, Verdict};
@@ -210,7 +211,7 @@ impl Registry {
 
     /// Parse a comma/space separated list of pass names into a sequence.
     pub fn parse_seq(&self, s: &str) -> Result<PassSeq, String> {
-        s.split(|c| c == ',' || c == ' ')
+        s.split([',', ' '])
             .filter(|t| !t.is_empty())
             .map(|t| self.by_name(t).ok_or_else(|| format!("unknown pass '{t}'")))
             .collect()
@@ -231,6 +232,8 @@ pub struct CompileResult {
     pub stats: Stats,
     /// Structural fingerprint of the optimised module (the "binary hash").
     pub fingerprint: u64,
+    /// Pass runs of the sequence a no-op memo answered (0 without one).
+    pub skipped: usize,
 }
 
 /// A compile's state after a prefix of its sequence: the module so far and
@@ -326,7 +329,7 @@ impl<'r> PassManager<'r> {
     /// Apply `seq` to a copy of `m`; a verifier or sanitizer rejection is
     /// returned as an error naming the offending pass.
     pub fn compile_result(&self, m: &Module, seq: &[PassId]) -> Result<CompileResult, CompileError> {
-        self.resume(Prefix::source(m), seq, |_, _| {})
+        self.resume(Prefix::source(m), seq, None, |_, _| {})
     }
 
     /// Continue a compile from `state` through `seq`. After the `k`-th pass
@@ -335,10 +338,19 @@ impl<'r> PassManager<'r> {
     /// from. The sanitizer's facts are computed from `state.module`, as
     /// they are from the source in [`PassManager::compile_result`], so a
     /// resumed compile is checked the way the straight one is.
+    ///
+    /// With `noop = Some((memo, source))`, where `source` identifies the
+    /// source module `state` was reached from (see [`StateKey::of`]), a
+    /// pass the memo knows changes nothing on the current state is skipped
+    /// (`at` still sees its step), and a pass run that records no
+    /// statistics and leaves the state key unchanged is recorded. The
+    /// result is the one the compile reaches without a memo; the module
+    /// doc of [`crate::noop`] argues why.
     pub fn resume(
         &self,
         mut state: Prefix,
         seq: &[PassId],
+        noop: Option<(&NoopMemo, u64)>,
         mut at: impl FnMut(usize, &Prefix),
     ) -> Result<CompileResult, CompileError> {
         let mut facts = if self.sanitize {
@@ -346,13 +358,27 @@ impl<'r> PassManager<'r> {
         } else {
             None
         };
+        let key_of = |m: &Module| noop.map(|(_, source)| StateKey::of(source, m));
+        // The current state's fingerprint, from its key when there is one.
+        let fp_of = |key: Option<StateKey>, m: &Module| {
+            key.map_or_else(|| citroen_ir::print::fingerprint(m), |k| k.fingerprint())
+        };
+        let mut key = key_of(&state.module);
+        let mut skipped = 0;
         // Sanitizer-guided scheduling: a pass that recorded zero statistics
         // *and* left the module fingerprint unchanged provably changed
         // nothing, so the S1–S8 re-analysis is a tautology (pre == post) and
         // is skipped. The fingerprint re-check (not the stats alone) keeps
         // the skip sound against a pass that mutates without counting.
-        let mut fp_before = facts.as_ref().map(|_| citroen_ir::print::fingerprint(&state.module));
+        let mut fp_before = facts.as_ref().map(|_| fp_of(key, &state.module));
         for (k, &id) in seq.iter().enumerate() {
+            if let (Some((memo, _)), Some(before)) = (noop, key) {
+                if memo.skips(before, id) {
+                    skipped += 1;
+                    at(k + 1, &state);
+                    continue;
+                }
+            }
             let pass = self.registry.pass(id);
             let names = self.registry.names[id.0 as usize];
             let Prefix { module, stats } = &mut state;
@@ -372,10 +398,12 @@ impl<'r> PassManager<'r> {
                     return Err(CompileError::Verify { pass: pass.name(), errors });
                 }
             }
+            let key_now = key_of(module);
+            let counted = stats.total() != stats_total_before;
             if let Some(pre) = &facts {
                 let _sanitize_span = telemetry::span("sanitize");
-                let fp_now = citroen_ir::print::fingerprint(module);
-                if stats.total() == stats_total_before && Some(fp_now) == fp_before {
+                let fp_now = fp_of(key_now, module);
+                if !counted && Some(fp_now) == fp_before {
                     telemetry::counter("citroen.sanitize.skips", 1);
                 } else {
                     telemetry::counter("citroen.sanitize.runs", 1);
@@ -388,10 +416,16 @@ impl<'r> PassManager<'r> {
                     fp_before = Some(fp_now);
                 }
             }
+            if let (Some((memo, _)), Some(before)) = (noop, key) {
+                if !counted && key_now == key {
+                    memo.record(before, id);
+                }
+            }
+            key = key_now;
             at(k + 1, &state);
         }
-        let fingerprint = citroen_ir::print::fingerprint(&state.module);
-        Ok(CompileResult { module: state.module, stats: state.stats, fingerprint })
+        let fingerprint = fp_of(key, &state.module);
+        Ok(CompileResult { module: state.module, stats: state.stats, fingerprint, skipped })
     }
 
     /// Apply a sequence given by pass names.

@@ -27,17 +27,14 @@ fn has_const_foldable(f: &Function) -> bool {
     for blk in &f.blocks {
         for inst in &blk.insts {
             match inst {
-                Inst::Bin { dst, op, lhs, rhs } => {
+                Inst::Bin { dst, op, lhs, rhs }
                     if fold_bin(*op, f.ty(*dst).scalar, lhs, rhs).is_some()
-                        && f.ty(*dst).lanes == 1
-                    {
-                        return true;
-                    }
+                        && f.ty(*dst).lanes == 1 =>
+                {
+                    return true;
                 }
-                Inst::Cmp { op, lhs, rhs, .. } => {
-                    if fold_cmp(*op, lhs, rhs).is_some() {
-                        return true;
-                    }
+                Inst::Cmp { op, lhs, rhs, .. } if fold_cmp(*op, lhs, rhs).is_some() => {
+                    return true;
                 }
                 Inst::Cast { dst, kind, src } => {
                     let from = f.operand_ty(src).scalar;
@@ -47,10 +44,8 @@ fn has_const_foldable(f: &Function) -> bool {
                         return true;
                     }
                 }
-                Inst::Select { cond, .. } => {
-                    if cond.as_const_int().is_some() {
-                        return true;
-                    }
+                Inst::Select { cond, .. } if cond.as_const_int().is_some() => {
+                    return true;
                 }
                 _ => {}
             }
@@ -460,7 +455,7 @@ fn distribute_sweep(f: &mut Function) -> u64 {
         }
     }
     let count = plans.len() as u64;
-    plans.sort_by(|a, b| (b.bi, b.ii).cmp(&(a.bi, a.ii)));
+    plans.sort_by_key(|p| std::cmp::Reverse((p.bi, p.ii)));
     for p in plans {
         let scaled = f.new_value(Ty::scalar(p.s));
         let insts = &mut f.blocks[p.bi].insts;
@@ -550,7 +545,7 @@ fn widen_mul_sext(f: &mut Function) -> u64 {
             // result: mul needs a_bits+b_bits <= mid_bits; add needs one spare bit.
             let safe = match op {
                 BinOp::Mul => a_bits + b_bits <= mid_bits,
-                _ => a_bits.max(b_bits) + 1 <= mid_bits,
+                _ => a_bits.max(b_bits) < mid_bits,
             };
             if !safe {
                 continue;
@@ -568,7 +563,7 @@ fn widen_mul_sext(f: &mut Function) -> u64 {
     }
     let count = plans.len() as u64;
     // Apply in reverse instruction order so indices stay valid per block.
-    plans.sort_by(|x, y| (y.wide_block, y.wide_idx).cmp(&(x.wide_block, x.wide_idx)));
+    plans.sort_by_key(|p| std::cmp::Reverse((p.wide_block, p.wide_idx)));
     for p in plans {
         let va = f.new_value(p.to);
         let vb = f.new_value(p.to);
@@ -583,8 +578,10 @@ fn widen_mul_sext(f: &mut Function) -> u64 {
     count
 }
 
-/// The `reassociate` pass: flatten associative integer chains, fold their
-/// constants, and rebuild in canonical order (values first, constant last).
+/// The `reassociate` pass: put the operands of commutative, associative
+/// integer operations in canonical order (values first, constant last).
+/// Moving constants outward through a chain is left to instcombine's
+/// associative fold.
 pub struct Reassociate;
 
 impl Pass for Reassociate {
@@ -594,9 +591,6 @@ impl Pass for Reassociate {
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
-            let sites = def_sites(f);
-            // Use counts to find chain roots (ops whose result is not consumed
-            // by the same op).
             let mut edits: Vec<(usize, usize, Inst)> = Vec::new();
             for (bi, blk) in f.blocks.iter().enumerate() {
                 for (ii, inst) in blk.insts.iter().enumerate() {
@@ -607,19 +601,6 @@ impl Pass for Reassociate {
                     let ty = f.ty(*dst);
                     if ty.lanes != 1 || !ty.scalar.is_int() {
                         continue;
-                    }
-                    // Fold `(x op c1) op c2` and `(x op c) op y -> (x op y) op c`
-                    // one level: move the constant outward.
-                    if let (Some(Inst::Bin { op: op2, lhs: l2, rhs: r2, .. }), None) =
-                        (crate::util::def_of(f, &sites, lhs), rhs.as_const_int())
-                    {
-                        if *op2 == *op && r2.as_const_int().is_some() && !rhs.is_const() {
-                            // (x op c) op y  ->  (x op y) op c : needs a new
-                            // intermediate; emit as two-step rewrite.
-                            let mid = f_new_value_hack();
-                            let _ = mid; // handled by instcombine instead
-                            let _ = (l2, r2);
-                        }
                     }
                     // Canonical operand order for commutative ops: smaller
                     // value-id first, constants last — improves GVN hit rate.
@@ -673,10 +654,6 @@ impl Pass for Reassociate {
         Verdict::CannotFire
     }
 }
-
-// Placeholder kept so the two-step reassociation above reads clearly; the
-// constant-outward move is performed by instcombine's associative fold.
-fn f_new_value_hack() {}
 
 /// The `div-rem-pairs` pass: when both `x / c` and `x % c` exist in a block,
 /// rewrite the remainder as `x - (x / c) * c`, saving a hardware division.
@@ -745,13 +722,8 @@ impl Pass for DivRemPairs {
                             BinOp::SDiv => {
                                 divs.insert((keyed(lhs), keyed(rhs)));
                             }
-                            BinOp::SRem => {
-                                if divs.contains(&(keyed(lhs), keyed(rhs))) {
-                                    return Verdict::may(format!(
-                                        "{}: sdiv/srem pair",
-                                        f.name
-                                    ));
-                                }
+                            BinOp::SRem if divs.contains(&(keyed(lhs), keyed(rhs))) => {
+                                return Verdict::may(format!("{}: sdiv/srem pair", f.name));
                             }
                             _ => {}
                         }
@@ -804,16 +776,13 @@ impl Pass for VectorCombine {
             let mut subst: Vec<(ValueId, Operand)> = Vec::new();
             for blk in &f.blocks {
                 for inst in &blk.insts {
-                    match inst {
-                        // extractlane(splat x, i) -> x
-                        Inst::ExtractLane { dst, src, .. } => {
-                            if let Some(Inst::Splat { src: inner, .. }) =
-                                crate::util::def_of(f, &sites, src)
-                            {
-                                subst.push((*dst, *inner));
-                            }
+                    // extractlane(splat x, i) -> x
+                    if let Inst::ExtractLane { dst, src, .. } = inst {
+                        if let Some(Inst::Splat { src: inner, .. }) =
+                            crate::util::def_of(f, &sites, src)
+                        {
+                            subst.push((*dst, *inner));
                         }
-                        _ => {}
                     }
                 }
             }

@@ -911,10 +911,10 @@ fn no_aliasing_writes(
                         return false;
                     }
                 }
-                Inst::Call { callee, .. } => {
-                    if call_may_clobber(aa, &effects.funcs[callee.idx()], &laddr, lbytes) {
-                        return false;
-                    }
+                Inst::Call { callee, .. }
+                    if call_may_clobber(aa, &effects.funcs[callee.idx()], &laddr, lbytes) =>
+                {
+                    return false;
                 }
                 _ => {}
             }

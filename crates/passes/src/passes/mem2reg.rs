@@ -234,10 +234,8 @@ fn promote_function(f: &mut Function, stats: &mut Stats) {
                 }
                 for (i, inst) in f.blocks[b.idx()].insts.iter().enumerate() {
                     match inst {
-                        Inst::Alloca { dst, .. } => {
-                            if idx_of.contains_key(dst) {
-                                to_delete.insert((b.0, i));
-                            }
+                        Inst::Alloca { dst, .. } if idx_of.contains_key(dst) => {
+                            to_delete.insert((b.0, i));
                         }
                         Inst::Load { dst, addr } => {
                             if let Some(ci) =

@@ -29,6 +29,10 @@ enum OpKey {
     G(u32),
 }
 
+/// A load's address key: the address expression's atoms with their
+/// scales, its constant offset, and the access size in bytes.
+type LoadKey = (Vec<(OpKey, i64)>, i64, u8);
+
 fn opkey(op: &Operand) -> OpKey {
     match op {
         Operand::Value(v) => OpKey::V(v.0),
@@ -121,7 +125,7 @@ fn gvn_may_fire(m: &Module, f: &Function, block_scope: bool) -> bool {
                 }
                 let mut undo: Vec<InstKey> = Vec::new();
                 let mut memgen = 0u64;
-                let mut avail_loads: HashMap<(Vec<(OpKey, i64)>, i64, u8), u64> = HashMap::new();
+                let mut avail_loads: HashMap<LoadKey, u64> = HashMap::new();
                 for inst in &f.blocks[b.idx()].insts {
                     match inst {
                         Inst::Load { dst, addr } => {
@@ -308,7 +312,7 @@ fn gvn_function(m: &mut Module, fi: usize, dom_scoped: bool) -> (u64, u64) {
                 let mut undo: Vec<(InstKey, Option<Operand>)> = Vec::new();
                 // Block-local memory state.
                 let mut memgen = 0u64;
-                let mut avail_loads: HashMap<(Vec<(OpKey, i64)>, i64, u8), (Operand, u64)> = HashMap::new();
+                let mut avail_loads: HashMap<LoadKey, (Operand, u64)> = HashMap::new();
                 let f = &m.funcs[fi];
                 for inst in &f.blocks[b.idx()].insts {
                     // Resolve operands through already-found substitutions so
@@ -735,10 +739,8 @@ impl Pass for Dse {
                                 .bytes();
                             overwritten.retain(|(o, osz)| !may_alias(o, *osz, &e, lsz));
                         }
-                        Inst::Call { callee, .. } => {
-                            if !m.funcs[callee.idx()].attrs.readnone {
-                                overwritten.clear();
-                            }
+                        Inst::Call { callee, .. } if !m.funcs[callee.idx()].attrs.readnone => {
+                            overwritten.clear();
                         }
                         _ => {}
                     }
@@ -779,10 +781,8 @@ impl Pass for Dse {
                             let lsz = f.ty(inst.dst().unwrap()).bytes();
                             overwritten.retain(|(o, osz)| !may_alias(o, *osz, &e, lsz));
                         }
-                        Inst::Call { callee, .. } => {
-                            if !m.funcs[callee.idx()].attrs.readnone {
-                                overwritten.clear();
-                            }
+                        Inst::Call { callee, .. } if !m.funcs[callee.idx()].attrs.readnone => {
+                            overwritten.clear();
                         }
                         _ => {}
                     }
@@ -1152,8 +1152,8 @@ fn sccp_function(f: &mut Function) -> (u64, u64) {
     }
     let nv = f.value_ty.len();
     let mut state: Vec<Lattice> = vec![Lattice::Top; nv];
-    for i in 0..f.params.len() {
-        state[i] = Lattice::Bottom;
+    for s in state.iter_mut().take(f.params.len()) {
+        *s = Lattice::Bottom;
     }
     let mut block_exec = vec![false; f.blocks.len()];
     block_exec[0] = true;
@@ -1315,8 +1315,8 @@ fn sccp_function(f: &mut Function) -> (u64, u64) {
         n_inst += 1;
     }
     // Branch folding from edge executability.
-    for bi in 0..f.blocks.len() {
-        if !block_exec[bi] {
+    for (bi, &live) in block_exec.iter().enumerate() {
+        if !live {
             continue;
         }
         let b = BlockId(bi as u32);

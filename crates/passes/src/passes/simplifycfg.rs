@@ -305,10 +305,14 @@ impl Pass for JumpThreading {
     }
 }
 
+/// A block to thread through: its id, its one φ, and the (predecessor,
+/// destination) edges that bypass it.
+type Threading = (BlockId, citroen_ir::inst::ValueId, Vec<(BlockId, BlockId)>);
+
 fn thread_once(f: &mut Function) -> usize {
     let cfg = Cfg::compute(f);
     // Find: block B with exactly one φ, no other insts, condbr on that φ.
-    let mut found: Option<(BlockId, citroen_ir::inst::ValueId, Vec<(BlockId, BlockId)>)> = None;
+    let mut found: Option<Threading> = None;
     for (b, blk) in f.iter_blocks() {
         if !cfg.reachable(b) || blk.insts.len() != 1 {
             continue;

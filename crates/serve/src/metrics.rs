@@ -30,7 +30,7 @@
 //! strictly observational, which is what the 10-seed identity test pins.
 
 use crate::state::ExecStats;
-use citroen_core::SharedCacheStats;
+use citroen_core::{MemoStats, SharedCacheStats};
 use citroen_rt::json::Value;
 use citroen_telemetry::metrics::{MetricsRegistry, Sentinel, SloKind, WindowCfg};
 use citroen_telemetry::{Histogram, SpanRecord};
@@ -93,6 +93,8 @@ pub struct JobSummary {
     pub compiles: u64,
     /// Pass runs skipped by prefix resumption.
     pub passes_reused: u64,
+    /// Pass runs skipped by the no-op memo.
+    pub passes_skipped: u64,
     /// Runtime measurements consumed.
     pub measurements: u64,
     /// Transfer warm-start seeds injected.
@@ -110,6 +112,8 @@ struct Hub {
     sentinels: Vec<Sentinel>,
     recent: VecDeque<JobSummary>,
     cache_last: SharedCacheStats,
+    /// The newest no-op memo reading the gauges show.
+    noop_last: MemoStats,
 }
 
 impl Hub {
@@ -145,6 +149,7 @@ impl ServeMetrics {
                 sentinels,
                 recent: VecDeque::new(),
                 cache_last: SharedCacheStats::default(),
+                noop_last: MemoStats::default(),
             }),
         })
     }
@@ -221,6 +226,7 @@ impl ServeMetrics {
                 r.add(outcome_key, 1, now);
                 r.add("compiles", job.compiles, now);
                 r.add("passes_reused", job.passes_reused, now);
+                r.add("passes_skipped", job.passes_skipped, now);
                 r.add("measurements", job.measurements, now);
                 r.add("warm_seeds", job.warm_seeds, now);
                 r.observe("run_wall_ms", job.run_ms, now);
@@ -265,6 +271,25 @@ impl ServeMetrics {
             ] {
                 let v = hub.global.gauge(name).map_or(v, |old| old.max(v));
                 hub.global.set_gauge(name, v);
+            }
+            // The no-op memo's occupancy falls when a generation is
+            // dropped, so its gauges show the newest reading whole instead.
+            // Every lookup or insert raises a memo's hits + misses +
+            // evictions + len (a dropped generation only moves its count
+            // from len to evictions), so of two readings the one with the
+            // larger sum is the later, and equal sums read the same state.
+            let n = exec.noop;
+            let age = |m: MemoStats| m.hits + m.misses + m.evictions + m.len;
+            if age(n) >= age(hub.noop_last) {
+                hub.noop_last = n;
+                for (name, v) in [
+                    ("noop.hits", n.hits),
+                    ("noop.misses", n.misses),
+                    ("noop.evictions", n.evictions),
+                    ("noop.len", n.len),
+                ] {
+                    hub.global.set_gauge(name, v);
+                }
             }
             hub.cache_last = cache;
 
@@ -525,6 +550,7 @@ mod tests {
             run_ms,
             compiles: 10,
             passes_reused: 3,
+            passes_skipped: 5,
             measurements: 4,
             warm_seeds: 1,
         }
@@ -538,7 +564,11 @@ mod tests {
         m.session_finished(
             job("j1", "a", "completed", 7),
             SharedCacheStats { hits: 3, misses: 1, ..Default::default() },
-            ExecStats { memo: citroen_core::MemoStats { hits: 2, len: 6, ..Default::default() }, bases: 1 },
+            ExecStats {
+                memo: MemoStats { hits: 2, len: 6, ..Default::default() },
+                noop: MemoStats { hits: 9, misses: 4, len: 3, ..Default::default() },
+                bases: 1,
+            },
             5,
         );
         let hub = m.hub.lock().unwrap();
@@ -546,6 +576,9 @@ mod tests {
         assert_eq!(hub.global.total("jobs.done"), 1);
         assert_eq!(hub.global.total("compiles"), 10);
         assert_eq!(hub.global.total("passes_reused"), 3);
+        assert_eq!(hub.global.total("passes_skipped"), 5);
+        assert_eq!(hub.global.gauge("noop.hits"), Some(9));
+        assert_eq!(hub.global.gauge("noop.len"), Some(3));
         assert_eq!(hub.global.gauge("exec.hits"), Some(2));
         assert_eq!(hub.global.gauge("exec.len"), Some(6));
         assert_eq!(hub.global.gauge("exec.bases"), Some(1));

@@ -299,6 +299,9 @@ pub struct JobOutcome {
     /// Pass runs this session's compile sweeps skipped by resuming a
     /// sequence from a prefix state another sequence of the sweep reached.
     pub passes_reused: u64,
+    /// Pass runs this session's compile sweeps skipped because the
+    /// program's no-op memo knew they change nothing.
+    pub passes_skipped: u64,
     /// Transfer seeds injected into this session's initial design.
     pub warm_seeds: u64,
     /// Best pass-id sequence found.
@@ -322,6 +325,7 @@ pub fn result_reply(id: &str, state: JobState, o: &JobOutcome) -> String {
         ("executions", Value::U64(o.executions)),
         ("compiles", Value::U64(o.compiles)),
         ("passes_reused", Value::U64(o.passes_reused)),
+        ("passes_skipped", Value::U64(o.passes_skipped)),
         ("warm_seeds", Value::U64(o.warm_seeds)),
         ("best_seq", Value::Arr(o.best_seq.iter().map(|&p| Value::U64(p as u64)).collect())),
     ])
@@ -330,7 +334,8 @@ pub fn result_reply(id: &str, state: JobState, o: &JobOutcome) -> String {
 
 /// `stats` reply: shared-cache counters (including the LRU eviction count),
 /// execution-memo counters and occupancy summed over the program bases
-/// (`exec`, with `bases` built so far), job-state counts, transfer-corpus
+/// (`exec`, with `bases` built so far), the no-op memo's likewise (`noop`;
+/// a hit is a skipped pass run), job-state counts, transfer-corpus
 /// size, daemon uptime, and the current health verdict. `hit_ratio` is the
 /// readable twin of `hit_ratio_bits` (see the module doc).
 #[allow(clippy::too_many_arguments)]
@@ -372,6 +377,15 @@ pub fn stats_reply(
                 ("evictions", Value::U64(exec.memo.evictions)),
                 ("len", Value::U64(exec.memo.len)),
                 ("bases", Value::U64(exec.bases)),
+            ]),
+        ),
+        (
+            "noop",
+            obj(vec![
+                ("hits", Value::U64(exec.noop.hits)),
+                ("misses", Value::U64(exec.noop.misses)),
+                ("evictions", Value::U64(exec.noop.evictions)),
+                ("len", Value::U64(exec.noop.len)),
             ]),
         ),
         (

@@ -426,6 +426,7 @@ impl Server {
                 run_ms: run_start.elapsed().as_millis() as u64,
                 compiles: outcome.compiles,
                 passes_reused: outcome.passes_reused,
+                passes_skipped: outcome.passes_skipped,
                 measurements: outcome.measurements,
                 warm_seeds: outcome.warm_seeds,
             },
@@ -500,6 +501,7 @@ impl Server {
             executions: task.executions as u64,
             compiles: task.compilations as u64,
             passes_reused: task.passes_reused as u64,
+            passes_skipped: task.passes_skipped as u64,
             warm_seeds: n_warm,
             best_seq: trace
                 .best_seqs

@@ -76,11 +76,13 @@ pub struct ServeState {
     bases: Vec<(&'static str, OnceLock<Arc<TaskBase>>)>,
 }
 
-/// Execution-memo counters summed over the daemon's program bases.
+/// The program bases' memo counters, summed over the daemon's bases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// The summed memo counters and occupancy.
+    /// The execution memos' counters and occupancy.
     pub memo: MemoStats,
+    /// The no-op memos' counters and occupancy.
+    pub noop: MemoStats,
     /// Program bases built so far.
     pub bases: u64,
 }
@@ -122,6 +124,7 @@ impl ServeState {
         let built = self.bases.iter().filter_map(|(_, slot)| slot.get());
         built.fold(ExecStats::default(), |acc, base| ExecStats {
             memo: acc.memo + base.memo_stats(),
+            noop: acc.noop + base.noop_stats(),
             bases: acc.bases + 1,
         })
     }

@@ -129,6 +129,25 @@ fn ten_seeds_with_metrics_on_match_standalone_digests() {
         .and_then(|c| c.get("total"))
         .and_then(Value::as_u64);
     assert_eq!(counter.unwrap_or(0), reused);
+    // The no-op memo: the counter sums the jobs' `passes_skipped`, which sum
+    // to the shared base's memo hits, and the gauges read as `stats` does.
+    let skipped: u64 = results
+        .iter()
+        .map(|r| r.get("passes_skipped").and_then(Value::as_u64).expect("passes_skipped on result"))
+        .sum();
+    let counter = global
+        .get("counters")
+        .and_then(|c| c.get("passes_skipped"))
+        .and_then(|c| c.get("total"))
+        .and_then(Value::as_u64);
+    assert_eq!(counter.unwrap_or(0), skipped);
+    assert_eq!(skipped, exec.noop.hits, "every memo hit is a skip some job made");
+    assert!(skipped > 0, "ten jobs over one program repeat no-op pass runs");
+    assert_eq!(gauge("noop.hits"), Some(exec.noop.hits));
+    assert_eq!(gauge("noop.misses"), Some(exec.noop.misses));
+    assert_eq!(gauge("noop.evictions"), Some(exec.noop.evictions));
+    assert_eq!(gauge("noop.len"), Some(exec.noop.len));
+    assert!(exec.noop.len as usize <= citroen_passes::NOOP_MEMO_CAP);
     let recent = v.get("recent").and_then(Value::as_arr).expect("recent ring");
     assert_eq!(recent.len(), 10);
     // All three tenants got their own registries, each reporting health.

@@ -60,6 +60,7 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
                         run_ms: 1,
                         compiles: 0,
                         passes_reused: 0,
+                        passes_skipped: 0,
                         measurements: 0,
                         warm_seeds: 0,
                     },

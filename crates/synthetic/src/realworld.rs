@@ -4,6 +4,9 @@
 
 use citroen_bo::Bounds;
 
+/// A task's objective: a point in the search bounds to its cost.
+pub type Objective = Box<dyn Fn(&[f64]) -> f64 + Sync + Send>;
+
 /// A real-world-style task.
 pub struct RealWorldTask {
     /// Task name.
@@ -11,7 +14,7 @@ pub struct RealWorldTask {
     /// Search bounds.
     pub bounds: Bounds,
     /// Objective (minimised).
-    pub f: Box<dyn Fn(&[f64]) -> f64 + Sync + Send>,
+    pub f: Objective,
 }
 
 /// Rover trajectory planning (60-D, `[0,1]^60`): 30 waypoints in the unit

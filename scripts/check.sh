@@ -3,7 +3,9 @@
 #
 #   1. release build of the whole workspace (binaries included), plus a
 #      type check of the benchmark harness (`perfbench/`, its own cargo
-#      workspace), so an API change that breaks the harness fails here
+#      workspace), so an API change that breaks the harness fails here,
+#      plus `cargo clippy` over the workspace's libraries and binaries with
+#      every warning an error
 #   2. the test suites of every workspace member, in the dev profile
 #      (optimised, with debug assertions and overflow checks; see
 #      Cargo.toml): the root package (integration, fuzz-differential,
@@ -64,9 +66,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release (+ perfbench type check)"
+echo "== cargo build --release (+ perfbench type check, clippy -D warnings)"
 cargo build --release
 cargo check --release --offline --manifest-path perfbench/Cargo.toml
+cargo clippy --release --offline --workspace -- -D warnings
 
 echo "== cargo test -q --workspace"
 cargo test -q --workspace

@@ -429,7 +429,9 @@ fn diff(mut args: std::env::Args) {
         "{:<28} {:>14} {:>14} {:>14} {:>14} {:>8}",
         "span name", "old self", "new self", "old total", "new total", "delta"
     );
-    let mut rows: Vec<(&String, (u64, u64), (u64, u64))> = names
+    // Per span: name, then (total, self) nanoseconds in each trace.
+    type Row<'n> = (&'n String, (u64, u64), (u64, u64));
+    let mut rows: Vec<Row> = names
         .iter()
         .map(|n| (*n, ra.get(*n).copied().unwrap_or((0, 0)), rb.get(*n).copied().unwrap_or((0, 0))))
         .collect();

@@ -1,11 +1,13 @@
 //! Soundness campaigns for the pass pipeline and its pruning claims: random
 //! generated modules × random pass sequences, driven by one loop.
 //!
-//! * [`run_campaign`] checks each trial five ways — the structural
+//! * [`run_campaign`] checks each trial six ways — the structural
 //!   verifier, the translation-validation sanitizer, an interpreter
 //!   differential (return value + mutable-memory digest against the
 //!   unoptimised module), the structural fingerprint against the printed
-//!   text, and a compile resumed half-way against the straight one.
+//!   text, a compile resumed half-way against the straight one, and
+//!   compiles through a cold and a warm no-op memo against the straight
+//!   one.
 //! * [`run_oracle_campaign`] executes every `CannotFire` precondition verdict
 //!   seen along an evolving sequence.
 //! * [`run_subsumption_campaign`] executes every drop the sequence
@@ -28,7 +30,7 @@ use citroen_ir::module::Module;
 use citroen_ir::FuncId;
 use citroen_passes::oracle::noop_breach;
 use citroen_ir::print::{fingerprint, print_module};
-use citroen_passes::{CompileError, PassId, PassManager, Prefix, Registry, Stats};
+use citroen_passes::{CompileError, CompileResult, NoopMemo, PassId, PassManager, Prefix, Registry, Stats};
 use citroen_rt::rng::{Rng, SeedableRng, StdRng};
 use citroen_suite::generator::{generate, GenConfig};
 
@@ -200,11 +202,13 @@ fn drive(
 }
 
 /// Fuzz trial: does `seq` break `m` in any observable way? Labels are the
-/// failure kinds `verify`, `sanitize` and `differential`, plus two checks of
-/// the compile path itself: `fingerprint` (the structural fingerprints of
+/// failure kinds `verify`, `sanitize` and `differential`, plus three checks
+/// of the compile path itself: `fingerprint` (the structural fingerprints of
 /// the source and the result are equal exactly when their printed texts and
-/// attributes are) and `resume` (the compile split at `len/2` and resumed
-/// from the first half's state equals the straight one).
+/// attributes are), `resume` (the compile split at `len/2` and resumed from
+/// the first half's state equals the straight one) and `noop` (the compile
+/// through a fresh no-op memo, then again through the memo it warmed,
+/// equals the straight one). None of them draws from the campaign's RNG.
 fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(String, String)> {
     let res = match pm.compile_result(m, seq) {
         Ok(res) => res,
@@ -228,21 +232,31 @@ fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(Strin
         );
         return Some(("fingerprint".to_string(), detail));
     }
-    let half = seq.len() / 2;
-    let resumed = pm.compile_result(m, &seq[..half]).and_then(|h| {
-        pm.resume(Prefix { module: h.module, stats: h.stats }, &seq[half..], |_, _| {})
-    });
-    // Debug text compares every field, as `==` does, but NaN immediates alike.
+    // How another route to this compile's result missed it. Debug text
+    // compares every field, as `==` does, but NaN immediates alike.
     let same = |a: &Module, b: &Module| a == b || format!("{a:?}") == format!("{b:?}");
-    let breach = match resumed {
+    let breach = |other: Result<CompileResult, CompileError>| match other {
         Ok(r) if same(&r.module, &res.module)
             && r.stats == res.stats
             && r.fingerprint == res.fingerprint => None,
         Ok(_) => Some("a different result".to_string()),
         Err(e) => Some(e.to_string()),
     };
-    if let Some(b) = breach {
+    let half = seq.len() / 2;
+    let resumed = pm.compile_result(m, &seq[..half]).and_then(|h| {
+        pm.resume(Prefix { module: h.module, stats: h.stats }, &seq[half..], None, |_, _| {})
+    });
+    if let Some(b) = breach(resumed) {
         return Some(("resume".to_string(), format!("resumed at pass {half} of {}: {b}", seq.len())));
+    }
+    // Through a no-op memo, cold and then warm with every run the cold
+    // compile found to change nothing.
+    let memo = NoopMemo::new();
+    for temp in ["cold", "warm"] {
+        let r = pm.resume(Prefix::source(m), seq, Some((&memo, 0)), |_, _| {});
+        if let Some(b) = breach(r) {
+            return Some(("noop".to_string(), format!("through a {temp} no-op memo: {b}")));
+        }
     }
     let detail = match (observe(m), observe(&res.module)) {
         (Ok(a), Ok(b)) if a != b => format!("(result, memory digest) {a:?} became {b:?}"),
