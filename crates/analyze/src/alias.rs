@@ -32,8 +32,8 @@
 //!
 //! The answers are *checkable*: `citroen-analyze alias-oracle` replays every
 //! `No`/`Must` verdict against concrete interpreter runs (see the root
-//! crate's `alias_oracle` module), the same way the precondition and
-//! subsumption theorems are fuzz-verified.
+//! crate's `alias_oracle` module), the same way the subsumption theorems
+//! are fuzz-verified.
 
 use crate::intervals::{FunctionIntervals, Interval};
 use crate::memeffects::{classify_addr, Access, Root};

@@ -2,10 +2,10 @@
 //!
 //! [`alias`](crate::alias) answers [`No`](AliasResult::No) and
 //! [`Must`](AliasResult::Must) as *theorems* about every execution; the
-//! sanitizer rules (S9–S11), the loop dependence graphs, and the sharpened
-//! pass preconditions all lean on them. This module checks the theorems the
-//! brute-force way: record every dynamic memory access with its static site
-//! (via the interpreter's [`EventSink::mem_site`] hook), group accesses into
+//! sanitizer rules (S9–S11) and the loop dependence graphs lean on them.
+//! This module checks the theorems the brute-force way: record every dynamic
+//! memory access with its static site (via the interpreter's
+//! [`EventSink::mem_site`] hook), group accesses into
 //! per-block dynamic *instances* (one execution of one block in one function
 //! activation), and compare each claimed pair's concrete addresses:
 //!

@@ -11,7 +11,7 @@
 //! - [`liveness`] — backward SSA liveness (φ-operands as edge uses).
 //! - [`alias`] — intraprocedural flow-sensitive must/may/no-alias queries:
 //!   exact symbolic address decomposition plus root classification, the
-//!   substrate for sharp loop-pass preconditions and rules S9–S11.
+//!   substrate for sanitizer rules S9–S11.
 //! - [`depgraph`] — per-loop memory dependence graphs over the alias
 //!   relation, separating loop-carried from loop-independent dependences
 //!   with conservative call handling via [`memeffects`] summaries.
@@ -27,13 +27,12 @@
 //! - [`sanitize`] — cross-checks pre-/post-pass facts for semantic
 //!   *contradictions* a structurally-valid miscompile cannot hide, at both
 //!   function (S1–S5) and value (S6–S8) granularity.
-//! - [`oracle`] — the pass-applicability fact bundle and verdict types
-//!   behind `Pass::precondition` (`CannotFire` is a fuzz-enforced theorem),
-//!   plus the pass-interaction graph and its JSON form.
+//! - [`oracle`] — the pass-subsumption work model and the static
+//!   subsumption matrix behind the sequence canonicaliser.
 //! - [`reduce`] — `ddmin` over pass sequences and a verifier-gated module
 //!   reducer that shrinks failures to minimal parseable reproducers.
 //!
-//! Dependencies are `citroen-ir` and `citroen-rt` (JSON emission); the pass
+//! Dependencies are `citroen-ir` and `citroen-rt`; the pass
 //! manager plugs [`sanitize`] in behind `CITROEN_SANITIZE`, and the
 //! `citroen-analyze` binary drives the fuzz-and-reduce loop.
 
@@ -57,7 +56,7 @@ pub use intervals::{analyze_module as interval_analysis, Interval, ModuleInterva
 pub use lint::{filter_severity, lint_module, Diagnostic, Severity};
 pub use liveness::Liveness;
 pub use memeffects::{MemEffects, ModuleEffects};
-pub use oracle::{compute_facts, Facts, InteractionGraph, Verdict, WorkModel};
+pub use oracle::WorkModel;
 pub use reduce::{ddmin, reduce_module};
 pub use sanitize::{check as sanitize_check, module_facts, ModuleFacts, Violation};
 pub use valmap::{correspond, value_facts, ValueFacts};

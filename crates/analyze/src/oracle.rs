@@ -1,111 +1,13 @@
-//! Per-pass applicability oracle: the fact bundle and verdict types behind
-//! `Pass::precondition`, plus the pass-interaction graph derived from them.
+//! The pass-subsumption work model: which work classes each pass needs,
+//! clears and may create, and the static subsumption matrix they imply.
 //!
-//! A precondition analysis answers, *without running the pass*: can this
-//! pass possibly transform this module? The answer is asymmetric by design:
-//!
-//! - [`Verdict::CannotFire`] is a **theorem**. Running the pass must leave
-//!   the module fingerprint unchanged and emit zero statistics. The fuzzing
-//!   campaign in the root crate (`citroen-analyze oracle`) executes every
-//!   `CannotFire` verdict it sees and fails the build on a contradiction.
-//! - [`Verdict::MayFire`] is never wrong — it only means the analysis could
-//!   not rule the pass out, with `evidence` naming what it found.
-//!
-//! This split is what makes the oracle usable for search-space pruning: a
-//! tuner may delete `CannotFire` passes from a candidate sequence knowing
-//! the compiled artifact is bit-identical, collapsing duplicate candidate
-//! evaluations into cache hits.
-
-use crate::intervals::{self, ModuleIntervals};
-use crate::liveness::Liveness;
-use crate::memeffects::{self, ModuleEffects};
-use citroen_ir::analysis::Cfg;
-use citroen_ir::module::Module;
-use citroen_rt::json::Value;
-
-/// The oracle's answer for one pass on one module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// Running the pass provably changes nothing and records no statistics.
-    CannotFire,
-    /// The pass was not ruled out.
-    MayFire {
-        /// What the analysis found that the pass could act on.
-        evidence: String,
-    },
-}
-
-impl Verdict {
-    /// Shorthand for a `MayFire` verdict.
-    pub fn may(evidence: impl Into<String>) -> Verdict {
-        Verdict::MayFire { evidence: evidence.into() }
-    }
-
-    /// Whether this is the theorem-grade `CannotFire` verdict.
-    pub fn is_cannot_fire(&self) -> bool {
-        matches!(self, Verdict::CannotFire)
-    }
-
-    /// The evidence string of a `MayFire` verdict.
-    pub fn evidence(&self) -> Option<&str> {
-        match self {
-            Verdict::CannotFire => None,
-            Verdict::MayFire { evidence } => Some(evidence),
-        }
-    }
-}
-
-impl std::fmt::Display for Verdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Verdict::CannotFire => write!(f, "cannot-fire"),
-            Verdict::MayFire { evidence } => write!(f, "may-fire ({evidence})"),
-        }
-    }
-}
-
-/// The dataflow facts handed to every `precondition` hook: the PR-2 analyses
-/// computed once per module so individual preconditions don't repeat them.
-#[derive(Debug, Clone)]
-pub struct Facts {
-    /// Interval abstract interpretation (per SSA value, per function).
-    pub intervals: ModuleIntervals,
-    /// Memory-effect summaries (global read/write sets, must-return proofs).
-    pub effects: ModuleEffects,
-    /// Backward SSA liveness, per function (module order).
-    pub live: Vec<Liveness>,
-}
-
-/// Compute the fact bundle for `m`.
-pub fn compute_facts(m: &Module) -> Facts {
-    let intervals = intervals::analyze_module(m);
-    let effects = memeffects::analyze_module(m, &intervals);
-    let live = m
-        .funcs
-        .iter()
-        .map(|f| {
-            let cfg = Cfg::compute(f);
-            Liveness::compute(f, &cfg)
-        })
-        .collect();
-    Facts { intervals, effects, live }
-}
-
-/// One observed interaction: running pass `from` flipped pass `to`'s verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Interaction {
-    /// Index of the transforming pass.
-    pub from: usize,
-    /// Index of the pass whose verdict flipped.
-    pub to: usize,
-    /// On how many corpus modules the flip was observed.
-    pub count: u64,
-}
+//! A subsumption edge `(p, q)` is a theorem: right after `p`, pass `q`
+//! leaves the module fingerprint unchanged and records no statistics, on
+//! any module. The sequence canonicaliser drops `q` there, and the
+//! `citroen-analyze subsume` campaign executes every such drop.
 
 /// Per-pass work-class masks: the statically-declared subsumption model
-/// (`Pass::{fires_on, clears, produces}` in the passes crate), serialised
-/// alongside the interaction graph so the tuner's `SeqCanonicalizer` can
-/// warm-start from a JSON file without re-deriving anything. Bit `i` of a
+/// (`Pass::{fires_on, clears, produces}` in the passes crate). Bit `i` of a
 /// mask refers to `classes[i]`; every claim encoded here is fuzz-executed
 /// as a theorem by `citroen-analyze subsume`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -141,224 +43,18 @@ impl WorkModel {
     }
 }
 
-/// The static pass-interaction graph: which passes enable (flip
-/// `CannotFire` → `MayFire`) or disable (`MayFire` → `CannotFire`) which
-/// other passes' preconditions, derived from pairwise verdicts over a module
-/// corpus. Edges are existential over the corpus — "A enabled B on at least
-/// `count` modules" — so the graph over-approximates enablement *relative to
-/// that corpus*, which is what sequence canonicalisation wants: only drop a
-/// dead pass when no earlier pass is known to wake it.
-#[derive(Debug, Clone, Default)]
-pub struct InteractionGraph {
-    /// Pass names, in registry id order.
-    pub passes: Vec<String>,
-    /// Enable edges.
-    pub enables: Vec<Interaction>,
-    /// Disable edges.
-    pub disables: Vec<Interaction>,
-    /// Number of corpus modules the graph was derived from.
-    pub modules: u64,
-    /// The work-class subsumption model, when the producer declared one.
-    /// Absent in graphs from older versions (missing JSON key → `None`).
-    pub work: Option<WorkModel>,
-}
-
-impl InteractionGraph {
-    /// Per-pass bitmask of the passes it enables (`mask[a]` has bit `b` set
-    /// iff `a` enables `b`). Requires ≤ 64 passes.
-    pub fn enables_mask(&self) -> Vec<u64> {
-        assert!(self.passes.len() <= 64, "bitmask form limited to 64 passes");
-        let mut mask = vec![0u64; self.passes.len()];
-        for e in &self.enables {
-            mask[e.from] |= 1u64 << e.to;
-        }
-        mask
-    }
-
-    /// Serialise as a JSON document (`citroen-analyze oracle` output).
-    pub fn to_json(&self) -> String {
-        let edge_list = |edges: &[Interaction]| {
-            Value::Arr(
-                edges
-                    .iter()
-                    .map(|e| {
-                        Value::Obj(vec![
-                            ("from".into(), Value::str(&self.passes[e.from])),
-                            ("to".into(), Value::str(&self.passes[e.to])),
-                            ("modules".into(), Value::U64(e.count)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        let mut obj = vec![
-            (
-                "passes".into(),
-                Value::Arr(self.passes.iter().map(Value::str).collect()),
-            ),
-            ("corpus_modules".into(), Value::U64(self.modules)),
-            ("enables".into(), edge_list(&self.enables)),
-            ("disables".into(), edge_list(&self.disables)),
-        ];
-        if let Some(w) = &self.work {
-            let masks = |ms: &[u64]| Value::Arr(ms.iter().map(|m| Value::U64(*m)).collect());
-            obj.push((
-                "work".into(),
-                Value::Obj(vec![
-                    ("classes".into(), Value::Arr(w.classes.iter().map(Value::str).collect())),
-                    (
-                        "fires_on".into(),
-                        Value::Arr(
-                            w.fires_on
-                                .iter()
-                                .map(|f| match f {
-                                    Some(m) => Value::U64(*m),
-                                    None => Value::str("unknown"),
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("clears".into(), masks(&w.clears)),
-                    ("produces".into(), masks(&w.produces)),
-                ]),
-            ));
-        }
-        Value::Obj(obj).emit_pretty()
-    }
-
-    /// Parse a graph back from [`InteractionGraph::to_json`] output.
-    pub fn from_json(text: &str) -> Result<InteractionGraph, String> {
-        let v = Value::parse(text).map_err(|e| e.to_string())?;
-        let passes: Vec<String> = v
-            .get("passes")
-            .and_then(Value::as_arr)
-            .ok_or("missing 'passes' array")?
-            .iter()
-            .map(|p| p.as_str().map(str::to_string).ok_or("non-string pass name"))
-            .collect::<Result<_, _>>()?;
-        let index =
-            |name: &str| passes.iter().position(|p| p == name).ok_or("unknown pass in edge");
-        let edges = |key: &str| -> Result<Vec<Interaction>, String> {
-            v.get(key)
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("missing '{key}' array"))?
-                .iter()
-                .map(|e| {
-                    Ok(Interaction {
-                        from: index(e.get("from").and_then(Value::as_str).ok_or("bad edge")?)?,
-                        to: index(e.get("to").and_then(Value::as_str).ok_or("bad edge")?)?,
-                        count: e.get("modules").and_then(Value::as_u64).ok_or("bad edge")?,
-                    })
-                })
-                .collect()
-        };
-        let work = match v.get("work") {
-            None => None,
-            Some(w) => {
-                let classes: Vec<String> = w
-                    .get("classes")
-                    .and_then(Value::as_arr)
-                    .ok_or("work: missing 'classes'")?
-                    .iter()
-                    .map(|c| c.as_str().map(str::to_string).ok_or("work: non-string class"))
-                    .collect::<Result<_, _>>()?;
-                let masks = |key: &str| -> Result<Vec<u64>, String> {
-                    w.get(key)
-                        .and_then(Value::as_arr)
-                        .ok_or_else(|| format!("work: missing '{key}'"))?
-                        .iter()
-                        .map(|m| m.as_u64().ok_or_else(|| format!("work: bad mask in '{key}'")))
-                        .collect()
-                };
-                let fires_on: Vec<Option<u64>> = w
-                    .get("fires_on")
-                    .and_then(Value::as_arr)
-                    .ok_or("work: missing 'fires_on'")?
-                    .iter()
-                    .map(|f| match (f.as_u64(), f.as_str()) {
-                        (Some(m), _) => Ok(Some(m)),
-                        (None, Some("unknown")) => Ok(None),
-                        _ => Err("work: bad fires_on entry".to_string()),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let model = WorkModel { classes, fires_on, clears: masks("clears")?, produces: masks("produces")? };
-                if model.fires_on.len() != passes.len()
-                    || model.clears.len() != passes.len()
-                    || model.produces.len() != passes.len()
-                {
-                    return Err("work: mask arrays must match 'passes' length".into());
-                }
-                Some(model)
-            }
-        };
-        Ok(InteractionGraph {
-            enables: edges("enables")?,
-            disables: edges("disables")?,
-            modules: v.get("corpus_modules").and_then(Value::as_u64).unwrap_or(0),
-            passes,
-            work,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use citroen_ir::builder::FunctionBuilder;
-    use citroen_ir::inst::Operand;
-    use citroen_ir::types::I64;
 
     #[test]
-    fn facts_cover_every_function() {
-        let mut m = Module::new("m");
-        for name in ["f", "g"] {
-            let mut b = FunctionBuilder::new(name, vec![I64], Some(I64));
-            b.ret(Some(Operand::imm64(1)));
-            m.add_func(b.finish());
-        }
-        let facts = compute_facts(&m);
-        assert_eq!(facts.intervals.funcs.len(), 2);
-        assert_eq!(facts.effects.funcs.len(), 2);
-        assert_eq!(facts.live.len(), 2);
-    }
-
-    #[test]
-    fn graph_json_roundtrip() {
-        let g = InteractionGraph {
-            passes: vec!["mem2reg".into(), "gvn".into(), "licm".into()],
-            enables: vec![Interaction { from: 0, to: 1, count: 4 }],
-            disables: vec![Interaction { from: 1, to: 2, count: 1 }],
-            modules: 9,
-            work: None,
-        };
-        let j = g.to_json();
-        assert!(!j.contains("\"work\""), "no work model → no 'work' key");
-        let back = InteractionGraph::from_json(&j).unwrap();
-        assert_eq!(back.passes, g.passes);
-        assert_eq!(back.enables, g.enables);
-        assert_eq!(back.disables, g.disables);
-        assert_eq!(back.modules, 9);
-        assert!(back.work.is_none());
-        assert_eq!(g.enables_mask(), vec![0b010, 0, 0]);
-    }
-
-    #[test]
-    fn work_model_json_roundtrip_and_matrix() {
+    fn work_model_matrix() {
         let work = WorkModel {
             classes: vec!["dead".into(), "cp".into()],
             fires_on: vec![Some(0b01), None, Some(0b10)],
             clears: vec![0b01, 0b11, 0b10],
             produces: vec![0b11, 0b00, 0b11],
         };
-        let g = InteractionGraph {
-            passes: vec!["dce".into(), "gvn".into(), "constprop".into()],
-            enables: Vec::new(),
-            disables: Vec::new(),
-            modules: 1,
-            work: Some(work.clone()),
-        };
-        let back = InteractionGraph::from_json(&g.to_json()).unwrap();
-        assert_eq!(back.work.as_ref(), Some(&work));
         // dce clears dead → subsumes dce; gvn clears both → subsumes dce and
         // constprop; constprop clears cp → subsumes itself. gvn itself has an
         // unknown fire mask and is never a subsumption target.
@@ -366,31 +62,5 @@ mod tests {
             work.subsumed_pairs(),
             vec![(0, 0), (1, 0), (1, 2), (2, 2)]
         );
-    }
-
-    #[test]
-    fn work_model_length_mismatch_is_an_error() {
-        let g = InteractionGraph {
-            passes: vec!["dce".into(), "gvn".into()],
-            enables: Vec::new(),
-            disables: Vec::new(),
-            modules: 0,
-            work: Some(WorkModel {
-                classes: vec!["dead".into()],
-                fires_on: vec![Some(1)],
-                clears: vec![1],
-                produces: vec![1],
-            }),
-        };
-        assert!(InteractionGraph::from_json(&g.to_json()).is_err());
-    }
-
-    #[test]
-    fn verdict_helpers() {
-        assert!(Verdict::CannotFire.is_cannot_fire());
-        let may = Verdict::may("2 promotable allocas");
-        assert!(!may.is_cannot_fire());
-        assert_eq!(may.evidence(), Some("2 promotable allocas"));
-        assert_eq!(format!("{may}"), "may-fire (2 promotable allocas)");
     }
 }

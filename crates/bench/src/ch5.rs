@@ -665,7 +665,15 @@ pub fn batch_sweep(cfg: &ExpCfg) {
 pub fn adaptive_multimodule(cfg: &ExpCfg) {
     let mut rep = Report::new(
         "adaptive_multimodule",
-        &["benchmark", "policy", "speedup@1/2", "speedup@full", "meas_to_95pct", "measurements"],
+        &[
+            "benchmark",
+            "policy",
+            "speedup@1/2",
+            "speedup@full",
+            "meas_to_95pct",
+            "measurements",
+            "compilations",
+        ],
     );
     let platform = Platform::tx2();
     for name in spec_names() {
@@ -674,7 +682,8 @@ pub fn adaptive_multimodule(cfg: &ExpCfg) {
             ("round-robin", Allocation::RoundRobin),
             ("uniform", Allocation::Uniform),
         ] {
-            let rows: Vec<(f64, f64, usize, usize)> = par_map((0..cfg.reps).collect(), |seed| {
+            let runs = (0..cfg.reps).collect();
+            let rows: Vec<(f64, f64, usize, usize, usize)> = par_map(runs, |seed| {
                 let mut task = make_task(name, &platform, cfg, seed);
                 if task.hot_modules.len() < 2 {
                     // Ensure the allocation question exists.
@@ -703,7 +712,7 @@ pub fn adaptive_multimodule(cfg: &ExpCfg) {
                     .position(|b| *b <= target)
                     .map(|i| i + 1)
                     .unwrap_or(trace.best_history.len());
-                (half, full, reach, task.measurements)
+                (half, full, reach, task.measurements, task.compilations)
             });
             rep.row(vec![
                 name.to_string(),
@@ -712,6 +721,7 @@ pub fn adaptive_multimodule(cfg: &ExpCfg) {
                 f3(mean(&rows.iter().map(|r| r.1).collect::<Vec<_>>())),
                 f3(mean(&rows.iter().map(|r| r.2 as f64).collect::<Vec<_>>())),
                 f3(mean(&rows.iter().map(|r| r.3 as f64).collect::<Vec<_>>())),
+                f3(mean(&rows.iter().map(|r| r.4 as f64).collect::<Vec<_>>())),
             ]);
         }
     }

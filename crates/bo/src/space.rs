@@ -54,36 +54,27 @@ pub fn clamp_unit(x: &mut [f64]) {
     }
 }
 
-/// Oracle-driven pass-sequence canonicalisation.
+/// Pass-sequence canonicalisation by the work-class subsumption dataflow.
 ///
 /// The discrete face of the search space: genomes decode to pass sequences,
-/// and the precondition oracle proves some passes statically dead
-/// (`CannotFire`) on the module being tuned. Dropping those passes maps many
-/// raw genomes onto one canonical sequence, turning duplicate candidate
-/// evaluations into compile-cache hits without changing what any candidate
-/// compiles to.
+/// and some passes provably change nothing where they stand. Dropping those
+/// passes maps many raw genomes onto one canonical sequence, turning
+/// duplicate candidate evaluations into compile-cache hits without changing
+/// what any candidate compiles to.
 ///
 /// Deliberately dependency-free (plain indices + bitmasks) so `citroen-bo`
-/// needs no view of the pass registry: callers supply `dead[p]` (the oracle
-/// verdict for pass `p` on the *source* module) and `enables[p]` (bit `q`
-/// set iff running `p` was observed to wake `q`, from the pass-interaction
-/// graph). A dead pass is only dropped while no earlier *kept* pass is known
-/// to enable it — the interaction graph over-approximates enablement, so
-/// pruning stays conservative as the module evolves down the sequence.
+/// needs no view of the pass registry: callers supply each pass's work-class
+/// masks. Canonicalisation tracks the set of work classes that may still be
+/// present down the kept sequence — `maybe' = (maybe | produces[p]) &
+/// !clears[p]`, clears winning because it is a postcondition — and drops
+/// pass `q` wherever its fire mask is known and disjoint from that set. That
+/// covers both `p, p` (`p` clears its own fire bit) and `p, q, p` (when `q`
+/// neither produces nor re-enables `p`'s work). Every drop is a theorem on
+/// any module, fuzz-checked by `citroen-analyze subsume`.
 #[derive(Debug, Clone)]
 pub struct SeqCanonicalizer {
-    /// Per-pass: statically dead on the module being tuned.
-    pub dead: Vec<bool>,
-    /// Per-pass: bitmask of the passes it may enable (≤64 passes).
-    pub enables: Vec<u64>,
-    /// Per-pass: idempotent — running it twice back-to-back is provably the
-    /// same as running it once, so immediate duplicates collapse. Defaults to
-    /// all-false ([`SeqCanonicalizer::new`]); opt in via
-    /// [`SeqCanonicalizer::with_idempotence`].
-    pub idem: Vec<bool>,
     /// Per-pass: work classes whose presence is necessary for the pass to
-    /// fire (`None` = unknown, never dropped). Empty unless
-    /// [`SeqCanonicalizer::with_subsumption`] opted in.
+    /// fire (`None` = unknown, never dropped).
     pub fires_on: Vec<Option<u64>>,
     /// Per-pass: work classes provably absent after the pass runs.
     pub clears: Vec<u64>,
@@ -92,106 +83,39 @@ pub struct SeqCanonicalizer {
 }
 
 impl SeqCanonicalizer {
-    /// Build from the oracle dead-mask and the interaction graph's
-    /// enables-mask. Both are indexed by pass id; 64 passes max (bitmask).
-    pub fn new(dead: Vec<bool>, enables: Vec<u64>) -> SeqCanonicalizer {
-        assert_eq!(dead.len(), enables.len(), "masks must cover the same passes");
-        assert!(dead.len() <= 64, "bitmask form limited to 64 passes");
-        let idem = vec![false; dead.len()];
-        SeqCanonicalizer {
-            dead,
-            enables,
-            idem,
-            fires_on: Vec::new(),
-            clears: Vec::new(),
-            produces: Vec::new(),
-        }
-    }
-
-    /// Add an idempotence mask (from `Registry::idempotent_mask`): immediate
-    /// duplicate runs of pass `p` with `idem[p]` collapse to one run during
-    /// canonicalisation. The collapse is local — `p, q, p` is untouched,
-    /// because `q` may re-create work for `p`.
-    pub fn with_idempotence(mut self, idem: Vec<bool>) -> SeqCanonicalizer {
-        assert_eq!(idem.len(), self.dead.len(), "masks must cover the same passes");
-        self.idem = idem;
-        self
-    }
-
-    /// Add the work-class subsumption model (from the registry or a persisted
-    /// interaction graph). Canonicalisation then tracks the set of work
-    /// classes that may still be present down the kept sequence —
-    /// `maybe' = (maybe | produces[p]) & !clears[p]`, clears winning because
-    /// it is a postcondition — and drops pass `q` wherever its fire mask is
-    /// known and disjoint from that set. This generalises both the
-    /// idempotence collapse (`p, p` — `p` clears its own fire bit) and the
-    /// `p, q, p` pattern (when `q` neither produces nor re-enables `p`'s
-    /// work). Every drop is a theorem fuzz-checked by
-    /// `citroen-analyze subsume`.
-    pub fn with_subsumption(
-        mut self,
+    /// Build from the per-pass work-class masks (from the registry), all
+    /// indexed by pass id.
+    pub fn new(
         fires_on: Vec<Option<u64>>,
         clears: Vec<u64>,
         produces: Vec<u64>,
     ) -> SeqCanonicalizer {
-        assert_eq!(fires_on.len(), self.dead.len(), "masks must cover the same passes");
-        assert_eq!(clears.len(), self.dead.len(), "masks must cover the same passes");
-        assert_eq!(produces.len(), self.dead.len(), "masks must cover the same passes");
-        self.fires_on = fires_on;
-        self.clears = clears;
-        self.produces = produces;
-        self
-    }
-
-    /// A canonicalizer that never drops anything (oracle disabled / unknown).
-    pub fn identity(n_passes: usize) -> SeqCanonicalizer {
-        SeqCanonicalizer::new(vec![false; n_passes], vec![0; n_passes])
-    }
-
-    /// Whether canonicalisation can ever change a sequence.
-    pub fn is_identity(&self) -> bool {
-        !self.dead.iter().any(|&d| d)
-            && !self.idem.iter().any(|&i| i)
-            && !self.fires_on.iter().any(|f| f.is_some())
+        assert_eq!(clears.len(), fires_on.len(), "masks must cover the same passes");
+        assert_eq!(produces.len(), fires_on.len(), "masks must cover the same passes");
+        SeqCanonicalizer { fires_on, clears, produces }
     }
 
     /// Canonicalise `seq` (pass indices): drop pass `p` at each position iff
-    /// it is statically dead *and* no earlier kept pass may have woken it, or
-    /// it is idempotent and the previous *kept* pass was `p` itself, or the
-    /// subsumption dataflow proves every work class it fires on is absent.
+    /// the subsumption dataflow proves every work class it fires on is
+    /// absent.
     pub fn canonicalize(&self, seq: &[usize]) -> Vec<usize> {
-        let mut woken = 0u64;
         // Work classes that may still be present. Unknown at sequence start:
         // everything. Only kept passes update it — a dropped pass provably
         // changed nothing.
         let mut maybe = u64::MAX;
-        let subsume = !self.fires_on.is_empty();
         let mut out: Vec<usize> = Vec::with_capacity(seq.len());
-        let (mut dead_dropped, mut idem_collapsed, mut subsume_dropped) = (0u64, 0u64, 0u64);
+        let mut subsume_dropped = 0u64;
         for &p in seq {
-            debug_assert!(p < self.dead.len(), "pass index out of range");
-            if self.dead[p] && woken & (1 << p) == 0 {
-                dead_dropped += 1;
-                continue;
-            }
-            if self.idem[p] && out.last() == Some(&p) {
-                idem_collapsed += 1;
-                continue;
-            }
-            if subsume {
-                if let Some(fires) = self.fires_on[p] {
-                    if fires & maybe == 0 {
-                        subsume_dropped += 1;
-                        continue;
-                    }
+            debug_assert!(p < self.fires_on.len(), "pass index out of range");
+            if let Some(fires) = self.fires_on[p] {
+                if fires & maybe == 0 {
+                    subsume_dropped += 1;
+                    continue;
                 }
-                maybe = (maybe | self.produces[p]) & !self.clears[p];
             }
-            woken |= self.enables[p];
+            maybe = (maybe | self.produces[p]) & !self.clears[p];
             out.push(p);
         }
-        citroen_telemetry::counter("canon.dead_dropped", dead_dropped);
-        citroen_telemetry::counter("canon.idem_collapsed", idem_collapsed);
         citroen_telemetry::counter("canon.subsume_dropped", subsume_dropped);
         out
     }
@@ -218,59 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn canonicalizer_drops_dead_passes() {
-        // Pass 1 is dead and nothing enables it: every occurrence goes.
-        let c = SeqCanonicalizer::new(vec![false, true, false], vec![0, 0, 0]);
-        assert_eq!(c.canonicalize(&[0, 1, 2, 1, 1]), vec![0, 2]);
-        assert!(!c.is_identity());
-        // Two raw sequences collapse onto the same canonical form — the
-        // compile-cache collision that saves the second compile.
-        assert_eq!(c.canonicalize(&[0, 1, 2]), c.canonicalize(&[1, 0, 2]));
-    }
-
-    #[test]
-    fn canonicalizer_keeps_enabled_passes() {
-        // Pass 2 is dead, but pass 0 enables it: only occurrences *after*
-        // a kept pass 0 survive.
-        let c = SeqCanonicalizer::new(vec![false, false, true], vec![1 << 2, 0, 0]);
-        assert_eq!(c.canonicalize(&[2, 0, 2, 1, 2]), vec![0, 2, 1, 2]);
-        // A dead pass's own enables must not fire when it is dropped:
-        // pass 2 also "enables" pass 1, but 2 itself never runs here.
-        let c = SeqCanonicalizer::new(vec![false, true, true], vec![0, 0, 1 << 1]);
-        assert_eq!(c.canonicalize(&[2, 1, 0]), vec![0]);
-    }
-
-    #[test]
-    fn identity_canonicalizer_changes_nothing() {
-        let c = SeqCanonicalizer::identity(4);
-        assert!(c.is_identity());
-        assert_eq!(c.canonicalize(&[3, 1, 1, 0, 2]), vec![3, 1, 1, 0, 2]);
-    }
-
-    #[test]
-    fn idempotence_collapses_immediate_duplicates_only() {
-        let c = SeqCanonicalizer::identity(3).with_idempotence(vec![false, true, false]);
-        assert!(!c.is_identity());
-        // `1,1,1` → `1`; but `1,0,1` stays — pass 0 between may re-create work.
-        assert_eq!(c.canonicalize(&[1, 1, 1, 0, 1, 2, 2]), vec![1, 0, 1, 2, 2]);
-        // Non-idempotent duplicates are untouched.
-        assert_eq!(c.canonicalize(&[2, 2, 0, 0]), vec![2, 2, 0, 0]);
-    }
-
-    #[test]
-    fn idempotence_composes_with_dead_pruning() {
-        // Pass 1 dead, pass 2 idempotent: `2,1,2` collapses to `2` because
-        // dropping the dead pass 1 makes the two 2s adjacent.
-        let c = SeqCanonicalizer::new(vec![false, true, false], vec![0, 0, 0])
-            .with_idempotence(vec![false, false, true]);
-        assert_eq!(c.canonicalize(&[2, 1, 2, 0]), vec![2, 0]);
-        // But a *kept* (woken) pass between them blocks the collapse.
-        let c = SeqCanonicalizer::new(vec![false, true, false], vec![1 << 1, 0, 0])
-            .with_idempotence(vec![false, false, true]);
-        assert_eq!(c.canonicalize(&[0, 2, 1, 2]), vec![0, 2, 1, 2]);
-    }
-
-    #[test]
     fn subsumption_collapses_adjacent_and_pqp_patterns() {
         // Three passes over a 2-class universe. Passes 0 and 1 fire on (and
         // clear) their own class and produce nothing; pass 2 is unknown
@@ -278,9 +149,8 @@ mod tests {
         let fires = vec![Some(0b01), Some(0b10), None];
         let clears = vec![0b01, 0b10, 0];
         let produces = vec![0, 0, u64::MAX];
-        let c = SeqCanonicalizer::identity(3).with_subsumption(fires, clears, produces);
-        assert!(!c.is_identity());
-        // Adjacent duplicate: the idempotence diagonal, now via dataflow.
+        let c = SeqCanonicalizer::new(fires, clears, produces);
+        // Adjacent duplicate: `p` clears its own fire class.
         assert_eq!(c.canonicalize(&[0, 0, 1]), vec![0, 1]);
         // p,q,p: pass 1 between two 0s neither produces nor re-enables
         // class 0, so the second 0 still drops.
@@ -298,22 +168,10 @@ mod tests {
         let fires = vec![None, Some(0b01)];
         let clears = vec![0b01, 0];
         let produces = vec![u64::MAX, u64::MAX];
-        let c = SeqCanonicalizer::identity(2).with_subsumption(fires, clears, produces);
+        let c = SeqCanonicalizer::new(fires, clears, produces);
         assert_eq!(c.canonicalize(&[0, 1]), vec![0]);
         // But before any pass has run, class 0 may be present: kept.
         assert_eq!(c.canonicalize(&[1, 0]), vec![1, 0]);
-    }
-
-    #[test]
-    fn subsumption_composes_with_dead_pruning() {
-        // Pass 1 is dead; dropping it must leave the subsumption window
-        // open across it: 0,1,0 → 0 (dead 1 dropped, duplicate 0 subsumed).
-        let fires = vec![Some(0b01), None, None];
-        let clears = vec![0b01, 0, 0];
-        let produces = vec![u64::MAX, u64::MAX, u64::MAX];
-        let c = SeqCanonicalizer::new(vec![false, true, false], vec![0, 0, 0])
-            .with_subsumption(fires, clears, produces);
-        assert_eq!(c.canonicalize(&[0, 1, 0]), vec![0]);
     }
 
     #[test]

@@ -21,8 +21,7 @@ use citroen_bo::heuristics::DiscreteOneLambda;
 use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition, SeqCanonicalizer};
 use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
 use citroen_ir::module::Module;
-use citroen_passes::oracle;
-use citroen_passes::{PassId, Stats};
+use citroen_passes::{PassId, Registry, Stats};
 use citroen_rt::par::WorkerPool;
 use citroen_rt::rng::StdRng;
 use citroen_rt::rng::{Rng, SeedableRng};
@@ -109,20 +108,12 @@ pub struct CitroenConfig {
     /// is resized to the task's sequence length; out-of-range pass ids clamp
     /// to 0. Empty by default (identical RNG stream to previous releases).
     pub init_seeds: Vec<Vec<u16>>,
-    /// Canonicalise candidate sequences with the precondition oracle before
-    /// compiling: passes proven `CannotFire` on the source module (and not
-    /// woken by an earlier kept pass, per the interaction graph) are dropped,
-    /// and immediate duplicate runs of idempotent passes
-    /// ([`citroen_passes::Pass::is_idempotent`]) collapse, so genomes that
-    /// differ only in statically-dead or repeated passes share one
-    /// compile-cache entry. Off by default (paper-faithful search).
-    pub oracle_prune: bool,
     /// Canonicalise candidate sequences with the fuzz-verified work-class
     /// subsumption matrix ([`citroen_passes::Pass::fires_on`]): a pass whose
     /// fire classes are provably cleared by the kept prefix is dropped, so
     /// `p,p` *and* `p,q,p` no-op patterns share one compile-cache entry.
-    /// Module-independent (every drop is a theorem on any input), and usable
-    /// with or without `oracle_prune`. Off by default (paper-faithful).
+    /// Module-independent (every drop is a theorem on any input). Off by
+    /// default (paper-faithful).
     pub subsume_collapse: bool,
     /// Measurements selected and profiled per model-guided iteration (q).
     /// Every q runs the same loop. At `1` the GP is refitted before each
@@ -157,7 +148,6 @@ impl Default for CitroenConfig {
             mutation_rate: None,
             warm_start: None,
             init_seeds: Vec::new(),
-            oracle_prune: false,
             subsume_collapse: false,
             batch: 1,
             allocation: None,
@@ -177,8 +167,8 @@ pub struct ImpactReport {
 /// Run CITROEN on `task` for `budget` runtime measurements.
 ///
 /// Thin wrapper over [`run_citroen_session`] with a default (standalone)
-/// [`SessionEnv`]: no shared cache, no preloaded graph, a private worker
-/// pool, and no cancellation — byte-for-byte the historical behaviour.
+/// [`SessionEnv`]: no shared cache, a private worker pool, and no
+/// cancellation — byte-for-byte the historical behaviour.
 pub fn run_citroen(task: &mut Task, budget: usize, cfg: &CitroenConfig) -> (TuneTrace, ImpactReport) {
     let r = run_citroen_session(task, budget, cfg, &SessionEnv::default());
     (r.trace, r.report)
@@ -187,13 +177,13 @@ pub fn run_citroen(task: &mut Task, budget: usize, cfg: &CitroenConfig) -> (Tune
 /// Run one CITROEN session under an explicit service environment.
 ///
 /// The environment attaches the multi-tenant daemon's shared state — a
-/// cross-tenant compile cache, a once-loaded interaction graph, a shared
-/// worker pool — and a [`crate::SessionCtl`] carrying the tenant id, a
-/// cancellation flag, and an optional deadline. Every attachment preserves
-/// the per-session trajectory bit-for-bit: compilation is a pure function of
-/// (source module, canonical pass sequence), so a shared-cache hit returns
-/// exactly what a local compile would have produced, and only the compile
-/// counters/telemetry differ from a standalone run at the same seed.
+/// cross-tenant compile cache and a shared worker pool — and a
+/// [`crate::SessionCtl`] carrying the tenant id, a cancellation flag, and an
+/// optional deadline. Every attachment preserves the per-session trajectory
+/// bit-for-bit: compilation is a pure function of (source module, canonical
+/// pass sequence), so a shared-cache hit returns exactly what a local
+/// compile would have produced, and only the compile counters/telemetry
+/// differ from a standalone run at the same seed.
 pub fn run_citroen_session(
     task: &mut Task,
     budget: usize,
@@ -248,12 +238,11 @@ struct Candidate {
     module: Module,
 }
 
-/// One tuned module: its generator, canonicaliser and incumbent.
+/// One tuned module: its generator and incumbent.
 struct HotModule {
     /// Index into the benchmark's modules.
     idx: usize,
     des: DiscreteOneLambda,
-    canon: Option<SeqCanonicalizer>,
     /// The source module's fingerprint, which namespaces this module's
     /// genomes in the compile cache.
     src_fp: u64,
@@ -302,6 +291,9 @@ struct Session<'a> {
     npasses: usize,
     /// The tuned modules, in `Task::hot_modules` order (the slots).
     mods: Vec<HotModule>,
+    /// The sequence canonicaliser, when the session canonicalises. Its
+    /// masks hold on any module, so every tuned module shares it.
+    canon: Option<SeqCanonicalizer>,
     pool: Arc<WorkerPool>,
     rng: StdRng,
     /// MC noise for greedy batch construction comes from a dedicated stream
@@ -350,11 +342,11 @@ impl<'a> Session<'a> {
                     g.resize(len, 0);
                     des.incumbent = g;
                 }
-                let canon = canonicalizer(task, idx, cfg, env);
                 let src_fp = task.source_fingerprint(idx);
-                HotModule { idx, des, canon, src_fp, inc: None, keys: Vec::new() }
+                HotModule { idx, des, src_fp, inc: None, keys: Vec::new() }
             })
             .collect();
+        let canon = canonicalizer(&task.registry, cfg);
         // q = 1 maps on the session thread: a 1-worker pool spawns nothing,
         // keeps its spans visible to per-thread trace routing, and never
         // queues on a shared pool. q > 1 sizes its pool for the wider of the
@@ -375,12 +367,12 @@ impl<'a> Session<'a> {
             len,
             npasses,
             mods,
+            canon,
             pool,
             rng,
             batch_rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
             cache: env.shared_cache.clone().or_else(|| {
-                (cfg.oracle_prune || cfg.subsume_collapse)
-                    .then(|| Arc::new(SharedCompileCache::new(PRIVATE_CACHE_CAP)))
+                cfg.subsume_collapse.then(|| Arc::new(SharedCompileCache::new(PRIVATE_CACHE_CAP)))
             }),
             cache_hits: 0,
             obs: Vec::new(),
@@ -530,7 +522,7 @@ impl<'a> Session<'a> {
         let mut slots = Vec::with_capacity(genomes.len());
         for (slot, g) in &genomes {
             let m = &self.mods[*slot];
-            let eff: Vec<u16> = match &m.canon {
+            let eff: Vec<u16> = match &self.canon {
                 Some(c) => {
                     let idx: Vec<usize> = g.iter().map(|&v| v as usize).collect();
                     c.canonicalize(&idx).into_iter().map(|v| v as u16).collect()
@@ -864,51 +856,12 @@ fn genome_to_seq(g: &[u16]) -> Vec<PassId> {
     g.iter().map(|&v| PassId(v)).collect()
 }
 
-/// The sequence canonicaliser for module `idx`, when `oracle_prune` or
-/// `subsume_collapse` is on. Oracle verdicts on the source module give the
-/// dead mask; running each pass once gives the module-local enables edges
-/// that keep a dead pass when an earlier kept pass may wake it. An
-/// interaction graph attached through [`SessionEnv::graph`] replaces the
-/// per-task enables derivation and supplies the work model;
-/// `subsume_collapse` adds the module-independent work-class dataflow.
-fn canonicalizer(
-    task: &Task,
-    idx: usize,
-    cfg: &CitroenConfig,
-    env: &SessionEnv,
-) -> Option<SeqCanonicalizer> {
-    if !cfg.oracle_prune && !cfg.subsume_collapse {
-        return None;
-    }
-    let graph_inputs =
-        env.graph.as_deref().map(|g| oracle::canonicalizer_inputs(&task.registry, g));
-    let n = task.registry.len();
-    let mut c = if cfg.oracle_prune {
-        let src = &task.benchmark().modules[idx];
-        let dead = oracle::dead_mask(&oracle::verdicts(&task.registry, src));
-        let mask = match &graph_inputs {
-            Some((enables, _)) => enables.clone(),
-            None => {
-                let (enables, _) = oracle::interactions_for_module(&task.registry, src);
-                let mut mask = vec![0u64; n];
-                for e in &enables {
-                    mask[e.from] |= 1 << e.to;
-                }
-                mask
-            }
-        };
-        SeqCanonicalizer::new(dead, mask).with_idempotence(task.registry.idempotent_mask())
-    } else {
-        SeqCanonicalizer::new(vec![false; n], vec![0u64; n])
-    };
-    if cfg.subsume_collapse {
-        let (fires, clears, produces) = match graph_inputs.and_then(|(_, w)| w) {
-            Some(triple) => triple,
-            None => (task.registry.fires_on(), task.registry.clears(), task.registry.produces()),
-        };
-        c = c.with_subsumption(fires, clears, produces);
-    }
-    Some(c)
+/// The sequence canonicaliser a session builds when `subsume_collapse` is
+/// on: the registry's work-class dataflow, which holds on any module.
+pub fn canonicalizer(registry: &Registry, cfg: &CitroenConfig) -> Option<SeqCanonicalizer> {
+    cfg.subsume_collapse.then(|| {
+        SeqCanonicalizer::new(registry.fires_on(), registry.clears(), registry.produces())
+    })
 }
 
 /// Seconds → nanosecond event field (0 = absent; runtimes are positive).
@@ -1007,14 +960,7 @@ fn scale_row(mut r: Vec<f64>, scale: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::task::TaskConfig;
-    use citroen_passes::oracle::InteractionGraph;
-    use citroen_passes::Registry;
     use citroen_sim::Platform;
-
-    /// `g` after a round trip through its persisted JSON form.
-    fn persisted(g: &InteractionGraph) -> Arc<InteractionGraph> {
-        Arc::new(InteractionGraph::from_json(&g.to_json()).expect("graph JSON round-trips"))
-    }
 
     fn gsm_task(seed: u64) -> Task {
         Task::new(
@@ -1309,82 +1255,8 @@ mod tests {
     }
 
     #[test]
-    fn oracle_pruning_cuts_compiles_without_hurting_speedup() {
-        // Same 10-seed quantile discipline as the headline tuner test: for
-        // each seed run the identical configuration with oracle pruning off
-        // and on, then compare the windows. Pruning must cut compilations by
-        // ≥15% at the median (canonical-genome cache hits) while the
-        // best-found runtime stays no worse at the median.
-        //
-        // The reduction above credits pruning with the canonical-genome
-        // cache, which a session only keeps when it canonicalises. Both arms
-        // are also run behind one private unbounded shared cache, as in the
-        // subsumption test, so each compiles every distinct genome it visits
-        // exactly once and the saving left is pruning's own.
-        let seeds: Vec<u64> = (1..=10).collect();
-        let runs = citroen_rt::par::par_map(seeds, |seed| {
-            let run = |prune: bool, shared: bool| {
-                let mut task = gsm_task(seed);
-                let cfg = CitroenConfig {
-                    candidates: 24,
-                    init_random: 6,
-                    oracle_prune: prune,
-                    seed,
-                    ..Default::default()
-                };
-                let env = SessionEnv {
-                    shared_cache: shared
-                        .then(|| Arc::new(crate::service::SharedCompileCache::new(0))),
-                    ..Default::default()
-                };
-                let res = run_citroen_session(&mut task, 20, &cfg, &env);
-                (res.trace.best() / task.o3_seconds, task.compilations)
-            };
-            let shared = (run(false, true).1, run(true, true).1);
-            ((run(false, false), run(true, false)), shared)
-        });
-        let shared: Vec<(usize, usize)> = runs.iter().map(|(_, s)| *s).collect();
-        let runs: Vec<_> = runs.into_iter().map(|(r, _)| r).collect();
-        let own: Vec<(usize, usize)> = runs.iter().map(|((_, a), (_, b))| (*a, *b)).collect();
-        eprintln!("compiles per seed (off, on): {own:?}");
-        eprintln!("distinct-genome compiles per seed (off, on): {shared:?}");
-        let mut reduction: Vec<f64> = runs
-            .iter()
-            .map(|((_, c_off), (_, c_on))| 1.0 - *c_on as f64 / *c_off as f64)
-            .collect();
-        reduction.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut off: Vec<f64> = runs.iter().map(|((r, _), _)| *r).collect();
-        let mut on: Vec<f64> = runs.iter().map(|(_, (r, _))| *r).collect();
-        off.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        on.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        eprintln!("compile reduction per seed: {reduction:?}");
-        eprintln!("best/O3 off: {off:?}\nbest/O3 on:  {on:?}");
-        let median_red = reduction[reduction.len() / 2];
-        assert!(
-            median_red >= 0.15,
-            "median compile reduction {median_red:.3} < 15%: {reduction:?}"
-        );
-        // Behind the shared cache no seed may compile more with pruning on,
-        // and pruning must still save compiles. Measured: 332-362 off vs
-        // 238-297 on per seed, 3417 -> 2608 (-23.7%) in total, against
-        // 3452 -> 2608 with per-session caches.
-        for &(c_off, c_on) in &shared {
-            assert!(c_on <= c_off, "oracle pruning added distinct compiles: {shared:?}");
-        }
-        let saved: usize = shared.iter().map(|(c_off, c_on)| c_off - c_on).sum();
-        assert!(saved > 0, "oracle pruning saved no distinct compiles: {shared:?}");
-        // "No worse" with a small noise tolerance: the two searches follow
-        // different candidate streams, so compare medians, not seeds.
-        let (m_off, m_on) = (off[off.len() / 2], on[on.len() / 2]);
-        assert!(
-            m_on <= m_off * 1.05,
-            "median best/O3 degraded with pruning: {m_on:.4} vs {m_off:.4}"
-        );
-    }
-
-    #[test]
     fn subsumption_collapse_cuts_compiles_without_hurting_speedup() {
-        // Same quantile discipline as the oracle-pruning test: for each seed
+        // Same quantile discipline as the headline tuner test: for each seed
         // run the identical configuration with the work-class subsumption
         // collapse off and on. Every drop is a module-independent theorem
         // (fuzz-checked by `citroen-analyze subsume`), so compiled artifacts
@@ -1466,16 +1338,37 @@ mod tests {
         // place. Arm A runs the old model — the registry's work triple
         // truncated to the first twelve classes, so any mask reaching into
         // the new bits reverts to `None` (never dropped), exactly the
-        // pre-growth declarations — injected through a persisted
-        // interaction graph; arm B runs the same graph with the full
-        // model. Same seeds, same budget: the full matrix must cut compile
-        // work (passes executed — every extra drop shortens the compiled
-        // canonical sequence) by >=5% more at unchanged median
-        // best-speedup. (On the full 33-pass registry the delta collapses
+        // pre-growth declarations — by wrapping each pass; arm B runs the
+        // registry's own full model. Same seeds, same budget: the full
+        // matrix must cut compile work (passes executed — every extra drop
+        // shortens the compiled canonical sequence) by >=5% more at
+        // unchanged median best-speedup. (On the full 33-pass registry the delta collapses
         // to noise: every loop pass's `produces` is "everything", so with
         // loop passes at 1/33 density the new drops are almost exclusively
         // immediate duplicates, which almost never survive mutation.)
-        let loop_registry = || {
+
+        /// A pass under the twelve-class model: the same rewrite, with its
+        /// work masks truncated to the first twelve classes.
+        struct TwelveClass(Box<dyn citroen_passes::Pass>);
+        const OLD: u64 = (1 << 12) - 1;
+        impl citroen_passes::Pass for TwelveClass {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn run(&self, m: &mut Module, stats: &mut Stats) {
+                self.0.run(m, stats)
+            }
+            fn fires_on(&self) -> Option<u64> {
+                self.0.fires_on().filter(|m| m & !OLD == 0)
+            }
+            fn clears(&self) -> u64 {
+                self.0.clears() & OLD
+            }
+            fn produces(&self) -> u64 {
+                self.0.produces() & OLD
+            }
+        }
+        let loop_registry = |twelve: bool| {
             const NAMES: &[&str] = &[
                 "mem2reg",
                 "loop-simplify",
@@ -1490,44 +1383,23 @@ mod tests {
                 citroen_passes::passes::all_passes()
                     .into_iter()
                     .filter(|p| NAMES.contains(&p.name()))
+                    .map(|p| -> Box<dyn citroen_passes::Pass> {
+                        if twelve {
+                            Box::new(TwelveClass(p))
+                        } else {
+                            p
+                        }
+                    })
                     .collect(),
             )
         };
-        let reg = loop_registry();
-        let task0 = Task::new(
-            citroen_suite::kernels::telecom_gsm(),
-            loop_registry(),
-            Platform::tx2(),
-            TaskConfig { seq_len: 32, seed: 1, ..Default::default() },
-        );
-        let hot = task0.hot();
-        let g16 = citroen_passes::oracle::derive_graph(
-            &reg,
-            &[task0.benchmark().modules[hot].clone()],
-        );
-        let mut g12 = g16.clone();
-        {
-            const OLD: u64 = (1 << 12) - 1;
-            let w = g12.work.as_mut().expect("derived graph carries a work model");
-            w.classes.truncate(12);
-            for f in &mut w.fires_on {
-                *f = f.filter(|m| m & !OLD == 0);
-            }
-            for c in &mut w.clears {
-                *c &= OLD;
-            }
-            for p in &mut w.produces {
-                *p &= OLD;
-            }
-        }
-        let (g16, g12) = (persisted(&g16), persisted(&g12));
 
         let seeds: Vec<u64> = (1..=10).collect();
         let runs = citroen_rt::par::par_map(seeds, |seed| {
-            let run = |graph: &Arc<InteractionGraph>| {
+            let run = |twelve: bool| {
                 let mut task = Task::new(
                     citroen_suite::kernels::telecom_gsm(),
-                    loop_registry(),
+                    loop_registry(twelve),
                     Platform::tx2(),
                     TaskConfig { seq_len: 32, seed, ..Default::default() },
                 );
@@ -1538,11 +1410,10 @@ mod tests {
                     seed,
                     ..Default::default()
                 };
-                let env = SessionEnv { graph: Some(graph.clone()), ..Default::default() };
-                let trace = run_citroen_session(&mut task, 40, &cfg, &env).trace;
+                let trace = run_citroen(&mut task, 40, &cfg).0;
                 (trace.best() / task.o3_seconds, task.passes_executed)
             };
-            (run(&g12), run(&g16))
+            (run(true), run(false))
         });
         let mut extra: Vec<f64> = runs
             .iter()
@@ -1565,38 +1436,5 @@ mod tests {
             m16 <= m12 * 1.05 && m12 <= m16 * 1.05,
             "median best/O3 moved with the grown matrix: {m16:.4} vs {m12:.4}"
         );
-    }
-
-    #[test]
-    fn oracle_graph_warm_start_matches_per_task_derivation() {
-        // Round-trip the interaction graph derived over the task's own hot
-        // module through its JSON form and attach it to the session: the
-        // canonicalizer inputs are identical, so the whole tuning trajectory
-        // (best runtime and compile count) must be bit-identical to the
-        // per-task derivation.
-        let seed = 7;
-        let run = |graph: Option<Arc<InteractionGraph>>| {
-            let mut task = gsm_task(seed);
-            let cfg = CitroenConfig {
-                candidates: 12,
-                init_random: 4,
-                oracle_prune: true,
-                subsume_collapse: true,
-                seed,
-                ..Default::default()
-            };
-            let env = SessionEnv { graph, ..Default::default() };
-            let trace = run_citroen_session(&mut task, 10, &cfg, &env).trace;
-            (trace.best(), task.compilations)
-        };
-        let task = gsm_task(seed);
-        let hot = task.hot();
-        let g = citroen_passes::oracle::derive_graph(
-            &task.registry,
-            &[task.benchmark().modules[hot].clone()],
-        );
-        let derived = run(None);
-        let warm = run(Some(persisted(&g)));
-        assert_eq!(derived, warm, "graph warm-start diverged from per-task derivation");
     }
 }

@@ -17,7 +17,6 @@ use crate::cache::BoundedCache;
 use crate::citroen::ImpactReport;
 use crate::task::TuneTrace;
 use citroen_ir::module::Module;
-use citroen_passes::oracle::InteractionGraph;
 use citroen_passes::Stats;
 use citroen_rt::par::WorkerPool;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -208,10 +207,6 @@ pub struct SessionEnv {
     /// `None` = sessions don't share, and a session keeps a private cache
     /// only when it canonicalises.
     pub shared_cache: Option<Arc<SharedCompileCache>>,
-    /// A pre-loaded interaction graph (the `citroen-analyze oracle --json`
-    /// artifact), loaded once by the daemon. `None` = each session derives
-    /// its canonicaliser inputs from its own task.
-    pub graph: Option<Arc<InteractionGraph>>,
     /// A shared worker pool for `batch > 1` sessions (q = 1 sessions map on
     /// their own thread). `None` = a batched session spawns its own.
     pub pool: Option<Arc<WorkerPool>>,

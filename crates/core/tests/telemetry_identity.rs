@@ -21,7 +21,7 @@ fn tune_batched(seed: u64, batch: usize) -> (TuneTrace, usize) {
     let cfg = CitroenConfig {
         candidates: 16,
         init_random: 4,
-        oracle_prune: true, // exercise the canonicalizer counters too
+        subsume_collapse: true, // exercise the canonicalizer counters too
         batch,
         seed,
         ..Default::default()

@@ -7,7 +7,6 @@
 use crate::noop::{NoopMemo, StateKey};
 use crate::passes;
 use crate::stats::Stats;
-use citroen_analyze::oracle::{Facts, Verdict};
 use citroen_ir::module::Module;
 use citroen_ir::verify;
 use citroen_telemetry as telemetry;
@@ -18,25 +17,6 @@ pub trait Pass: Sync + Send {
     fn name(&self) -> &'static str;
     /// Transform `m`, recording statistics.
     fn run(&self, m: &mut Module, stats: &mut Stats);
-    /// Static applicability oracle. [`Verdict::CannotFire`] is a *theorem*:
-    /// `run` on this exact module must change nothing (same fingerprint) and
-    /// record zero statistics — the `citroen-analyze oracle` fuzz campaign
-    /// executes every `CannotFire` verdict and fails on a contradiction.
-    /// The default is the always-sound conservative answer.
-    fn precondition(&self, _m: &Module, _facts: &Facts) -> Verdict {
-        Verdict::may("no precondition analysis for this pass")
-    }
-    /// Whether running this pass twice in a row is always equivalent to
-    /// running it once (`run; run` leaves the same module as `run`, with the
-    /// second run recording zero statistics). Like [`Pass::precondition`]'s
-    /// `CannotFire`, `true` is a *theorem* — the pass suite's idempotence
-    /// test executes it on the whole benchmark corpus and on fuzzed
-    /// intermediate modules. The tuner's `SeqCanonicalizer` collapses
-    /// immediate duplicates of idempotent passes so the duplicated genomes
-    /// share one compile-cache entry. The default is the always-sound `false`.
-    fn is_idempotent(&self) -> bool {
-        false
-    }
     /// Work classes ([`crate::work`]) whose presence is *necessary* for this
     /// pass to change anything. `Some(mask)` is a theorem: on a module with
     /// none of those classes present, `run` must leave the fingerprint
@@ -187,11 +167,6 @@ impl Registry {
     /// All pass names, in id order.
     pub fn names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Per-pass idempotence bits ([`Pass::is_idempotent`]), in id order.
-    pub fn idempotent_mask(&self) -> Vec<bool> {
-        self.passes.iter().map(|p| p.is_idempotent()).collect()
     }
 
     /// Per-pass fire masks ([`Pass::fires_on`]), in id order.

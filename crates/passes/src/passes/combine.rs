@@ -4,55 +4,11 @@
 
 use crate::manager::Pass;
 use crate::stats::Stats;
-use crate::util::{def_sites, dce_function, fold_bin, fold_cast, fold_cmp, replace_uses, would_dce};
-use citroen_analyze::oracle::{Facts, Verdict};
+use crate::util::{def_sites, dce_function, fold_bin, fold_cast, fold_cmp, replace_uses};
 use citroen_ir::inst::{BinOp, CastKind, Inst, Operand, ValueId};
 use citroen_ir::module::{Function, Module};
 use citroen_ir::types::{ScalarTy, Ty};
 use std::collections::HashMap;
-
-/// True when `f` contains any instruction the combine sweeps can look at
-/// (`Bin`/`Cmp`/`Cast`/`Select`). With none of these, `combine_sweep`,
-/// `widen_mul_sext` and `distribute_sweep` all return 0 unconditionally.
-fn has_combinable_inst(f: &Function) -> bool {
-    f.blocks.iter().any(|blk| {
-        blk.insts
-            .iter()
-            .any(|i| matches!(i, Inst::Bin { .. } | Inst::Cmp { .. } | Inst::Cast { .. } | Inst::Select { .. }))
-    })
-}
-
-/// Read-only mirror of `const_fold_sweep`'s candidate scan.
-fn has_const_foldable(f: &Function) -> bool {
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            match inst {
-                Inst::Bin { dst, op, lhs, rhs }
-                    if fold_bin(*op, f.ty(*dst).scalar, lhs, rhs).is_some()
-                        && f.ty(*dst).lanes == 1 =>
-                {
-                    return true;
-                }
-                Inst::Cmp { op, lhs, rhs, .. } if fold_cmp(*op, lhs, rhs).is_some() => {
-                    return true;
-                }
-                Inst::Cast { dst, kind, src } => {
-                    let from = f.operand_ty(src).scalar;
-                    if fold_cast(*kind, from, f.ty(*dst).scalar, src).is_some()
-                        && f.ty(*dst).lanes == 1
-                    {
-                        return true;
-                    }
-                }
-                Inst::Select { cond, .. } if cond.as_const_int().is_some() => {
-                    return true;
-                }
-                _ => {}
-            }
-        }
-    }
-    false
-}
 
 /// The `instcombine` pass.
 pub struct InstCombine;
@@ -92,19 +48,6 @@ impl Pass for InstCombine {
             stats.inc("instcombine", "NumCombined", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Every sweep pattern-matches Bin/Cmp/Cast/Select; with none present
-        // only the unconditional per-round `dce_function` could still mutate.
-        for f in &m.funcs {
-            if has_combinable_inst(f) {
-                return Verdict::may(format!("{}: combinable instructions", f.name));
-            }
-            if would_dce(f) {
-                return Verdict::may(format!("{}: dead instructions (cleanup dce)", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `instsimplify` pass: identity/constant simplifications only — never
@@ -137,17 +80,6 @@ impl Pass for InstSimplify {
             stats.inc("instsimplify", "NumSimplified", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        for f in &m.funcs {
-            if has_combinable_inst(f) {
-                return Verdict::may(format!("{}: combinable instructions", f.name));
-            }
-            if would_dce(f) {
-                return Verdict::may(format!("{}: dead instructions (cleanup dce)", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `constprop` pass: fold instructions whose operands are all constant.
@@ -172,9 +104,6 @@ impl Pass for ConstProp {
         crate::work::ALL
             & !(crate::work::DEAD | crate::work::CP | crate::work::FA | crate::work::LS)
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
@@ -188,19 +117,6 @@ impl Pass for ConstProp {
             dce_function(f);
             stats.inc("constprop", "NumFolded", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Mirror `const_fold_sweep`'s scan exactly; the trailing
-        // `dce_function` runs unconditionally, so fold that in too.
-        for f in &m.funcs {
-            if has_const_foldable(f) {
-                return Verdict::may(format!("{}: const-foldable instruction", f.name));
-            }
-            if would_dce(f) {
-                return Verdict::may(format!("{}: dead instructions (cleanup dce)", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -628,31 +544,6 @@ impl Pass for Reassociate {
             stats.inc("reassociate", "NumReassoc", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // The only mutation is the canonical-order swap; mirror its guard
-        // (associative + commutative scalar-int bin with lhs-key > rhs-key).
-        let key = |o: &Operand| match o {
-            Operand::Value(v) => (0u8, v.0 as i64),
-            Operand::Global(g) => (1, g.0 as i64),
-            Operand::ImmI(c, _) => (2, *c),
-            Operand::ImmF(x) => (2, x.to_bits() as i64),
-        };
-        for f in &m.funcs {
-            for blk in &f.blocks {
-                for inst in &blk.insts {
-                    let Inst::Bin { dst, op, lhs, rhs } = inst else { continue };
-                    if !op.associative() || !op.commutative() {
-                        continue;
-                    }
-                    let ty = f.ty(*dst);
-                    if ty.lanes == 1 && ty.scalar.is_int() && key(lhs) > key(rhs) {
-                        return Verdict::may(format!("{}: non-canonical operand order", f.name));
-                    }
-                }
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `div-rem-pairs` pass: when both `x / c` and `x % c` exist in a block,
@@ -704,34 +595,6 @@ impl Pass for DivRemPairs {
             }
             stats.inc("div-rem-pairs", "NumPairs", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Mirror the scan: an SRem whose (lhs,rhs) key was defined by an
-        // earlier SDiv in the same block.
-        for f in &m.funcs {
-            for blk in &f.blocks {
-                let mut divs: std::collections::HashSet<(OperandKeyed, OperandKeyed)> =
-                    std::collections::HashSet::new();
-                for inst in &blk.insts {
-                    if let Inst::Bin { dst, op, lhs, rhs } = inst {
-                        let ty = f.ty(*dst);
-                        if ty.lanes != 1 || !ty.scalar.is_int() {
-                            continue;
-                        }
-                        match op {
-                            BinOp::SDiv => {
-                                divs.insert((keyed(lhs), keyed(rhs)));
-                            }
-                            BinOp::SRem if divs.contains(&(keyed(lhs), keyed(rhs))) => {
-                                return Verdict::may(format!("{}: sdiv/srem pair", f.name));
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -794,28 +657,6 @@ impl Pass for VectorCombine {
             stats.inc("vector-combine", "NumCombined", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        for f in &m.funcs {
-            let sites = def_sites(f);
-            for blk in &f.blocks {
-                for inst in &blk.insts {
-                    if let Inst::ExtractLane { src, .. } = inst {
-                        if matches!(
-                            crate::util::def_of(f, &sites, src),
-                            Some(Inst::Splat { .. })
-                        ) {
-                            return Verdict::may(format!("{}: extract-of-splat", f.name));
-                        }
-                    }
-                }
-            }
-            // The trailing dce_function runs unconditionally.
-            if would_dce(f) {
-                return Verdict::may(format!("{}: dead instructions (cleanup dce)", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `aggressive-instcombine` pass: costlier patterns run late in -O3 —
@@ -866,28 +707,5 @@ impl Pass for AggressiveInstCombine {
             }
             stats.inc("aggressive-instcombine", "NumExpanded", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        for f in &m.funcs {
-            for blk in &f.blocks {
-                for inst in &blk.insts {
-                    if let Inst::Bin { dst, op: BinOp::Mul, rhs, .. } = inst {
-                        let ty = f.ty(*dst);
-                        if ty.lanes != 1 || !ty.scalar.is_int() {
-                            continue;
-                        }
-                        if let Some(c) = rhs.as_const_int() {
-                            if c > 0 && c.count_ones() == 2 {
-                                return Verdict::may(format!(
-                                    "{}: mul by two-set-bit constant",
-                                    f.name
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::manager::Pass;
 use crate::stats::Stats;
-use citroen_analyze::oracle::{Facts, Verdict};
 use citroen_ir::inst::{BlockId, FuncId, Inst, Operand, Term, ValueId};
 use citroen_ir::module::{Function, Module};
 use std::collections::HashMap;
@@ -34,25 +33,6 @@ impl Pass for Inline {
             n += 1;
         }
         stats.inc("inline", "NumInlined", n);
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror of `inline_one`'s site search.
-        for (fi, f) in m.funcs.iter().enumerate() {
-            for blk in &f.blocks {
-                for inst in &blk.insts {
-                    if let Inst::Call { callee, .. } = inst {
-                        if inlinable(m, FuncId(fi as u32), *callee) {
-                            return Verdict::may(format!(
-                                "{}: inlinable call to {}",
-                                f.name,
-                                m.funcs[callee.idx()].name
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -227,9 +207,6 @@ impl Pass for FunctionAttrs {
         // promotability, sinking and tail-call position are attribute-blind.
         crate::work::ADCE | crate::work::DSE | crate::work::ECSE | crate::work::LD
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         // Start optimistic (readnone) and knock bits off to a fixpoint.
         // Unknown (declaration) bodies are assumed to read and write memory;
@@ -252,23 +229,9 @@ impl Pass for FunctionAttrs {
         stats.inc("function-attrs", "NumReadNone", newly_readnone);
         stats.inc("function-attrs", "NumReadOnly", newly_readonly);
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact replay of the reads/writes fixpoint; MayFire iff a bit would
-        // newly be set.
-        let (reads, writes) = infer_memory_bits(m);
-        for (fi, f) in m.funcs.iter().enumerate() {
-            let rn = !reads[fi] && !writes[fi];
-            let ro = !writes[fi] && !rn;
-            if (rn && !f.attrs.readnone) || (ro && !f.attrs.readonly) {
-                return Verdict::may(format!("{}: inferable memory attribute", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
-/// The bottom-up reads/writes inference shared by `function-attrs`' run and
-/// its precondition.
+/// `function-attrs`' bottom-up reads/writes inference.
 fn infer_memory_bits(m: &Module) -> (Vec<bool>, Vec<bool>) {
     let n = m.funcs.len();
     let mut reads = vec![false; n];
@@ -328,39 +291,12 @@ impl Pass for TailCallElim {
     fn clears(&self) -> u64 {
         crate::work::TCE
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         let mut n = 0u64;
         for fi in 0..m.funcs.len() {
             n += tce_function(&mut m.funcs[fi], FuncId(fi as u32));
         }
         stats.inc("tailcallelim", "NumEliminated", n);
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror of `tce_function`'s tail-site scan.
-        for (fi, f) in m.funcs.iter().enumerate() {
-            if f.is_decl() {
-                continue;
-            }
-            let self_id = FuncId(fi as u32);
-            for blk in &f.blocks {
-                let Some(Inst::Call { dst, callee, .. }) = blk.insts.last() else { continue };
-                if *callee != self_id {
-                    continue;
-                }
-                let tail = match (&blk.term, dst) {
-                    (Term::Ret(Some(Operand::Value(rv))), Some(d)) => rv == d,
-                    (Term::Ret(None), None) => true,
-                    _ => false,
-                };
-                if tail {
-                    return Verdict::may(format!("{}: tail-recursive call", f.name));
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 

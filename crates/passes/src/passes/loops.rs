@@ -10,12 +10,9 @@
 
 use crate::manager::Pass;
 use crate::stats::Stats;
-use crate::util::{
-    dce_function, has_simplifiable_phi, replace_uses, simplify_single_incoming_phis, would_dce,
-};
+use crate::util::{dce_function, replace_uses, simplify_single_incoming_phis};
 use citroen_analyze::alias::access_bytes;
 use citroen_analyze::memeffects::{MemEffects, Root};
-use citroen_analyze::oracle::{Facts, Verdict};
 use citroen_analyze::{AliasAnalysis, AliasResult, ModuleEffects, ModuleIntervals};
 use citroen_ir::analysis::{Cfg, DomTree, Loop, LoopInfo};
 use citroen_ir::inst::{BinOp, BlockId, CmpOp, Inst, Operand, Term, ValueId};
@@ -264,9 +261,6 @@ impl Pass for LoopSimplify {
     fn clears(&self) -> u64 {
         crate::work::LS
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
@@ -279,31 +273,6 @@ impl Pass for LoopSimplify {
             stats.inc("loop-simplify", "NumPreheaders", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror of `insert_one_preheader`'s candidate test.
-        for f in &m.funcs {
-            if needs_preheader(f) {
-                return Verdict::may(format!("{}: loop without preheader", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
-}
-
-/// Read-only mirror of `insert_one_preheader`: a natural loop lacking a
-/// preheader with ≥2 outside predecessors.
-fn needs_preheader(f: &Function) -> bool {
-    let cfg = Cfg::compute(f);
-    let dom = DomTree::compute(f, &cfg);
-    let li = LoopInfo::compute(f, &cfg, &dom);
-    li.loops.iter().any(|l| {
-        l.preheader.is_none()
-            && cfg.preds[l.header.idx()]
-                .iter()
-                .filter(|p| !l.contains(**p))
-                .count()
-                >= 2
-    })
 }
 
 fn insert_one_preheader(f: &mut Function) -> bool {
@@ -412,26 +381,6 @@ impl Pass for LoopRotate {
         // (`needs_preheader` ↦ LS), the φ cleanup (single-incoming φs are
         // simplifycfg work ↦ CFGS) and the dce tail (↦ DEAD).
         Some(crate::work::ROT | crate::work::LS | crate::work::CFGS | crate::work::DEAD)
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror of `run`: preheader restoration, the rotation search
-        // and both unconditional cleanups each have read-only mirrors; when
-        // none of them finds work the whole pass is provably a no-op.
-        for f in &m.funcs {
-            if needs_preheader(f) {
-                return Verdict::may(format!("{}: loop without preheader", f.name));
-            }
-            if plan_rotate(f).is_some() {
-                return Verdict::may(format!("{}: rotatable while-loop", f.name));
-            }
-            if has_simplifiable_phi(f) {
-                return Verdict::may(format!("{}: single-incoming φ (cleanup)", f.name));
-            }
-            if would_dce(f) {
-                return Verdict::may(format!("{}: dead instructions (cleanup dce)", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -752,9 +701,6 @@ impl Pass for Licm {
     fn clears(&self) -> u64 {
         crate::work::LICM
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for fi in 0..m.funcs.len() {
             let mut hoisted = 0u64;
@@ -762,7 +708,7 @@ impl Pass for Licm {
             // Every hoist moves one instruction out of a loop and never adds
             // one, so the in-loop instruction count strictly decreases:
             // bounding rounds by the function size guarantees a true
-            // fixpoint (the clears/idempotence theorems above).
+            // fixpoint (the clears theorem above).
             let bound = m.funcs[fi].num_insts() + 1;
             for _ in 0..bound {
                 let (h, l) = hoist_one(m, fi);
@@ -775,19 +721,6 @@ impl Pass for Licm {
             stats.inc("licm", "NumHoisted", hoisted + loads);
             stats.inc("licm", "NumHoistedLoads", loads);
         }
-    }
-    fn precondition(&self, m: &Module, facts: &Facts) -> Verdict {
-        // Exact mirror: `run` edits iff `find_hoistable` finds a candidate
-        // under the same interval/effect facts it recomputes itself.
-        for fidx in 0..m.funcs.len() {
-            if find_hoistable(m, fidx, &facts.intervals, &facts.effects).is_some() {
-                return Verdict::may(format!(
-                    "{}: hoistable loop-invariant instruction",
-                    m.funcs[fidx].name
-                ));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -982,16 +915,6 @@ impl Pass for IndVars {
             stats.inc("indvars", "NumElimIV", dead);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Both the LFTR rewrite and dead-IV-cycle removal act on φs; a
-        // φ-free function is untouchable.
-        for f in &m.funcs {
-            if f.blocks.iter().any(|b| b.insts.iter().any(|i| i.is_phi())) {
-                return Verdict::may(format!("{}: φ instructions present", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 fn remove_dead_iv_cycles(f: &mut Function) -> u64 {
@@ -1083,9 +1006,6 @@ impl Pass for LoopUnroll {
     fn clears(&self) -> u64 {
         crate::work::IVL
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut full = 0u64;
@@ -1097,7 +1017,7 @@ impl Pass for LoopUnroll {
             // the initial self-loop count. The cleanup sweeps can unlock a
             // candidate (e.g. dce removing an unused alloca from a body), so
             // re-run the search after each cleanup until nothing fires: the
-            // final state provably holds no candidate (clears/idempotence).
+            // final state provably holds no candidate (the clears theorem).
             let outer = find_self_loops(f).len() as u64 * 8 + 1;
             for _ in 0..outer {
                 let mut n = 0u64;
@@ -1123,16 +1043,6 @@ impl Pass for LoopUnroll {
             stats.inc("loop-unroll", "NumFullyUnrolled", full);
             stats.inc("loop-unroll", "NumUnrolled", full + partial);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror: the cleanup sweeps only run after a successful
-        // unroll, so no candidate means the whole pass is a no-op.
-        for f in &m.funcs {
-            if find_unrollable(f).is_some() {
-                return Verdict::may(format!("{}: unrollable constant-trip loop", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -1307,9 +1217,6 @@ impl Pass for LoopDeletion {
     fn clears(&self) -> u64 {
         crate::work::LD
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
@@ -1340,15 +1247,6 @@ impl Pass for LoopDeletion {
             }
             stats.inc("loop-deletion", "NumDeleted", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror: the deletion loop fires iff a candidate exists.
-        for f in &m.funcs {
-            if deletion_candidate(f).is_some() {
-                return Verdict::may(format!("{}: deletable side-effect-free loop", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -1419,34 +1317,6 @@ impl Pass for StrengthReduce {
             }
             stats.inc("strength-reduce", "NumReduced", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Mirror `reduce_one`'s search: a header `mul(iv, c≠0)` / `shl(iv, k)`
-        // whose destination is scalar i64.
-        for f in &m.funcs {
-            for sl in find_self_loops(f) {
-                let Some(iv) = analyze_iv(f, &sl) else { continue };
-                let found = f.blocks[sl.header.idx()].insts.iter().any(|inst| match inst {
-                    Inst::Bin { dst, op: BinOp::Mul, lhs, rhs } => {
-                        matches!(
-                            (lhs.as_value(), rhs.as_const_int()),
-                            (Some(l), Some(c)) if l == iv.phi && c != 0
-                        ) && f.ty(*dst) == I64
-                    }
-                    Inst::Bin { dst, op: BinOp::Shl, lhs, rhs } => {
-                        matches!(
-                            (lhs.as_value(), rhs.as_const_int()),
-                            (Some(l), Some(k)) if l == iv.phi && (0..32).contains(&k)
-                        ) && f.ty(*dst) == I64
-                    }
-                    _ => false,
-                });
-                if found {
-                    return Verdict::may(format!("{}: reducible IV multiply", f.name));
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 

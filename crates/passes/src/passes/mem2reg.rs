@@ -5,10 +5,7 @@
 
 use crate::manager::Pass;
 use crate::stats::Stats;
-use crate::util::{
-    addr_expr, def_sites, has_unreachable_blocks, remove_unreachable_blocks, replace_uses,
-};
-use citroen_analyze::oracle::{Facts, Verdict};
+use crate::util::{addr_expr, def_sites, remove_unreachable_blocks, replace_uses};
 use citroen_ir::analysis::{Cfg, DomTree};
 use citroen_ir::inst::{BlockId, Inst, Operand, ValueId};
 use citroen_ir::module::{Function, Module};
@@ -35,27 +32,10 @@ impl Pass for Mem2Reg {
         // cannot appear.
         crate::work::ALL & !(crate::work::M2R | crate::work::LS)
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             promote_function(f, stats);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // `promote_function` unconditionally strips unreachable blocks before
-        // promoting, so both halves must be no-ops for CannotFire.
-        for f in &m.funcs {
-            if has_unreachable_blocks(f) {
-                return Verdict::may(format!("{}: unreachable blocks to strip", f.name));
-            }
-            let n = find_promotable(f).len();
-            if n > 0 {
-                return Verdict::may(format!("{}: {n} promotable alloca(s)", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -342,25 +322,6 @@ impl Pass for Sroa {
         }
         // SROA's job in LLVM includes promotion; keep ours minimal (split
         // only) — the split slots are then promoted by a later mem2reg.
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // `sroa_function` bails before doing anything unless some alloca is
-        // larger than a scalar slot (8 bytes).
-        for f in &m.funcs {
-            for blk in &f.blocks {
-                for inst in &blk.insts {
-                    if let Inst::Alloca { bytes, .. } = inst {
-                        if *bytes > 8 {
-                            return Verdict::may(format!(
-                                "{}: {bytes}-byte alloca is splittable",
-                                f.name
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 

@@ -10,10 +10,9 @@
 use crate::manager::Pass;
 use crate::stats::Stats;
 use crate::util::{
-    addr_expr, def_sites, dce_function, fold_bin, fold_cast, fold_cmp, has_unreachable_blocks,
-    may_alias, remove_unreachable_blocks, replace_uses, would_dce, AddrExpr,
+    addr_expr, def_sites, dce_function, fold_bin, fold_cast, fold_cmp, may_alias,
+    remove_unreachable_blocks, replace_uses, AddrExpr,
 };
-use citroen_analyze::oracle::{Facts, Verdict};
 use citroen_ir::analysis::{Cfg, DomTree};
 use citroen_ir::inst::{BlockId, CastKind, Inst, Operand, Term, ValueId};
 use citroen_ir::module::{Function, Module};
@@ -87,101 +86,6 @@ fn pure_key(f: &Function, m: &Module, inst: &Inst) -> Option<(InstKey, ValueId)>
     }
 }
 
-/// Exact read-only mirror of `gvn_function` up to its *first* rewrite.
-///
-/// Until the first substitution fires, `gvn_function`'s `known` map is
-/// empty, so its operand resolution and key remapping are the identity —
-/// which means this replay (which never substitutes) tracks the live
-/// pure-value table and per-block load-availability state exactly until
-/// that first fire. A hit here is therefore the same first hit there, and
-/// no hit here means the live run never substitutes anything. The trailing
-/// `dce_function` runs unconditionally either way, so the pass is a no-op
-/// iff this replay finds nothing and `would_dce` is false.
-fn gvn_may_fire(m: &Module, f: &Function, block_scope: bool) -> bool {
-    if f.is_decl() {
-        return false;
-    }
-    let cfg = Cfg::compute(f);
-    let dom = DomTree::compute(f, &cfg);
-    let sites = def_sites(f);
-    let dom_scoped = !block_scope;
-    let mut table: HashSet<InstKey> = HashSet::new();
-    enum Step {
-        Enter(BlockId),
-        Undo(Vec<InstKey>),
-    }
-    let order: Vec<BlockId> = if dom_scoped { vec![BlockId(0)] } else { cfg.rpo.clone() };
-    let mut agenda: Vec<Step> = order.into_iter().rev().map(Step::Enter).collect();
-    while let Some(step) = agenda.pop() {
-        match step {
-            Step::Undo(keys) => {
-                for k in keys {
-                    table.remove(&k);
-                }
-            }
-            Step::Enter(b) => {
-                if !dom_scoped {
-                    table.clear();
-                }
-                let mut undo: Vec<InstKey> = Vec::new();
-                let mut memgen = 0u64;
-                let mut avail_loads: HashMap<LoadKey, u64> = HashMap::new();
-                for inst in &f.blocks[b.idx()].insts {
-                    match inst {
-                        Inst::Load { dst, addr } => {
-                            let e = addr_expr(f, &sites, addr);
-                            let ty = f.ty(*dst);
-                            let key = (
-                                e.atoms.iter().map(|(a, c)| (opkey(a), *c)).collect::<Vec<_>>(),
-                                e.offset,
-                                ty.bytes() as u8,
-                            );
-                            match avail_loads.get(&key) {
-                                Some(g) if *g == memgen && ty.lanes == 1 => return true,
-                                _ => {
-                                    avail_loads.insert(key, memgen);
-                                }
-                            }
-                        }
-                        Inst::Store { ty, addr, .. } => {
-                            let e = addr_expr(f, &sites, addr);
-                            memgen += 1;
-                            let key = (
-                                e.atoms.iter().map(|(a, c)| (opkey(a), *c)).collect::<Vec<_>>(),
-                                e.offset,
-                                ty.bytes() as u8,
-                            );
-                            avail_loads.insert(key, memgen);
-                        }
-                        other => {
-                            if let Inst::Call { callee, .. } = other {
-                                let attrs = m.funcs[callee.idx()].attrs;
-                                if !attrs.readnone && !attrs.readonly {
-                                    memgen += 1;
-                                }
-                            }
-                            if let Some((key, _)) = pure_key(f, m, other) {
-                                if table.contains(&key) {
-                                    return true;
-                                }
-                                undo.push(key.clone());
-                                table.insert(key);
-                            }
-                        }
-                    }
-                }
-                if dom_scoped {
-                    agenda.push(Step::Undo(undo));
-                    for &c in dom.children[b.idx()].iter().rev() {
-                        agenda.push(Step::Enter(c));
-                    }
-                }
-            }
-        }
-    }
-    would_dce(f)
-}
-
 /// The `gvn` pass: dominator-scoped value numbering of pure instructions plus
 /// block-local redundant-load elimination and store-to-load forwarding.
 pub struct Gvn;
@@ -212,14 +116,6 @@ impl Pass for Gvn {
             stats.inc("gvn", "NumGVNLoad", nl);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        for f in &m.funcs {
-            if gvn_may_fire(m, f, false) {
-                return Verdict::may(format!("{}: value-numbering candidates", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `early-cse` pass: the block-local version of GVN.
@@ -241,22 +137,11 @@ impl Pass for EarlyCse {
         // and its own block-local tables are exhausted on exit.
         crate::work::ALL & !(crate::work::DEAD | crate::work::ECSE | crate::work::LS)
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for fi in 0..m.funcs.len() {
             let (ni, nl) = gvn_function(m, fi, false);
             stats.inc("early-cse", "NumCSE", ni + nl);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        for f in &m.funcs {
-            if gvn_may_fire(m, f, true) {
-                return Verdict::may(format!("{}: block-local CSE candidates", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -500,8 +385,8 @@ impl Pass for Dce {
         // create lattice/foldable/duplicate instructions, change the dse
         // scan (memory ops untouched), hoistability (stores, calls and
         // operand def sites untouched — licm), or the inferable attribute
-        // bits, and it leaves no orphans (fixpoint), so every
-        // would_dce-based fire condition stays false.
+        // bits, and it leaves no orphans (fixpoint), so no fire condition
+        // that includes dead code becomes true.
         crate::work::SINK
             | crate::work::M2R
             | crate::work::TCE
@@ -510,22 +395,11 @@ impl Pass for Dce {
             | crate::work::IVL
             | crate::work::ROT
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let n = dce_function(f) as u64;
             stats.inc("dce", "NumRemoved", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        for f in &m.funcs {
-            if would_dce(f) {
-                return Verdict::may(format!("{}: dead instructions", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -554,8 +428,8 @@ impl Pass for Adce {
         // ivl), unblock a rotate header shape (rot), and remove an
         // own-stack-writing readnone call that was pinning a loop load
         // (licm). Surviving instructions are transitively rooted, so no
-        // orphans remain and every would_dce-based fire condition stays
-        // false; CFG and remaining operands are untouched.
+        // orphans remain and no fire condition that includes dead code
+        // becomes true; CFG and remaining operands are untouched.
         crate::work::DSE
             | crate::work::SINK
             | crate::work::M2R
@@ -567,9 +441,6 @@ impl Pass for Adce {
             | crate::work::IVL
             | crate::work::ROT
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         // Liveness of calls depends on callee attributes.
         for fi in 0..m.funcs.len() {
@@ -577,58 +448,6 @@ impl Pass for Adce {
             stats.inc("adce", "NumRemoved", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        for f in &m.funcs {
-            if adce_would_remove(m, f) {
-                return Verdict::may(format!("{}: root-dead instructions", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
-}
-
-/// Read-only mirror of `adce_function`: exactly its liveness computation,
-/// reporting whether the retain sweep would drop anything.
-fn adce_would_remove(m: &Module, f: &Function) -> bool {
-    let nv = f.value_ty.len();
-    let mut live = vec![false; nv];
-    let mut work: Vec<ValueId> = Vec::new();
-    let mark = |v: &Operand, live: &mut Vec<bool>, work: &mut Vec<ValueId>| {
-        if let Operand::Value(x) = v {
-            if !live[x.idx()] {
-                live[x.idx()] = true;
-                work.push(*x);
-            }
-        }
-    };
-    for blk in &f.blocks {
-        blk.term.for_each_operand(|op| mark(op, &mut live, &mut work));
-        for inst in &blk.insts {
-            let rooted = match inst {
-                Inst::Store { .. } => true,
-                Inst::Call { callee, .. } => !m.funcs[callee.idx()].attrs.readnone,
-                _ => false,
-            };
-            if rooted {
-                inst.for_each_operand(|op| mark(op, &mut live, &mut work));
-                if let Some(d) = inst.dst() {
-                    live[d.idx()] = true;
-                }
-            }
-        }
-    }
-    let sites = def_sites(f);
-    while let Some(v) = work.pop() {
-        if let Some((b, i)) = sites.get(&v) {
-            f.blocks[b.idx()].insts[*i].for_each_operand(|op| mark(op, &mut live, &mut work));
-        }
-    }
-    f.blocks.iter().any(|blk| {
-        blk.insts.iter().any(|inst| match inst.dst() {
-            Some(d) => !live[d.idx()] && !matches!(inst, Inst::Store { .. }),
-            None => false,
-        })
-    })
 }
 
 fn adce_function(m: &mut Module, fi: usize) -> u64 {
@@ -694,16 +513,13 @@ impl Pass for Dse {
         crate::work::DSE
     }
     fn produces(&self) -> u64 {
-        // Removing a store orphans its value chain (would_dce and every fire
-        // condition that folds it in), can un-escape an alloca address, and
+        // Removing a store orphans its value chain (dead code, and every fire
+        // condition that includes it), can un-escape an alloca address, and
         // can turn a self-call into the last instruction of its block. The
         // one thing store removal cannot do is edit the CFG, and the
         // backward overwritten-range scan is a one-sweep fixpoint (removing
         // a covered store neither covers nor uncovers another).
         crate::work::ALL & !(crate::work::DSE | crate::work::LS)
-    }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for fi in 0..m.funcs.len() {
@@ -755,42 +571,6 @@ impl Pass for Dse {
             stats.inc("dse", "NumFastStores", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact read-only replay of the backward overwritten-range scan.
-        for f in &m.funcs {
-            let sites = def_sites(f);
-            for blk in &f.blocks {
-                let mut overwritten: Vec<(AddrExpr, u32)> = Vec::new();
-                for inst in blk.insts.iter().rev() {
-                    match inst {
-                        Inst::Store { ty, addr, .. } => {
-                            let e = addr_expr(f, &sites, addr);
-                            let sz = ty.bytes();
-                            let covered = overwritten.iter().any(|(o, osz)| {
-                                o.atoms == e.atoms
-                                    && o.offset <= e.offset
-                                    && o.offset + *osz as i64 >= e.offset + sz as i64
-                            });
-                            if covered {
-                                return Verdict::may(format!("{}: dead store", f.name));
-                            }
-                            overwritten.push((e, sz));
-                        }
-                        Inst::Load { addr, .. } => {
-                            let e = addr_expr(f, &sites, addr);
-                            let lsz = f.ty(inst.dst().unwrap()).bytes();
-                            overwritten.retain(|(o, osz)| !may_alias(o, *osz, &e, lsz));
-                        }
-                        Inst::Call { callee, .. } if !m.funcs[callee.idx()].attrs.readnone => {
-                            overwritten.clear();
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `sink` pass: move pure single-block-use instructions into the unique
@@ -824,9 +604,6 @@ impl Pass for Sink {
             | crate::work::LICM
             | crate::work::IVL
             | crate::work::ROT
-    }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
@@ -897,61 +674,6 @@ impl Pass for Sink {
             }
             stats.inc("sink", "NumSunk", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact read-only replay of the sinkable-candidate search.
-        for f in &m.funcs {
-            let cfg = Cfg::compute(f);
-            for (b, blk) in f.iter_blocks() {
-                let Term::CondBr { t, f: fb, .. } = blk.term else { continue };
-                if t == fb {
-                    continue;
-                }
-                for (ii, inst) in blk.insts.iter().enumerate() {
-                    if inst.has_side_effects() || inst.reads_memory() || inst.is_phi() {
-                        continue;
-                    }
-                    let Some(d) = inst.dst() else { continue };
-                    if matches!(inst, Inst::Alloca { .. }) {
-                        continue;
-                    }
-                    let mut use_blocks: HashSet<u32> = HashSet::new();
-                    for (ub, ublk) in f.iter_blocks() {
-                        let mut used = false;
-                        for i2 in &ublk.insts {
-                            i2.for_each_operand(|op| used |= op.as_value() == Some(d));
-                        }
-                        ublk.term.for_each_operand(|op| used |= op.as_value() == Some(d));
-                        if used {
-                            use_blocks.insert(ub.0);
-                        }
-                    }
-                    if use_blocks.len() != 1 {
-                        continue;
-                    }
-                    let target = BlockId(*use_blocks.iter().next().unwrap());
-                    if (target == t || target == fb)
-                        && cfg.preds[target.idx()].len() == 1
-                        && f.blocks[target.idx()].num_phis() == 0
-                    {
-                        let later_use = blk.insts[ii + 1..].iter().any(|i2| {
-                            let mut u = false;
-                            i2.for_each_operand(|op| u |= op.as_value() == Some(d));
-                            u
-                        });
-                        let term_use = {
-                            let mut u = false;
-                            blk.term.for_each_operand(|op| u |= op.as_value() == Some(d));
-                            u
-                        };
-                        if !later_use && !term_use && target != b {
-                            return Verdict::may(format!("{}: sinkable instruction", f.name));
-                        }
-                    }
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -1040,35 +762,6 @@ impl Pass for CorrelatedPropagation {
             stats.inc("correlated-propagation", "NumReplaced", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Over-approximation: a usable equality fact exists (a condbr on an
-        // edge-dominating `x == c` / `x != c` comparison). Whether any use of
-        // `x` actually sits in the dominated subtree is left to MayFire.
-        for f in &m.funcs {
-            let cfg = Cfg::compute(f);
-            let sites = def_sites(f);
-            for (_b, blk) in f.iter_blocks() {
-                let Term::CondBr { cond, t, f: fb } = &blk.term else { continue };
-                let Some(Inst::Cmp { op, lhs, rhs, .. }) = crate::util::def_of(f, &sites, cond)
-                else {
-                    continue;
-                };
-                if lhs.as_value().is_none() || !rhs.is_const() {
-                    continue;
-                }
-                use citroen_ir::inst::CmpOp::*;
-                let edge_target = match op {
-                    Eq => *t,
-                    Ne => *fb,
-                    _ => continue,
-                };
-                if cfg.preds[edge_target.idx()].len() == 1 {
-                    return Verdict::may(format!("{}: equality-guarded edge", f.name));
-                }
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `sccp` pass: sparse conditional constant propagation with CFG
@@ -1097,52 +790,12 @@ impl Pass for Sccp {
         // epilogue ends in an unconditional dce sweep
         crate::work::SCCP | crate::work::DEAD
     }
-    fn is_idempotent(&self) -> bool {
-        true // runs to fixpoint in one invocation (tests/idempotence.rs verifies)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let (ni, nb) = sccp_function(f);
             stats.inc("sccp", "NumInstRemoved", ni);
             stats.inc("sccp", "NumDeadBlocks", nb);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // With no Phi/Bin/Cmp/Cast/Select the lattice can never reach a
-        // constant (every other def is Bottom), so `consts` stays empty and
-        // no branch folds unless a condbr condition is a literal constant.
-        // The epilogue (unreachable removal, φ-simplify, dce) still runs
-        // unconditionally, so fold those in too.
-        for f in &m.funcs {
-            for blk in &f.blocks {
-                for inst in &blk.insts {
-                    if matches!(
-                        inst,
-                        Inst::Phi { .. }
-                            | Inst::Bin { .. }
-                            | Inst::Cmp { .. }
-                            | Inst::Cast { .. }
-                            | Inst::Select { .. }
-                    ) {
-                        return Verdict::may(format!("{}: lattice-evaluable instruction", f.name));
-                    }
-                }
-                if let Term::CondBr { cond, .. } = &blk.term {
-                    // op_state maps every non-Value operand (imm or global)
-                    // to a lattice constant, which one-ways the branch.
-                    if !matches!(cond, Operand::Value(_)) {
-                        return Verdict::may(format!("{}: constant condbr", f.name));
-                    }
-                }
-            }
-            if has_unreachable_blocks(f) {
-                return Verdict::may(format!("{}: unreachable blocks", f.name));
-            }
-            if would_dce(f) {
-                return Verdict::may(format!("{}: dead instructions (cleanup dce)", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 

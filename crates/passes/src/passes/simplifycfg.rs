@@ -4,10 +4,8 @@
 use crate::manager::Pass;
 use crate::stats::Stats;
 use crate::util::{
-    has_simplifiable_phi, has_unreachable_blocks, is_forwarding_block,
-    remove_unreachable_blocks, simplify_single_incoming_phis,
+    is_forwarding_block, remove_unreachable_blocks, simplify_single_incoming_phis,
 };
-use citroen_analyze::oracle::{Facts, Verdict};
 use citroen_ir::analysis::Cfg;
 use citroen_ir::inst::{BlockId, Inst, Operand, Term};
 use citroen_ir::module::{Function, Module};
@@ -27,8 +25,8 @@ impl Pass for SimplifyCfg {
             // is a termination measure, not a heuristic: every one of the five
             // rewrites strictly decreases `blocks + condbrs + φs` and none of
             // them ever increases it, so `measure + 1` rounds always reach the
-            // fixpoint — which is what makes `clears = CFGS` and idempotence
-            // theorems rather than hopes.
+            // fixpoint — which is what makes `clears = CFGS` a theorem rather
+            // than a hope.
             let measure = f.blocks.len()
                 + f.blocks
                     .iter()
@@ -52,78 +50,12 @@ impl Pass for SimplifyCfg {
             stats.inc("simplifycfg", "NumSimpl", n);
         }
     }
-    fn is_idempotent(&self) -> bool {
-        true
-    }
     fn fires_on(&self) -> Option<u64> {
         Some(crate::work::CFGS)
     }
     fn clears(&self) -> u64 {
         crate::work::CFGS
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Mirror the first fixpoint round: if none of the five local
-        // simplifications finds work, the round reports 0 changes, the loop
-        // exits, and the stat increments by 0 (unrecorded).
-        for f in &m.funcs {
-            if let Some(ev) = simplifycfg_evidence(f) {
-                return Verdict::may(format!("{}: {ev}", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
-}
-
-/// Read-only mirror of one `SimplifyCfg` round: what (if anything) the first
-/// of its five rewrites would act on.
-fn simplifycfg_evidence(f: &Function) -> Option<String> {
-    // fold_constant_branches: condbr with equal arms or a constant condition.
-    for blk in &f.blocks {
-        if let Term::CondBr { cond, t, f: fb } = &blk.term {
-            if t == fb {
-                return Some("condbr with equal targets".into());
-            }
-            if matches!(cond, Operand::ImmI(..)) {
-                return Some("condbr on a constant".into());
-            }
-        }
-    }
-    if has_unreachable_blocks(f) {
-        return Some("unreachable blocks".into());
-    }
-    // merge_straightline candidate.
-    let cfg = Cfg::compute(f);
-    for (b, blk) in f.iter_blocks() {
-        if !cfg.reachable(b) {
-            continue;
-        }
-        if let Term::Br(s) = blk.term {
-            if s != b && cfg.preds[s.idx()].len() == 1 && f.blocks[s.idx()].num_phis() == 0 {
-                return Some(format!("straight-line merge b{}→b{}", b.0, s.0));
-            }
-        }
-    }
-    // bypass_forwarding_blocks candidate.
-    for ei in 0..f.blocks.len() {
-        let e = BlockId(ei as u32);
-        let Some(t) = is_forwarding_block(f, e) else { continue };
-        if !cfg.reachable(e) {
-            continue;
-        }
-        let preds_e = &cfg.preds[e.idx()];
-        let preds_t: HashSet<BlockId> = cfg.preds[t.idx()].iter().copied().collect();
-        if preds_e.is_empty() || e == t {
-            continue;
-        }
-        if preds_e.iter().any(|p| preds_t.contains(p) || *p == e) {
-            continue;
-        }
-        return Some(format!("forwarding block b{}", e.0));
-    }
-    if has_simplifiable_phi(f) {
-        return Some("single-incoming φ".into());
-    }
-    None
 }
 
 /// `condbr const, T, F` → `br` (and `condbr c, T, T` → `br T`), dropping the
@@ -277,31 +209,6 @@ impl Pass for JumpThreading {
             }
             stats.inc("jump-threading", "NumThreads", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Mirror `thread_once`'s candidate search up to (but not including)
-        // the duplicate-pred safety check: a candidate that fails that check
-        // yields a harmless MayFire over-approximation.
-        for f in &m.funcs {
-            let cfg = Cfg::compute(f);
-            for (b, blk) in f.iter_blocks() {
-                if !cfg.reachable(b) || blk.insts.len() != 1 {
-                    continue;
-                }
-                let Inst::Phi { dst, incoming } = &blk.insts[0] else { continue };
-                let Term::CondBr { cond, t, f: fb } = &blk.term else { continue };
-                if cond.as_value() != Some(*dst) || t == fb || *t == b || *fb == b {
-                    continue;
-                }
-                if incoming.iter().any(|(_, op)| op.as_const_int().is_some()) {
-                    return Verdict::may(format!(
-                        "{}: threadable φ-condbr at b{}",
-                        f.name, b.0
-                    ));
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 

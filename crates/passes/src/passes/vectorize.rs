@@ -10,7 +10,6 @@
 use crate::manager::Pass;
 use crate::stats::Stats;
 use crate::util::{addr_expr, dce_function, def_sites, replace_uses};
-use citroen_analyze::oracle::{Facts, Verdict};
 use citroen_ir::inst::{BinOp, CastKind, CmpOp, Inst, Operand, ValueId};
 use citroen_ir::module::{Function, Module};
 use citroen_ir::types::{ScalarTy, Ty};
@@ -51,38 +50,6 @@ impl Pass for SlpVectorizer {
             stats.inc("slp", "NumVectorInstructions", emitted);
             stats.inc("slp", "NumVectorized", chains);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Necessary shape for a W-wide reduction: a block holding an add
-        // chain of ≥W terms (≥W-1 adds) whose lanes each consume a distinct
-        // single-use scalar load.
-        for f in &m.funcs {
-            for blk in &f.blocks {
-                let mut adds = 0usize;
-                let mut loads = 0usize;
-                for inst in &blk.insts {
-                    match inst {
-                        Inst::Bin { dst, op: BinOp::Add, .. } => {
-                            let ty = f.ty(*dst);
-                            if ty.lanes == 1 && ty.scalar.is_int() {
-                                adds += 1;
-                            }
-                        }
-                        Inst::Load { dst, .. } => {
-                            let ty = f.ty(*dst);
-                            if ty.lanes == 1 && ty.scalar.is_int() {
-                                loads += 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if adds >= W - 1 && loads >= W {
-                    return Verdict::may(format!("{}: add chain over loads", f.name));
-                }
-            }
-        }
-        Verdict::CannotFire
     }
 }
 
@@ -511,15 +478,6 @@ impl Pass for LoopVectorize {
             stats.inc("loop-vectorize", "NumVectorized", n);
         }
     }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror: the transform fires iff a plan passes every screen.
-        for f in &m.funcs {
-            if plan_vectorize(f, false).is_some() {
-                return Verdict::may(format!("{}: unit-stride map loop", f.name));
-            }
-        }
-        Verdict::CannotFire
-    }
 }
 
 /// The `loop-idiom` pass: recognise memset-style loops (store of an invariant
@@ -542,15 +500,6 @@ impl Pass for LoopIdiom {
             }
             stats.inc("loop-idiom", "NumIdiom", n);
         }
-    }
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        // Exact mirror: the transform fires iff a plan passes every screen.
-        for f in &m.funcs {
-            if plan_vectorize(f, true).is_some() {
-                return Verdict::may(format!("{}: memset-style loop", f.name));
-            }
-        }
-        Verdict::CannotFire
     }
 }
 

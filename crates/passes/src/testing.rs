@@ -9,7 +9,6 @@
 
 use crate::manager::Pass;
 use crate::stats::Stats;
-use citroen_analyze::oracle::{Facts, Verdict};
 use citroen_ir::analysis::{Cfg, DomTree, LoopInfo};
 use citroen_ir::inst::{Inst, Term};
 use citroen_ir::module::Module;
@@ -82,154 +81,13 @@ impl Pass for BrokenUnroll {
     }
 }
 
-/// A pass whose precondition lies: it always claims
-/// [`CannotFire`](Verdict::CannotFire), yet `run` always records a statistic
-/// and, when a commutable `Bin` instruction exists, swaps its operands —
-/// changing the module fingerprint while preserving semantics. The bug is
-/// invisible to the verifier *and* the sanitizer; only the oracle soundness
-/// campaign (`citroen-analyze oracle`) can convict it, which is exactly what
-/// the regression tests use it to prove.
-pub struct LyingPrecondition;
-
-impl Pass for LyingPrecondition {
-    fn name(&self) -> &'static str {
-        "lying-precondition"
-    }
-
-    fn run(&self, m: &mut Module, stats: &mut Stats) {
-        // Always-nonzero stats: already a theorem violation on its own.
-        stats.inc(self.name(), "invocations", 1);
-        'swap: for f in &mut m.funcs {
-            for b in &mut f.blocks {
-                for i in &mut b.insts {
-                    if let Inst::Bin { op, lhs, rhs, .. } = i {
-                        if op.commutative() && lhs != rhs {
-                            std::mem::swap(lhs, rhs);
-                            stats.inc(self.name(), "operands_swapped", 1);
-                            break 'swap;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn precondition(&self, _m: &Module, _facts: &Facts) -> Verdict {
-        Verdict::CannotFire
-    }
-}
-
-/// A pass whose `CannotFire` claim rests on an unsound *alias* judgment.
-/// `run` performs honest store→load forwarding — a load whose address is the
-/// structurally identical operand of an earlier same-block store, with no
-/// intervening store or call, provably reads the stored value, so every use
-/// of the load is rewritten to the store's operand (semantics-preserving,
-/// verifier-clean) — and records, as statistics, every computed-address load
-/// its alias scan examined along the way. The precondition mirrors the scan
-/// but only believes an address can be alias-relevant when it is a *literal
-/// global*, silently assuming computed addresses (allocas, pointer
-/// arithmetic) never resolve to anything. On any module whose memory traffic
-/// flows through computed addresses the verdict is a lie, and only the
-/// oracle soundness campaign (`citroen-analyze oracle`) can convict it.
-pub struct LyingAliasPrecondition;
-
-/// Same-block store→load forwarding candidates over structurally identical
-/// address operands. `globals_only` is the lie: restricting the scan to
-/// literal-global addresses is exactly the unsound "computed addresses never
-/// must-alias" assumption the precondition makes.
-fn forwarding_candidate(m: &Module, globals_only: bool) -> Option<(usize, usize, usize)> {
-    use citroen_ir::inst::Operand;
-    for (fi, f) in m.funcs.iter().enumerate() {
-        for (bi, b) in f.blocks.iter().enumerate() {
-            for (li, inst) in b.insts.iter().enumerate() {
-                let Inst::Load { dst, addr } = inst else { continue };
-                if globals_only && !matches!(addr, Operand::Global(_)) {
-                    continue;
-                }
-                let lty = f.ty(*dst);
-                for j in (0..li).rev() {
-                    match &b.insts[j] {
-                        Inst::Store { ty, addr: saddr, .. } => {
-                            if saddr == addr && *ty == lty {
-                                return Some((fi, bi, li));
-                            }
-                            break; // any other store: stop, could clobber
-                        }
-                        Inst::Call { .. } => break,
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-impl Pass for LyingAliasPrecondition {
-    fn name(&self) -> &'static str {
-        "lying-alias-precondition"
-    }
-
-    fn run(&self, m: &mut Module, stats: &mut Stats) {
-        // The census the precondition's model forgets: every computed-address
-        // load is an access the alias scan had to examine (and could, in a
-        // sharper module state, forward through).
-        let examined: usize = m
-            .funcs
-            .iter()
-            .flat_map(|f| &f.blocks)
-            .flat_map(|b| &b.insts)
-            .filter(|i| {
-                matches!(i, Inst::Load { addr: citroen_ir::inst::Operand::Value(_), .. })
-            })
-            .count();
-        if examined > 0 {
-            stats.inc(self.name(), "computed_loads_examined", examined as u64);
-        }
-        let Some((fi, bi, li)) = forwarding_candidate(m, false) else { return };
-        let f = &mut m.funcs[fi];
-        let (dst, val) = {
-            let insts = &f.blocks[bi].insts;
-            let Inst::Load { dst, .. } = &insts[li] else { unreachable!() };
-            let store = insts[..li]
-                .iter()
-                .rev()
-                .find_map(|i| if let Inst::Store { val, .. } = i { Some(*val) } else { None });
-            (*dst, store.expect("candidate has a store"))
-        };
-        for b in &mut f.blocks {
-            for i in &mut b.insts {
-                i.for_each_operand_mut(|op| {
-                    if *op == citroen_ir::inst::Operand::Value(dst) {
-                        *op = val;
-                    }
-                });
-            }
-            b.term.for_each_operand_mut(|op| {
-                if *op == citroen_ir::inst::Operand::Value(dst) {
-                    *op = val;
-                }
-            });
-        }
-        stats.inc(self.name(), "loads_forwarded", 1);
-    }
-
-    fn precondition(&self, m: &Module, _facts: &Facts) -> Verdict {
-        if forwarding_candidate(m, true).is_some() {
-            Verdict::MayFire { evidence: "literal-global forwarding candidate".to_string() }
-        } else {
-            Verdict::CannotFire // the lie, whenever a computed-address candidate exists
-        }
-    }
-}
-
 /// A pass whose work-class model lies: [`clears`](Pass::clears) claims every
 /// work class is exhausted after it runs, yet `run` changes nothing — so any
 /// later pass the subsumption canonicalizer drops on its account can still
-/// fire. The pass itself is semantics-preserving, verifier-clean,
-/// sanitizer-clean, and even upholds its (trivial) precondition; only the
-/// subsumption soundness campaign (`citroen-analyze subsume`) can convict
-/// the false theorem, which is exactly what the regression tests use it for.
+/// fire. The pass itself is semantics-preserving, verifier-clean and
+/// sanitizer-clean; only the subsumption soundness campaign
+/// (`citroen-analyze subsume`) can convict the false theorem, which is
+/// exactly what the regression tests use it for.
 pub struct LyingSubsumption;
 
 impl Pass for LyingSubsumption {
@@ -321,56 +179,5 @@ mod tests {
         let (clean, _) =
             run_counting(&victim_module(), FuncId(0), &[Value::I(7)]).expect("runs fine");
         assert_ne!(out.mem_digest, clean.mem_digest, "the miscompile must be observable");
-    }
-
-    #[test]
-    fn lying_alias_precondition_is_convicted_by_the_oracle_checker() {
-        // A store→load pair through an alloca: the honest forwarding in
-        // `run` fires, but the precondition's "computed addresses never
-        // must-alias" rule sees no literal-global candidate and claims
-        // CannotFire. The oracle checker must observe the contradiction.
-        use citroen_ir::builder::FunctionBuilder;
-        use citroen_ir::inst::Operand;
-        use citroen_ir::module::GlobalInit;
-        use citroen_ir::types::I64;
-        let mut m = Module::new("alias_victim");
-        let g = m.add_global("out", GlobalInit::Zero(8), true);
-        let mut b = FunctionBuilder::new("main", vec![], Some(I64));
-        let a = b.alloca(8);
-        b.store(I64, Operand::imm64(42), a);
-        let v = b.load(I64, a);
-        b.store(I64, v, Operand::Global(g));
-        b.ret(Some(Operand::imm64(0)));
-        m.add_func(b.finish());
-
-        let verdict = crate::oracle::check_cannot_fire(&LyingAliasPrecondition, &m);
-        let msg = verdict.expect("oracle checker must convict the alias lie");
-        assert!(msg.contains("lying-alias-precondition"), "{msg}");
-
-        // The transform itself is honest: forwarding preserves semantics.
-        use citroen_ir::inst::FuncId;
-        use citroen_ir::interp::run_counting;
-        let mut fwd = m.clone();
-        let mut stats = Stats::new();
-        LyingAliasPrecondition.run(&mut fwd, &mut stats);
-        assert!(!stats.is_empty(), "run must fire on the victim");
-        assert!(verify_module(&fwd).is_empty(), "{:?}", verify_module(&fwd));
-        let (before, _) = run_counting(&m, FuncId(0), &[]).expect("runs fine");
-        let (after, _) = run_counting(&fwd, FuncId(0), &[]).expect("runs fine");
-        assert_eq!(before.mem_digest, after.mem_digest, "forwarding is semantics-preserving");
-    }
-
-    #[test]
-    fn lying_precondition_is_convicted_by_the_oracle_checker() {
-        // Semantics-preserving, verifier-clean, sanitizer-clean — but the
-        // CannotFire theorem is violated and the checker must say so.
-        let verdict = crate::oracle::check_cannot_fire(&LyingPrecondition, &victim_module());
-        let msg = verdict.expect("oracle checker must convict the lying pass");
-        assert!(msg.contains("lying-precondition"), "{msg}");
-
-        // Sanity: the honest registry stays clean on the same module, so the
-        // conviction above is about the lie, not the module.
-        let reg = crate::Registry::full();
-        assert_eq!(crate::oracle::check_registry(&reg, &victim_module()), None);
     }
 }

@@ -233,49 +233,6 @@ pub fn simplify_single_incoming_phis(f: &mut Function) -> usize {
     replaced
 }
 
-/// Read-only mirror of [`dce_function`]'s first sweep: whether it would
-/// remove at least one instruction. A first sweep that removes nothing makes
-/// the whole fixpoint a no-op, so `false` here proves `dce_function` cannot
-/// change the function — the fact pass preconditions need, since several
-/// passes run `dce_function` unconditionally as cleanup.
-pub fn would_dce(f: &Function) -> bool {
-    let mut uses = vec![0u32; f.value_ty.len()];
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            inst.for_each_operand(|op| {
-                if let Operand::Value(v) = op {
-                    uses[v.idx()] += 1;
-                }
-            });
-        }
-        blk.term.for_each_operand(|op| {
-            if let Operand::Value(v) = op {
-                uses[v.idx()] += 1;
-            }
-        });
-    }
-    f.blocks.iter().flat_map(|b| &b.insts).any(|inst| match inst.dst() {
-        Some(d) => !inst.has_side_effects() && !inst.reads_memory() && uses[d.idx()] == 0,
-        None => false,
-    })
-}
-
-/// Read-only mirror of [`simplify_single_incoming_phis`]: whether any φ
-/// would be replaced by its sole incoming operand.
-pub fn has_simplifiable_phi(f: &Function) -> bool {
-    f.blocks.iter().flat_map(|b| &b.insts).any(|inst| {
-        matches!(inst, Inst::Phi { dst, incoming }
-            if incoming.len() == 1 && incoming[0].1 != Operand::Value(*dst))
-    })
-}
-
-/// Whether any block is unreachable from the entry (read-only mirror of
-/// [`remove_unreachable_blocks`] finding work to do).
-pub fn has_unreachable_blocks(f: &Function) -> bool {
-    let cfg = Cfg::compute(f);
-    (0..f.blocks.len()).any(|i| !cfg.reachable(BlockId(i as u32)))
-}
-
 /// Remove pure instructions whose results are unused; iterates to a fixpoint.
 /// Returns the number of instructions removed.
 pub fn dce_function(f: &mut Function) -> usize {
@@ -628,43 +585,6 @@ mod tests {
         let n = dce_function(&mut f);
         assert_eq!(n, 2);
         assert_eq!(f.num_insts(), 1);
-    }
-
-    #[test]
-    fn read_only_mirrors_agree_with_mutators() {
-        // Dead chain: would_dce says yes, dce_function removes it, then no.
-        let mut b = FunctionBuilder::new("f", vec![I64], Some(I64));
-        let x = b.bin(BinOp::Add, I64, b.param(0), Operand::imm64(1));
-        let _dead = b.bin(BinOp::Mul, I64, x, Operand::imm64(3));
-        b.ret(Some(x));
-        let mut f = b.finish();
-        assert!(would_dce(&f));
-        assert!(dce_function(&mut f) > 0);
-        assert!(!would_dce(&f));
-        assert_eq!(dce_function(&mut f), 0);
-
-        // Live-only function: mirror predicts the no-op.
-        let mut b = FunctionBuilder::new("g", vec![I64], Some(I64));
-        let y = b.bin(BinOp::Add, I64, b.param(0), Operand::imm64(2));
-        b.ret(Some(y));
-        let mut g = b.finish();
-        assert!(!would_dce(&g));
-        assert_eq!(dce_function(&mut g), 0);
-        assert!(!has_simplifiable_phi(&g));
-        assert_eq!(simplify_single_incoming_phis(&mut g), 0);
-        assert!(!has_unreachable_blocks(&g));
-        assert_eq!(remove_unreachable_blocks(&mut g), 0);
-
-        // Unreachable block: mirror sees it, mutator removes it, mirror clears.
-        let mut b = FunctionBuilder::new("h", vec![], Some(I64));
-        let dead = b.block();
-        b.ret(Some(Operand::imm64(0)));
-        b.switch_to(dead);
-        b.ret(Some(Operand::imm64(1)));
-        let mut h = b.finish();
-        assert!(has_unreachable_blocks(&h));
-        assert_eq!(remove_unreachable_blocks(&mut h), 1);
-        assert!(!has_unreachable_blocks(&h));
     }
 
     #[test]

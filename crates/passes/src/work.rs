@@ -9,25 +9,25 @@
 //! - [`crate::Pass::fires_on`] — the classes whose presence is *necessary*
 //!   for the pass to change anything. `Some(mask)` is a theorem: on a
 //!   module with none of those classes present, `run` must be a no-op.
-//!   A pass declares a mask when its precondition mirror replays the fire
-//!   test exactly — usually because the pass is idempotent, but not
+//!   A pass declares a mask when its classes cover its fire test exactly —
+//!   usually because the pass runs its rewrite to a fixpoint, but not
 //!   necessarily (`loop-rotate` consumes while-shaped headers it never
 //!   recreates, so [`ROT`] is a sound fire class even though rotation is
-//!   not an idempotent rewrite). Everything else answers `None` (unknown —
+//!   not a fixpoint rewrite). Everything else answers `None` (unknown —
 //!   never dropped).
 //! - [`crate::Pass::clears`] — classes *provably absent* after the pass
-//!   runs, regardless of input. Every idempotent pass clears its own bit
-//!   (that is the idempotence theorem restated); a non-idempotent owner
-//!   clears its bit only if it provably exhausts the class; passes ending
+//!   runs, regardless of input. A pass that runs to a fixpoint clears its
+//!   own bit (so `p, p` collapses); any other owner clears its bit only if
+//!   it provably exhausts the class; passes ending
 //!   in an unconditional `dce_function` sweep additionally clear [`DEAD`].
 //! - [`crate::Pass::produces`] — classes the pass may *create*. The
 //!   always-sound default is "everything"; it is narrowed only where the
 //!   pass's edit set makes the claim easy (e.g. `sink` moves pure
 //!   scalar instructions and therefore cannot mint dead code).
 //!
-//! Soundness discipline mirrors PR 3's `CannotFire`: every consequence of
-//! these masks is fuzz-executed as a theorem (`citroen-analyze subsume`),
-//! and a violated claim fails CI rather than silently mis-pruning.
+//! Every consequence of these masks is fuzz-executed as a theorem
+//! (`citroen-analyze subsume`), and a violated claim fails CI rather than
+//! silently mis-pruning.
 
 /// Unused pure instructions (what `dce` removes).
 pub const DEAD: u64 = 1 << 0;

@@ -267,7 +267,7 @@ fn utf8_len(first: u8) -> usize {
 // ---------------------------------------------------------------------------
 
 /// A JSON value tree: objects, arrays, strings, and unsigned integers — the
-/// superset needed by nested documents like the pass-interaction graph. The
+/// superset needed by nested documents like the daemon's replies. The
 /// flat `{string: u64}` functions above remain the stats-format fast path
 /// (their emitted bytes are pinned by golden strings downstream).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,13 +8,11 @@
 //! 1. a global bounded LRU compile cache keyed by (source-module
 //!    fingerprint, canonical genome) — tenants tuning the same program reuse
 //!    each other's compilations bit-identically;
-//! 2. a persisted `citroen-analyze oracle` interaction graph + work model,
-//!    loaded once and warm-starting every session's canonicalizer;
-//! 3. GRACE-style transfer warm-starts: completed sessions deposit their
+//! 2. GRACE-style transfer warm-starts: completed sessions deposit their
 //!    best genome keyed by an O3 compilation-statistics descriptor, and new
 //!    jobs may seed their initial design from statistics-space nearest
 //!    neighbours (`warm > 0`);
-//! 4. one program base per suite program, built by the first job that names
+//! 3. one program base per suite program, built by the first job that names
 //!    it: the `-O3` build, reference run, profile and descriptor, plus a
 //!    bounded memo of every simulated binary's outcome, so no binary is
 //!    simulated twice while its memo entry lives.

@@ -130,7 +130,10 @@ pub struct JobSpec {
     pub seq_len: usize,
     /// Measurements per model-guided iteration (default 1).
     pub batch: usize,
-    /// Enable oracle pruning for this session.
+    /// Read by nothing. The protocol no longer parses an `oracle_prune` key
+    /// (an unknown key, ignored like any other), so a parsed spec always
+    /// holds `false` here. The field stays only so that clients which build
+    /// a `JobSpec` literal keep compiling.
     pub oracle_prune: bool,
     /// Enable subsumption collapse for this session.
     pub subsume: bool,
@@ -226,7 +229,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 seed: opt_u64(job, "seed", 0)?,
                 seq_len: opt_u64(job, "seq_len", 16)? as usize,
                 batch: opt_u64(job, "batch", 1)?.max(1) as usize,
-                oracle_prune: opt_u64(job, "oracle_prune", 0)? != 0,
+                oracle_prune: false,
                 subsume: opt_u64(job, "subsume", 0)? != 0,
                 warm: opt_u64(job, "warm", 0)? as usize,
                 timeout_ms: opt_u64(job, "timeout_ms", 0)?,
@@ -438,10 +441,28 @@ mod tests {
                 assert_eq!(j.batch, 1);
                 assert_eq!(j.warm, 0);
                 assert_eq!(j.timeout_ms, 0);
-                assert!(!j.oracle_prune && !j.subsume);
+                assert!(!j.subsume);
             }
             other => panic!("wrong parse: {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_oracle_prune_key_changes_neither_the_spec_nor_the_config() {
+        // Older clients still send `"oracle_prune":1`; the key is no longer
+        // read, so it parses like any unknown key: not at all.
+        let submit = |extra: &str| {
+            let job =
+                format!(r#"{{"id":"a","bench":"telecom_gsm","budget":10,"subsume":1{extra}}}"#);
+            match parse_request(&format!(r#"{{"type":"submit","job":{job}}}"#)).unwrap() {
+                Request::Submit(j) => j,
+                other => panic!("wrong parse: {other:?}"),
+            }
+        };
+        let (with, without) = (submit(r#","oracle_prune":1"#), submit(""));
+        assert_eq!(with, without);
+        let config = |j: &JobSpec| format!("{:?}", crate::server::job_citroen_config(j));
+        assert_eq!(config(&with), config(&without));
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub fn job_citroen_config(spec: &JobSpec) -> CitroenConfig {
     CitroenConfig {
         candidates: 24,
         init_random: 6,
-        oracle_prune: spec.oracle_prune,
         subsume_collapse: spec.subsume,
         batch: spec.batch.max(1),
         seed: spec.seed,
@@ -468,7 +467,6 @@ impl Server {
 
         let env = SessionEnv {
             shared_cache: Some(self.state.cache.clone()),
-            graph: self.state.graph.clone(),
             pool: Some(self.state.pool.clone()),
             ctl,
         };

@@ -1,10 +1,9 @@
-//! Cross-tenant shared state: the compile cache, the once-loaded
-//! interaction graph, the shared worker pool, the transfer corpus, and one
-//! program base (with its execution memo) per suite program.
+//! Cross-tenant shared state: the compile cache, the shared worker pool,
+//! the transfer corpus, and one program base (with its execution memo) per
+//! suite program.
 
 use citroen_bo::transfer::TransferEntry;
 use citroen_core::{MemoStats, SharedCompileCache, TaskBase};
-use citroen_passes::oracle::InteractionGraph;
 use citroen_rt::par::WorkerPool;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -19,9 +18,6 @@ pub struct ServeConfig {
     /// Cross-tenant compile-cache capacity in entries (LRU; 0 = unbounded).
     /// Default 4096.
     pub cache_cap: usize,
-    /// Persisted `citroen-analyze oracle --json` interaction graph, loaded
-    /// once and shared with every session (warm-starting canonicalisation).
-    pub graph_path: Option<String>,
     /// Directory for per-job JSONL telemetry streams (`<dir>/<job id>.jsonl`,
     /// readable while live with `citroen-trace show`). `None` = no telemetry.
     pub trace_dir: Option<String>,
@@ -42,7 +38,6 @@ impl Default for ServeConfig {
             max_concurrent: 2,
             max_budget: 200,
             cache_cap: 4096,
-            graph_path: None,
             trace_dir: None,
             slo_queue_ms: slo.queue_ms,
             slo_run_ms: slo.run_ms,
@@ -60,10 +55,6 @@ pub struct ServeState {
     /// Cross-tenant compile cache, keyed (source-module fingerprint,
     /// canonical genome).
     pub cache: Arc<SharedCompileCache>,
-    /// Interaction graph loaded once from [`ServeConfig::graph_path`]
-    /// (`None` when unset or unreadable — sessions fall back to per-task
-    /// derivation exactly as standalone runs do).
-    pub graph: Option<Arc<InteractionGraph>>,
     /// One worker pool shared by all sessions, so N tenants don't spawn
     /// N × threads. Safe for concurrent `map` callers (whole-batch
     /// serialisation in `rt::par`).
@@ -88,24 +79,12 @@ pub struct ExecStats {
 }
 
 impl ServeState {
-    /// Build the daemon state, loading the interaction graph once.
+    /// Build the daemon state.
     pub fn new(cfg: ServeConfig) -> ServeState {
-        let graph = cfg.graph_path.as_deref().and_then(|path| {
-            let load = std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| InteractionGraph::from_json(&t));
-            match load {
-                Ok(g) => Some(Arc::new(g)),
-                Err(e) => {
-                    eprintln!("warning: ignoring oracle graph '{path}': {e}");
-                    None
-                }
-            }
-        });
         let pool = Arc::new(WorkerPool::new(citroen_rt::par::thread_count(8)));
         let cache = Arc::new(SharedCompileCache::new(cfg.cache_cap));
         let bases = citroen_suite::names().map(|name| (name, OnceLock::new())).collect();
-        ServeState { cfg, cache, graph, pool, corpus: Mutex::new(Vec::new()), bases }
+        ServeState { cfg, cache, pool, corpus: Mutex::new(Vec::new()), bases }
     }
 
     /// The shared base of suite program `bench`, built on first use; `None`

@@ -17,12 +17,11 @@
 #      (rt, bo, tuners, synthetic, bench)
 #   3. a 1000-trial `citroen-analyze` fuzz campaign (100 random modules x
 #      10 random pass sequences, 30-second budget) through the verifier,
-#      the translation-validation sanitizer, and the interpreter
-#      differential
-#   4. a 30-second `citroen-analyze oracle` soundness campaign: 500 module
-#      x sequence trials executing every CannotFire precondition verdict
-#      (plus the pass-interaction graph derivation over the suite)
-#   5. the telemetry gate: one traced tuning run streams a JSONL trace that
+#      the translation-validation sanitizer, the interpreter differential
+#      and the compile path's own checks, among them `canon`: each
+#      sequence and its canonical form under the session's subsumption
+#      canonicaliser must compile to the same fingerprint and statistics
+#   4. the telemetry gate: one traced tuning run streams a JSONL trace that
 #      must be well-formed with `iteration` spans >=90% covered by their
 #      compile/measure/fit/acquire children (`citroen-trace check`), render
 #      a monotone convergence curve (`curve`), export flamegraph stacks
@@ -30,17 +29,17 @@
 #      the disabled-path overhead (`micro --telemetry-gate`) and the
 #      marginal streaming overhead (`micro --stream-gate`) must stay within
 #      their pinned budgets
-#   6. the batch gate: two q=4 batched tuning runs with the same seed must
+#   5. the batch gate: two q=4 batched tuning runs with the same seed must
 #      be bit-identical, and the q=4 wall clock must beat q=1 by the
 #      pinned floor (3x on >=4 worker threads, 1.5x below that)
 #      (`micro --batch-gate`)
-#   7. the subsumption gate: a >=100-trial `citroen-analyze subsume` smoke
+#   6. the subsumption gate: a >=100-trial `citroen-analyze subsume` smoke
 #      campaign replaying the canonicalizer's drop decisions (every
 #      predicted drop executed and checked as a behavioural no-op, exit 1
 #      on any violation), then a q=4 batched tuning run with
 #      subsume-collapse on and the S1-S8 sanitizer armed end to end
 #      (CITROEN_SANITIZE=1)
-#   8. the alias gate: a 50-state `citroen-analyze alias-oracle --smoke`
+#   7. the alias gate: a 50-state `citroen-analyze alias-oracle --smoke`
 #      soundness campaign (every same-block No/Must alias verdict checked
 #      against concrete access addresses) and the shipped suite compiled
 #      at -O3 with the full S1-S11 sanitizer armed (`validate`, which
@@ -48,13 +47,13 @@
 #      plus a `mine-edges --smoke` mining + executed-drop promotion pass
 #      (seed 7), which exits 0 whatever it refutes, so it only gates on
 #      the pass running to completion
-#   9. the serve gate: `citroen-serve bench` spawns the multi-tenant
+#   8. the serve gate: `citroen-serve bench` spawns the multi-tenant
 #      daemon and replays a concurrent job mix over stdio — two jobs run
 #      concurrently plus a same-seed replay; results must be bit-identical
 #      to standalone runs at the same seeds, the replay must hit the shared
 #      cross-tenant compile cache, a third job is cancelled mid-run, and
 #      the daemon must drain gracefully (exit 0 only if all hold)
-#  10. the observability gate: `micro --metrics-gate` bounds the metrics
+#   9. the observability gate: `micro --metrics-gate` bounds the metrics
 #      plane's cost (windowed-registry hot path per op, a full snapshot
 #      read-out, and the marginal wall clock of a metrics-feeding sink over
 #      a memory sink on a real tuning run). The daemon end of the plane
@@ -76,9 +75,6 @@ cargo test -q --workspace
 
 echo "== citroen-analyze fuzz (1000 trials, 30s budget)"
 timeout 30 ./target/release/citroen-analyze --modules 100 --seqs 10
-
-echo "== citroen-analyze oracle (500 soundness trials, 30s budget)"
-timeout 30 ./target/release/citroen-analyze oracle > /dev/null
 
 echo "== telemetry: traced run + check/curve/flame/diff + overhead gates"
 # micro lives in the citroen-bench member package, not the root package.

@@ -1,13 +1,9 @@
 //! `citroen-analyze`: the static-analysis and translation-validation front
-//! end. Seven modes:
+//! end. Six modes:
 //!
 //! * **lint** (`--lint`): run the dataflow lint suite over the shipped
 //!   benchmark suite (optionally after `-O3`), or over a single IR file with
 //!   `--ir FILE`, and print diagnostics.
-//! * **oracle** (`oracle`): soundness-fuzz the per-pass precondition oracle
-//!   (every `CannotFire` verdict is executed and must change nothing), then
-//!   derive the static pass-interaction graph over the shipped suite and
-//!   emit it as JSON on stdout.
 //! * **subsume** (`subsume`): soundness-fuzz the work-class subsumption
 //!   matrix — replay random sequences simulating the canonicalizer's
 //!   absent-work dataflow and execute every predicted drop, which must be a
@@ -27,17 +23,18 @@
 //!   records every dynamic access address; violating modules are reduced.
 //! * **fuzz** (default, `--smoke` for the 30-second tier-1 budget): random
 //!   generated modules × random pass sequences through the verifier, the
-//!   sanitizer, and an interpreter differential, delta-debugging any failure
+//!   sanitizer, an interpreter differential, and the compile path's own
+//!   checks (among them `canon`: the session's sequence canonicaliser must
+//!   not change what a sequence compiles to), delta-debugging any failure
 //!   down to a minimal pass sequence + module reproducer.
 //!
 //! Progress, violations and summaries go to stderr; stdout carries only
-//! machine output (the oracle graph, `--json` documents, lint findings).
-//! Exits non-zero iff a failure, an oracle violation, or (in lint mode) any
-//! diagnostic was found.
+//! machine output (`--json` documents, lint findings). Exits non-zero iff a
+//! failure, a soundness violation, or (in lint mode) any diagnostic was
+//! found.
 
 use citroen::fuzz::{
-    run_alias_campaign, run_campaign, run_oracle_campaign, run_subsumption_campaign, FuzzConfig,
-    Report,
+    run_alias_campaign, run_campaign, run_subsumption_campaign, FuzzConfig, Report,
 };
 use citroen::mine::{run_mine_campaign, MineConfig};
 use citroen_analyze::{filter_severity, lint_module, Severity};
@@ -45,11 +42,10 @@ use citroen_passes::manager::{o3_pipeline, Pass, PassManager, Registry};
 use citroen_rt::json::Value;
 
 const USAGE: &str = "\
-citroen-analyze — dataflow lints, precondition oracle + fuzzing
+citroen-analyze — dataflow lints, soundness fuzzing
 
 USAGE:
     citroen-analyze [--smoke | --modules N --seqs N --max-len N --seed S]
-    citroen-analyze oracle [--smoke] [--modules N --seqs N --max-len N --seed S]
     citroen-analyze subsume [--smoke] [--modules N --seqs N --max-len N --seed S]
     citroen-analyze alias-oracle [--smoke] [--modules N --seqs N --max-len N --seed S]
     citroen-analyze mine-edges [--smoke] [--seed S]
@@ -58,8 +54,6 @@ USAGE:
 
 MODES:
     (default)        fuzz campaign (20 modules x 10 sequences)
-    oracle           soundness-fuzz pass preconditions (25 x 20 = 500 trials),
-                     then emit the pass-interaction graph as JSON on stdout
     subsume          soundness-fuzz the work-class subsumption matrix
                      (25 x 20 = 500 trials): every drop the sequence
                      canonicalizer would take is executed and must change
@@ -77,8 +71,8 @@ MODES:
     --lint           lint the shipped benchmark suite
     --o3             lint after the -O3 pipeline instead of the source IR
     --errors-only    only report Error-severity lints
-    --json           emit lint findings / the oracle report as one JSON
-                     document on stdout (exit codes unchanged)
+    --json           emit lint findings as one JSON document on stdout
+                     (exit codes unchanged)
     --ir FILE        lint a single IR file instead of the suite
 
 FUZZ OPTIONS:
@@ -114,7 +108,7 @@ fn main() {
     let mut ir_file: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "oracle" | "subsume" | "validate" | "alias-oracle" | "mine-edges" => mode = a,
+            "subsume" | "validate" | "alias-oracle" | "mine-edges" => mode = a,
             "--lint" => lint = true,
             "--o3" => o3 = true,
             "--errors-only" => errors_only = true,
@@ -124,7 +118,7 @@ fn main() {
                 ir_file = Some(args.next().unwrap_or_else(|| die("--ir needs a file path")))
             }
             // Test-only: spike the registry with the deliberately lying pass
-            // to prove the soundness campaign catches it (hence not in USAGE).
+            // to prove the subsume campaign catches it (hence not in USAGE).
             "--with-lying" => with_lying = true,
             // Test-only: append the miscompiling unroll to the -O3 pipeline
             // so `validate` demonstrates value-level localisation.
@@ -151,7 +145,7 @@ fn main() {
     let mut cfg = if smoke { FuzzConfig::smoke() } else { FuzzConfig::default() };
     match (mode.as_str(), smoke) {
         // ≥500 executed module × sequence soundness trials per default run.
-        ("oracle" | "subsume", false) => (cfg.modules, cfg.seqs_per_module) = (25, 20),
+        ("subsume", false) => (cfg.modules, cfg.seqs_per_module) = (25, 20),
         // check.sh stage 8 budget: 25 modules x (raw + 1 pipeline) = 50
         // checked states.
         ("alias-oracle", true) => (cfg.modules, cfg.seqs_per_module) = (25, 1),
@@ -163,7 +157,6 @@ fn main() {
     cfg.max_seq_len = max_len.unwrap_or(cfg.max_seq_len);
     cfg.seed = seed.unwrap_or(cfg.seed);
     let code = match mode.as_str() {
-        "oracle" => oracle_mode(&cfg, smoke, with_lying, json),
         "subsume" => subsume_mode(&cfg, with_lying),
         "alias-oracle" => {
             header("alias-oracle", &cfg);
@@ -316,79 +309,6 @@ fn lint_file(path: &str, errors_only: bool, json: bool) -> i32 {
         eprintln!("citroen-analyze: {} diagnostic(s) in {path}", diags.len());
     }
     i32::from(!diags.is_empty())
-}
-
-/// Oracle mode: soundness-fuzz every registered precondition, then derive
-/// the pass-interaction graph over the shipped suite. Progress and the
-/// campaign summary go to stderr; the graph JSON is stdout, so
-/// `citroen-analyze oracle > graph.json` does the expected thing.
-fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i32 {
-    let reg = spiked(with_lying, citroen_passes::testing::LyingPrecondition);
-
-    header("oracle", cfg);
-    let report = run_oracle_campaign(cfg, &reg, |line| eprintln!("{line}"));
-    let [checked, verdicts] = report.counts;
-    let code = print_report(
-        "oracle",
-        &report,
-        &format!("{checked} cannot-fire verdict(s) executed ({verdicts} verdicts total)"),
-    );
-
-    // Interaction graph over the shipped suite (linked benchmarks). The
-    // smoke budget keeps the corpus small so the tier-1 gate stays <30s.
-    let benches = citroen_suite::cbench();
-    let corpus: Vec<_> = benches
-        .iter()
-        .take(if smoke { 2 } else { benches.len() })
-        .map(|b| b.link())
-        .collect();
-    let graph = citroen_passes::oracle::derive_graph(&reg, &corpus);
-    eprintln!(
-        "citroen-analyze oracle: interaction graph over {} module(s): {} enables, {} disables",
-        graph.modules,
-        graph.enables.len(),
-        graph.disables.len()
-    );
-    if json {
-        // One document wrapping campaign + graph, so machine consumers get
-        // the violation list without scraping stderr. The graph subtree is
-        // byte-compatible with the plain-mode stdout document.
-        let graph_value =
-            Value::parse(&graph.to_json()).expect("InteractionGraph::to_json is valid JSON");
-        let violations = Value::Arr(
-            report
-                .violations
-                .iter()
-                .map(|v| {
-                    Value::Obj(vec![
-                        ("pass".into(), Value::str(&v.label)),
-                        ("module_seed".into(), Value::U64(v.module_seed)),
-                        ("detail".into(), Value::str(&v.detail)),
-                        ("sequence".into(), Value::str(&v.seq)),
-                        ("reduced_sequence".into(), Value::str(&v.reduced_seq)),
-                        ("reduced_module".into(), Value::str(&v.reduced_ir)),
-                    ])
-                })
-                .collect(),
-        );
-        let doc = Value::Obj(vec![
-            ("mode".into(), Value::str("oracle")),
-            (
-                "campaign".into(),
-                Value::Obj(vec![
-                    ("trials".into(), Value::U64(report.trials as u64)),
-                    ("verdicts".into(), Value::U64(verdicts)),
-                    ("checked_cannot_fire".into(), Value::U64(checked)),
-                    ("violations".into(), violations),
-                ]),
-            ),
-            ("graph".into(), graph_value),
-        ]);
-        println!("{}", doc.emit_pretty());
-    } else {
-        println!("{}", graph.to_json());
-    }
-    code
 }
 
 /// Subsume mode: print every statically claimed subsumption edge, then

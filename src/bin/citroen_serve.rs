@@ -2,9 +2,9 @@
 //!
 //! * **serve** (default): accept tuning jobs as newline-delimited JSON on
 //!   stdio (or a Unix socket with `--socket`), run up to `--max-concurrent`
-//!   sessions concurrently, and share the compile cache, the once-loaded
-//!   interaction graph, and the transfer corpus across tenants. EOF or a
-//!   `shutdown` request drains gracefully.
+//!   sessions concurrently, and share the compile cache, the program bases
+//!   and the transfer corpus across tenants. EOF or a `shutdown` request
+//!   drains gracefully.
 //! * **bench**: client mode for the determinism/throughput gate — spawns
 //!   `citroen-serve serve` as a subprocess, replays a concurrent job mix
 //!   over its stdio, cancels one job mid-run, and asserts every completed
@@ -23,9 +23,8 @@ citroen-serve — multi-tenant CITROEN tuning daemon
 
 USAGE:
     citroen-serve [serve] [--socket PATH] [--max-concurrent N] [--max-budget N]
-                  [--cache-cap N] [--trace-dir DIR] [--graph FILE]
-                  [--slo-queue-ms X] [--slo-run-ms X] [--slo-compile-us X]
-                  [--slo-hit-ratio X]
+                  [--cache-cap N] [--trace-dir DIR] [--slo-queue-ms X]
+                  [--slo-run-ms X] [--slo-compile-us X] [--slo-hit-ratio X]
     citroen-serve bench [--budget N] [--max-concurrent N]
 
 MODES:
@@ -43,8 +42,6 @@ OPTIONS:
     --trace-dir DIR      per-job JSONL telemetry streams (readable while
                          live with `citroen-trace show DIR/<job>.jsonl`;
                          `citroen-trace flame` folds one into stacks)
-    --graph FILE         persisted `citroen-analyze oracle --json` graph,
-                         loaded once and shared with every session
     --budget N           bench mode: per-job budget        [default: 8]
 
 OBSERVABILITY OPTIONS (serve):
@@ -100,9 +97,6 @@ fn main() {
             "--cache-cap" => cfg.cache_cap = parse_num(&mut args, "--cache-cap") as usize,
             "--trace-dir" => {
                 cfg.trace_dir = Some(args.next().unwrap_or_else(|| die("--trace-dir needs a dir")))
-            }
-            "--graph" => {
-                cfg.graph_path = Some(args.next().unwrap_or_else(|| die("--graph needs a file")))
             }
             "--budget" => budget = parse_num(&mut args, "--budget") as usize,
             "--slo-queue-ms" => cfg.slo_queue_ms = parse_f64(&mut args, "--slo-queue-ms"),

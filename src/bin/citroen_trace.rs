@@ -28,7 +28,7 @@ citroen-trace — telemetry capture and trace analysis
 USAGE:
     citroen-trace record --out FILE [--stream-cap N]
                          [--bench NAME] [--budget N] [--seq-len N] [--seed S]
-                         [--oracle] [--subsume] [--batch Q]
+                         [--subsume] [--batch Q]
     citroen-trace show FILE [--top N]
     citroen-trace check FILE [--min-coverage F]
     citroen-trace diff OLD NEW [--threshold PCT] [--span-floor-ms MS]
@@ -61,8 +61,8 @@ RECORD OPTIONS:
     --budget N       runtime-measurement budget   [default: 12]
     --seq-len N      pass-sequence length         [default: 16]
     --seed S         tuner seed                   [default: 1]
-    --oracle         enable oracle pruning (canonicalizer counters)
-    --subsume        enable work-class subsumption collapse
+    --subsume        enable work-class subsumption collapse (canonicalizer
+                     counters)
     --batch Q        batched measurement lookahead        [default: 1]
     --stream-cap N   rotate the trace at ~N bytes per file, keeping
                      FILE.1 and FILE.2 (disk bounded at ~3 caps)
@@ -137,7 +137,7 @@ fn record(mut args: std::env::Args) {
     let (mut out, mut bench) = (None::<String>, "telecom_gsm".to_string());
     let mut stream_cap = None::<u64>;
     let (mut budget, mut seq_len, mut seed) = (12usize, 16usize, 1u64);
-    let (mut oracle, mut subsume, mut batch) = (false, false, 1usize);
+    let (mut subsume, mut batch) = (false, 1usize);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a file"))),
@@ -146,7 +146,6 @@ fn record(mut args: std::env::Args) {
             "--budget" => budget = parse_num(&mut args, "--budget") as usize,
             "--seq-len" => seq_len = parse_num(&mut args, "--seq-len") as usize,
             "--seed" => seed = parse_num(&mut args, "--seed"),
-            "--oracle" => oracle = true,
             "--subsume" => subsume = true,
             "--batch" => batch = parse_num(&mut args, "--batch") as usize,
             other => die(&format!("record: unknown argument '{other}'")),
@@ -174,7 +173,6 @@ fn record(mut args: std::env::Args) {
     let cfg = CitroenConfig {
         candidates: 24,
         init_random: 6,
-        oracle_prune: oracle,
         subsume_collapse: subsume,
         batch,
         seed,

@@ -1,21 +1,19 @@
 //! Soundness campaigns for the pass pipeline and its pruning claims: random
 //! generated modules × random pass sequences, driven by one loop.
 //!
-//! * [`run_campaign`] checks each trial six ways — the structural
+//! * [`run_campaign`] checks each trial seven ways — the structural
 //!   verifier, the translation-validation sanitizer, an interpreter
 //!   differential (return value + mutable-memory digest against the
 //!   unoptimised module), the structural fingerprint against the printed
-//!   text, a compile resumed half-way against the straight one, and
-//!   compiles through a cold and a warm no-op memo against the straight
-//!   one.
-//! * [`run_oracle_campaign`] executes every `CannotFire` precondition verdict
-//!   seen along an evolving sequence.
+//!   text, a compile resumed half-way against the straight one, compiles
+//!   through a cold and a warm no-op memo against the straight one, and the
+//!   session's canonical form of the sequence against the raw one.
 //! * [`run_subsumption_campaign`] executes every drop the sequence
 //!   canonicalizer's absent-work dataflow predicts.
 //! * [`run_alias_campaign`] checks every same-block `No`/`Must` alias answer
 //!   against concrete access addresses.
 //!
-//! The oracle and subsumption claims reduce to one theorem, checked by
+//! The subsumption claims reduce to one theorem, checked by
 //! [`noop_breach`]: the pass leaves the fingerprint unchanged and records
 //! no statistics. Every finding is delta-debugged before being reported: the
 //! pass sequence is minimised with [`ddmin`](citroen_analyze::reduce::ddmin)
@@ -25,11 +23,14 @@
 //! program.
 
 use citroen_analyze::reduce::{ddmin, reduce_module};
+use citroen_bo::SeqCanonicalizer;
+use citroen_core::citroen::canonicalizer;
+use citroen_core::CitroenConfig;
 use citroen_ir::interp::{run, CountingSink, Limits, Trap, Value};
 use citroen_ir::module::Module;
 use citroen_ir::FuncId;
-use citroen_passes::oracle::noop_breach;
 use citroen_ir::print::{fingerprint, print_module};
+use citroen_passes::oracle::noop_breach;
 use citroen_passes::{CompileError, CompileResult, NoopMemo, PassId, PassManager, Prefix, Registry, Stats};
 use citroen_rt::rng::{Rng, SeedableRng, StdRng};
 use citroen_suite::generator::{generate, GenConfig};
@@ -88,10 +89,9 @@ pub struct Report {
     pub modules: usize,
     /// Trials run: module × sequence pairs (alias: module states checked).
     pub trials: usize,
-    /// The campaign's two claim counters. Oracle: `[CannotFire verdicts
-    /// executed, verdicts computed]`; subsume: `[predicted drops executed,
-    /// positions simulated]`; alias: `[No claims, Must claims]`. The fuzz
-    /// campaign leaves them zero.
+    /// The campaign's two claim counters. Subsume: `[predicted drops
+    /// executed, positions simulated]`; alias: `[No claims, Must claims]`.
+    /// The fuzz campaign leaves them zero.
     pub counts: [u64; 2],
     /// Reduced violations, in discovery order.
     pub violations: Vec<Violation>,
@@ -202,14 +202,21 @@ fn drive(
 }
 
 /// Fuzz trial: does `seq` break `m` in any observable way? Labels are the
-/// failure kinds `verify`, `sanitize` and `differential`, plus three checks
+/// failure kinds `verify`, `sanitize` and `differential`, plus four checks
 /// of the compile path itself: `fingerprint` (the structural fingerprints of
 /// the source and the result are equal exactly when their printed texts and
 /// attributes are), `resume` (the compile split at `len/2` and resumed from
-/// the first half's state equals the straight one) and `noop` (the compile
+/// the first half's state equals the straight one), `noop` (the compile
 /// through a fresh no-op memo, then again through the memo it warmed,
-/// equals the straight one). None of them draws from the campaign's RNG.
-fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(String, String)> {
+/// equals the straight one) and `canon` (the sequence `canon` maps `seq` to
+/// compiles to the same fingerprint and statistics). None of them draws
+/// from the campaign's RNG.
+fn fuzz_trial(
+    pm: &PassManager<'_>,
+    canon: &SeqCanonicalizer,
+    m: &Module,
+    seq: &[PassId],
+) -> Option<(String, String)> {
     let res = match pm.compile_result(m, seq) {
         Ok(res) => res,
         Err(e) => {
@@ -258,6 +265,21 @@ fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(Strin
             return Some(("noop".to_string(), format!("through a {temp} no-op memo: {b}")));
         }
     }
+    // The compile cache folds every genome onto its canonical form, so the
+    // two must compile to the same fingerprint and statistics.
+    let raw: Vec<usize> = seq.iter().map(|p| p.0 as usize).collect();
+    let folded: Vec<PassId> =
+        canon.canonicalize(&raw).into_iter().map(|p| PassId(p as u16)).collect();
+    let canon_breach = match pm.compile_result(m, &folded) {
+        Ok(r) if r.fingerprint == res.fingerprint && r.stats == res.stats => None,
+        Ok(r) if r.fingerprint != res.fingerprint => Some("a different fingerprint".to_string()),
+        Ok(_) => Some("different statistics".to_string()),
+        Err(e) => Some(e.to_string()),
+    };
+    if let Some(b) = canon_breach {
+        let kept = format!("{} of {} passes kept", folded.len(), seq.len());
+        return Some(("canon".to_string(), format!("the canonical form ({kept}) gave {b}")));
+    }
     let detail = match (observe(m), observe(&res.module)) {
         (Ok(a), Ok(b)) if a != b => format!("(result, memory digest) {a:?} became {b:?}"),
         // Trap introduced by optimisation is a differential failure too.
@@ -267,32 +289,6 @@ fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(Strin
         _ => return None,
     };
     Some(("differential".to_string(), detail))
-}
-
-/// Oracle trial: step `seq` through an evolving clone of `m`, executing
-/// every `CannotFire` verdict as a no-op theorem. The label is the lying
-/// pass.
-fn oracle_trial(
-    reg: &Registry,
-    m: &Module,
-    seq: &[PassId],
-    counts: &mut [u64; 2],
-) -> Option<(String, String)> {
-    let mut cur = m.clone();
-    for &id in seq {
-        let pass = reg.pass(id);
-        counts[1] += 1;
-        let facts = citroen_analyze::oracle::compute_facts(&cur);
-        if pass.precondition(&cur, &facts).is_cannot_fire() {
-            counts[0] += 1;
-            if let Some(breach) = noop_breach(pass, &mut cur) {
-                return Some((pass.name().to_string(), format!("cannot-fire pass {breach}")));
-            }
-        } else {
-            pass.run(&mut cur, &mut Stats::new());
-        }
-    }
-    None
 }
 
 /// Subsumption trial: step `seq` through an evolving clone of `m`, running
@@ -333,21 +329,18 @@ fn subsumption_trial(
 }
 
 /// Fuzz the shipped registry: random generated modules × random sequences
-/// through the verifier, the sanitizer and the interpreter differential.
-/// `progress` receives one line per module (pass `|_| {}` to silence).
+/// through the verifier, the sanitizer, the interpreter differential and
+/// the compile path's own checks. The `canon` check uses the canonicaliser
+/// a `subsume_collapse` session builds. `progress` receives one line per
+/// module (pass `|_| {}` to silence).
 pub fn run_campaign(cfg: &FuzzConfig, progress: impl FnMut(&str)) -> Report {
     let reg = Registry::full();
     let mut pm = PassManager::new(&reg);
     pm.verify_each = true;
     pm.sanitize = true;
-    drive(cfg, &reg, "fuzz", progress, |m, seq, _| fuzz_trial(&pm, m, seq))
-}
-
-/// Soundness-fuzz the precondition oracle of every pass in `reg`: every
-/// `CannotFire` verdict seen along a random sequence is executed and must
-/// change nothing.
-pub fn run_oracle_campaign(cfg: &FuzzConfig, reg: &Registry, progress: impl FnMut(&str)) -> Report {
-    drive(cfg, reg, "oracle", progress, |m, seq, counts| oracle_trial(reg, m, seq, counts))
+    let session = CitroenConfig { subsume_collapse: true, ..Default::default() };
+    let canon = canonicalizer(&reg, &session).expect("subsume_collapse builds a canonicaliser");
+    drive(cfg, &reg, "fuzz", progress, |m, seq, _| fuzz_trial(&pm, &canon, m, seq))
 }
 
 /// Soundness-fuzz the work-class subsumption matrix of `reg`. This exercises
@@ -430,29 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_smoke_campaign_is_clean() {
-        // Every shipped precondition must uphold its CannotFire theorem on
-        // a small deterministic campaign (the full 500-trial version runs in
-        // release via `citroen-analyze oracle` / scripts/check.sh).
-        let cfg = FuzzConfig { modules: 6, seqs_per_module: 5, max_seq_len: 12, seed: 7 };
-        let report = run_oracle_campaign(&cfg, &Registry::full(), |_| {});
-        assert_eq!(report.trials, 30);
-        // The campaign only proves something if verdicts were actually
-        // executed: a trivially-MayFire oracle would make this test vacuous.
-        let [checked, verdicts] = report.counts;
-        assert!(
-            checked >= verdicts / 10,
-            "only {checked}/{verdicts} verdicts were CannotFire — oracle too weak to test"
-        );
-        for v in &report.violations {
-            panic!(
-                "oracle violation: pass '{}' ({}) seed {:#x}\n  seq: {}\n  reduced: {}\n{}",
-                v.label, v.detail, v.module_seed, v.seq, v.reduced_seq, v.reduced_ir
-            );
-        }
-    }
-
-    #[test]
     fn subsumption_smoke_campaign_is_clean() {
         // Every claimed work-class theorem (fires_on/clears/produces of the
         // shipped registry) must survive a small deterministic campaign; the
@@ -522,61 +492,6 @@ mod tests {
                 "alias violation: seed {:#x} seq [{}]\n  {}\n{}",
                 v.module_seed, v.seq, v.detail, v.reduced_ir
             );
-        }
-    }
-
-    #[test]
-    fn oracle_campaign_convicts_lying_alias_precondition() {
-        // The alias-flavoured lie: CannotFire claimed whenever the only
-        // forwarding candidates flow through computed addresses. Generated
-        // modules carry alloca-backed store→load pairs, so the campaign must
-        // catch it, and ddmin must pin each reproducer to the lie alone.
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::LyingAliasPrecondition));
-        let reg = Registry::from_passes(passes);
-        let cfg = FuzzConfig { modules: 3, seqs_per_module: 8, max_seq_len: 16, seed: 11 };
-        let report = run_oracle_campaign(&cfg, &reg, |_| {});
-        assert!(
-            !report.violations.is_empty(),
-            "the alias lie must be caught ({} trials)",
-            report.trials
-        );
-        for v in &report.violations {
-            assert_eq!(
-                v.label, "lying-alias-precondition",
-                "only the spiked pass may be convicted"
-            );
-            assert_eq!(
-                v.reduced_seq, "lying-alias-precondition",
-                "ddmin must shrink the sequence to the lie alone"
-            );
-            assert!(!v.reduced_ir.is_empty());
-        }
-    }
-
-    #[test]
-    fn oracle_campaign_convicts_lying_precondition() {
-        // A registry spiked with the deliberately lying pass must produce
-        // violations, and ddmin must reduce each reproducer to the lie alone.
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::LyingPrecondition));
-        let reg = Registry::from_passes(passes);
-        // The lying pass is 1 of 33, so keep enough slots that some drawn
-        // sequence deterministically contains it under this seed.
-        let cfg = FuzzConfig { modules: 3, seqs_per_module: 8, max_seq_len: 16, seed: 11 };
-        let report = run_oracle_campaign(&cfg, &reg, |_| {});
-        assert!(
-            !report.violations.is_empty(),
-            "the lying pass must be caught ({} trials)",
-            report.trials
-        );
-        for v in &report.violations {
-            assert_eq!(v.label, "lying-precondition", "only the spiked pass may be convicted");
-            assert_eq!(
-                v.reduced_seq, "lying-precondition",
-                "ddmin must shrink the sequence to the lie alone"
-            );
-            assert!(!v.reduced_ir.is_empty());
         }
     }
 }

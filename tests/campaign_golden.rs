@@ -2,11 +2,11 @@
 //!
 //! Each row runs one campaign at the configuration of its unit test in
 //! `src/fuzz.rs` / `src/mine.rs` (the `--smoke` fuzz budget, the clean and
-//! lying-registry oracle and subsumption runs, the alias run, and
-//! `MineConfig::smoke()`) and pins its trial count and every counter it
-//! reports. A second table pins each violation: its label (failure kind or
-//! pass name), module seed, original and reduced sequence, and an FNV digest
-//! of the reduced module's IR. Mined edges refuted during promotion are
+//! lying-registry subsumption runs, the alias run, and `MineConfig::smoke()`)
+//! and pins its trial count and every counter it reports. A second table
+//! pins each violation: its label (failure kind or pass name), module seed,
+//! original and reduced sequence, and an FNV digest of the reduced module's
+//! IR. Mined edges refuted during promotion are
 //! pinned the same way, labelled `p -> q`, with the refuting trial's detail
 //! in the sequence column.
 //!
@@ -16,8 +16,7 @@
 //! by pasting it over the table.
 
 use citroen::fuzz::{
-    run_alias_campaign, run_campaign, run_oracle_campaign, run_subsumption_campaign, FuzzConfig,
-    Report,
+    run_alias_campaign, run_campaign, run_subsumption_campaign, FuzzConfig, Report,
 };
 use citroen::ir::print::Fnv64;
 use citroen::mine::{run_mine_campaign, MineConfig};
@@ -32,9 +31,6 @@ type ViolationRow = (&'static str, &'static str, u64, &'static str, &'static str
 #[rustfmt::skip]
 const CAMPAIGN_GOLDEN: &[CampaignRow] = &[
     ("fuzz-smoke", "trials=12 violations=0"),
-    ("oracle-clean", "trials=30 checked_cannot_fire=152 verdicts=213 violations=0"),
-    ("oracle-lying", "trials=24 checked_cannot_fire=147 verdicts=195 violations=6"),
-    ("oracle-lying-alias", "trials=24 checked_cannot_fire=147 verdicts=195 violations=6"),
     ("subsume-clean", "trials=30 checked_drops=5 positions=213 violations=0"),
     ("subsume-lying", "trials=24 checked_drops=11 positions=190 violations=4"),
     ("alias", "modules=6 trials=24 no_claims=296 must_claims=89 violations=0"),
@@ -43,18 +39,6 @@ const CAMPAIGN_GOLDEN: &[CampaignRow] = &[
 
 #[rustfmt::skip]
 const VIOLATION_GOLDEN: &[ViolationRow] = &[
-    ("oracle-lying", "lying-precondition", 0xdc1abbcc6a694280, "function-attrs,div-rem-pairs,strength-reduce,loop-rotate,inline,loop-rotate,tailcallelim,instsimplify,early-cse,lying-precondition,dce,dse,dce,dce,dse,early-cse", "lying-precondition", 0x8ace76df919501e1),
-    ("oracle-lying", "lying-precondition", 0xab8f1c512563fe11, "mem2reg,simplifycfg,loop-deletion,function-attrs,inline,dse,lying-precondition,loop-simplify,mem2reg,loop-idiom,loop-simplify,licm,loop-deletion", "lying-precondition", 0x22c6c7cea1217493),
-    ("oracle-lying", "lying-precondition", 0xab8f1c512563fe11, "gvn,lying-precondition,instsimplify,instcombine,dce,instsimplify,lying-precondition,loop-idiom", "lying-precondition", 0x22c6c7cea1217493),
-    ("oracle-lying", "lying-precondition", 0xab8f1c512563fe11, "gvn,loop-idiom,aggressive-instcombine,lying-precondition,reassociate,mem2reg,instsimplify,loop-deletion,mem2reg", "lying-precondition", 0x22c6c7cea1217493),
-    ("oracle-lying", "lying-precondition", 0xab8f1c512563fe11, "sink,div-rem-pairs,early-cse,simplifycfg,licm,instcombine,loop-rotate,vector-combine,lying-precondition,inline,jump-threading", "lying-precondition", 0x22c6c7cea1217493),
-    ("oracle-lying", "lying-precondition", 0xab8f1c512563fe11, "jump-threading,div-rem-pairs,loop-unroll,lying-precondition,inline,simplifycfg,reassociate,sroa,sccp", "lying-precondition", 0x22c6c7cea1217493),
-    ("oracle-lying-alias", "lying-alias-precondition", 0xdc1abbcc6a694280, "function-attrs,div-rem-pairs,strength-reduce,loop-rotate,inline,loop-rotate,tailcallelim,instsimplify,early-cse,lying-alias-precondition,dce,dse,dce,dce,dse,early-cse", "lying-alias-precondition", 0x210b2dcfcd9ad7e9),
-    ("oracle-lying-alias", "lying-alias-precondition", 0xab8f1c512563fe11, "mem2reg,simplifycfg,loop-deletion,function-attrs,inline,dse,lying-alias-precondition,loop-simplify,mem2reg,loop-idiom,loop-simplify,licm,loop-deletion", "lying-alias-precondition", 0xbadb5f834a4fe487),
-    ("oracle-lying-alias", "lying-alias-precondition", 0xab8f1c512563fe11, "gvn,lying-alias-precondition,instsimplify,instcombine,dce,instsimplify,lying-alias-precondition,loop-idiom", "lying-alias-precondition", 0xbadb5f834a4fe487),
-    ("oracle-lying-alias", "lying-alias-precondition", 0xab8f1c512563fe11, "gvn,loop-idiom,aggressive-instcombine,lying-alias-precondition,reassociate,mem2reg,instsimplify,loop-deletion,mem2reg", "lying-alias-precondition", 0xbadb5f834a4fe487),
-    ("oracle-lying-alias", "lying-alias-precondition", 0xab8f1c512563fe11, "sink,div-rem-pairs,early-cse,simplifycfg,licm,instcombine,loop-rotate,vector-combine,lying-alias-precondition,inline,jump-threading", "lying-alias-precondition", 0xbadb5f834a4fe487),
-    ("oracle-lying-alias", "lying-alias-precondition", 0xab8f1c512563fe11, "jump-threading,div-rem-pairs,loop-unroll,lying-alias-precondition,inline,simplifycfg,reassociate,sroa,sccp", "lying-alias-precondition", 0xbadb5f834a4fe487),
     ("subsume-lying", "function-attrs", 0xe720ca2f4721d108, "vector-combine,lying-subsumption,function-attrs,loop-unroll,div-rem-pairs,mem2reg,adce,loop-deletion,loop-rotate,early-cse,div-rem-pairs", "lying-subsumption,function-attrs", 0xc18bee14332a145c),
     ("subsume-lying", "dce", 0xfa33f62109e5c00a, "jump-threading,lying-subsumption,loop-simplify,dce,sink,loop-vectorize,gvn,vector-combine,licm,early-cse,loop-vectorize,loop-simplify,vector-combine,loop-rotate,indvars", "lying-subsumption,dce", 0x924e64672eb4228f),
     ("subsume-lying", "mem2reg", 0x7c6b61b6cb90279b, "early-cse,loop-deletion,strength-reduce,lying-subsumption,loop-deletion,mem2reg,reassociate,correlated-propagation,licm,mem2reg,sroa,aggressive-instcombine,constprop,gvn,inline,div-rem-pairs", "lying-subsumption,mem2reg", 0xcd1992d37886c3b7),
@@ -150,30 +134,6 @@ fn observe() -> Observed {
     let r = run_campaign(&FuzzConfig::smoke(), |_| {});
     let counters = format!("trials={} violations={}", r.trials, r.violations.len());
     o.report("fuzz-smoke", counters, &r);
-
-    let oracle_rows: [(&'static str, FuzzConfig, Registry); 3] = [
-        ("oracle-clean", small(6, 5, 12, 7), Registry::full()),
-        (
-            "oracle-lying",
-            small(3, 8, 16, 11),
-            spiked(Box::new(citroen::passes::testing::LyingPrecondition)),
-        ),
-        (
-            "oracle-lying-alias",
-            small(3, 8, 16, 11),
-            spiked(Box::new(citroen::passes::testing::LyingAliasPrecondition)),
-        ),
-    ];
-    for (name, cfg, reg) in &oracle_rows {
-        let r = run_oracle_campaign(cfg, reg, |_| {});
-        let [checked, verdicts] = r.counts;
-        let counters = format!(
-            "trials={} checked_cannot_fire={checked} verdicts={verdicts} violations={}",
-            r.trials,
-            r.violations.len()
-        );
-        o.report(name, counters, &r);
-    }
 
     let subsume_rows: [(&'static str, FuzzConfig, Registry); 2] = [
         ("subsume-clean", small(6, 5, 12, 7), Registry::full()),

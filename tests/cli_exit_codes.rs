@@ -1,5 +1,5 @@
 //! Exit-code contract of the `citroen-analyze` and `citroen-trace` binaries:
-//! 0 on a clean run, 1 when findings (lint diagnostics, oracle violations,
+//! 0 on a clean run, 1 when findings (lint diagnostics, soundness violations,
 //! trace-check failures, regressions) exist, 2 on usage errors. CI scripts
 //! branch on these codes, so they are pinned here against the real binaries
 //! rather than the library functions behind them.
@@ -102,53 +102,6 @@ fn lint_json_keeps_exit_codes_and_is_parseable() {
 
     let _ = std::fs::remove_file(dirty);
     let _ = std::fs::remove_file(clean);
-}
-
-#[test]
-fn oracle_json_wraps_campaign_and_graph() {
-    let out = analyze(&["oracle", "--smoke", "--json"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let doc = citroen_rt::json::Value::parse(&stdout)
-        .unwrap_or_else(|e| panic!("bad oracle JSON ({e}):\n{stdout}"));
-    assert_eq!(doc.get("mode").and_then(|v| v.as_str()), Some("oracle"));
-    let campaign = doc.get("campaign").expect("campaign object");
-    assert!(campaign.get("trials").and_then(|v| v.as_u64()).unwrap_or(0) > 0);
-    assert_eq!(
-        campaign.get("violations").and_then(|v| v.as_arr()).map(<[_]>::len),
-        Some(0)
-    );
-    // The embedded graph subtree must still round-trip as a graph document.
-    let graph = citroen_analyze::InteractionGraph::from_json(
-        &doc.get("graph").expect("graph object").emit_pretty(),
-    )
-    .expect("embedded graph round-trips");
-    assert!(!graph.passes.is_empty());
-}
-
-#[test]
-fn oracle_smoke_is_clean_and_emits_the_graph() {
-    let out = analyze(&["oracle", "--smoke"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    // The graph JSON goes to stdout and must round-trip.
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let graph = citroen_analyze::InteractionGraph::from_json(&stdout)
-        .unwrap_or_else(|e| panic!("bad graph JSON ({e}):\n{stdout}"));
-    assert!(!graph.passes.is_empty());
-    // The summary (stderr) must witness that verdicts were really executed.
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("cannot-fire verdict(s) executed"), "{err}");
-    assert!(err.contains("0 violation(s)"), "{err}");
-}
-
-#[test]
-fn oracle_with_lying_pass_exits_1() {
-    let out = analyze(&["oracle", "--smoke", "--with-lying"]);
-    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("oracle violation: lying-precondition"), "{err}");
-    // ddmin must have shrunk the reproducer to the lying pass alone.
-    assert!(err.contains("reduced sequence: lying-precondition"), "{err}");
 }
 
 #[test]
