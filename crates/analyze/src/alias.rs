@@ -31,9 +31,8 @@
 //! by an atom budget and strictly decreasing work-list weight.
 //!
 //! The answers are *checkable*: `citroen-analyze alias-oracle` replays every
-//! `No`/`Must` verdict against concrete interpreter runs (see the root
-//! crate's `alias_oracle` module), the same way the subsumption theorems
-//! are fuzz-verified.
+//! `No`/`Must` verdict against concrete interpreter runs (see
+//! [`crate::aliasoracle`] and the root crate's `fuzz::run_alias_campaign`).
 
 use crate::intervals::{FunctionIntervals, Interval};
 use crate::memeffects::{classify_addr, Access, Root};

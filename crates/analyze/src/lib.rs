@@ -27,8 +27,6 @@
 //! - [`sanitize`] — cross-checks pre-/post-pass facts for semantic
 //!   *contradictions* a structurally-valid miscompile cannot hide, at both
 //!   function (S1–S5) and value (S6–S8) granularity.
-//! - [`oracle`] — the pass-subsumption work model and the static
-//!   subsumption matrix behind the sequence canonicaliser.
 //! - [`reduce`] — `ddmin` over pass sequences and a verifier-gated module
 //!   reducer that shrinks failures to minimal parseable reproducers.
 //!
@@ -45,7 +43,6 @@ pub mod intervals;
 pub mod lint;
 pub mod liveness;
 pub mod memeffects;
-pub mod oracle;
 pub mod reduce;
 pub mod sanitize;
 pub mod valmap;
@@ -56,7 +53,6 @@ pub use intervals::{analyze_module as interval_analysis, Interval, ModuleInterva
 pub use lint::{filter_severity, lint_module, Diagnostic, Severity};
 pub use liveness::Liveness;
 pub use memeffects::{MemEffects, ModuleEffects};
-pub use oracle::WorkModel;
 pub use reduce::{ddmin, reduce_module};
 pub use sanitize::{check as sanitize_check, module_facts, ModuleFacts, Violation};
 pub use valmap::{correspond, value_facts, ValueFacts};

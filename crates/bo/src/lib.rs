@@ -22,5 +22,5 @@ pub use aibo::{run_aibo, run_heuristic, run_random_search, AiboConfig, BoResult,
 pub use baselines::{run_hesbo, run_turbo, TurboConfig};
 pub use heuristics::{AskTell, CmaEs, DiscreteOneLambda, GaOpt, RandomOpt};
 pub use maximizer::{draw_mc_eps, greedy_batch, GradMaximizer};
-pub use space::{Bounds, SeqCanonicalizer};
+pub use space::Bounds;
 pub use transfer::{nearest, stats_distance, warm_seeds, TransferEntry};

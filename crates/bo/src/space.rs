@@ -54,73 +54,6 @@ pub fn clamp_unit(x: &mut [f64]) {
     }
 }
 
-/// Pass-sequence canonicalisation by the work-class subsumption dataflow.
-///
-/// The discrete face of the search space: genomes decode to pass sequences,
-/// and some passes provably change nothing where they stand. Dropping those
-/// passes maps many raw genomes onto one canonical sequence, turning
-/// duplicate candidate evaluations into compile-cache hits without changing
-/// what any candidate compiles to.
-///
-/// Deliberately dependency-free (plain indices + bitmasks) so `citroen-bo`
-/// needs no view of the pass registry: callers supply each pass's work-class
-/// masks. Canonicalisation tracks the set of work classes that may still be
-/// present down the kept sequence — `maybe' = (maybe | produces[p]) &
-/// !clears[p]`, clears winning because it is a postcondition — and drops
-/// pass `q` wherever its fire mask is known and disjoint from that set. That
-/// covers both `p, p` (`p` clears its own fire bit) and `p, q, p` (when `q`
-/// neither produces nor re-enables `p`'s work). Every drop is a theorem on
-/// any module, fuzz-checked by `citroen-analyze subsume`.
-#[derive(Debug, Clone)]
-pub struct SeqCanonicalizer {
-    /// Per-pass: work classes whose presence is necessary for the pass to
-    /// fire (`None` = unknown, never dropped).
-    pub fires_on: Vec<Option<u64>>,
-    /// Per-pass: work classes provably absent after the pass runs.
-    pub clears: Vec<u64>,
-    /// Per-pass: work classes the pass may create.
-    pub produces: Vec<u64>,
-}
-
-impl SeqCanonicalizer {
-    /// Build from the per-pass work-class masks (from the registry), all
-    /// indexed by pass id.
-    pub fn new(
-        fires_on: Vec<Option<u64>>,
-        clears: Vec<u64>,
-        produces: Vec<u64>,
-    ) -> SeqCanonicalizer {
-        assert_eq!(clears.len(), fires_on.len(), "masks must cover the same passes");
-        assert_eq!(produces.len(), fires_on.len(), "masks must cover the same passes");
-        SeqCanonicalizer { fires_on, clears, produces }
-    }
-
-    /// Canonicalise `seq` (pass indices): drop pass `p` at each position iff
-    /// the subsumption dataflow proves every work class it fires on is
-    /// absent.
-    pub fn canonicalize(&self, seq: &[usize]) -> Vec<usize> {
-        // Work classes that may still be present. Unknown at sequence start:
-        // everything. Only kept passes update it — a dropped pass provably
-        // changed nothing.
-        let mut maybe = u64::MAX;
-        let mut out: Vec<usize> = Vec::with_capacity(seq.len());
-        let mut subsume_dropped = 0u64;
-        for &p in seq {
-            debug_assert!(p < self.fires_on.len(), "pass index out of range");
-            if let Some(fires) = self.fires_on[p] {
-                if fires & maybe == 0 {
-                    subsume_dropped += 1;
-                    continue;
-                }
-            }
-            maybe = (maybe | self.produces[p]) & !self.clears[p];
-            out.push(p);
-        }
-        citroen_telemetry::counter("canon.subsume_dropped", subsume_dropped);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,39 +72,6 @@ mod tests {
         for (a, c) in back.iter().zip(&x) {
             assert!((a - c).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn subsumption_collapses_adjacent_and_pqp_patterns() {
-        // Three passes over a 2-class universe. Passes 0 and 1 fire on (and
-        // clear) their own class and produce nothing; pass 2 is unknown
-        // (never dropped) and produces everything.
-        let fires = vec![Some(0b01), Some(0b10), None];
-        let clears = vec![0b01, 0b10, 0];
-        let produces = vec![0, 0, u64::MAX];
-        let c = SeqCanonicalizer::new(fires, clears, produces);
-        // Adjacent duplicate: `p` clears its own fire class.
-        assert_eq!(c.canonicalize(&[0, 0, 1]), vec![0, 1]);
-        // p,q,p: pass 1 between two 0s neither produces nor re-enables
-        // class 0, so the second 0 still drops.
-        assert_eq!(c.canonicalize(&[0, 1, 0]), vec![0, 1]);
-        // An unknown pass in between re-produces everything: no drop.
-        assert_eq!(c.canonicalize(&[0, 2, 0]), vec![0, 2, 0]);
-        // Both classes cleared, later duplicates of either pass drop.
-        assert_eq!(c.canonicalize(&[1, 0, 0, 1]), vec![1, 0]);
-    }
-
-    #[test]
-    fn subsumption_clears_win_over_produces() {
-        // Pass 0 produces everything but clears class 0 — a trailing-dce
-        // style pass. Pass 1 fires on class 0 only: dropped right after 0.
-        let fires = vec![None, Some(0b01)];
-        let clears = vec![0b01, 0];
-        let produces = vec![u64::MAX, u64::MAX];
-        let c = SeqCanonicalizer::new(fires, clears, produces);
-        assert_eq!(c.canonicalize(&[0, 1]), vec![0]);
-        // But before any pass has run, class 0 may be present: kept.
-        assert_eq!(c.canonicalize(&[1, 0]), vec![1, 0]);
     }
 
     #[test]

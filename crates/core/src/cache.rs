@@ -1,11 +1,11 @@
 //! A bounded LRU map behind the compile cache and the execution memo.
 //!
-//! The canonical-genome compile cache used to be a plain `HashMap` holding a
+//! The genome compile cache used to be a plain `HashMap` holding a
 //! full [`citroen_ir::module::Module`] clone per entry and growing without
 //! bound — harmless for a 30-measurement test run, a leak for long-budget
 //! runs and the multi-tenant daemon. A full cache evicts its least recently
 //! used entry, so an old entry that keeps getting hit (a DES incumbent's
-//! canonical genome, a popular module in `citroen-serve`) survives. Which
+//! genome, a popular module in `citroen-serve`) survives. Which
 //! entry goes only moves counters: compilation is pure, so a miss recompiles
 //! exactly what was evicted.
 //!

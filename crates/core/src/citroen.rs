@@ -18,10 +18,10 @@
 use crate::service::{SessionEnv, SessionExit, SessionResult, SharedCompileCache};
 use crate::task::{Execution, Task, TuneTrace};
 use citroen_bo::heuristics::DiscreteOneLambda;
-use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition, SeqCanonicalizer};
+use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition};
 use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
 use citroen_ir::module::Module;
-use citroen_passes::{PassId, Registry, Stats};
+use citroen_passes::{PassId, Stats};
 use citroen_rt::par::WorkerPool;
 use citroen_rt::rng::StdRng;
 use citroen_rt::rng::{Rng, SeedableRng};
@@ -33,12 +33,6 @@ use std::time::Instant;
 /// Monte-Carlo samples per acquisition evaluation during greedy batch
 /// construction (only drawn from when `batch > 1`).
 const MC_SAMPLES: usize = 32;
-
-/// Capacity of the compile cache a canonicalising session keeps when no
-/// shared cache is attached. Entries hold a full `Module`, so the cap
-/// bounds a long run's memory; at 40 candidates a sweep it still spans
-/// about 25 sweeps.
-const PRIVATE_CACHE_CAP: usize = 1024;
 
 /// Which features the cost model is fitted on (Fig. 5.8/5.9 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,13 +102,6 @@ pub struct CitroenConfig {
     /// is resized to the task's sequence length; out-of-range pass ids clamp
     /// to 0. Empty by default (identical RNG stream to previous releases).
     pub init_seeds: Vec<Vec<u16>>,
-    /// Canonicalise candidate sequences with the fuzz-verified work-class
-    /// subsumption matrix ([`citroen_passes::Pass::fires_on`]): a pass whose
-    /// fire classes are provably cleared by the kept prefix is dropped, so
-    /// `p,p` *and* `p,q,p` no-op patterns share one compile-cache entry.
-    /// Module-independent (every drop is a theorem on any input). Off by
-    /// default (paper-faithful).
-    pub subsume_collapse: bool,
     /// Measurements selected and profiled per model-guided iteration (q).
     /// Every q runs the same loop. At `1` the GP is refitted before each
     /// selection (the paper's sequential loop, model staleness 0) and the
@@ -148,7 +135,6 @@ impl Default for CitroenConfig {
             mutation_rate: None,
             warm_start: None,
             init_seeds: Vec::new(),
-            subsume_collapse: false,
             batch: 1,
             allocation: None,
             seed: 0,
@@ -180,10 +166,10 @@ pub fn run_citroen(task: &mut Task, budget: usize, cfg: &CitroenConfig) -> (Tune
 /// cross-tenant compile cache and a shared worker pool — and a
 /// [`crate::SessionCtl`] carrying the tenant id, a cancellation flag, and an
 /// optional deadline. Every attachment preserves the per-session trajectory
-/// bit-for-bit: compilation is a pure function of (source module, canonical
-/// pass sequence), so a shared-cache hit returns exactly what a local
-/// compile would have produced, and only the compile counters/telemetry
-/// differ from a standalone run at the same seed.
+/// bit-for-bit: compilation is a pure function of (source module, pass
+/// sequence), so a shared-cache hit returns exactly what a local compile
+/// would have produced, and only the compile counters/telemetry differ from
+/// a standalone run at the same seed.
 pub fn run_citroen_session(
     task: &mut Task,
     budget: usize,
@@ -224,13 +210,12 @@ struct Observation {
     runtime: f64,
 }
 
-/// A compiled candidate for one tuned module: the generated genome, its
-/// canonical form, and the compile result.
+/// A compiled candidate for one tuned module: the generated genome and its
+/// compile result.
 struct Candidate {
     /// Index into the session's tuned modules.
     slot: usize,
     part: Part,
-    eff: Vec<u16>,
     /// Module fingerprint. Untuned modules are fixed at `-O3`, so the tuple
     /// of tuned-module fingerprints identifies the final binary without
     /// linking (the coverage key).
@@ -291,16 +276,12 @@ struct Session<'a> {
     npasses: usize,
     /// The tuned modules, in `Task::hot_modules` order (the slots).
     mods: Vec<HotModule>,
-    /// The sequence canonicaliser, when the session canonicalises. Its
-    /// masks hold on any module, so every tuned module shares it.
-    canon: Option<SeqCanonicalizer>,
     pool: Arc<WorkerPool>,
     rng: StdRng,
     /// MC noise for greedy batch construction comes from a dedicated stream
     /// so the candidate-generation RNG is the same at every q.
     batch_rng: StdRng,
-    /// The compile cache: the daemon's shared one, else a private one when
-    /// the session canonicalises, else none.
+    /// The compile cache: the daemon's shared one, else none.
     cache: Option<Arc<SharedCompileCache>>,
     /// Genomes whose compile the session did not run: cache hits and
     /// repeats within a sweep.
@@ -346,7 +327,6 @@ impl<'a> Session<'a> {
                 HotModule { idx, des, src_fp, inc: None, keys: Vec::new() }
             })
             .collect();
-        let canon = canonicalizer(&task.registry, cfg);
         // q = 1 maps on the session thread: a 1-worker pool spawns nothing,
         // keeps its spans visible to per-thread trace routing, and never
         // queues on a shared pool. q > 1 sizes its pool for the wider of the
@@ -367,13 +347,10 @@ impl<'a> Session<'a> {
             len,
             npasses,
             mods,
-            canon,
             pool,
             rng,
             batch_rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
-            cache: env.shared_cache.clone().or_else(|| {
-                cfg.subsume_collapse.then(|| Arc::new(SharedCompileCache::new(PRIVATE_CACHE_CAP)))
-            }),
+            cache: env.shared_cache.clone(),
             cache_hits: 0,
             obs: Vec::new(),
             seen_fps: HashSet::new(),
@@ -509,55 +486,48 @@ impl<'a> Session<'a> {
     }
 
     /// Compile `genomes` (each tagged with its slot) for their statistics.
-    /// Each genome is canonicalised by its module's canonicaliser and looked
-    /// up in the compile cache; the unique misses compile on the pool
-    /// ([`Task::compile_runs`]) and are published to the cache. Lookups
-    /// resolve in genome order, so hit accounting is deterministic.
+    /// Each genome is looked up in the compile cache; the unique misses
+    /// compile on the pool ([`Task::compile_runs`]) and are published to the
+    /// cache. Lookups resolve in genome order, so hit accounting is
+    /// deterministic.
     fn compile_sweep(&mut self, genomes: Vec<(usize, Vec<u16>)>) -> Vec<Candidate> {
         let _span = telemetry::span("batch");
         let tenant = self.env.ctl.tenant;
         let mut jobs: Vec<(usize, Vec<u16>)> = Vec::new();
         let mut job_of: HashMap<(usize, Vec<u16>), usize> = HashMap::new();
-        // Per genome: its canonical form and Ok(cached result) | Err(job).
+        // Per genome: Ok(cached result) | Err(job).
         let mut slots = Vec::with_capacity(genomes.len());
         for (slot, g) in &genomes {
             let m = &self.mods[*slot];
-            let eff: Vec<u16> = match &self.canon {
-                Some(c) => {
-                    let idx: Vec<usize> = g.iter().map(|&v| v as usize).collect();
-                    c.canonicalize(&idx).into_iter().map(|v| v as u16).collect()
-                }
-                None => g.clone(),
-            };
             // A hit, from this session or another tenant, is exactly what a
             // local compile would have produced.
-            let res = match self.cache.as_ref().and_then(|c| c.get(m.src_fp, &eff, tenant)) {
+            let res = match self.cache.as_ref().and_then(|c| c.get(m.src_fp, g, tenant)) {
                 Some(hit) => Ok(hit),
                 // A miss compiles once per sweep, however often it repeats.
-                None => Err(*job_of.entry((*slot, eff.clone())).or_insert_with(|| {
-                    jobs.push((*slot, eff.clone()));
+                None => Err(*job_of.entry((*slot, g.clone())).or_insert_with(|| {
+                    jobs.push((*slot, g.clone()));
                     jobs.len() - 1
                 })),
             };
-            slots.push((eff, res));
+            slots.push(res);
         }
         let seqs: Vec<(usize, Vec<PassId>)> =
-            jobs.iter().map(|(slot, eff)| (self.mods[*slot].idx, genome_to_seq(eff))).collect();
+            jobs.iter().map(|(slot, g)| (self.mods[*slot].idx, genome_to_seq(g))).collect();
         let compiled = self.task.compile_runs(&self.pool, &seqs);
         let hits = (genomes.len() - jobs.len()) as u64;
         self.cache_hits += hits;
         telemetry::counter("citroen.compile_cache_hits", hits);
         // First writer wins in a shared cache; losing a race costs nothing.
         if let Some(c) = &self.cache {
-            for ((slot, eff), (stats, fp, module)) in jobs.iter().zip(&compiled) {
+            for ((slot, g), (stats, fp, module)) in jobs.iter().zip(&compiled) {
                 let src_fp = self.mods[*slot].src_fp;
-                c.insert(src_fp, eff.clone(), tenant, stats.clone(), *fp, module.clone());
+                c.insert(src_fp, g.clone(), tenant, stats.clone(), *fp, module.clone());
             }
         }
         genomes
             .into_iter()
             .zip(slots)
-            .map(|((slot, genome), (eff, res))| {
+            .map(|((slot, genome), res)| {
                 let (stats, fp, module) = res.unwrap_or_else(|j| compiled[j].clone());
                 let autophase = if self.cfg.features == FeatureKind::Autophase {
                     citroen_passes::autophase::autophase_features(&module)
@@ -565,7 +535,7 @@ impl<'a> Session<'a> {
                     Vec::new()
                 };
                 let part = Part { genome, stats, autophase };
-                Candidate { slot, part, eff, fp, module }
+                Candidate { slot, part, fp, module }
             })
             .collect()
     }
@@ -743,7 +713,8 @@ impl<'a> Session<'a> {
         }
         self.seen_fps.insert(fp);
         self.seen_stats.insert(sig);
-        let seqs = configuration(&self.mods, &fresh).map(|c| genome_to_seq(&c.eff)).collect();
+        let seqs =
+            configuration(&self.mods, &fresh).map(|c| genome_to_seq(&c.part.genome)).collect();
         self.trace.record(runtime, seqs);
         self.trace.compiles_history.push(self.task.compilations);
         self.allocation_log.push(if let [c] = &fresh[..] { c.slot } else { usize::MAX });
@@ -856,14 +827,6 @@ fn genome_to_seq(g: &[u16]) -> Vec<PassId> {
     g.iter().map(|&v| PassId(v)).collect()
 }
 
-/// The sequence canonicaliser a session builds when `subsume_collapse` is
-/// on: the registry's work-class dataflow, which holds on any module.
-pub fn canonicalizer(registry: &Registry, cfg: &CitroenConfig) -> Option<SeqCanonicalizer> {
-    cfg.subsume_collapse.then(|| {
-        SeqCanonicalizer::new(registry.fires_on(), registry.clears(), registry.produces())
-    })
-}
-
 /// Seconds → nanosecond event field (0 = absent; runtimes are positive).
 fn to_ns(seconds: Option<f64>) -> u64 {
     seconds.map(|s| (s * 1e9) as u64).unwrap_or(0)
@@ -960,6 +923,7 @@ fn scale_row(mut r: Vec<f64>, scale: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::task::TaskConfig;
+    use citroen_passes::Registry;
     use citroen_sim::Platform;
 
     fn gsm_task(seed: u64) -> Task {
@@ -1170,7 +1134,7 @@ mod tests {
     #[test]
     fn init_seeds_enter_the_initial_design() {
         // A transfer seed must actually be measured: run with a seed genome
-        // and assert its canonical sequence shows up among the first
+        // and assert its sequence shows up among the first
         // observations' sequences (the seed is observed second, after the
         // DES incumbent).
         let seed_genome: Vec<u16> = vec![5; 16];
@@ -1252,189 +1216,5 @@ mod tests {
         assert_eq!(a.len(), citroen_passes::autophase::NUM_AUTOPHASE_FEATURES);
         assert_eq!(r.len(), genome.len());
         assert!(s.iter().any(|v| *v > 0.0));
-    }
-
-    #[test]
-    fn subsumption_collapse_cuts_compiles_without_hurting_speedup() {
-        // Same quantile discipline as the headline tuner test: for each seed
-        // run the identical configuration with the work-class subsumption
-        // collapse off and on. Every drop is a module-independent theorem
-        // (fuzz-checked by `citroen-analyze subsume`), so compiled artifacts
-        // are unchanged; the win is genomes differing only in provable
-        // no-op patterns (`p,p`, `dce` after a dce-tailed pass, `p,q,p`)
-        // folding onto shared compile-cache entries.
-        let seeds: Vec<u64> = (1..=10).collect();
-        let runs = citroen_rt::par::par_map(seeds, |seed| {
-            let run = |subsume: bool| {
-                // Longer sequences than the default gsm task (provable
-                // no-op patterns scale with genome length; 32 is well inside
-                // the paper's explored range) and an exploitation-heavy
-                // mutation rate: most DES candidates then differ from the
-                // incumbent in a single position, which is exactly the regime
-                // where genomes collide onto one canonical form. Both arms
-                // share the config, so the comparison stays honest.
-                let mut task = Task::new(
-                    citroen_suite::kernels::telecom_gsm(),
-                    Registry::full(),
-                    Platform::tx2(),
-                    TaskConfig { seq_len: 32, seed, ..Default::default() },
-                );
-                let cfg = CitroenConfig {
-                    candidates: 24,
-                    init_random: 6,
-                    mutation_rate: Some(1.0 / 32.0),
-                    subsume_collapse: subsume,
-                    seed,
-                    ..Default::default()
-                };
-                // A private unbounded shared cache gives both arms the same
-                // caching: each compiles every distinct genome it visits
-                // exactly once (the off arm by raw form, the on arm by
-                // canonical form). Without it the on arm's canonical-genome
-                // cache, which a session only keeps when it canonicalises,
-                // would be credited to the collapse.
-                let env = SessionEnv {
-                    shared_cache: Some(Arc::new(crate::service::SharedCompileCache::new(0))),
-                    ..Default::default()
-                };
-                let res = run_citroen_session(&mut task, 40, &cfg, &env);
-                (res.trace.best() / task.o3_seconds, task.compilations)
-            };
-            (run(false), run(true))
-        });
-        let compiles: Vec<(usize, usize)> =
-            runs.iter().map(|((_, c_off), (_, c_on))| (*c_off, *c_on)).collect();
-        let mut off: Vec<f64> = runs.iter().map(|((r, _), _)| *r).collect();
-        let mut on: Vec<f64> = runs.iter().map(|(_, (r, _))| *r).collect();
-        off.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        on.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        eprintln!("distinct-genome compiles per seed (off, on): {compiles:?}");
-        eprintln!("best/O3 subsume-off: {off:?}\nbest/O3 subsume-on:  {on:?}");
-        // Canonical forms are a coarsening of raw genomes, so on identical
-        // trajectories no seed may compile more; the collapse must also
-        // fire. Measured: 0-8 compiles saved per seed of 740-810, 15 of
-        // 7681 in total.
-        for &(c_off, c_on) in &compiles {
-            assert!(c_on <= c_off, "subsumption collapse added compiles: {compiles:?}");
-        }
-        let saved: usize = compiles.iter().map(|(c_off, c_on)| c_off - c_on).sum();
-        assert!(saved > 0, "subsumption collapse saved no compiles: {compiles:?}");
-        let (m_off, m_on) = (off[off.len() / 2], on[on.len() / 2]);
-        assert!(
-            m_on <= m_off * 1.05,
-            "median best/O3 degraded with subsumption collapse: {m_on:.4} vs {m_off:.4}"
-        );
-    }
-
-    #[test]
-    fn sixteen_class_masks_cut_compiles_beyond_the_twelve_class_model() {
-        // The four loop/CFG work classes (CFGS, LICM, IVL, ROT) gave the
-        // loop passes and simplifycfg provable `fires_on` masks they did
-        // not have under the previous twelve-class model. Quantify the win
-        // with the quantile discipline of the other ablations, on the
-        // search space where those masks carry the drops: a loop-nest
-        // sub-registry (six of its eight passes own the new classes), the
-        // regime the alias/dependence analyses sharpened in the first
-        // place. Arm A runs the old model — the registry's work triple
-        // truncated to the first twelve classes, so any mask reaching into
-        // the new bits reverts to `None` (never dropped), exactly the
-        // pre-growth declarations — by wrapping each pass; arm B runs the
-        // registry's own full model. Same seeds, same budget: the full
-        // matrix must cut compile work (passes executed — every extra drop
-        // shortens the compiled canonical sequence) by >=5% more at
-        // unchanged median best-speedup. (On the full 33-pass registry the delta collapses
-        // to noise: every loop pass's `produces` is "everything", so with
-        // loop passes at 1/33 density the new drops are almost exclusively
-        // immediate duplicates, which almost never survive mutation.)
-
-        /// A pass under the twelve-class model: the same rewrite, with its
-        /// work masks truncated to the first twelve classes.
-        struct TwelveClass(Box<dyn citroen_passes::Pass>);
-        const OLD: u64 = (1 << 12) - 1;
-        impl citroen_passes::Pass for TwelveClass {
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-            fn run(&self, m: &mut Module, stats: &mut Stats) {
-                self.0.run(m, stats)
-            }
-            fn fires_on(&self) -> Option<u64> {
-                self.0.fires_on().filter(|m| m & !OLD == 0)
-            }
-            fn clears(&self) -> u64 {
-                self.0.clears() & OLD
-            }
-            fn produces(&self) -> u64 {
-                self.0.produces() & OLD
-            }
-        }
-        let loop_registry = |twelve: bool| {
-            const NAMES: &[&str] = &[
-                "mem2reg",
-                "loop-simplify",
-                "loop-rotate",
-                "licm",
-                "loop-unroll",
-                "loop-deletion",
-                "simplifycfg",
-                "dce",
-            ];
-            Registry::from_passes(
-                citroen_passes::passes::all_passes()
-                    .into_iter()
-                    .filter(|p| NAMES.contains(&p.name()))
-                    .map(|p| -> Box<dyn citroen_passes::Pass> {
-                        if twelve {
-                            Box::new(TwelveClass(p))
-                        } else {
-                            p
-                        }
-                    })
-                    .collect(),
-            )
-        };
-
-        let seeds: Vec<u64> = (1..=10).collect();
-        let runs = citroen_rt::par::par_map(seeds, |seed| {
-            let run = |twelve: bool| {
-                let mut task = Task::new(
-                    citroen_suite::kernels::telecom_gsm(),
-                    loop_registry(twelve),
-                    Platform::tx2(),
-                    TaskConfig { seq_len: 32, seed, ..Default::default() },
-                );
-                let cfg = CitroenConfig {
-                    candidates: 24,
-                    init_random: 6,
-                    subsume_collapse: true,
-                    seed,
-                    ..Default::default()
-                };
-                let trace = run_citroen(&mut task, 40, &cfg).0;
-                (trace.best() / task.o3_seconds, task.passes_executed)
-            };
-            (run(true), run(false))
-        });
-        let mut extra: Vec<f64> = runs
-            .iter()
-            .map(|((_, w12), (_, w16))| 1.0 - *w16 as f64 / *w12 as f64)
-            .collect();
-        extra.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut r12: Vec<f64> = runs.iter().map(|((r, _), _)| *r).collect();
-        let mut r16: Vec<f64> = runs.iter().map(|(_, (r, _))| *r).collect();
-        r12.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        r16.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        eprintln!("additional compile-work reduction per seed (16 vs 12 classes): {extra:?}");
-        eprintln!("best/O3 12-class: {r12:?}\nbest/O3 16-class: {r16:?}");
-        let median_extra = extra[extra.len() / 2];
-        assert!(
-            median_extra >= 0.05,
-            "median additional compile-work reduction {median_extra:.3} < 5%: {extra:?}"
-        );
-        let (m12, m16) = (r12[r12.len() / 2], r16[r16.len() / 2]);
-        assert!(
-            m16 <= m12 * 1.05 && m12 <= m16 * 1.05,
-            "median best/O3 moved with the grown matrix: {m16:.4} vs {m12:.4}"
-        );
     }
 }

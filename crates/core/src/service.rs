@@ -3,9 +3,9 @@
 //! control surface (cancel / deadline) a job lifecycle needs.
 //!
 //! The determinism contract that makes sharing safe: compilation is a *pure*
-//! function of (source module, canonical pass sequence) — `PassManager`
-//! threads no RNG and reads no globals — so a cross-tenant cache keyed by
-//! (source-module fingerprint, canonical genome) returns exactly the bytes
+//! function of (source module, pass sequence) — `PassManager` threads no
+//! RNG and reads no globals — so a cross-tenant cache keyed by
+//! (source-module fingerprint, genome) returns exactly the bytes
 //! the tenant would have computed locally. A session run against a pre-warmed
 //! [`SharedCompileCache`] therefore produces a tuning trajectory (runtimes,
 //! best history, best sequences) bit-identical to a cold standalone run at
@@ -45,10 +45,9 @@ pub struct SharedCacheStats {
     pub len: u64,
 }
 
-/// The cross-tenant compile cache: (source-module fingerprint, canonical
-/// genome) → (owner tenant, compile result). LRU-evicting: a popular
-/// module's canonical genomes keep getting hit by new tenants and must not
-/// age out on insertion order.
+/// The cross-tenant compile cache: (source-module fingerprint, genome) →
+/// (owner tenant, compile result). LRU-evicting: a popular module's genomes
+/// keep getting hit by new tenants and must not age out on insertion order.
 ///
 /// Entries hold a full optimised [`Module`] clone, so the capacity bound is
 /// load-bearing — size it in thousands of entries, not like a string cache.
@@ -202,10 +201,9 @@ impl SessionCtl {
 /// legacy entry point is a thin wrapper over this.
 #[derive(Clone, Default)]
 pub struct SessionEnv {
-    /// Cross-tenant compile cache, consulted before compiling any canonical
-    /// genome and fed every local compile; a session's only compile cache.
-    /// `None` = sessions don't share, and a session keeps a private cache
-    /// only when it canonicalises.
+    /// Cross-tenant compile cache, consulted before compiling any genome and
+    /// fed every local compile; a session's only compile cache. `None` = the
+    /// session keeps no compile cache.
     pub shared_cache: Option<Arc<SharedCompileCache>>,
     /// A shared worker pool for `batch > 1` sessions (q = 1 sessions map on
     /// their own thread). `None` = a batched session spawns its own.

@@ -397,10 +397,9 @@ pub struct Task {
     pub executions: usize,
     /// Number of compilations so far.
     pub compilations: usize,
-    /// Passes executed across all compilations so far — the compile *work*
-    /// figure. Unlike `compilations`, this credits the sequence
-    /// canonicalizer for shortening a genome even when the shortened form
-    /// still has to be compiled.
+    /// Passes executed across all compilations so far — the nominal compile
+    /// *work* figure: every pass of every compiled sequence, however the
+    /// sweep actually ran it.
     pub passes_executed: usize,
     /// Pass runs a compile sweep skipped by resuming a sequence from a
     /// prefix state an earlier sequence of its run had reached. They are

@@ -100,8 +100,7 @@ fn a_small_compile_cache_evicts_and_counts() {
     // evictions.
     let (cache, env) = capped_cache(4);
     let mut task = gsm_task(3);
-    let config = CitroenConfig { subsume_collapse: true, ..cfg(3, 1) };
-    let trace = run_citroen_session(&mut task, 12, &config, &env).trace;
+    let trace = run_citroen_session(&mut task, 12, &cfg(3, 1), &env).trace;
     assert_eq!(task.measurements, 12);
     assert!(trace.best().is_finite());
     let evictions = cache.stats().evictions;
@@ -109,26 +108,22 @@ fn a_small_compile_cache_evicts_and_counts() {
 }
 
 #[test]
-fn a_small_compile_cache_under_canonicalization_is_deterministic() {
-    // `subsume_collapse` canonicalizes candidate sequences before the cache
-    // lookup, which both shrinks the key space (collapsed duplicates share
-    // entries) and changes which keys are live.
-    // A tiny cap must still evict, the run must still consume its budget,
-    // and canonicalization must not corrupt cache identity — pinned by
-    // re-running the same seed and demanding identical results.
+fn a_small_compile_cache_is_deterministic() {
+    // A tiny cap on a batched run must still evict, the run must still
+    // consume its budget, and eviction must not corrupt cache identity —
+    // pinned by re-running the same seed and demanding identical results.
     let run = || {
         let (cache, env) = capped_cache(2);
         let mut task = gsm_task(5);
-        let config = CitroenConfig { subsume_collapse: true, ..cfg(5, 2) };
-        let trace = run_citroen_session(&mut task, 12, &config, &env).trace;
+        let trace = run_citroen_session(&mut task, 12, &cfg(5, 2), &env).trace;
         (trace, task.measurements, task.cache_hits, cache.stats().evictions)
     };
     let (trace, measurements, cache_hits, evictions) = run();
     assert_eq!(measurements, 12);
     assert!(trace.best().is_finite());
-    assert!(evictions > 0, "cap of 2 entries must evict under subsume_collapse");
+    assert!(evictions > 0, "cap of 2 entries must evict");
 
-    // Same seed, same cap, same mode: evictions and hits are part of the
+    // Same seed, same cap: evictions and hits are part of the
     // deterministic contract, not timing accidents.
     let (trace2, measurements2, cache_hits2, evictions2) = run();
     assert_eq!(measurements2, measurements);

@@ -21,7 +21,6 @@ fn tune_batched(seed: u64, batch: usize) -> (TuneTrace, usize) {
     let cfg = CitroenConfig {
         candidates: 16,
         init_random: 4,
-        subsume_collapse: true, // exercise the canonicalizer counters too
         batch,
         seed,
         ..Default::default()

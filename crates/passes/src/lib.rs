@@ -11,12 +11,10 @@
 pub mod autophase;
 pub mod manager;
 pub mod noop;
-pub mod oracle;
 pub mod passes;
 pub mod stats;
 pub mod testing;
 pub mod util;
-pub mod work;
 
 pub use manager::{
     o1_pipeline, o3_pipeline, CompileError, CompileResult, Pass, PassId, PassManager, PassSeq,

@@ -17,25 +17,6 @@ pub trait Pass: Sync + Send {
     fn name(&self) -> &'static str;
     /// Transform `m`, recording statistics.
     fn run(&self, m: &mut Module, stats: &mut Stats);
-    /// Work classes ([`crate::work`]) whose presence is *necessary* for this
-    /// pass to change anything. `Some(mask)` is a theorem: on a module with
-    /// none of those classes present, `run` must leave the fingerprint
-    /// unchanged and record zero statistics — the `citroen-analyze subsume`
-    /// fuzz campaign executes every claim. `None` (the default) means
-    /// unknown; such a pass is never dropped by the subsumption collapse.
-    fn fires_on(&self) -> Option<u64> {
-        None
-    }
-    /// Work classes provably *absent* after this pass runs, on any input.
-    /// Also a fuzz-checked theorem; the always-sound default is "none".
-    fn clears(&self) -> u64 {
-        0
-    }
-    /// Work classes this pass may *create*. The always-sound default is
-    /// "all of them"; narrow only with an argument (see [`crate::work`]).
-    fn produces(&self) -> u64 {
-        crate::work::ALL
-    }
 }
 
 /// Index of a pass in the [`Registry`].
@@ -167,21 +148,6 @@ impl Registry {
     /// All pass names, in id order.
     pub fn names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Per-pass fire masks ([`Pass::fires_on`]), in id order.
-    pub fn fires_on(&self) -> Vec<Option<u64>> {
-        self.passes.iter().map(|p| p.fires_on()).collect()
-    }
-
-    /// Per-pass clear masks ([`Pass::clears`]), in id order.
-    pub fn clears(&self) -> Vec<u64> {
-        self.passes.iter().map(|p| p.clears()).collect()
-    }
-
-    /// Per-pass produce masks ([`Pass::produces`]), in id order.
-    pub fn produces(&self) -> Vec<u64> {
-        self.passes.iter().map(|p| p.produces()).collect()
     }
 
     /// Parse a comma/space separated list of pass names into a sequence.

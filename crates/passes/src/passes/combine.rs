@@ -17,16 +17,6 @@ impl Pass for InstCombine {
     fn name(&self) -> &'static str {
         "instcombine"
     }
-    fn clears(&self) -> u64 {
-        // dce runs after every sweep, including the final one
-        crate::work::DEAD
-    }
-    fn produces(&self) -> u64 {
-        // Pure Bin/Cmp/Cast/Select rewrites plus the per-sweep dce tail:
-        // loads, stores, calls and terminators are never created or removed,
-        // so the inferable-attribute bits and the CFG cannot change.
-        crate::work::ALL & !(crate::work::DEAD | crate::work::FA | crate::work::LS)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
@@ -58,14 +48,6 @@ impl Pass for InstSimplify {
     fn name(&self) -> &'static str {
         "instsimplify"
     }
-    fn clears(&self) -> u64 {
-        // dce runs after every sweep, including the final one
-        crate::work::DEAD
-    }
-    fn produces(&self) -> u64 {
-        // Same edit surface as inst-combine: pure rewrites + dce tail only.
-        crate::work::ALL & !(crate::work::DEAD | crate::work::FA | crate::work::LS)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
@@ -88,21 +70,6 @@ pub struct ConstProp;
 impl Pass for ConstProp {
     fn name(&self) -> &'static str {
         "constprop"
-    }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::CP)
-    }
-    fn clears(&self) -> u64 {
-        // folding ends in an unconditional dce sweep
-        crate::work::CP | crate::work::DEAD
-    }
-    fn produces(&self) -> u64 {
-        // Folds pure instructions and substitutes literals (which can one-way
-        // a branch, create duplicates, sharpen dse address atoms, ...), but
-        // never creates or removes loads, stores, calls, or CFG edges — so
-        // attribute inference and loop-simplify work cannot appear.
-        crate::work::ALL
-            & !(crate::work::DEAD | crate::work::CP | crate::work::FA | crate::work::LS)
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
@@ -623,15 +590,6 @@ pub struct VectorCombine;
 impl Pass for VectorCombine {
     fn name(&self) -> &'static str {
         "vector-combine"
-    }
-    fn clears(&self) -> u64 {
-        // ends in an unconditional dce sweep
-        crate::work::DEAD
-    }
-    fn produces(&self) -> u64 {
-        // extractlane(splat x) -> x substitution + dce tail: pure rewrites
-        // only, memory ops and CFG untouched.
-        crate::work::ALL & !(crate::work::DEAD | crate::work::FA | crate::work::LS)
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {

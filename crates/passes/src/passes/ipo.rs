@@ -194,19 +194,6 @@ impl Pass for FunctionAttrs {
     fn name(&self) -> &'static str {
         "function-attrs"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::FA)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::FA
-    }
-    fn produces(&self) -> u64 {
-        // Writes only function attributes; the only fire conditions that
-        // consult attrs are adce liveness roots, dse/loop-deletion clobber
-        // summaries and call CSE — dce purity, folding, the sccp lattice,
-        // promotability, sinking and tail-call position are attribute-blind.
-        crate::work::ADCE | crate::work::DSE | crate::work::ECSE | crate::work::LD
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         // Start optimistic (readnone) and knock bits off to a fixpoint.
         // Unknown (declaration) bodies are assumed to read and write memory;
@@ -284,12 +271,6 @@ pub struct TailCallElim;
 impl Pass for TailCallElim {
     fn name(&self) -> &'static str {
         "tailcallelim"
-    }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::TCE)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::TCE
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         let mut n = 0u64;

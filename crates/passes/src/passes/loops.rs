@@ -255,12 +255,6 @@ impl Pass for LoopSimplify {
     fn name(&self) -> &'static str {
         "loop-simplify"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::LS)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::LS
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
@@ -374,13 +368,6 @@ impl Pass for LoopRotate {
             dce_function(f);
             stats.inc("loop-rotate", "NumRotated", n);
         }
-    }
-    fn fires_on(&self) -> Option<u64> {
-        // Every edit path of `run` demands one of these classes: rotation
-        // proper (`plan_rotate` ↦ ROT), preheader restoration
-        // (`needs_preheader` ↦ LS), the φ cleanup (single-incoming φs are
-        // simplifycfg work ↦ CFGS) and the dce tail (↦ DEAD).
-        Some(crate::work::ROT | crate::work::LS | crate::work::CFGS | crate::work::DEAD)
     }
 }
 
@@ -695,12 +682,6 @@ impl Pass for Licm {
     fn name(&self) -> &'static str {
         "licm"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::LICM)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::LICM
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for fi in 0..m.funcs.len() {
             let mut hoisted = 0u64;
@@ -708,7 +689,7 @@ impl Pass for Licm {
             // Every hoist moves one instruction out of a loop and never adds
             // one, so the in-loop instruction count strictly decreases:
             // bounding rounds by the function size guarantees a true
-            // fixpoint (the clears theorem above).
+            // fixpoint.
             let bound = m.funcs[fi].num_insts() + 1;
             for _ in 0..bound {
                 let (h, l) = hoist_one(m, fi);
@@ -1000,12 +981,6 @@ impl Pass for LoopUnroll {
     fn name(&self) -> &'static str {
         "loop-unroll"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::IVL)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::IVL
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut full = 0u64;
@@ -1017,7 +992,7 @@ impl Pass for LoopUnroll {
             // the initial self-loop count. The cleanup sweeps can unlock a
             // candidate (e.g. dce removing an unused alloca from a body), so
             // re-run the search after each cleanup until nothing fires: the
-            // final state provably holds no candidate (the clears theorem).
+            // final state provably holds no candidate.
             let outer = find_self_loops(f).len() as u64 * 8 + 1;
             for _ in 0..outer {
                 let mut n = 0u64;
@@ -1211,18 +1186,12 @@ impl Pass for LoopDeletion {
     fn name(&self) -> &'static str {
         "loop-deletion"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::LD)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::LD
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let mut n = 0u64;
             // Each deletion consumes one header block, so the candidate
             // supply is bounded by the block count; iterating one past that
-            // guarantees the final round found nothing (clears = LD).
+            // guarantees the final round found nothing.
             for _ in 0..=f.blocks.len() {
                 let Some(sl) = deletion_candidate(f) else { break };
                 let h = sl.header;

@@ -19,19 +19,6 @@ impl Pass for Mem2Reg {
     fn name(&self) -> &'static str {
         "mem2reg"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::M2R)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::M2R
-    }
-    fn produces(&self) -> u64 {
-        // Promotion deletes loads/stores/allocas and inserts φs — that can
-        // enable nearly anything — but it adds no CFG edges, and stripping
-        // unreachable blocks only ever removes loops, so loop-simplify work
-        // cannot appear.
-        crate::work::ALL & !(crate::work::M2R | crate::work::LS)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             promote_function(f, stats);

@@ -94,21 +94,6 @@ impl Pass for Gvn {
     fn name(&self) -> &'static str {
         "gvn"
     }
-    fn clears(&self) -> u64 {
-        // gvn_function ends in an unconditional dce sweep; the dominator
-        // scope is a strict superset of early-cse's block-local tables (a
-        // block dominates itself), load CSE / store-to-load forwarding is
-        // the same block-local logic in both, and both share the dce tail —
-        // so early-cse immediately after gvn is a no-op.
-        crate::work::DEAD | crate::work::ECSE
-    }
-    fn produces(&self) -> u64 {
-        // Substitution + removal + dce tail: no CFG edit (loop-simplify
-        // untouched) and no new block-local CSE work beyond what it just
-        // exhausted. Store-to-load forwarding can inject literals anywhere,
-        // so every other class stays on the table.
-        crate::work::ALL & !(crate::work::DEAD | crate::work::ECSE | crate::work::LS)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for fi in 0..m.funcs.len() {
             let (ni, nl) = gvn_function(m, fi, true);
@@ -124,18 +109,6 @@ pub struct EarlyCse;
 impl Pass for EarlyCse {
     fn name(&self) -> &'static str {
         "early-cse"
-    }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::ECSE)
-    }
-    fn clears(&self) -> u64 {
-        // block-local CSE; gvn_function ends in an unconditional dce sweep
-        crate::work::ECSE | crate::work::DEAD
-    }
-    fn produces(&self) -> u64 {
-        // Same shape as gvn: pure rewrites plus the dce tail, no CFG edit,
-        // and its own block-local tables are exhausted on exit.
-        crate::work::ALL & !(crate::work::DEAD | crate::work::ECSE | crate::work::LS)
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for fi in 0..m.funcs.len() {
@@ -365,36 +338,6 @@ impl Pass for Dce {
     fn name(&self) -> &'static str {
         "dce"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::DEAD)
-    }
-    fn clears(&self) -> u64 {
-        // removes exactly the DEAD class, to fixpoint
-        crate::work::DEAD
-    }
-    fn produces(&self) -> u64 {
-        // Removal-only, to a fixpoint, and never touches loads, stores,
-        // calls, or terminators (`has_side_effects`/`reads_memory` retain
-        // them). Removing a use can newly enable sinking (single-use-block),
-        // promotion (an escaping pure use of an alloca address), tail
-        // position (trailing pure insts after a self-call), loop deletion
-        // (an outside use of a loop value), block forwarding (emptying a
-        // block down to its `Br` — cfgs), unrolling (an unused alloca gone
-        // from a self-loop body — the body screen skips alloca-bearing
-        // loops), and rotation (a header shape screen unblocked). It cannot
-        // create lattice/foldable/duplicate instructions, change the dse
-        // scan (memory ops untouched), hoistability (stores, calls and
-        // operand def sites untouched — licm), or the inferable attribute
-        // bits, and it leaves no orphans (fixpoint), so no fire condition
-        // that includes dead code becomes true.
-        crate::work::SINK
-            | crate::work::M2R
-            | crate::work::TCE
-            | crate::work::LD
-            | crate::work::CFGS
-            | crate::work::IVL
-            | crate::work::ROT
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
             let n = dce_function(f) as u64;
@@ -410,36 +353,6 @@ pub struct Adce;
 impl Pass for Adce {
     fn name(&self) -> &'static str {
         "adce"
-    }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::ADCE)
-    }
-    fn clears(&self) -> u64 {
-        // transitive liveness removal is a superset of dce's pure-unused sweep
-        crate::work::ADCE | crate::work::DEAD
-    }
-    fn produces(&self) -> u64 {
-        // Removal-only like dce, but the live set is rooted (stores,
-        // non-readnone calls, terminators), so adce can additionally remove
-        // loads and readnone calls: that can un-kill an overwritten store
-        // (dse), drop the reads/writes bits behind attribute inference
-        // (fa), empty a block down to its `Br` (cfgs), strip a readnone
-        // call or alloca from a self-loop body (the unroll body screen —
-        // ivl), unblock a rotate header shape (rot), and remove an
-        // own-stack-writing readnone call that was pinning a loop load
-        // (licm). Surviving instructions are transitively rooted, so no
-        // orphans remain and no fire condition that includes dead code
-        // becomes true; CFG and remaining operands are untouched.
-        crate::work::DSE
-            | crate::work::SINK
-            | crate::work::M2R
-            | crate::work::FA
-            | crate::work::TCE
-            | crate::work::LD
-            | crate::work::CFGS
-            | crate::work::LICM
-            | crate::work::IVL
-            | crate::work::ROT
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         // Liveness of calls depends on callee attributes.
@@ -506,21 +419,6 @@ impl Pass for Dse {
     fn name(&self) -> &'static str {
         "dse"
     }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::DSE)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::DSE
-    }
-    fn produces(&self) -> u64 {
-        // Removing a store orphans its value chain (dead code, and every fire
-        // condition that includes it), can un-escape an alloca address, and
-        // can turn a self-call into the last instruction of its block. The
-        // one thing store removal cannot do is edit the CFG, and the
-        // backward overwritten-range scan is a one-sweep fixpoint (removing
-        // a covered store neither covers nor uncovers another).
-        crate::work::ALL & !(crate::work::DSE | crate::work::LS)
-    }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for fi in 0..m.funcs.len() {
             let mut n = 0u64;
@@ -580,30 +478,6 @@ pub struct Sink;
 impl Pass for Sink {
     fn name(&self) -> &'static str {
         "sink"
-    }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::SINK)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::SINK
-    }
-    fn produces(&self) -> u64 {
-        // Moves pure scalar insts only: use counts, operands, CFG, stores
-        // and attrs are untouched, so most fire conditions cannot flip on.
-        // The exceptions all come from the *move itself*: block-local
-        // duplicates (moved into the use block — ecse), loop deletability
-        // (a result use sunk out of its loop — ld), hoistability (a pure
-        // inst with loop-invariant operands sunk into a loop body — licm),
-        // unroll budgets (an inst sunk out of a self-loop body shrinks it
-        // under the size screens — ivl), and rotate header shape screens
-        // (header contents changed — rot). Source blocks end in a condbr so
-        // they never become forwarding blocks, and no CFG edit or operand
-        // rewrite happens, so cfgs stays off the table.
-        crate::work::ECSE
-            | crate::work::LD
-            | crate::work::LICM
-            | crate::work::IVL
-            | crate::work::ROT
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {
@@ -782,13 +656,6 @@ struct OperandConst(Operand);
 impl Pass for Sccp {
     fn name(&self) -> &'static str {
         "sccp"
-    }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::SCCP)
-    }
-    fn clears(&self) -> u64 {
-        // epilogue ends in an unconditional dce sweep
-        crate::work::SCCP | crate::work::DEAD
     }
     fn run(&self, m: &mut Module, stats: &mut Stats) {
         for f in &mut m.funcs {

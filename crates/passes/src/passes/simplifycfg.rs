@@ -25,8 +25,7 @@ impl Pass for SimplifyCfg {
             // is a termination measure, not a heuristic: every one of the five
             // rewrites strictly decreases `blocks + condbrs + φs` and none of
             // them ever increases it, so `measure + 1` rounds always reach the
-            // fixpoint — which is what makes `clears = CFGS` a theorem rather
-            // than a hope.
+            // fixpoint.
             let measure = f.blocks.len()
                 + f.blocks
                     .iter()
@@ -49,12 +48,6 @@ impl Pass for SimplifyCfg {
             }
             stats.inc("simplifycfg", "NumSimpl", n);
         }
-    }
-    fn fires_on(&self) -> Option<u64> {
-        Some(crate::work::CFGS)
-    }
-    fn clears(&self) -> u64 {
-        crate::work::CFGS
     }
 }
 

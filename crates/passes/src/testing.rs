@@ -81,31 +81,6 @@ impl Pass for BrokenUnroll {
     }
 }
 
-/// A pass whose work-class model lies: [`clears`](Pass::clears) claims every
-/// work class is exhausted after it runs, yet `run` changes nothing — so any
-/// later pass the subsumption canonicalizer drops on its account can still
-/// fire. The pass itself is semantics-preserving, verifier-clean and
-/// sanitizer-clean; only the subsumption soundness campaign
-/// (`citroen-analyze subsume`) can convict the false theorem, which is
-/// exactly what the regression tests use it for.
-pub struct LyingSubsumption;
-
-impl Pass for LyingSubsumption {
-    fn name(&self) -> &'static str {
-        "lying-subsumption"
-    }
-
-    fn run(&self, _m: &mut Module, _stats: &mut Stats) {}
-
-    fn clears(&self) -> u64 {
-        crate::work::ALL // the lie: "nothing can fire after me"
-    }
-
-    fn produces(&self) -> u64 {
-        0
-    }
-}
-
 /// A loop whose exit block stores a sentinel to `@out` and returns — the
 /// minimal shape [`BrokenUnroll`] miscompiles. Shared by the sanitizer and
 /// reducer tests.

@@ -328,11 +328,6 @@ impl AddrExpr {
         s
     }
 
-    /// Coefficient of a specific atom (0 if absent).
-    pub fn coeff_of(&self, op: &Operand) -> i64 {
-        self.atoms.iter().find(|(a, _)| a == op).map(|(_, c)| *c).unwrap_or(0)
-    }
-
     /// Global atoms appearing with coefficient 1 (array bases, used by alias
     /// reasoning over distinct arrays).
     pub fn globals(&self) -> Vec<citroen_ir::inst::GlobalId> {

@@ -6,7 +6,7 @@
 //! concurrently and shares state across them:
 //!
 //! 1. a global bounded LRU compile cache keyed by (source-module
-//!    fingerprint, canonical genome) — tenants tuning the same program reuse
+//!    fingerprint, genome) — tenants tuning the same program reuse
 //!    each other's compilations bit-identically;
 //! 2. GRACE-style transfer warm-starts: completed sessions deposit their
 //!    best genome keyed by an O3 compilation-statistics descriptor, and new

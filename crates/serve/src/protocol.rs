@@ -135,7 +135,10 @@ pub struct JobSpec {
     /// holds `false` here. The field stays only so that clients which build
     /// a `JobSpec` literal keep compiling.
     pub oracle_prune: bool,
-    /// Enable subsumption collapse for this session.
+    /// Read by nothing, like `oracle_prune`: the protocol no longer parses
+    /// a `subsume` key, so a parsed spec always holds `false` here. The
+    /// field stays only so that clients which build a `JobSpec` literal keep
+    /// compiling.
     pub subsume: bool,
     /// Number of statistics-space nearest-neighbour transfer seeds to
     /// inject from the daemon's corpus (0 = cold start, the default).
@@ -230,7 +233,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 seq_len: opt_u64(job, "seq_len", 16)? as usize,
                 batch: opt_u64(job, "batch", 1)?.max(1) as usize,
                 oracle_prune: false,
-                subsume: opt_u64(job, "subsume", 0)? != 0,
+                subsume: false,
                 warm: opt_u64(job, "warm", 0)? as usize,
                 timeout_ms: opt_u64(job, "timeout_ms", 0)?,
             };
@@ -441,28 +444,31 @@ mod tests {
                 assert_eq!(j.batch, 1);
                 assert_eq!(j.warm, 0);
                 assert_eq!(j.timeout_ms, 0);
-                assert!(!j.subsume);
             }
             other => panic!("wrong parse: {other:?}"),
         }
     }
 
     #[test]
-    fn an_oracle_prune_key_changes_neither_the_spec_nor_the_config() {
-        // Older clients still send `"oracle_prune":1`; the key is no longer
-        // read, so it parses like any unknown key: not at all.
+    fn oracle_prune_and_subsume_keys_change_neither_the_spec_nor_the_config() {
+        // Older clients still send `"oracle_prune":1` and `"subsume":1`; the
+        // keys are no longer read, so they parse like any unknown key: not
+        // at all.
         let submit = |extra: &str| {
-            let job =
-                format!(r#"{{"id":"a","bench":"telecom_gsm","budget":10,"subsume":1{extra}}}"#);
+            let job = format!(r#"{{"id":"a","bench":"telecom_gsm","budget":10{extra}}}"#);
             match parse_request(&format!(r#"{{"type":"submit","job":{job}}}"#)).unwrap() {
                 Request::Submit(j) => j,
                 other => panic!("wrong parse: {other:?}"),
             }
         };
-        let (with, without) = (submit(r#","oracle_prune":1"#), submit(""));
-        assert_eq!(with, without);
-        let config = |j: &JobSpec| format!("{:?}", crate::server::job_citroen_config(j));
-        assert_eq!(config(&with), config(&without));
+        let without = submit("");
+        for extra in [r#","oracle_prune":1"#, r#","subsume":1"#, r#","oracle_prune":1,"subsume":1"#]
+        {
+            let with = submit(extra);
+            assert_eq!(with, without, "{extra}");
+            let config = |j: &JobSpec| format!("{:?}", crate::server::job_citroen_config(j));
+            assert_eq!(config(&with), config(&without), "{extra}");
+        }
     }
 
     #[test]

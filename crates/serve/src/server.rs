@@ -83,7 +83,6 @@ pub fn job_citroen_config(spec: &JobSpec) -> CitroenConfig {
     CitroenConfig {
         candidates: 24,
         init_random: 6,
-        subsume_collapse: spec.subsume,
         batch: spec.batch.max(1),
         seed: spec.seed,
         ..Default::default()

@@ -53,7 +53,7 @@ pub struct ServeState {
     /// Daemon configuration.
     pub cfg: ServeConfig,
     /// Cross-tenant compile cache, keyed (source-module fingerprint,
-    /// canonical genome).
+    /// genome).
     pub cache: Arc<SharedCompileCache>,
     /// One worker pool shared by all sessions, so N tenants don't spawn
     /// N × threads. Safe for concurrent `map` callers (whole-batch

@@ -15,7 +15,7 @@
 //!   function-pointer hooks in [`citroen_rt::par::set_task_hooks`] (installed
 //!   automatically by [`install`]).
 //! - **Counters** ([`counter`]) — monotonically-increasing named `u64`s
-//!   (compiles, cache hits, canonicaliser drops, acquisition evaluations, …).
+//!   (compiles, cache hits, acquisition evaluations, …).
 //! - **Histograms** ([`value`], [`Histogram`]) — fixed power-of-two-bucket
 //!   distributions (GP fit iterations, simulated cycles, …).
 //! - **Events** ([`event`], [`EventRecord`]) — named point-in-time records

@@ -18,9 +18,7 @@
 #   3. a 1000-trial `citroen-analyze` fuzz campaign (100 random modules x
 #      10 random pass sequences, 30-second budget) through the verifier,
 #      the translation-validation sanitizer, the interpreter differential
-#      and the compile path's own checks, among them `canon`: each
-#      sequence and its canonical form under the session's subsumption
-#      canonicaliser must compile to the same fingerprint and statistics
+#      and the compile path's own checks
 #   4. the telemetry gate: one traced tuning run streams a JSONL trace that
 #      must be well-formed with `iteration` spans >=90% covered by their
 #      compile/measure/fit/acquire children (`citroen-trace check`), render
@@ -32,28 +30,20 @@
 #   5. the batch gate: two q=4 batched tuning runs with the same seed must
 #      be bit-identical, and the q=4 wall clock must beat q=1 by the
 #      pinned floor (3x on >=4 worker threads, 1.5x below that)
-#      (`micro --batch-gate`)
-#   6. the subsumption gate: a >=100-trial `citroen-analyze subsume` smoke
-#      campaign replaying the canonicalizer's drop decisions (every
-#      predicted drop executed and checked as a behavioural no-op, exit 1
-#      on any violation), then a q=4 batched tuning run with
-#      subsume-collapse on and the S1-S8 sanitizer armed end to end
-#      (CITROEN_SANITIZE=1)
-#   7. the alias gate: a 50-state `citroen-analyze alias-oracle --smoke`
+#      (`micro --batch-gate`); then a q=4 batched tuning run with the
+#      S1-S8 sanitizer armed end to end (CITROEN_SANITIZE=1)
+#   6. the alias gate: a 50-state `citroen-analyze alias-oracle --smoke`
 #      soundness campaign (every same-block No/Must alias verdict checked
 #      against concrete access addresses) and the shipped suite compiled
 #      at -O3 with the full S1-S11 sanitizer armed (`validate`, which
-#      includes the alias-aware S9-S11 rules), both exit 1 on any finding;
-#      plus a `mine-edges --smoke` mining + executed-drop promotion pass
-#      (seed 7), which exits 0 whatever it refutes, so it only gates on
-#      the pass running to completion
-#   8. the serve gate: `citroen-serve bench` spawns the multi-tenant
+#      includes the alias-aware S9-S11 rules), both exit 1 on any finding
+#   7. the serve gate: `citroen-serve bench` spawns the multi-tenant
 #      daemon and replays a concurrent job mix over stdio — two jobs run
 #      concurrently plus a same-seed replay; results must be bit-identical
 #      to standalone runs at the same seeds, the replay must hit the shared
 #      cross-tenant compile cache, a third job is cancelled mid-run, and
 #      the daemon must drain gracefully (exit 0 only if all hold)
-#   9. the observability gate: `micro --metrics-gate` bounds the metrics
+#   8. the observability gate: `micro --metrics-gate` bounds the metrics
 #      plane's cost (windowed-registry hot path per op, a full snapshot
 #      read-out, and the marginal wall clock of a metrics-feeding sink over
 #      a memory sink on a real tuning run). The daemon end of the plane
@@ -89,17 +79,13 @@ timeout 30 ./target/release/citroen-trace diff "$trace_file" "$trace_file" > /de
 timeout 120 ./target/release/micro --telemetry-gate
 timeout 300 ./target/release/micro --stream-gate
 
-echo "== batched loop: determinism + wall-clock speedup gate"
+echo "== batched loop: determinism + wall-clock speedup gate + sanitized q=4 run"
 timeout 300 ./target/release/micro --batch-gate
-
-echo "== subsumption: drop-soundness campaign + sanitized collapsed run"
-timeout 60 ./target/release/citroen-analyze subsume --modules 10 --seqs 10
 CITROEN_SANITIZE=1 timeout 120 ./target/release/citroen-trace record \
-    --bench telecom_gsm --budget 6 --batch 4 --subsume --seed 9 --out "$trace_file"
+    --bench telecom_gsm --budget 6 --batch 4 --seed 9 --out "$trace_file"
 
-echo "== alias: soundness smoke + edge mining + sanitized -O3 suite (S1-S11)"
+echo "== alias: soundness smoke + sanitized -O3 suite (S1-S11)"
 timeout 60 ./target/release/citroen-analyze alias-oracle --smoke
-timeout 120 ./target/release/citroen-analyze mine-edges --smoke
 CITROEN_SANITIZE=1 timeout 120 ./target/release/citroen-analyze validate
 
 echo "== serve: concurrent daemon determinism + cross-tenant reuse + cancel/drain"

@@ -1,22 +1,13 @@
 //! `citroen-analyze`: the static-analysis and translation-validation front
-//! end. Six modes:
+//! end. Four modes:
 //!
 //! * **lint** (`--lint`): run the dataflow lint suite over the shipped
 //!   benchmark suite (optionally after `-O3`), or over a single IR file with
 //!   `--ir FILE`, and print diagnostics.
-//! * **subsume** (`subsume`): soundness-fuzz the work-class subsumption
-//!   matrix — replay random sequences simulating the canonicalizer's
-//!   absent-work dataflow and execute every predicted drop, which must be a
-//!   behavioural no-op.
 //! * **validate** (`validate`): run the shipped benchmark suite through the
 //!   `-O3` pipeline with the per-pass translation-validation sanitizer armed
 //!   (S1–S11, value-level and alias-aware included) and report any
 //!   contradiction.
-//! * **mine-edges** (`mine-edges`): trace the shipped suite under random
-//!   pipelines, mine adjacent-pair no-op hypotheses, exclude those the
-//!   static work matrix already proves, and promote the rest only after an
-//!   executed-drop fuzz campaign (the `subsume` theorem check) fails to
-//!   refute them.
 //! * **alias-oracle** (`alias-oracle`): soundness-fuzz the alias analysis —
 //!   every same-block `No`/`Must` answer on generated modules (raw and after
 //!   random pipelines) is checked against a concrete interpretation that
@@ -24,21 +15,17 @@
 //! * **fuzz** (default, `--smoke` for the 30-second tier-1 budget): random
 //!   generated modules × random pass sequences through the verifier, the
 //!   sanitizer, an interpreter differential, and the compile path's own
-//!   checks (among them `canon`: the session's sequence canonicaliser must
-//!   not change what a sequence compiles to), delta-debugging any failure
-//!   down to a minimal pass sequence + module reproducer.
+//!   checks, delta-debugging any failure down to a minimal pass sequence +
+//!   module reproducer.
 //!
 //! Progress, violations and summaries go to stderr; stdout carries only
 //! machine output (`--json` documents, lint findings). Exits non-zero iff a
 //! failure, a soundness violation, or (in lint mode) any diagnostic was
 //! found.
 
-use citroen::fuzz::{
-    run_alias_campaign, run_campaign, run_subsumption_campaign, FuzzConfig, Report,
-};
-use citroen::mine::{run_mine_campaign, MineConfig};
+use citroen::fuzz::{run_alias_campaign, run_campaign, FuzzConfig, Report};
 use citroen_analyze::{filter_severity, lint_module, Severity};
-use citroen_passes::manager::{o3_pipeline, Pass, PassManager, Registry};
+use citroen_passes::manager::{o3_pipeline, PassManager, Registry};
 use citroen_rt::json::Value;
 
 const USAGE: &str = "\
@@ -46,24 +33,15 @@ citroen-analyze — dataflow lints, soundness fuzzing
 
 USAGE:
     citroen-analyze [--smoke | --modules N --seqs N --max-len N --seed S]
-    citroen-analyze subsume [--smoke] [--modules N --seqs N --max-len N --seed S]
     citroen-analyze alias-oracle [--smoke] [--modules N --seqs N --max-len N --seed S]
-    citroen-analyze mine-edges [--smoke] [--seed S]
     citroen-analyze validate
     citroen-analyze --lint [--o3] [--errors-only] [--json] [--ir FILE]
 
 MODES:
     (default)        fuzz campaign (20 modules x 10 sequences)
-    subsume          soundness-fuzz the work-class subsumption matrix
-                     (25 x 20 = 500 trials): every drop the sequence
-                     canonicalizer would take is executed and must change
-                     nothing
     alias-oracle     soundness-fuzz the alias analysis: 200 generated
                      modules, each checked raw and after random pipelines
                      against concrete access addresses
-    mine-edges       mine candidate subsumption edges from traced suite
-                     runs; promote each novel edge only after 500
-                     executed-drop trials fail to refute it
     validate         run the shipped suite through -O3 with the S1-S11
                      translation-validation sanitizer armed
     --smoke          tiny deterministic campaign (tier-1 gate, <30s); explicit
@@ -103,12 +81,12 @@ fn main() {
 
     let mut mode = String::from("fuzz");
     let (mut lint, mut o3, mut errors_only, mut smoke) = (false, false, false, false);
-    let (mut with_lying, mut with_broken, mut json) = (false, false, false);
+    let (mut with_broken, mut json) = (false, false);
     let (mut modules, mut seqs, mut max_len, mut seed) = (None, None, None, None);
     let mut ir_file: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "subsume" | "validate" | "alias-oracle" | "mine-edges" => mode = a,
+            "validate" | "alias-oracle" => mode = a,
             "--lint" => lint = true,
             "--o3" => o3 = true,
             "--errors-only" => errors_only = true,
@@ -117,9 +95,6 @@ fn main() {
             "--ir" => {
                 ir_file = Some(args.next().unwrap_or_else(|| die("--ir needs a file path")))
             }
-            // Test-only: spike the registry with the deliberately lying pass
-            // to prove the subsume campaign catches it (hence not in USAGE).
-            "--with-lying" => with_lying = true,
             // Test-only: append the miscompiling unroll to the -O3 pipeline
             // so `validate` demonstrates value-level localisation.
             "--with-broken" => with_broken = true,
@@ -144,9 +119,7 @@ fn main() {
     // `--smoke` picks the base budget; explicit flags apply on top of it.
     let mut cfg = if smoke { FuzzConfig::smoke() } else { FuzzConfig::default() };
     match (mode.as_str(), smoke) {
-        // ≥500 executed module × sequence soundness trials per default run.
-        ("subsume", false) => (cfg.modules, cfg.seqs_per_module) = (25, 20),
-        // check.sh stage 8 budget: 25 modules x (raw + 1 pipeline) = 50
+        // check.sh stage 6 budget: 25 modules x (raw + 1 pipeline) = 50
         // checked states.
         ("alias-oracle", true) => (cfg.modules, cfg.seqs_per_module) = (25, 1),
         ("alias-oracle", false) => (cfg.modules, cfg.seqs_per_module) = (200, 2),
@@ -157,7 +130,6 @@ fn main() {
     cfg.max_seq_len = max_len.unwrap_or(cfg.max_seq_len);
     cfg.seed = seed.unwrap_or(cfg.seed);
     let code = match mode.as_str() {
-        "subsume" => subsume_mode(&cfg, with_lying),
         "alias-oracle" => {
             header("alias-oracle", &cfg);
             let report = run_alias_campaign(&cfg, |line| eprintln!("{line}"));
@@ -168,10 +140,6 @@ fn main() {
                 &format!("{no} No + {must} Must claim(s) checked"),
             )
         }
-        "mine-edges" => {
-            let base = if smoke { MineConfig::smoke() } else { MineConfig::default() };
-            mine_edges_mode(&MineConfig { seed: seed.unwrap_or(base.seed), ..base })
-        }
         "validate" => validate_mode(with_broken),
         _ => {
             header("fuzz", &cfg);
@@ -180,16 +148,6 @@ fn main() {
         }
     };
     std::process::exit(code)
-}
-
-/// The shipped registry, plus the deliberately broken test pass `lie` when
-/// `spike` is set.
-fn spiked(spike: bool, lie: impl Pass + 'static) -> Registry {
-    let mut passes = citroen_passes::passes::all_passes();
-    if spike {
-        passes.push(Box::new(lie));
-    }
-    Registry::from_passes(passes)
 }
 
 /// The header line of every campaign mode, on stderr.
@@ -311,74 +269,23 @@ fn lint_file(path: &str, errors_only: bool, json: bool) -> i32 {
     i32::from(!diags.is_empty())
 }
 
-/// Subsume mode: print every statically claimed subsumption edge, then
-/// soundness-fuzz the whole work-class model by replaying random sequences
-/// and executing every drop the canonicalizer would have taken.
-fn subsume_mode(cfg: &FuzzConfig, with_lying: bool) -> i32 {
-    let reg = spiked(with_lying, citroen_passes::testing::LyingSubsumption);
-
-    let model = citroen_passes::oracle::work_model(&reg);
-    let names = reg.names();
-    let pairs = model.subsumed_pairs();
-    eprintln!("citroen-analyze subsume: {} claimed edge(s) (p subsumes q):", pairs.len());
-    for &(p, q) in &pairs {
-        eprintln!("    {} -> {}", names[p], names[q]);
-    }
-    header("subsume", cfg);
-    let report = run_subsumption_campaign(cfg, &reg, |line| eprintln!("{line}"));
-    let [drops, positions] = report.counts;
-    print_report(
-        "subsume",
-        &report,
-        &format!("{drops} predicted drop(s) executed ({positions} positions simulated)"),
-    )
-}
-
-/// Mine-edges mode: empirical edge mining with fuzz-gated promotion. The
-/// campaign's progress lines name every promoted and refuted edge; this adds
-/// the statically implied ones and the summary. Always exits 0: a refuted
-/// hypothesis is an answer, not a finding.
-fn mine_edges_mode(cfg: &MineConfig) -> i32 {
-    eprintln!(
-        "citroen-analyze mine-edges: {} seqs/benchmark, {} drop trials/edge, seed {:#x}",
-        cfg.mine_seqs, cfg.promote_trials, cfg.seed
-    );
-    let reg = Registry::full();
-    let report = run_mine_campaign(cfg, |line| eprintln!("{line}"));
-    for e in &report.statically_implied {
-        eprintln!(
-            "implied {} -> {} ({} obs), already in the static matrix",
-            reg.pass(e.p).name(),
-            reg.pass(e.q).name(),
-            e.observations
-        );
-    }
-    eprintln!(
-        "citroen-analyze mine-edges: {} adjacencies over {} pairs; {} implied, {} promoted, \
-         {} refuted ({} drop trials)",
-        report.adjacencies,
-        report.pairs_seen,
-        report.statically_implied.len(),
-        report.promoted.len(),
-        report.refuted.len(),
-        report.drop_trials
-    );
-    0
-}
-
 /// Validate mode: compile every shipped benchmark with `-O3` under the
 /// armed sanitizer; each pass's pre/post facts are cross-checked at both
 /// function (S1–S5) and value (S6–S8) granularity, so a structurally valid
 /// miscompile is localised to the offending pass and value.
 fn validate_mode(with_broken: bool) -> i32 {
-    let reg = spiked(with_broken, citroen_passes::testing::BrokenUnroll);
+    let mut passes = citroen_passes::passes::all_passes();
+    if with_broken {
+        passes.push(Box::new(citroen_passes::testing::BrokenUnroll));
+    }
+    let reg = Registry::from_passes(passes);
     let mut pm = PassManager::new(&reg);
     pm.sanitize = true;
     let mut seq = o3_pipeline(&reg);
     if with_broken {
         // Prepend: the miscompile needs the source IR's store-then-ret loop
         // exits, which -O3 itself rewrites away.
-        seq.insert(0, reg.by_name("broken-unroll").expect("spiked registry"));
+        seq.insert(0, reg.by_name("broken-unroll").expect("registered above"));
     }
 
     let mut modules: Vec<(String, citroen_ir::Module)> = citroen_suite::cbench()

@@ -28,7 +28,7 @@ citroen-trace — telemetry capture and trace analysis
 USAGE:
     citroen-trace record --out FILE [--stream-cap N]
                          [--bench NAME] [--budget N] [--seq-len N] [--seed S]
-                         [--subsume] [--batch Q]
+                         [--batch Q]
     citroen-trace show FILE [--top N]
     citroen-trace check FILE [--min-coverage F]
     citroen-trace diff OLD NEW [--threshold PCT] [--span-floor-ms MS]
@@ -61,8 +61,6 @@ RECORD OPTIONS:
     --budget N       runtime-measurement budget   [default: 12]
     --seq-len N      pass-sequence length         [default: 16]
     --seed S         tuner seed                   [default: 1]
-    --subsume        enable work-class subsumption collapse (canonicalizer
-                     counters)
     --batch Q        batched measurement lookahead        [default: 1]
     --stream-cap N   rotate the trace at ~N bytes per file, keeping
                      FILE.1 and FILE.2 (disk bounded at ~3 caps)
@@ -137,7 +135,7 @@ fn record(mut args: std::env::Args) {
     let (mut out, mut bench) = (None::<String>, "telecom_gsm".to_string());
     let mut stream_cap = None::<u64>;
     let (mut budget, mut seq_len, mut seed) = (12usize, 16usize, 1u64);
-    let (mut subsume, mut batch) = (false, 1usize);
+    let mut batch = 1usize;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a file"))),
@@ -146,7 +144,6 @@ fn record(mut args: std::env::Args) {
             "--budget" => budget = parse_num(&mut args, "--budget") as usize,
             "--seq-len" => seq_len = parse_num(&mut args, "--seq-len") as usize,
             "--seed" => seed = parse_num(&mut args, "--seed"),
-            "--subsume" => subsume = true,
             "--batch" => batch = parse_num(&mut args, "--batch") as usize,
             other => die(&format!("record: unknown argument '{other}'")),
         }
@@ -173,7 +170,6 @@ fn record(mut args: std::env::Args) {
     let cfg = CitroenConfig {
         candidates: 24,
         init_random: 6,
-        subsume_collapse: subsume,
         batch,
         seed,
         ..Default::default()
@@ -266,22 +262,17 @@ fn show(mut args: std::env::Args) {
         println!("{:<28} {}  (id {}, thread {}, +{})", s.name, ms(s.dur_ns), s.id, s.thread, ms(s.start_ns));
     }
 
-    // Sanitizer-scheduling and canonicalizer effectiveness, surfaced ahead
-    // of the raw counter dump: how often the S1–S11 re-analysis actually ran
-    // vs. was provably skippable, and how many passes the subsumption matrix
-    // dropped before compilation.
+    // Sanitizer-scheduling effectiveness, surfaced ahead of the raw counter
+    // dump: how often the S1–S11 re-analysis actually ran vs. was provably
+    // skippable.
     let san_runs = t.counters.get("citroen.sanitize.runs").copied().unwrap_or(0);
     let san_skips = t.counters.get("citroen.sanitize.skips").copied().unwrap_or(0);
-    let subsume_dropped = t.counters.get("canon.subsume_dropped").copied().unwrap_or(0);
-    if san_runs + san_skips + subsume_dropped > 0 {
-        println!("\n== sanitizer / canonicalizer ==");
+    if san_runs + san_skips > 0 {
+        println!("\n== sanitizer ==");
         println!("{:<32} {san_runs}", "citroen.sanitize.runs");
         println!("{:<32} {san_skips}", "citroen.sanitize.skips");
-        if san_runs + san_skips > 0 {
-            let rate = 100.0 * san_skips as f64 / (san_runs + san_skips) as f64;
-            println!("{:<32} {rate:.1}%", "sanitize skip rate");
-        }
-        println!("{:<32} {subsume_dropped}", "canon.subsume_dropped");
+        let rate = 100.0 * san_skips as f64 / (san_runs + san_skips) as f64;
+        println!("{:<32} {rate:.1}%", "sanitize skip rate");
     }
 
     if !t.counters.is_empty() {

@@ -1,37 +1,28 @@
-//! Soundness campaigns for the pass pipeline and its pruning claims: random
-//! generated modules × random pass sequences, driven by one loop.
+//! Soundness campaigns for the pass pipeline and the alias analysis: random
+//! generated modules × random pass sequences.
 //!
-//! * [`run_campaign`] checks each trial seven ways — the structural
-//!   verifier, the translation-validation sanitizer, an interpreter
-//!   differential (return value + mutable-memory digest against the
-//!   unoptimised module), the structural fingerprint against the printed
-//!   text, a compile resumed half-way against the straight one, compiles
-//!   through a cold and a warm no-op memo against the straight one, and the
-//!   session's canonical form of the sequence against the raw one.
-//! * [`run_subsumption_campaign`] executes every drop the sequence
-//!   canonicalizer's absent-work dataflow predicts.
+//! * [`run_campaign`] checks each trial six ways — the structural verifier,
+//!   the translation-validation sanitizer, an interpreter differential
+//!   (return value + mutable-memory digest against the unoptimised module),
+//!   the structural fingerprint against the printed text, a compile resumed
+//!   half-way against the straight one, and compiles through a cold and a
+//!   warm no-op memo against the straight one.
 //! * [`run_alias_campaign`] checks every same-block `No`/`Must` alias answer
 //!   against concrete access addresses.
 //!
-//! The subsumption claims reduce to one theorem, checked by
-//! [`noop_breach`]: the pass leaves the fingerprint unchanged and records
-//! no statistics. Every finding is delta-debugged before being reported: the
-//! pass sequence is minimised with [`ddmin`](citroen_analyze::reduce::ddmin)
-//! and the module is shrunk with
+//! Every finding is delta-debugged before being reported: the pass sequence
+//! is minimised with [`ddmin`](citroen_analyze::reduce::ddmin) and the
+//! module is shrunk with
 //! [`reduce_module`](citroen_analyze::reduce::reduce_module), so the report
 //! contains a small parseable reproducer rather than a 300-line random
 //! program.
 
 use citroen_analyze::reduce::{ddmin, reduce_module};
-use citroen_bo::SeqCanonicalizer;
-use citroen_core::citroen::canonicalizer;
-use citroen_core::CitroenConfig;
 use citroen_ir::interp::{run, CountingSink, Limits, Trap, Value};
 use citroen_ir::module::Module;
 use citroen_ir::FuncId;
 use citroen_ir::print::{fingerprint, print_module};
-use citroen_passes::oracle::noop_breach;
-use citroen_passes::{CompileError, CompileResult, NoopMemo, PassId, PassManager, Prefix, Registry, Stats};
+use citroen_passes::{CompileError, CompileResult, NoopMemo, PassId, PassManager, Prefix, Registry};
 use citroen_rt::rng::{Rng, SeedableRng, StdRng};
 use citroen_suite::generator::{generate, GenConfig};
 
@@ -64,9 +55,9 @@ impl FuzzConfig {
 /// A campaign finding, reduced to a small reproducer.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// What broke: the failure kind (`verify`, `sanitize`, `differential`),
-    /// the pass whose no-op claim was contradicted, or the contradicted alias
-    /// answer (`no-alias`, `must-alias`).
+    /// What broke: the failure kind (`verify`, `sanitize`, `differential`,
+    /// `fingerprint`, `resume`, `noop`) or the contradicted alias answer
+    /// (`no-alias`, `must-alias`).
     pub label: String,
     /// Seed of the generated module that exposed it.
     pub module_seed: u64,
@@ -89,9 +80,8 @@ pub struct Report {
     pub modules: usize,
     /// Trials run: module × sequence pairs (alias: module states checked).
     pub trials: usize,
-    /// The campaign's two claim counters. Subsume: `[predicted drops
-    /// executed, positions simulated]`; alias: `[No claims, Must claims]`.
-    /// The fuzz campaign leaves them zero.
+    /// The alias campaign's claim counters, `[No claims, Must claims]`. The
+    /// fuzz campaign leaves them zero.
     pub counts: [u64; 2],
     /// Reduced violations, in discovery order.
     pub violations: Vec<Violation>,
@@ -163,30 +153,27 @@ fn each_module<P: FnMut(&str)>(
     report
 }
 
-/// The campaign driver: `cfg.seqs_per_module` random sequences per generated
-/// module, each run through `trial`. A trial returns the first breach as
-/// `(label, detail)` and adds to the report's counters. A breach is reduced
-/// before it is reported — first the sequence, then the module under it —
-/// by re-running `trial` with scratch counters and keeping a step only while
-/// the *same* label still breaks, so reduction cannot drift to an unrelated
-/// failure.
+/// The fuzz driver: `cfg.seqs_per_module` random sequences per generated
+/// module, each run through `trial`, which returns the first breach as
+/// `(label, detail)`. A breach is reduced before it is reported — first the
+/// sequence, then the module under it — by re-running `trial` and keeping a
+/// step only while the *same* label still breaks, so reduction cannot drift
+/// to an unrelated failure.
 fn drive(
     cfg: &FuzzConfig,
     reg: &Registry,
-    what: &str,
     progress: impl FnMut(&str),
-    trial: impl Fn(&Module, &[PassId], &mut [u64; 2]) -> Option<(String, String)>,
+    trial: impl Fn(&Module, &[PassId]) -> Option<(String, String)>,
 ) -> Report {
-    each_module(cfg, what, progress, |rng, report, progress, module_seed, module| {
+    each_module(cfg, "fuzz", progress, |rng, report, progress, module_seed, module| {
         for _ in 0..cfg.seqs_per_module {
             report.trials += 1;
             let len = rng.gen_range(1..=cfg.max_seq_len);
             let seq = random_seq(reg, rng, len);
-            let Some((label, detail)) = trial(module, &seq, &mut report.counts) else { continue };
+            let Some((label, detail)) = trial(module, &seq) else { continue };
             progress(&format!("  VIOLATION ({label}) — reducing"));
-            let same = |m: &Module, s: &[PassId]| {
-                trial(m, s, &mut [0; 2]).is_some_and(|(l, _)| l == label)
-            };
+            let same =
+                |m: &Module, s: &[PassId]| trial(m, s).is_some_and(|(l, _)| l == label);
             let min_seq = ddmin(&seq, |s| same(module, s));
             let reduced = reduce_module(module, |m| same(m, &min_seq));
             report.violations.push(Violation {
@@ -202,21 +189,14 @@ fn drive(
 }
 
 /// Fuzz trial: does `seq` break `m` in any observable way? Labels are the
-/// failure kinds `verify`, `sanitize` and `differential`, plus four checks
+/// failure kinds `verify`, `sanitize` and `differential`, plus three checks
 /// of the compile path itself: `fingerprint` (the structural fingerprints of
 /// the source and the result are equal exactly when their printed texts and
 /// attributes are), `resume` (the compile split at `len/2` and resumed from
-/// the first half's state equals the straight one), `noop` (the compile
+/// the first half's state equals the straight one) and `noop` (the compile
 /// through a fresh no-op memo, then again through the memo it warmed,
-/// equals the straight one) and `canon` (the sequence `canon` maps `seq` to
-/// compiles to the same fingerprint and statistics). None of them draws
-/// from the campaign's RNG.
-fn fuzz_trial(
-    pm: &PassManager<'_>,
-    canon: &SeqCanonicalizer,
-    m: &Module,
-    seq: &[PassId],
-) -> Option<(String, String)> {
+/// equals the straight one). None of them draws from the campaign's RNG.
+fn fuzz_trial(pm: &PassManager<'_>, m: &Module, seq: &[PassId]) -> Option<(String, String)> {
     let res = match pm.compile_result(m, seq) {
         Ok(res) => res,
         Err(e) => {
@@ -265,21 +245,6 @@ fn fuzz_trial(
             return Some(("noop".to_string(), format!("through a {temp} no-op memo: {b}")));
         }
     }
-    // The compile cache folds every genome onto its canonical form, so the
-    // two must compile to the same fingerprint and statistics.
-    let raw: Vec<usize> = seq.iter().map(|p| p.0 as usize).collect();
-    let folded: Vec<PassId> =
-        canon.canonicalize(&raw).into_iter().map(|p| PassId(p as u16)).collect();
-    let canon_breach = match pm.compile_result(m, &folded) {
-        Ok(r) if r.fingerprint == res.fingerprint && r.stats == res.stats => None,
-        Ok(r) if r.fingerprint != res.fingerprint => Some("a different fingerprint".to_string()),
-        Ok(_) => Some("different statistics".to_string()),
-        Err(e) => Some(e.to_string()),
-    };
-    if let Some(b) = canon_breach {
-        let kept = format!("{} of {} passes kept", folded.len(), seq.len());
-        return Some(("canon".to_string(), format!("the canonical form ({kept}) gave {b}")));
-    }
     let detail = match (observe(m), observe(&res.module)) {
         (Ok(a), Ok(b)) if a != b => format!("(result, memory digest) {a:?} became {b:?}"),
         // Trap introduced by optimisation is a differential failure too.
@@ -291,68 +256,16 @@ fn fuzz_trial(
     Some(("differential".to_string(), detail))
 }
 
-/// Subsumption trial: step `seq` through an evolving clone of `m`, running
-/// the *same* absent-work dataflow the
-/// [`SeqCanonicalizer`](citroen_bo::SeqCanonicalizer) runs — `maybe` starts
-/// all-ones and each kept pass applies `(maybe | produces) & !clears` — and
-/// executing every pass it would have dropped as a no-op theorem. Dropped
-/// passes do not advance the dataflow (they provably changed nothing),
-/// mirroring the canonicalizer exactly. The label is the pass that was
-/// predicted subsumed but fired anyway; the false claim lives in the kept
-/// prefix (an overstated `clears` or an understated `produces`/`fires_on`).
-fn subsumption_trial(
-    reg: &Registry,
-    m: &Module,
-    seq: &[PassId],
-    counts: &mut [u64; 2],
-) -> Option<(String, String)> {
-    let (fires, clears, produces) = (reg.fires_on(), reg.clears(), reg.produces());
-    let mut cur = m.clone();
-    let mut maybe = u64::MAX;
-    for &id in seq {
-        let (pass, i) = (reg.pass(id), id.0 as usize);
-        counts[1] += 1;
-        if fires[i].is_some_and(|f| f & maybe == 0) {
-            counts[0] += 1;
-            if let Some(breach) = noop_breach(pass, &mut cur) {
-                return Some((
-                    pass.name().to_string(),
-                    format!("predicted-subsumed pass {breach}"),
-                ));
-            }
-        } else {
-            pass.run(&mut cur, &mut Stats::new());
-            maybe = (maybe | produces[i]) & !clears[i];
-        }
-    }
-    None
-}
-
 /// Fuzz the shipped registry: random generated modules × random sequences
 /// through the verifier, the sanitizer, the interpreter differential and
-/// the compile path's own checks. The `canon` check uses the canonicaliser
-/// a `subsume_collapse` session builds. `progress` receives one line per
-/// module (pass `|_| {}` to silence).
+/// the compile path's own checks. `progress` receives one line per module
+/// (pass `|_| {}` to silence).
 pub fn run_campaign(cfg: &FuzzConfig, progress: impl FnMut(&str)) -> Report {
     let reg = Registry::full();
     let mut pm = PassManager::new(&reg);
     pm.verify_each = true;
     pm.sanitize = true;
-    let session = CitroenConfig { subsume_collapse: true, ..Default::default() };
-    let canon = canonicalizer(&reg, &session).expect("subsume_collapse builds a canonicaliser");
-    drive(cfg, &reg, "fuzz", progress, |m, seq, _| fuzz_trial(&pm, &canon, m, seq))
-}
-
-/// Soundness-fuzz the work-class subsumption matrix of `reg`. This exercises
-/// all three mask claims at once — `fires_on` (the no-op certificate),
-/// `clears` (the postcondition), and `produces` (the frame condition) — in
-/// exactly the composition the search uses them.
-pub fn run_subsumption_campaign(
-    cfg: &FuzzConfig,
-    reg: &Registry,
-    progress: impl FnMut(&str),
-) -> Report {
-    drive(cfg, reg, "subsume", progress, |m, seq, counts| subsumption_trial(reg, m, seq, counts))
+    drive(cfg, &reg, progress, |m, seq| fuzz_trial(&pm, m, seq))
 }
 
 /// Soundness-fuzz the alias analysis: every `No`/`Must` answer for same-block
@@ -419,62 +332,6 @@ mod tests {
                 "fuzz failure ({}: {}) seed {:#x}\n  seq: {}\n  reduced seq: {}\n{}",
                 f.label, f.detail, f.module_seed, f.seq, f.reduced_seq, f.reduced_ir
             );
-        }
-    }
-
-    #[test]
-    fn subsumption_smoke_campaign_is_clean() {
-        // Every claimed work-class theorem (fires_on/clears/produces of the
-        // shipped registry) must survive a small deterministic campaign; the
-        // full 500-trial version runs via `citroen-analyze subsume`.
-        let cfg = FuzzConfig { modules: 6, seqs_per_module: 5, max_seq_len: 12, seed: 7 };
-        let report = run_subsumption_campaign(&cfg, &Registry::full(), |_| {});
-        assert_eq!(report.trials, 30);
-        // Vacuity guard: the campaign only proves something if drops were
-        // actually predicted and executed.
-        let [drops, positions] = report.counts;
-        assert!(
-            drops > 0,
-            "no drops predicted over {positions} positions — matrix too weak to test"
-        );
-        for v in &report.violations {
-            panic!(
-                "subsumption violation: pass '{}' ({}) seed {:#x}\n  seq: {}\n  reduced: {}\n{}",
-                v.label, v.detail, v.module_seed, v.seq, v.reduced_seq, v.reduced_ir
-            );
-        }
-    }
-
-    #[test]
-    fn subsumption_campaign_convicts_lying_clears() {
-        // A registry spiked with the pass that claims `clears == ALL` while
-        // doing nothing must produce violations, and ddmin must shrink every
-        // reproducer to the lie plus the one pass it falsely subsumed.
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::LyingSubsumption));
-        let reg = Registry::from_passes(passes);
-        let cfg = FuzzConfig { modules: 3, seqs_per_module: 8, max_seq_len: 16, seed: 28 };
-        let report = run_subsumption_campaign(&cfg, &reg, |_| {});
-        assert!(
-            !report.violations.is_empty(),
-            "the lying clears claim must be caught ({} trials)",
-            report.trials
-        );
-        for v in &report.violations {
-            let parts: Vec<&str> = v.reduced_seq.split(',').collect();
-            assert_eq!(
-                parts.first().copied(),
-                Some("lying-subsumption"),
-                "reduction must pin the lie first: {}",
-                v.reduced_seq
-            );
-            assert_eq!(
-                parts.len(),
-                2,
-                "minimal reproducer is the lie plus its victim: {}",
-                v.reduced_seq
-            );
-            assert!(!v.reduced_ir.is_empty());
         }
     }
 

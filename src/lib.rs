@@ -1,6 +1,5 @@
 //! Facade crate re-exporting the CITROEN workspace public API.
 pub mod fuzz;
-pub mod mine;
 
 pub use citroen_analyze as analyze;
 pub use citroen_bo as bo;

@@ -105,33 +105,12 @@ fn lint_json_keeps_exit_codes_and_is_parseable() {
 }
 
 #[test]
-fn subsume_with_lying_pass_exits_1() {
-    let args = "subsume --with-lying --modules 3 --seqs 8 --max-len 16 --seed 28";
-    let out = analyze(&args.split(' ').collect::<Vec<_>>());
-    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    // ddmin must have shrunk every reproducer to the lie plus its victim.
-    let reduced: Vec<&str> =
-        err.lines().filter_map(|l| l.strip_prefix("reduced sequence: ")).collect();
-    assert_eq!(reduced.len(), 4, "{err}");
-    for seq in reduced {
-        assert!(seq.starts_with("lying-subsumption,"), "{seq}");
-    }
-}
-
-#[test]
 fn smoke_budget_keeps_explicit_flags() {
     // `--smoke` picks the base budget; an explicit flag applies on top.
     let out = analyze(&["--smoke", "--seed", "5"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("4 modules x 3 sequences (max len 10, seed 0x5)"), "{err}");
-
-    // Without a --seed, mine-edges --smoke runs MineConfig::smoke()'s seed.
-    let out = analyze(&["mine-edges", "--smoke"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.lines().next().is_some_and(|l| l.ends_with("seed 0x7")), "{err}");
 }
 
 // ---------------------------------------------------------------------------
@@ -292,24 +271,21 @@ fn trace_check_and_curve_accept_a_streamed_tuning_trace() {
 
 #[test]
 fn trace_show_surfaces_sanitizer_and_canonicalizer_counters() {
-    // A hand-built trace carrying the sanitizer-scheduling and canonicalizer
-    // counters must surface them in show's dedicated summary block (with the
-    // derived skip rate), exit 0, and keep the block absent when the
-    // counters are missing.
+    // A hand-built trace carrying the sanitizer-scheduling counters must
+    // surface them in show's dedicated summary block (with the derived skip
+    // rate), exit 0, and keep the block absent when the counters are
+    // missing.
     let mut with = tuning_jsonl(1);
-    for (name, delta) in
-        [("citroen.sanitize.runs", 30u64), ("citroen.sanitize.skips", 10), ("canon.subsume_dropped", 7)]
-    {
+    for (name, delta) in [("citroen.sanitize.runs", 30u64), ("citroen.sanitize.skips", 10)] {
         with += &format!("{{\"t\":\"counter\",\"name\":\"{name}\",\"delta\":{delta}}}\n");
     }
     let file = temp_text("sanitize-counters.jsonl", &with);
     let out = trace_bin(&["show", file.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("== sanitizer / canonicalizer =="), "{stdout}");
+    assert!(stdout.contains("== sanitizer =="), "{stdout}");
     assert!(stdout.contains("citroen.sanitize.runs"), "{stdout}");
     assert!(stdout.contains("citroen.sanitize.skips"), "{stdout}");
-    assert!(stdout.contains("canon.subsume_dropped"), "{stdout}");
     assert!(stdout.contains("25.0%"), "skip rate 10/40 missing: {stdout}");
     let _ = std::fs::remove_file(file);
 
@@ -317,7 +293,7 @@ fn trace_show_surfaces_sanitizer_and_canonicalizer_counters() {
     let out = trace_bin(&["show", without.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!stdout.contains("sanitizer / canonicalizer"), "{stdout}");
+    assert!(!stdout.contains("== sanitizer =="), "{stdout}");
     let _ = std::fs::remove_file(without);
 }
 

@@ -67,10 +67,8 @@ const GOLDEN: &[Golden] = &[
     ("q1-random-autophase-nocov", 1, 0xed29f1c9df74d710, 12, 1, 112, 0xcbf29ce484222325),
     ("q1-random-autophase-nocov", 2, 0xba3657472f479ff3, 12, 0, 100, 0xcbf29ce484222325),
     ("q1-random-autophase-nocov", 3, 0x1b11b28ecb2ff90f, 12, 0, 100, 0xcbf29ce484222325),
-    ("q1-subsume", 1, 0x47187fb0dbc2c8f0, 12, 0, 100, 0x0084904cf775b940),
-    ("q1-subsume", 2, 0x0f2b541719e9444a, 12, 0, 99, 0x2ae47dec9bbcb2c7),
-    ("q1-subsume-cap2", 1, 0x47187fb0dbc2c8f0, 12, 0, 100, 0x0084904cf775b940),
-    ("q1-subsume-cap2", 2, 0x0f2b541719e9444a, 12, 0, 100, 0x2ae47dec9bbcb2c7),
+    ("q1-cap2", 1, 0x2a81a49482aa5679, 12, 0, 100, 0x0084904cf775b940),
+    ("q1-cap2", 2, 0x5545ab6b47a5ad8b, 12, 0, 100, 0x2ae47dec9bbcb2c7),
     ("q1-init-seeds", 1, 0x5529bc0fda515a7a, 12, 0, 100, 0x90d2290e0d3110e3),
     ("q1-init-seeds", 2, 0xc7b6bd8a2924ae5e, 12, 0, 100, 0x4bd920dd3c7ccd2d),
     ("q1-replay", 1, 0x2a81a49482aa5679, 12, 0, 0, 0x0084904cf775b940),
@@ -78,12 +76,9 @@ const GOLDEN: &[Golden] = &[
     ("q4", 1, 0xfb8127b6309cdb56, 12, 0, 40, 0x24b77a95103c5094),
     ("q4", 2, 0xa9e69077b070a575, 12, 0, 28, 0x8d8cec9320bbf326),
     ("q4", 3, 0xf8b6ac7f29a121c5, 12, 0, 28, 0xf645ec6573339a59),
-    ("q4-subsume", 1, 0x5d98f5a96b31fc61, 12, 0, 40, 0x24b77a95103c5094),
-    ("q4-subsume", 2, 0xc4f1eb3cc11efe34, 12, 0, 28, 0x8d8cec9320bbf326),
-    ("q4-subsume", 3, 0xf8b6ac7f29a121c5, 12, 0, 28, 0xf645ec6573339a59),
-    ("q4-subsume-cap2", 1, 0x5d98f5a96b31fc61, 12, 0, 40, 0x24b77a95103c5094),
-    ("q4-subsume-cap2", 2, 0xc4f1eb3cc11efe34, 12, 0, 28, 0x8d8cec9320bbf326),
-    ("q4-subsume-cap2", 3, 0xf8b6ac7f29a121c5, 12, 0, 28, 0xf645ec6573339a59),
+    ("q4-cap2", 1, 0xfb8127b6309cdb56, 12, 0, 40, 0x24b77a95103c5094),
+    ("q4-cap2", 2, 0xa9e69077b070a575, 12, 0, 28, 0x8d8cec9320bbf326),
+    ("q4-cap2", 3, 0xf8b6ac7f29a121c5, 12, 0, 28, 0xf645ec6573339a59),
 ];
 
 /// How a row's session is attached to a compile cache.
@@ -143,9 +138,7 @@ fn rows() -> Vec<Row> {
             }
         }
     }
-    let subsume = |c: &mut CitroenConfig| c.subsume_collapse = true;
-    push("q1-subsume", 1..=2, &subsume, Cache::Standalone);
-    push("q1-subsume-cap2", 1..=2, &subsume, Cache::Capped(2));
+    push("q1-cap2", 1..=2, &|_| {}, Cache::Capped(2));
     push(
         "q1-init-seeds",
         1..=2,
@@ -154,24 +147,7 @@ fn rows() -> Vec<Row> {
     );
     push("q1-replay", 1..=2, &|_| {}, Cache::Replay);
     push("q4", 1..=3, &|c| c.batch = 4, Cache::Standalone);
-    push(
-        "q4-subsume",
-        1..=3,
-        &|c| {
-            subsume(c);
-            c.batch = 4;
-        },
-        Cache::Standalone,
-    );
-    push(
-        "q4-subsume-cap2",
-        1..=3,
-        &|c| {
-            subsume(c);
-            c.batch = 4;
-        },
-        Cache::Capped(2),
-    );
+    push("q4-cap2", 1..=3, &|c| c.batch = 4, Cache::Capped(2));
     rows
 }
 
